@@ -69,6 +69,29 @@ def bench_flatten_petascale_cluster(benchmark):
     assert model.n_places > 10_000
 
 
+def bench_build_petascale_setup(benchmark):
+    """Model construction of the petascale cluster: flatten, measures and
+    the first compile (32 activity templates become ~17.8k activities).
+
+    Same rounds and warm-up as :func:`bench_flatten_petascale_cluster`."""
+    from repro.cfs.measures import build_measures
+    from repro.core import CompiledProgram
+
+    params = petascale_parameters()
+
+    def build():
+        model = flatten(build_cluster_node(params))
+        measures = build_measures(model, params)
+        CompiledProgram(model, batch_dynamic=True).tables()
+        return model, measures
+
+    model, measures = benchmark.pedantic(
+        build, rounds=5, iterations=1, warmup_rounds=1
+    )
+    assert len(model.activities) > 17_000
+    assert len(measures.rewards) == 4
+
+
 def bench_event_throughput_small_fleet(benchmark):
     """Raw event-processing rate on a 10-unit fleet (~1100 events)."""
     model = flatten(_fleet_model(10))

@@ -16,7 +16,6 @@ from datetime import datetime, timedelta
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from ..core.errors import AnalysisError
 from .events import EventLog
@@ -89,6 +88,9 @@ def workload_failure_correlation(
     )
     if workload.size < 3:
         raise AnalysisError("need at least 3 buckets; shrink bucket_hours")
+
+    # Imported here: scipy.stats adds ~0.5 s to every interpreter start.
+    from scipy import stats
 
     if workload.std() == 0.0 or failure.std() == 0.0:
         pearson = 0.0

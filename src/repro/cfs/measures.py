@@ -74,7 +74,11 @@ def _storage_paths(model: FlatModel) -> tuple[str, str]:
 
 
 def _cfs_up_paths(model: FlatModel) -> tuple[str, str, str, str, str, str, str | None]:
-    """Canonical paths of every place the CFS-up condition reads."""
+    """Canonical paths of every place the CFS-up condition reads.
+
+    The private helpers below take this tuple instead of the model, so
+    :func:`build_measures` resolves it once for all of its measures.
+    """
     tiers, ctrl = _storage_paths(model)
     oss = resolve_slot_path(model, "*/oss_layer/pairs_down")
     oss_sw = resolve_slot_path(model, "*/oss_layer/oss_sw_down")
@@ -116,7 +120,11 @@ def cfs_up_predicate(model: FlatModel) -> Callable:
     ad-hoc probing.  The reward built by :func:`cfs_availability_reward`
     uses the slot-resolved fast variant with a declared read set instead.
     """
-    tiers, ctrl, oss, oss_sw, nw, fabric, covered = _cfs_up_paths(model)
+    return _cfs_up_predicate(_cfs_up_paths(model))
+
+
+def _cfs_up_predicate(paths: tuple) -> Callable:
+    tiers, ctrl, oss, oss_sw, nw, fabric, covered = paths
 
     def up(m) -> bool:
         oss_effective = m[oss] - (m[covered] if covered is not None else 0)
@@ -132,13 +140,15 @@ def cfs_up_predicate(model: FlatModel) -> Callable:
     return up
 
 
-def _cfs_up_fast(model: FlatModel) -> tuple[Callable, Callable, tuple[str, ...]]:
+def _cfs_up_fast(
+    model: FlatModel, paths: tuple
+) -> tuple[Callable, Callable, tuple[str, ...]]:
     """Slot-resolved CFS-up checks plus the read declaration covering them.
 
-    Returns ``(up, up_raw, reads)``: ``up`` takes the view, ``up_raw``
-    takes the raw values list directly (for callers that already hold it).
+    ``paths`` is :func:`_cfs_up_paths` of ``model``.  Returns ``(up,
+    up_raw, reads)``: ``up`` takes the view, ``up_raw`` takes the raw
+    values list directly (for callers that already hold it).
     """
-    paths = _cfs_up_paths(model)
     tiers, ctrl, oss, oss_sw, nw, fabric, covered = paths
     idx = model.paths
     ts, cs, os_, osw, ns, fs = (
@@ -176,10 +186,10 @@ def _cfs_up_fast(model: FlatModel) -> tuple[Callable, Callable, tuple[str, ...]]
     return up, up_raw, tuple(p for p in paths if p is not None)
 
 
-def _cfs_up_guards(model: FlatModel) -> tuple:
+def _cfs_up_guards(paths: tuple) -> tuple:
     """The CFS-up condition as reward-form guards (same semantics as
     :func:`_cfs_up_fast`, declaratively)."""
-    tiers, ctrl, oss, oss_sw, nw, fabric, covered = _cfs_up_paths(model)
+    tiers, ctrl, oss, oss_sw, nw, fabric, covered = paths
     oss_guard = (
         (oss, "<=", 0) if covered is None else ((oss, covered), "<=", 0)
     )
@@ -202,13 +212,19 @@ def cfs_availability_reward(
     probability the CFS is up at time ``t``, once averaged over
     replications).
     """
-    _, up_raw, reads = _cfs_up_fast(model)
+    return _cfs_availability_reward(model, _cfs_up_paths(model), probe_times)
+
+
+def _cfs_availability_reward(
+    model: FlatModel, paths: tuple, probe_times
+) -> RateReward:
+    _, up_raw, reads = _cfs_up_fast(model, paths)
     return RateReward(
         "cfs_availability",
         lambda m: 1.0 if up_raw(m.raw) else 0.0,
         reads=reads,
         probe_times=probe_times,
-        form=Indicator(guards=_cfs_up_guards(model)),
+        form=Indicator(guards=_cfs_up_guards(paths)),
     )
 
 
@@ -220,7 +236,13 @@ def perceived_availability_reward(
     Multiplies CFS truth by the client-network view: the spine must be up
     and the node's leaf switch must be up (averaged over leaf switches).
     """
-    _, _, up_reads = _cfs_up_fast(model)
+    return _perceived_availability_reward(model, params, _cfs_up_paths(model))
+
+
+def _perceived_availability_reward(
+    model: FlatModel, params: CFSParameters, paths: tuple
+) -> RateReward:
+    _, _, up_reads = _cfs_up_fast(model, paths)
     switches_down = resolve_slot_path(model, "*/client/switches_down")
     spine_up = resolve_slot_path(model, "*/spine_up")
     sw, sp = model.paths[switches_down], model.paths[spine_up]
@@ -230,7 +252,6 @@ def perceived_availability_reward(
     # leaf-switch transient (~97 % of petascale events), so the up check
     # is inlined rather than calling up_raw — identical short-circuit
     # logic and float arithmetic, one call fewer per refresh.
-    paths = _cfs_up_paths(model)
     idx = model.paths
     ts, cs, os_, osw, ns, fs = (idx[p] for p in paths[:6])
     cov = idx[paths[6]] if paths[6] is not None else None
@@ -283,7 +304,7 @@ def perceived_availability_reward(
         form=Affine(
             1.0,
             terms=[(switches_down, -1.0, n_switches)],
-            guards=_cfs_up_guards(model) + ((spine_up, "!=", 0),),
+            guards=_cfs_up_guards(paths) + ((spine_up, "!=", 0),),
         ),
     )
 
@@ -333,13 +354,14 @@ def build_measures(
     ``availability_probes`` adds instant-of-time samples of the CFS
     availability at the given times (hours).
     """
+    paths = _cfs_up_paths(model)
     rewards = (
         storage_availability_reward(model),
-        cfs_availability_reward(model, probe_times=availability_probes),
-        perceived_availability_reward(model, params),
+        _cfs_availability_reward(model, paths, availability_probes),
+        _perceived_availability_reward(model, params, paths),
         disk_replacement_reward(),
     )
-    up = cfs_up_predicate(model)
+    up = _cfs_up_predicate(paths)
 
     def traces_factory() -> tuple:
         return (BinaryTrace("cfs_up", up),)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import SimulationError
 from .experiment import Estimate
@@ -107,7 +107,7 @@ def batch_means_from_steps(
     if std == 0.0:
         half = 0.0
     else:
-        tcrit = float(stats.t.ppf(0.5 + confidence / 2.0, df=n_batches - 1))
+        tcrit = float(special.stdtrit(n_batches - 1, 0.5 + confidence / 2.0))
         half = tcrit * std / math.sqrt(n_batches)
     estimate = Estimate(mean, std, n_batches, confidence, half)
     return BatchMeansResult(

@@ -19,11 +19,13 @@ same tree can be flattened once and simulated many times.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
-from .patterns import path_match
 from typing import Iterable, Sequence
 
 from .errors import CompositionError
+from .patterns import compile_pattern, path_match
 from .places import LocalView, MarkingVector
 from .san import SAN, ActivityDef
 
@@ -43,6 +45,28 @@ __all__ = [
 
 def _join_path(prefix: str, name: str) -> str:
     return f"{prefix}/{name}" if prefix else name
+
+
+@contextmanager
+def _gc_paused():
+    """Pause cyclic garbage collection around a model build.
+
+    Flattening and compiling a replicated model allocate a few hundred
+    thousand container objects, and the collector would otherwise walk
+    them again and again in full collections while they are built.  The
+    model graph holds no reference cycles (a dropped model is freed by
+    reference counting alone), so there is nothing for those walks to
+    find.  Usable as a decorator.  On exit, error included, the caller's
+    state is restored: a caller that disabled collection keeps it off.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class Node:
@@ -292,6 +316,9 @@ class FlatModel:
         One representative path per slot (the shallowest alias).
     activities:
         All activity instances with slot-resolved place indexes.
+
+    The model is immutable once built: :meth:`match` memoizes its
+    results against ``paths`` and ``canonical``.
     """
 
     def __init__(
@@ -309,6 +336,7 @@ class FlatModel:
         self.activities = activities
         for i, act in enumerate(activities):
             act.ident = i
+        self._matches: dict[str, dict[str, int]] = {}
 
     @property
     def n_places(self) -> int:
@@ -327,13 +355,27 @@ class FlatModel:
     def match(self, pattern: str) -> dict[str, int]:
         """Glob-match place paths; returns canonical path → slot (deduped).
 
-        Patterns use :mod:`fnmatch` syntax, e.g. ``"*/tier[*]/tier_down"``.
+        Patterns use the :mod:`repro.core.patterns` dialect, not
+        :mod:`fnmatch`: ``*`` matches any run of characters (``/``
+        included), ``?`` exactly one, and every other character —
+        ``[`` and ``]`` included — is literal, so
+        ``"*/tier[*]/tier_down"`` matches every tier's ``tier_down``.
+        The result is ordered by slot and memoized per pattern; each call
+        returns a fresh dict.
         """
-        hits: dict[int, str] = {}
-        for path, slot in self.paths.items():
-            if path_match(path, pattern):
-                hits.setdefault(slot, self.canonical[slot])
-        return {cpath: slot for slot, cpath in sorted(hits.items())}
+        hits = self._matches.get(pattern)
+        if hits is None:
+            # Only paths ending in the text after the last wildcard can
+            # match, and endswith() is far cheaper than the regex.
+            tail = pattern[max(pattern.rfind("*"), pattern.rfind("?")) + 1 :]
+            rx = compile_pattern(pattern)
+            slots: dict[int, str] = {}
+            for path, slot in self.paths.items():
+                if path.endswith(tail) and rx.match(path) is not None:
+                    slots.setdefault(slot, self.canonical[slot])
+            hits = {cpath: slot for slot, cpath in sorted(slots.items())}
+            self._matches[pattern] = hits
+        return dict(hits)
 
     def activities_matching(self, pattern: str) -> list[FlatActivity]:
         """Glob-match activity paths."""
@@ -359,6 +401,7 @@ class FlatModel:
         return self.summary()
 
 
+@_gc_paused()
 def flatten(root: SAN | Node) -> FlatModel:
     """Compile a composition tree (or bare SAN) into a :class:`FlatModel`."""
     root_node = _as_node(root)

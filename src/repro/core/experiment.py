@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import SimulationError
 from .rewards import ImpulseReward, RateReward
@@ -60,7 +60,7 @@ class Estimate:
         std = float(arr.std(ddof=1))
         if std == 0.0:
             return cls(mean, 0.0, int(arr.size), confidence, 0.0)
-        tcrit = float(stats.t.ppf(0.5 + confidence / 2.0, df=arr.size - 1))
+        tcrit = float(special.stdtrit(arr.size - 1, 0.5 + confidence / 2.0))
         half = tcrit * std / math.sqrt(arr.size)
         return cls(mean, std, int(arr.size), confidence, half)
 

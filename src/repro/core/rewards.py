@@ -355,8 +355,9 @@ class ImpulseReward:
     name:
         Result key.
     activity_pattern:
-        :mod:`fnmatch` glob over activity paths
-        (``"*/tier[*]/replace_disk"``) or a predicate over the path.
+        :mod:`repro.core.patterns` glob over activity paths (``*``, ``?``;
+        brackets are literal: ``"*/tier[*]/replace_disk"``) or a
+        predicate over the path.
     value:
         Constant increment, or ``f(global_view) -> float`` evaluated on the
         post-completion marking.

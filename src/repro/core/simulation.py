@@ -28,7 +28,9 @@ Hot-path design (see ``docs/performance.md`` for measurements):
 * the model is *compiled* once per simulator: enabling predicates, gate
   functions, case tables and delay samplers are pre-resolved into flat
   per-activity arrays, and the slot → activity dependency map is a flat
-  list-of-lists indexed by slot;
+  list-of-lists indexed by slot.  The part of that work that depends
+  only on the SAN template is done once per activity definition and
+  shared by its replicated instances (``_ActivityPlan``);
 * per-event bookkeeping uses epoch-stamped integer scratch buffers and a
   reusable dirty list instead of freshly allocated sets; dirty activities
   settle in ascending activity-id order (the canonical deterministic
@@ -125,7 +127,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .composition import FlatModel
+from .composition import FlatModel, _gc_paused
 from .distributions import (
     BatchedSampler,
     Deterministic,
@@ -142,7 +144,7 @@ from .gates import _noop
 from .places import FrozenView, LocalView
 from .rewards import ImpulseReward, RateReward, RewardResult
 from .rng import make_generator
-from .san import INSTANT, TIMED
+from .san import INSTANT, TIMED, ActivityDef
 from .trace import BinaryTrace, EventTrace
 
 __all__ = ["CompiledProgram", "Simulator", "RunResult"]
@@ -323,6 +325,187 @@ def _make_checked_sampler(dist: Distribution, path: str) -> Callable:
     return sample
 
 
+def _write_plan(writes) -> tuple[tuple[str, bool, int], ...]:
+    """A declared-writes tuple as ``(local place, is_add, amount)`` ops."""
+    return tuple((pname, kind == "add", amount) for pname, kind, amount in writes)
+
+
+def _unknown_place(act, what: str, pname: str) -> SimulationError:
+    return SimulationError(
+        f"activity {act.path!r}: {what} {pname!r} is not a place of its "
+        f"SAN; visible places: {sorted(act.index)}"
+    )
+
+
+class _ActivityPlan:
+    """The compile work that depends only on an :class:`ActivityDef`.
+
+    A replicated template (the Rep construct of Sanders & Meyer) yields
+    thousands of activity instances that differ only in their place →
+    slot bindings, so :meth:`CompiledProgram._compile` builds one plan
+    per definition and shares it across the instances: the composed
+    predicate, the gate-function tuples, the kernels' write plans in the
+    template's local place names, the case thresholds and the sampler.
+    Binding a plan to an instance only maps names to slots.
+
+    Template-level errors are recorded rather than raised (``case_sum``),
+    so each instance raises them at the point of its own compile that
+    the per-instance order dictates, naming its own path.
+    """
+
+    __slots__ = (
+        "pred",
+        "ig_fns",
+        "og_fns",
+        "plain1",
+        "kernel",
+        "guard",
+        "case_tab",
+        "case_sum",
+        "case_kern",
+        "sampler",
+        "samp_kind",
+    )
+
+    def __init__(
+        self,
+        d: ActivityDef,
+        sample_batch: int | None,
+        shared_samplers: dict[int, Callable],
+        batched_resets: list[Callable],
+    ) -> None:
+        gates = d.input_gates
+        self.pred = (
+            gates[0].predicate if len(gates) == 1 else _compose_predicates(gates)
+        )
+        self.ig_fns = tuple(g.function for g in gates if g.function is not _noop)
+        self.og_fns = tuple(og.function for og in d.output_gates)
+        plain = not self.ig_fns and not d.cases
+        self.plain1 = self.og_fns[0] if plain and len(self.og_fns) == 1 else None
+        # Every output gate's unguarded declared writes, in firing order
+        # (None unless all of them declare).
+        og_writes = None
+        if all(og.writes is not None and og.when is None for og in d.output_gates):
+            og_writes = tuple(
+                op for og in d.output_gates for op in _write_plan(og.writes)
+            )
+        # kernel: the gate-write kernel's ops; guard: (place, cmp_fn,
+        # value, ops, labels) of a guard kernel.  Mutually exclusive.
+        self.kernel = None
+        self.guard = None
+        if plain and d.output_gates and og_writes is not None:
+            self.kernel = og_writes
+        elif (
+            plain
+            and len(d.output_gates) == 1
+            and d.output_gates[0].writes is not None
+            and d.output_gates[0].when is not None
+        ):
+            og = d.output_gates[0]
+            pname, cmp, gval = og.when
+            self.guard = (
+                pname,
+                _GUARD_FNS[cmp],
+                gval,
+                _write_plan(og.writes),
+                (
+                    f"guarded writes ({pname} {cmp} {gval} holds)",
+                    f"guarded writes ({pname} {cmp} {gval} fails)",
+                ),
+            )
+
+        # case_tab: None (no cases), (bounds, None) for static
+        # probabilities, or (None, cases) for marking-dependent ones.
+        # case_sum: the offending total when static probabilities do not
+        # sum to 1.  case_kern: (thresholds, output-gate write plan,
+        # per-case write plans, branch functions, branch labels).
+        self.case_tab = None
+        self.case_sum = None
+        self.case_kern = None
+        if d.cases:
+            if any(callable(case.probability) for case in d.cases):
+                self.case_tab = (None, d.cases)
+            else:
+                # Left-to-right partial sums, exactly as the firing-time
+                # accumulation computes them, so the selection
+                # thresholds are bit-identical to per-firing evaluation.
+                acc = 0.0
+                bounds: list[tuple[float, Callable]] = []
+                for case in d.cases:
+                    acc += float(case.probability)
+                    bounds.append((acc, case.function))
+                if not (abs(acc - 1.0) <= 1e-9):
+                    self.case_sum = acc
+                self.case_tab = (tuple(bounds), None)
+                if (
+                    not self.ig_fns
+                    and all(case.writes is not None for case in d.cases)
+                    and og_writes is not None
+                ):
+                    # Case kernel: branch thresholds are exactly the
+                    # case_tab partial sums, so compiled selection is
+                    # bit-identical to per-firing accumulation; each
+                    # branch's ops are its case writes followed by every
+                    # output gate's (output gates run after the case
+                    # function on the Python path).
+                    self.case_kern = (
+                        tuple(acc for acc, _fn in bounds),
+                        og_writes,
+                        tuple(_write_plan(case.writes) for case in d.cases),
+                        tuple((case.function,) + self.og_fns for case in d.cases),
+                        tuple(
+                            f"case {case.name or i}" for i, case in enumerate(d.cases)
+                        ),
+                    )
+
+        # sampler: shared per distribution object for the const,
+        # exponential and batched lanes; None with samp_kind "scalar"
+        # marks the checked lane, whose errors name the instance.
+        self.sampler = None
+        self.samp_kind = None
+        if d.kind == TIMED:
+            dist = d.distribution
+            # Exact-type fast lanes for const/exponential; block serving
+            # for any law that advertises a vectorized, stream-equivalent
+            # sample_many (Distribution.batchable — a subclass overriding
+            # sample/sample_many owns the flag).
+            if not isinstance(dist, Distribution):
+                self.samp_kind = "dynamic"
+                return
+            if type(dist) is Deterministic:
+                self.samp_kind = "const"
+            elif sample_batch is not None and dist.batchable:
+                self.samp_kind = "batched"
+            else:
+                self.samp_kind = "scalar"
+                if type(dist) is not Exponential:
+                    return
+            sampler = shared_samplers.get(id(dist))
+            if sampler is None:
+                if self.samp_kind == "const":
+                    sampler = _make_const_sampler(dist.value)
+                elif self.samp_kind == "batched":
+                    batched = BatchedSampler(dist, sample_batch)
+                    batched_resets.append(batched.reset)
+                    sampler = batched.sample
+                else:
+                    sampler = _make_exponential_sampler(dist)
+                shared_samplers[id(dist)] = sampler
+            self.sampler = sampler
+
+
+def _bind_writes(act, plan_ops, dep_lists) -> tuple:
+    """Resolve a write plan into an instance's slot ops."""
+    index = act.index
+    ops = []
+    for pname, is_add, amount in plan_ops:
+        slot = index.get(pname)
+        if slot is None:
+            raise _unknown_place(act, "declared write", pname)
+        ops.append((slot, is_add, amount, dep_lists[slot]))
+    return tuple(ops)
+
+
 class CompiledProgram:
     """Compiled, reusable form of a model plus its sampling configuration.
 
@@ -375,9 +558,11 @@ class CompiledProgram:
         self._priorities = [a.definition.priority for a in acts]
         # place slot -> activity ids whose enabling may depend on it
         # (flat list-of-lists; each inner list is deduplicated because ids
-        # are appended only when first discovered via _act_deps).
-        self._dep_lists: list[list[int]] = [[] for _ in range(model.n_places)]
-        self._act_deps: list[set[int]] = [set() for _ in range(self._n_acts)]
+        # are appended only when first discovered via _act_deps).  Both
+        # are allocated by _compile, with the rest of the model-sized
+        # structures.
+        self._dep_lists: list[list[int]] = []
+        self._act_deps: list[set[int]] = []
         # (aid, slot) dependencies discovered after compile time.  They
         # are rolled back at the start of the next run so that every run
         # starts from the same (compile-time) dependency state: a run's
@@ -452,9 +637,12 @@ class CompiledProgram:
             self._pattern_cache[pattern] = cached
         return cached
 
+    @_gc_paused()
     def _compile(self) -> _Compiled:
         """Pre-resolve every activity against the shared marking vector."""
         model = self.model
+        self._dep_lists = [[] for _ in range(model.n_places)]
+        self._act_deps = [set() for _ in range(self._n_acts)]
         c = _Compiled()
         c.vector = model.new_marking()
         # Each activity's view filters read tracking through its known
@@ -517,10 +705,16 @@ class CompiledProgram:
 
         act_deps = self._act_deps
         dep_lists = self._dep_lists
-        batched_by_dist: dict[int, BatchedSampler] = {}
+        plans: dict[int, _ActivityPlan] = {}
+        shared_samplers: dict[int, Callable] = {}
         for act in model.activities:
             aid = act.ident
             d = act.definition
+            plan = plans.get(id(d))
+            if plan is None:
+                plan = plans[id(d)] = _ActivityPlan(
+                    d, self.sample_batch, shared_samplers, c.batched
+                )
             c.is_timed[aid] = d.kind == TIMED
             c.reactivate[aid] = d.reactivate
 
@@ -534,11 +728,7 @@ class CompiledProgram:
                 for pname in d.reads:
                     slot = act.index.get(pname)
                     if slot is None:
-                        raise SimulationError(
-                            f"activity {act.path!r}: declared read "
-                            f"{pname!r} is not a place of its SAN; "
-                            f"visible places: {sorted(act.index)}"
-                        )
+                        raise _unknown_place(act, "declared read", pname)
                     if slot not in known:
                         known.add(slot)
                         dep_lists[slot].append(aid)
@@ -548,159 +738,57 @@ class CompiledProgram:
                     c.memo_slot[aid] = next(iter(known))
                     self._pred_memo[aid] = {}
 
-            gates = d.input_gates
-            c.preds[aid] = (
-                gates[0].predicate if len(gates) == 1 else _compose_predicates(gates)
-            )
-            c.ig_fns[aid] = tuple(
-                g.function for g in gates if g.function is not _noop
-            )
-            c.og_fns[aid] = tuple(og.function for og in d.output_gates)
-            if not c.ig_fns[aid] and not d.cases and len(c.og_fns[aid]) == 1:
-                c.plain1[aid] = c.og_fns[aid][0]
-            def _ops_for(writes, _act=act):
-                """Resolve a declared-writes tuple into compiled slot ops."""
-                ops = []
-                for pname, kind, amount in writes:
-                    slot = _act.index.get(pname)
-                    if slot is None:
-                        raise SimulationError(
-                            f"activity {_act.path!r}: declared write "
-                            f"{pname!r} is not a place of its SAN; "
-                            f"visible places: {sorted(_act.index)}"
-                        )
-                    ops.append((slot, kind == "add", amount, dep_lists[slot]))
-                return tuple(ops)
-
-            if (
-                not c.ig_fns[aid]
-                and not d.cases
-                and d.output_gates
-                and all(
-                    og.writes is not None and og.when is None
-                    for og in d.output_gates
-                )
-            ):
-                c.kernels[aid] = tuple(
-                    op for og in d.output_gates for op in _ops_for(og.writes)
-                )
-            elif (
-                not c.ig_fns[aid]
-                and not d.cases
-                and len(d.output_gates) == 1
-                and d.output_gates[0].writes is not None
-                and d.output_gates[0].when is not None
-            ):
+            c.preds[aid] = plan.pred
+            c.ig_fns[aid] = plan.ig_fns
+            c.og_fns[aid] = plan.og_fns
+            c.plain1[aid] = plan.plain1
+            if plan.kernel is not None:
+                c.kernels[aid] = _bind_writes(act, plan.kernel, dep_lists)
+            elif plan.guard is not None:
                 # Guard kernel: one declared conditional effect.  Branch 0
                 # = guard holds (declared ops), branch 1 = it does not (no
                 # writes); both run the same function at verification.
-                og = d.output_gates[0]
-                pname, cmp, gval = og.when
+                pname, cmp_fn, gval, writes, labels = plan.guard
                 slot = act.index.get(pname)
                 if slot is None:
-                    raise SimulationError(
-                        f"activity {act.path!r}: write guard place "
-                        f"{pname!r} is not a place of its SAN; "
-                        f"visible places: {sorted(act.index)}"
-                    )
+                    raise _unknown_place(act, "write guard place", pname)
                 c.case_kern[aid] = (
                     None,
-                    (slot, _GUARD_FNS[cmp], gval),
-                    (_ops_for(og.writes), ()),
-                    (c.og_fns[aid], c.og_fns[aid]),
-                    (
-                        f"guarded writes ({pname} {cmp} {gval} holds)",
-                        f"guarded writes ({pname} {cmp} {gval} fails)",
-                    ),
+                    (slot, cmp_fn, gval),
+                    (_bind_writes(act, writes, dep_lists), ()),
+                    (plan.og_fns, plan.og_fns),
+                    labels,
                 )
                 self._case_verified[aid] = [False, False]
 
-            if d.cases:
-                if any(callable(case.probability) for case in d.cases):
-                    c.case_tab[aid] = (None, d.cases)
-                else:
-                    # Left-to-right partial sums, exactly as the firing-time
-                    # accumulation computes them, so the selection
-                    # thresholds are bit-identical to per-firing evaluation.
-                    acc = 0.0
-                    for case in d.cases:
-                        acc += float(case.probability)
-                    if not (abs(acc - 1.0) <= 1e-9):
-                        raise SimulationError(
-                            f"activity {act.path!r}: case probabilities "
-                            f"sum to {acc}"
-                        )
-                    acc = 0.0
-                    bounds: list[tuple[float, Callable]] = []
-                    for case in d.cases:
-                        acc += float(case.probability)
-                        bounds.append((acc, case.function))
-                    c.case_tab[aid] = (tuple(bounds), None)
-                    if (
-                        not c.ig_fns[aid]
-                        and all(case.writes is not None for case in d.cases)
-                        and all(
-                            og.writes is not None and og.when is None
-                            for og in d.output_gates
-                        )
-                    ):
-                        # Case kernel: branch thresholds are exactly the
-                        # case_tab partial sums, so compiled selection is
-                        # bit-identical to per-firing accumulation; each
-                        # branch's ops are its case writes followed by
-                        # every output gate's (output gates run after the
-                        # case function on the Python path).
-                        og_ops = tuple(
-                            op
-                            for og in d.output_gates
-                            for op in _ops_for(og.writes)
-                        )
-                        og_fns_v = c.og_fns[aid]
-                        c.case_kern[aid] = (
-                            tuple(acc for acc, _fn in bounds),
-                            None,
-                            tuple(
-                                _ops_for(case.writes) + og_ops
-                                for case in d.cases
-                            ),
-                            tuple(
-                                (case.function,) + og_fns_v
-                                for case in d.cases
-                            ),
-                            tuple(
-                                f"case {case.name or i}"
-                                for i, case in enumerate(d.cases)
-                            ),
-                        )
-                        self._case_verified[aid] = [False] * len(d.cases)
+            if plan.case_sum is not None:
+                raise SimulationError(
+                    f"activity {act.path!r}: case probabilities "
+                    f"sum to {plan.case_sum}"
+                )
+            c.case_tab[aid] = plan.case_tab
+            if plan.case_kern is not None:
+                bounds, og_writes, case_writes, branch_fns, labels = plan.case_kern
+                og_ops = _bind_writes(act, og_writes, dep_lists)
+                c.case_kern[aid] = (
+                    bounds,
+                    None,
+                    tuple(
+                        _bind_writes(act, writes, dep_lists) + og_ops
+                        for writes in case_writes
+                    ),
+                    branch_fns,
+                    labels,
+                )
+                self._case_verified[aid] = [False] * len(bounds)
 
-            if d.kind == TIMED:
-                dist = d.distribution
-                # Exact-type fast lanes for const/exponential; block
-                # serving for any law that advertises a vectorized,
-                # stream-equivalent sample_many (Distribution.batchable —
-                # a subclass overriding sample/sample_many owns the flag).
-                if type(dist) is Deterministic:
-                    c.samplers[aid] = _make_const_sampler(dist.value)
-                    c.samp_kind[aid] = "const"
-                elif isinstance(dist, Distribution):
-                    if self.sample_batch is not None and dist.batchable:
-                        sampler = batched_by_dist.get(id(dist))
-                        if sampler is None:
-                            sampler = BatchedSampler(dist, self.sample_batch)
-                            batched_by_dist[id(dist)] = sampler
-                            c.batched.append(sampler.reset)
-                        c.samplers[aid] = sampler.sample
-                        c.samp_kind[aid] = "batched"
-                    elif type(dist) is Exponential:
-                        c.samplers[aid] = _make_exponential_sampler(dist)
-                        c.samp_kind[aid] = "scalar"
-                    else:
-                        c.samplers[aid] = _make_checked_sampler(dist, act.path)
-                        c.samp_kind[aid] = "scalar"
-                else:
-                    c.dyn_dists[aid] = dist
-                    c.samp_kind[aid] = "dynamic"
+            c.samp_kind[aid] = plan.samp_kind
+            if plan.sampler is not None:
+                c.samplers[aid] = plan.sampler
+            elif plan.samp_kind == "scalar":
+                c.samplers[aid] = _make_checked_sampler(d.distribution, act.path)
+            elif plan.samp_kind == "dynamic":
+                c.dyn_dists[aid] = d.distribution
 
         # Pre-evaluate every enabling predicate on the initial marking:
         # the initial marking is identical for every run, so the set of

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import SimulationError
 
@@ -96,7 +96,7 @@ def batch_means_half_width(
     se = math.sqrt(float(means.var(ddof=1)) / means.size)
     if se == 0.0:
         return 0.0
-    tcrit = float(stats.t.ppf(0.5 + confidence / 2.0, df=means.size - 1))
+    tcrit = float(special.stdtrit(means.size - 1, 0.5 + confidence / 2.0))
     return tcrit * se
 
 

@@ -1,0 +1,318 @@
+"""Model construction: memoized place globs, template-level compile plans,
+and the cyclic-GC pause around flatten and the first compile."""
+
+from __future__ import annotations
+
+import gc
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import (
+    SAN,
+    Case,
+    CompiledProgram,
+    CompositionError,
+    Deterministic,
+    Exponential,
+    SimulationError,
+    flatten,
+    join,
+    replicate,
+)
+from repro.core.composition import FlatModel
+from repro.core.distributions import Distribution
+from repro.core.patterns import path_match
+
+
+# ----------------------------------------------------------------------
+# FlatModel.match: memoized, tail-filtered == brute-force scan
+# ----------------------------------------------------------------------
+_names = st.sampled_from(["a", "b", "ab", "up", "tier", "disk", "x_y", "a.b"])
+_segment = st.one_of(
+    _names,
+    st.builds(lambda n, i: f"{n}[{i}]", _names, st.integers(0, 12)),
+)
+_path = st.lists(_segment, min_size=1, max_size=4).map("/".join)
+_PATTERN_KINDS = (
+    "leading", "middle", "trailing", "question", "none", "empty_tail", "random"
+)
+
+
+def _star_at(path: str, at: str, draw) -> str:
+    """Replace a slice of ``path`` with ``*`` at its start, middle or end."""
+    if at == "leading":
+        return "*" + path[draw(st.integers(0, len(path))) :]
+    if at == "trailing":
+        return path[: draw(st.integers(0, len(path)))] + "*"
+    i = draw(st.integers(0, len(path)))
+    j = draw(st.integers(i, len(path)))
+    return path[:i] + "*" + path[j:]
+
+
+@st.composite
+def _pattern(draw, paths):
+    base = draw(st.sampled_from(paths))
+    kind = draw(st.sampled_from(_PATTERN_KINDS))
+    if kind in ("leading", "middle", "trailing"):
+        return _star_at(base, kind, draw)
+    if kind == "question":
+        i = draw(st.integers(0, len(base) - 1))
+        return base[:i] + "?" + base[i + 1 :]
+    if kind == "none":
+        return base
+    if kind == "empty_tail":
+        head = base[: draw(st.integers(0, len(base)))]
+        return head + draw(st.sampled_from(["*", "?"]))
+    return draw(st.text(alphabet="ab*?[]/1", min_size=0, max_size=8))
+
+
+@st.composite
+def _model_and_patterns(draw):
+    paths = draw(st.lists(_path, min_size=1, max_size=25, unique=True))
+    n_slots = draw(st.integers(1, len(paths)))
+    # Aliases: several paths may share one slot; every slot has a path.
+    slot_of = list(range(n_slots)) + [
+        draw(st.integers(0, n_slots - 1)) for _ in paths[n_slots:]
+    ]
+    mapping = dict(zip(paths, slot_of))
+    canonical = [None] * n_slots
+    for path, slot in mapping.items():
+        if canonical[slot] is None or draw(st.booleans()):
+            canonical[slot] = path
+    model = FlatModel("m", [0] * n_slots, mapping, canonical, [])
+    patterns = draw(st.lists(_pattern(paths), min_size=1, max_size=6))
+    return model, patterns
+
+
+def _brute_force_match(model: FlatModel, pattern: str) -> list[tuple[str, int]]:
+    hits: dict[int, str] = {}
+    for path, slot in model.paths.items():
+        if path_match(path, pattern):
+            hits.setdefault(slot, model.canonical[slot])
+    return [(cpath, slot) for slot, cpath in sorted(hits.items())]
+
+
+@given(_model_and_patterns())
+@settings(max_examples=300, deadline=None)
+def test_match_equals_brute_force_scan(case):
+    model, patterns = case
+    for pattern in patterns:
+        expected = _brute_force_match(model, pattern)
+        assert list(model.match(pattern).items()) == expected
+        # Second call is served from the memo: same answer, same order.
+        assert list(model.match(pattern).items()) == expected
+
+
+def test_match_returns_a_fresh_dict_each_call():
+    san = SAN("unit")
+    san.place("up", 1)
+    san.place("total", 0)
+    san.timed("fail", Exponential(1.0), enabled=lambda m: m["up"] == 1)
+    model = flatten(replicate("fleet", san, 3, shared=["total"]))
+    first = model.match("*/up")
+    expected = dict(first)
+    first.clear()
+    first["bogus"] = 99
+    assert model.match("*/up") == expected
+    second = model.match("*/up")
+    second["fleet/unit[0]/up"] = -1
+    assert model.match("*/up") == expected
+    assert model.match("*/up") is not model.match("*/up")
+
+
+# ----------------------------------------------------------------------
+# template-level compile plans
+# ----------------------------------------------------------------------
+def _fleet(n: int = 3):
+    unit = SAN("unit")
+    unit.place("up", 1)
+    unit.place("spare", 1)
+    unit.place("down", 0)
+    unit.timed(
+        "fail",
+        Exponential(0.5),
+        enabled=lambda m: m["up"] == 1,
+        effect=lambda m, rng: (
+            m.__setitem__("up", 0),
+            m.__setitem__("down", m["down"] + 1),
+        ),
+        writes=[("up", "set", 0), ("down", "add", 1)],
+        reads=["up"],
+    )
+    unit.timed(
+        "repair",
+        Deterministic(2.0),
+        enabled=lambda m: m["up"] == 0,
+        cases=[
+            Case(0.25, lambda m, rng: None, writes=()),
+            Case(
+                0.75,
+                lambda m, rng: (
+                    m.__setitem__("up", 1),
+                    m.__setitem__("down", m["down"] - 1),
+                ),
+                writes=[("up", "set", 1), ("down", "add", -1)],
+            ),
+        ],
+    )
+    return flatten(replicate("fleet", unit, n, shared=["down"]))
+
+
+def test_instances_share_the_template_plan_and_bind_their_own_slots():
+    model = _fleet()
+    c = CompiledProgram(model).tables()
+    fails = [a.ident for a in model.activities if a.path.endswith("/fail")]
+    repairs = [a.ident for a in model.activities if a.path.endswith("/repair")]
+    down = model.paths["fleet/down"]
+    for group in (fails, repairs):
+        first = group[0]
+        for aid in group[1:]:
+            assert c.preds[aid] is c.preds[first]
+            assert c.og_fns[aid] is c.og_fns[first]
+            assert c.samplers[aid] is c.samplers[first]
+    # Same write plan, instance slots: each fail kernel sets its own up
+    # place and adds to the one shared counter.
+    for i, aid in enumerate(fails):
+        up = model.paths[f"fleet/unit[{i}]/up"]
+        assert [(s, add, v) for s, add, v, _dl in c.kernels[aid]] == [
+            (up, False, 0),
+            (down, True, 1),
+        ]
+    for i, aid in enumerate(repairs):
+        up = model.paths[f"fleet/unit[{i}]/up"]
+        bounds, guard, branch_ops, _fns, labels = c.case_kern[aid]
+        assert bounds == (0.25, 1.0) and guard is None
+        assert labels == ("case 0", "case 1")
+        assert [[s for s, *_ in ops] for ops in branch_ops] == [[], [up, down]]
+        assert c.case_tab[aid] is c.case_tab[repairs[0]]
+
+
+def test_checked_sampler_names_its_own_instance():
+    class Negative(Distribution):
+        def sample(self, rng):
+            return -1.0
+
+        def mean(self):
+            return 1.0
+
+    unit = SAN("unit")
+    unit.place("up", 1)
+    unit.timed("fail", Negative(), enabled=lambda m: m["up"] == 1)
+    model = flatten(replicate("fleet", unit, 3))
+    c = CompiledProgram(model).tables()
+    rng = np.random.default_rng(0)
+    for act in model.activities:
+        assert c.samp_kind[act.ident] == "scalar"
+        with pytest.raises(SimulationError, match=re.escape(repr(act.path))):
+            c.samplers[act.ident](rng)
+
+
+def _one_template_fleet(**kwargs):
+    unit = SAN("unit")
+    unit.place("up", 1)
+    unit.timed(
+        "fail",
+        Exponential(1.0),
+        enabled=lambda m: m["up"] == 1,
+        effect=lambda m, rng: m.__setitem__("up", 0),
+        **kwargs,
+    )
+    return flatten(replicate("fleet", unit, 2))
+
+
+def test_template_errors_name_the_first_instance():
+    model = _one_template_fleet(writes=[("nope", "set", 0)])
+    with pytest.raises(
+        SimulationError, match=r"'fleet/unit\[0\]/fail': declared write 'nope'"
+    ):
+        CompiledProgram(model).tables()
+
+
+def test_instance_errors_keep_the_per_instance_order():
+    """A missing declared read is reported before a missing declared
+    write, exactly as the unplanned compile checked them."""
+    model = _one_template_fleet(reads=["gone"], writes=[("nope", "set", 0)])
+    with pytest.raises(
+        SimulationError, match=r"'fleet/unit\[0\]/fail': declared read 'gone'"
+    ):
+        CompiledProgram(model).tables()
+
+
+# ----------------------------------------------------------------------
+# cyclic GC paused during flatten and the first compile
+# ----------------------------------------------------------------------
+@pytest.fixture
+def gc_state():
+    """Restore the interpreter's GC state whatever a test does to it."""
+    was = gc.isenabled()
+    yield
+    if was:
+        gc.enable()
+    else:  # pragma: no cover - the suite runs with GC on
+        gc.disable()
+
+
+def _probe_san(seen: list[bool]) -> SAN:
+    san = SAN("probe")
+    san.place("up", 1)
+
+    def enabled(m):
+        seen.append(gc.isenabled())
+        return m["up"] == 1
+
+    san.timed("fail", Exponential(1.0), enabled=enabled)
+    return san
+
+
+def _bad_write_model():
+    san = SAN("bad")
+    san.place("up", 1)
+    san.timed(
+        "fail",
+        Exponential(1.0),
+        enabled=lambda m: m["up"] == 1,
+        effect=lambda m, rng: m.__setitem__("up", 0),
+        writes=[("missing", "set", 0)],
+    )
+    return flatten(san)
+
+
+def _conflicting_tree():
+    a = SAN("a")
+    a.place("shared", 1)
+    a.timed("t", Exponential(1.0), enabled=lambda m: True)
+    b = SAN("b")
+    b.place("shared", 2)
+    b.timed("t", Exponential(1.0), enabled=lambda m: True)
+    return join("top", a, b, shared=["shared"])
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_flatten_and_compile_restore_the_callers_gc_state(gc_state, enabled):
+    seen: list[bool] = []
+    gc.enable() if enabled else gc.disable()
+    model = flatten(_probe_san(seen))
+    assert gc.isenabled() is enabled
+    program = CompiledProgram(model)
+    program.tables()
+    assert gc.isenabled() is enabled
+    # The initial predicate evaluation runs inside the compile.
+    assert seen == [False]
+    program.tables()  # cached: no compile, no GC toggling
+    assert gc.isenabled() is enabled and seen == [False]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gc_state_restored_when_construction_raises(gc_state, enabled):
+    gc.enable() if enabled else gc.disable()
+    with pytest.raises(CompositionError, match="conflicting initial"):
+        flatten(_conflicting_tree())
+    assert gc.isenabled() is enabled
+    model = _bad_write_model()
+    with pytest.raises(SimulationError, match="declared write 'missing'"):
+        CompiledProgram(model).tables()
+    assert gc.isenabled() is enabled

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import (
     Estimate,
     ImpulseReward,
@@ -173,3 +178,38 @@ class TestPathGlobs:
     def test_regex_specials_escaped(self):
         assert path_match("a.b", "a.b")
         assert not path_match("axb", "a.b")
+
+
+class TestStudentTCritical:
+    """Student-t critical values come from ``scipy.special.stdtrit``, so
+    that importing the package does not pay for ``scipy.stats``."""
+
+    @pytest.mark.parametrize(
+        "confidence", [0.8, 0.9, 0.95, 0.975, 0.99, 0.999, 0.9999]
+    )
+    def test_stdtrit_equals_t_ppf(self, confidence):
+        from scipy import special, stats
+
+        q = 0.5 + confidence / 2.0
+        df = np.arange(1, 5001)
+        assert np.array_equal(special.stdtrit(df, q), stats.t.ppf(q, df))
+
+    def test_imports_leave_scipy_stats_unloaded(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import sys, repro, repro.cli, repro.experiments; "
+            "print('scipy.stats' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert out.stdout.strip() == "False"

@@ -363,7 +363,9 @@ def test_cluster_measure_declarations_cover_tracked_reads(spares):
     up(view)  # all-up initial marking: no short-circuit, full read set
     tracked = set(vec.end_tracking())
 
-    declared_up = {model.paths[p] for p in M._cfs_up_fast(model)[2]}
+    declared_up = {
+        model.paths[p] for p in M._cfs_up_fast(model, M._cfs_up_paths(model))[2]
+    }
     assert tracked <= declared_up
 
     perceived = M.perceived_availability_reward(model, params)
