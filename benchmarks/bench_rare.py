@@ -8,8 +8,14 @@ terms that speedup rests on, at a size small enough for CI smoke:
 * ``bench_splitting_small_tier`` runs a full splitting study on the
   4-disk aggregate tier — the per-segment cost (restart-from-marking,
   branch bookkeeping, per-branch seeded streams) is the unit the
-  deep-tail wall-clock multiplies;
-* ``bench_crude_same_model`` is the same study through the crude
+  deep-tail wall-clock multiplies.  Its trees are shallow (~4 splits
+  deep on average, at most 13), so it cannot show a cost that grows
+  with a segment's depth;
+* ``bench_splitting_deep_tier`` runs a mission year of the 60-disk,
+  f=3 tier: ~5,100 segments, ~54 splits deep on average and up to 135 —
+  the shape of the deep-tail trees, where deriving a segment's stream
+  must not cost more the deeper the segment sits;
+* ``bench_crude_same_model`` is the small-tier study through the crude
   (single-threshold, no-splitting) path — the A/B for the splitting
   tree's bookkeeping overhead per root;
 * ``bench_adaptive_stopping_overhead`` replicates a tier study to a
@@ -36,6 +42,10 @@ N_DISKS, TOLERANCE, FAIL_RATE, REPAIR_RATE = 4, 1, 0.01, 0.5
 HOURS = 100.0
 N_ROOTS = 48
 N_REPS = 48
+#: The deep tier: a mission year of a 60-disk, f=3 tier.
+DEEP_TIER = (60, 3, 1e-4, 0.02)
+DEEP_HOURS = 8760.0
+DEEP_ROOTS = 4
 
 
 def _simulator():
@@ -61,6 +71,25 @@ def bench_splitting_small_tier(benchmark):
     est = benchmark.pedantic(study, rounds=5, iterations=1, warmup_rounds=1)
     assert est.n_roots == N_ROOTS
     assert est.n_segments > N_ROOTS  # the tree actually branched
+    assert est.samples == baseline.samples  # seeded: bit-stable per round
+
+
+def bench_splitting_deep_tier(benchmark):
+    """Deep RESTART trees: per-segment cost at ~54 splits of depth."""
+    policy = tier_splitting_policy(*DEEP_TIER)
+
+    def study():
+        return splitting_probability(
+            Simulator(aggregate_tier_san(*DEEP_TIER), base_seed=2008),
+            DEEP_HOURS,
+            policy,
+            n_roots=DEEP_ROOTS,
+        )
+
+    baseline = study()
+    est = benchmark.pedantic(study, rounds=5, iterations=1, warmup_rounds=1)
+    assert est.n_roots == DEEP_ROOTS
+    assert est.n_segments > 1000 * DEEP_ROOTS  # deep, bushy trees
     assert est.samples == baseline.samples  # seeded: bit-stable per round
 
 

@@ -62,7 +62,7 @@ from ..core.parallel import (
     resolve_n_jobs,
 )
 from ..core.resilience import ChaosPolicy, RetryPolicy, run_tasks_supervised
-from ..core.rng import make_generator
+from ..core.rng import SeedTree
 from ..core.stopping import StoppingRule
 
 __all__ = [
@@ -300,7 +300,9 @@ def _run_root_tree(
     walked depth-first with an explicit stack; each segment's RNG
     stream is ``(base_seed, "rare", k, *path)`` where ``path`` encodes
     its position (child index at splits, ``-1`` for a downward
-    continuation), so the whole tree is a pure function of ``k``.
+    continuation), so the whole tree is a pure function of ``k``.  The
+    stack carries each branch's :class:`~repro.core.rng.SeedTree` node,
+    so deriving a segment's stream costs the same at any depth.
 
     Weights are *region-determined*, the classical RESTART accounting:
     every branch in bracket ``b`` carries ``W(b) = 1 / prod(R_j, j < b)``
@@ -331,15 +333,21 @@ def _run_root_tree(
     region_w = [1.0] * top  # brackets 0..top-1; no branch lives at top
     for b in range(bracket0 + 1, top):
         region_w[b] = region_w[b - 1] / splits[b - 1]
+    preds = [
+        _make_stop_predicate(
+            level_fn, thresholds[b], thresholds[b - 1] if b > 0 else None
+        )
+        for b in range(top)
+    ]
 
-    # (marking, t0, bracket, kill_bracket, path); marking None means
-    # the model's own initial marking.
-    stack = [(None, 0.0, bracket0, 0, ())]
+    # (marking, t0, bracket, kill_bracket, seed node); marking None
+    # means the model's own initial marking.
+    stack = [(None, 0.0, bracket0, 0, SeedTree(base_seed).child("rare", k))]
     hit_weight = 0.0
     n_segments = 0
     n_hits = 0
     while stack:
-        marking, t0, bracket, kill, path = stack.pop()
+        marking, t0, bracket, kill, node = stack.pop()
         remaining = horizon - t0
         if remaining <= 0.0:
             continue
@@ -350,16 +358,10 @@ def _run_root_tree(
                 f"{policy.max_segments}; lower the splitting factors or "
                 "raise SplittingPolicy.max_segments"
             )
-        pred = _make_stop_predicate(
-            level_fn,
-            thresholds[bracket],
-            thresholds[bracket - 1] if bracket > 0 else None,
-        )
-        rng = make_generator(base_seed, "rare", k, *path)
         result = simulator.run(
             remaining,
-            rng=rng,
-            stop_predicate=pred,
+            rng=node.generator(),
+            stop_predicate=preds[bracket],
             initial_marking=marking,
         )
         if not result.stopped_early:
@@ -399,7 +401,7 @@ def _run_root_tree(
                     if digit != 0:
                         kill_i = bracket + idx + 1
                         break
-                stack.append((final, t1, new_bracket, kill_i, path + (i,)))
+                stack.append((final, t1, new_bracket, kill_i, node.child(i)))
         else:
             # Downward crossing.  Retrials die below their birth
             # threshold; survivors continue at the lower bracket's
@@ -409,7 +411,7 @@ def _run_root_tree(
             # estimator).
             if new_bracket < kill:
                 continue
-            stack.append((final, t1, new_bracket, kill, path + (-1,)))
+            stack.append((final, t1, new_bracket, kill, node.child(-1)))
     return hit_weight, n_segments, n_hits
 
 
@@ -484,6 +486,12 @@ def splitting_probability(
         simulator = source
     if base_seed is None:
         base_seed = simulator.base_seed
+    try:
+        SeedTree(base_seed)
+    except (TypeError, ValueError):
+        raise SimulationError(
+            f"base_seed must be a non-negative integer, got {base_seed!r}"
+        ) from None
     jobs = resolve_n_jobs(n_jobs)
     if jobs > 1 and spec is None:
         raise SimulationError(

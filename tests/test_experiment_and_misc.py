@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.core import (
@@ -154,6 +156,75 @@ class TestSeedTree:
         x = make_generator(5, "a").uniform()
         y = make_generator(5, "b").uniform()
         assert x != y
+
+
+#: Base seeds across numpy's word boundaries: one word, the largest one
+#: word, two words, three words, and beyond the 4-word entropy pool.
+_BASE_SEEDS = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64, 2**128 + 3]),
+    st.integers(min_value=0, max_value=2**140),
+    st.integers(min_value=0, max_value=2**63 - 1).map(np.int64),
+    st.integers(min_value=0, max_value=2**64 - 1).map(np.uint64),
+)
+_PATH_KEYS = st.one_of(
+    st.sampled_from([-1, 0, 2**32 - 1, 2**32, 2**64 + 1, "rare", "run"]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.integers(min_value=0, max_value=255).map(np.uint8),
+    st.booleans(),
+    st.text(max_size=6),
+    st.tuples(st.integers(min_value=-5, max_value=5), st.text(max_size=3)),
+)
+#: Key paths of every depth from 0 (the bare base seed) to 140, deeper
+#: than the splitting trees' lineages (up to 137 keys in the deep-tier
+#: benchmark).
+_PATHS = st.integers(min_value=0, max_value=140).flatmap(
+    lambda n: st.lists(_PATH_KEYS, min_size=n, max_size=n)
+)
+
+
+class TestStreamDerivation:
+    """``SeedTree`` nodes and ``make_generator`` carry the entropy words
+    numpy assembles for ``derive_seed``'s ``(entropy, spawn_key)`` pair;
+    their streams must stay bit-identical to that oracle, at any depth
+    and under any numpy that changes how it assembles entropy."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(base=_BASE_SEEDS, path=_PATHS, data=st.data())
+    def test_bit_identical_to_derive_seed(self, base, path, data):
+        cuts = sorted(
+            data.draw(st.sets(st.integers(0, len(path)), max_size=8))
+        )
+        node = SeedTree(base)
+        start = 0
+        for cut in cuts + [len(path)]:
+            node = node.child(*path[start:cut])
+            start = cut
+        assert node.path == tuple(path)
+
+        oracle = np.random.default_rng(derive_seed(base, *path))
+        routes = [
+            node.generator(),
+            make_generator(base, *path),
+            np.random.default_rng(node.seed_sequence()),
+        ]
+        for gen in routes:
+            assert gen.bit_generator.state == oracle.bit_generator.state
+        expected = oracle.integers(0, 2**63, size=4).tolist()
+        for gen in routes:
+            assert gen.integers(0, 2**63, size=4).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "base", [-1, np.int64(-1), -(2**70), 1.5, np.float64(2.0), "x", "5"]
+    )
+    @pytest.mark.parametrize("path", [(), ("rare", 3, 0, -1)])
+    def test_rejected_base_seed_raises_numpy_type(self, base, path):
+        with pytest.raises((TypeError, ValueError)) as oracle:
+            np.random.default_rng(derive_seed(base, *path))
+        with pytest.raises(oracle.type):
+            SeedTree(base).child(*path).generator()
+        with pytest.raises(oracle.type):
+            make_generator(base, *path)
 
 
 class TestPathGlobs:

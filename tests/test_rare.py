@@ -184,6 +184,29 @@ class TestValidation:
                 n_jobs=2,
             )
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("bad", [-1, 1.5, "x"])
+    def test_bad_base_seed_rejected_before_any_root(
+        self, bad, jobs, monkeypatch
+    ):
+        import repro.experiments.rare as rare
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a root tree ran or a pool started")
+
+        monkeypatch.setattr(rare, "_run_root_tree", forbidden)
+        monkeypatch.setattr(rare, "run_tasks_supervised", forbidden)
+        with pytest.raises(SimulationError, match="base_seed") as exc:
+            splitting_probability(
+                tier_spec(3),
+                T,
+                tier_splitting_policy(N, F, LAM, MU),
+                n_roots=8,
+                base_seed=bad,
+                n_jobs=jobs,
+            )
+        assert repr(bad) in str(exc.value)
+
     def test_suggested_splits_shape(self):
         splits = suggested_splits(N, F, LAM, MU)
         assert len(splits) == F
@@ -272,6 +295,31 @@ class TestSplittingDifferentials:
             splitting_probability(
                 Simulator(tier_model(), base_seed=42), T, policy, n_roots=40
             )
+
+
+class TestSplittingGolden:
+    """One deep splitting study pinned across commits.
+
+    The differentials above compare two runs of the same tree; only this
+    golden notices a change to a segment's stream, the tree's accounting
+    or the restart primitive.  The 60-disk, f=3 tier runs 2,524 segments
+    whose seed paths reach 114 keys.
+    """
+
+    def test_deep_tier_study(self):
+        n, f, lam, mu = 60, 3, 1e-4, 0.02
+        est = splitting_probability(
+            Simulator(aggregate_tier_san(n, f, lam, mu), base_seed=2008),
+            8760.0,
+            tier_splitting_policy(n, f, lam, mu),
+            n_roots=2,
+            base_seed=2008,
+        )
+        assert [repr(s) for s in est.samples] == [
+            "0.15104166666666666",
+            "0.15885416666666663",
+        ]
+        assert (est.n_segments, est.n_hits) == (2524, 119)
 
 
 class TestAdaptiveStopping:
