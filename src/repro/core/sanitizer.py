@@ -36,11 +36,10 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -49,14 +48,12 @@ from .distributions import Distribution
 from .errors import (
     InstantaneousLoopError,
     SanitizerError,
-    SimulationBudgetError,
     SimulationError,
 )
 from .gates import _noop
 from .places import LocalView
-from .rewards import Affine, ImpulseReward, RateReward, RewardResult
 from .san import SAN, TIMED
-from .trace import BinaryTrace, EventTrace
+from .simulation import _GUARD_FNS, _check_budget, _compose_predicates
 
 __all__ = [
     "SanitizerViolation",
@@ -66,15 +63,6 @@ __all__ = [
     "LintReport",
     "lint_model",
 ]
-
-_CMP_FNS = {
-    "<": operator.lt,
-    "<=": operator.le,
-    "==": operator.eq,
-    "!=": operator.ne,
-    ">=": operator.ge,
-    ">": operator.gt,
-}
 
 
 # ----------------------------------------------------------------------
@@ -183,33 +171,30 @@ class _RecordingRng:
 # ----------------------------------------------------------------------
 def sanitized_run(
     sim,
-    until: float,
-    *,
-    warmup: float = 0.0,
-    rewards: Sequence[RateReward | ImpulseReward] = (),
-    traces: Sequence[BinaryTrace | EventTrace] = (),
+    obs,
     rng: np.random.Generator,
-    stop_predicate: Callable[[LocalView], bool] | None = None,
-    initial_marking: Sequence[int] | None = None,
+    stop_predicate: Callable[[LocalView], bool] | None,
+    initial_marking: list[int] | None,
 ):
     """Execute one instrumented run for ``sim`` (a Simulator).
 
-    Called by :meth:`Simulator.run` when ``engine="sanitize"``; the rng
-    has already been resolved (so stream selection matches the other
-    engines run-for-run).  Returns a
-    :class:`~repro.core.simulation.RunResult` whose
+    Called by :meth:`Simulator.run` when ``engine="sanitize"``, after the
+    run's arguments are checked, its rewards and traces wired (``obs``,
+    the engines' shared wiring) and its stream resolved, so stream
+    selection and argument errors match the other engines run-for-run.
+    Returns a :class:`~repro.core.simulation.RunResult` whose
     ``sanitizer_report`` field carries the violation record; with
     ``sim.strict`` a non-clean report raises
     :class:`~repro.core.errors.SanitizerError` instead.
     """
-    from .simulation import RunResult  # cycle: simulation imports us lazily
-
     model: FlatModel = sim.model
     acts = model.activities
     n_acts = len(acts)
     n_places = model.n_places
     canonical = model.canonical
     max_chain = sim.max_instant_chain
+    until = obs.until
+    warmup = obs.warmup
 
     report = SanitizerReport(model=model.name)
     checks = report.checks
@@ -236,15 +221,6 @@ def sanitized_run(
 
     # -- marking and views ------------------------------------------------
     vector = model.new_marking()
-    if initial_marking is not None:
-        init_values = [int(v) for v in initial_marking]
-        if len(init_values) != len(model.initial):
-            raise SimulationError(
-                f"initial_marking has {len(init_values)} entries, "
-                f"model has {len(model.initial)} places"
-            )
-        if any(v < 0 for v in init_values):
-            raise SimulationError("initial_marking entries must be >= 0")
     values = vector.values
     changed = vector.changed
     vreads = vector.reads
@@ -290,18 +266,9 @@ def sanitized_run(
         aid = act.ident
         d = act.definition
         gates = d.input_gates
-        if len(gates) == 1:
-            preds[aid] = gates[0].predicate
-        else:
-            gate_preds = tuple(g.predicate for g in gates)
-
-            def composed(m, _preds=gate_preds):
-                for p_ in _preds:
-                    if not p_(m):
-                        return False
-                return True
-
-            preds[aid] = composed
+        preds[aid] = (
+            gates[0].predicate if len(gates) == 1 else _compose_predicates(gates)
+        )
         ig_fns[aid] = tuple(g.function for g in gates if g.function is not _noop)
         og_fns[aid] = tuple(og.function for og in d.output_gates)
 
@@ -375,7 +342,7 @@ def sanitized_run(
             else:
                 ops = _ops_for(act, og.writes)
                 if ops is not None:
-                    write_check[aid] = ("guard", slot, _CMP_FNS[cmp], gval, ops)
+                    write_check[aid] = ("guard", slot, _GUARD_FNS[cmp], gval, ops)
         elif (
             not ig_fns[aid]
             and d.cases
@@ -406,41 +373,19 @@ def sanitized_run(
                     write_check[aid] = ("case", tuple(branch_ops))
 
     # -- reward / trace wiring -------------------------------------------
-    rate_rewards: list[RateReward] = []
-    impulse_rewards: list[ImpulseReward] = []
-    for r in rewards:
-        if isinstance(r, RateReward):
-            rate_rewards.append(r)
-        elif isinstance(r, ImpulseReward):
-            impulse_rewards.append(r)
-        else:
-            raise SimulationError(f"unsupported reward object: {r!r}")
-
-    results: dict[str, RewardResult] = {}
-    for r in rate_rewards:
-        if r.name in results:
-            raise SimulationError(f"duplicate reward name {r.name!r}")
-        results[r.name] = RewardResult(r.name, "rate")
-    for r in impulse_rewards:
-        if r.name in results:
-            raise SimulationError(f"duplicate reward name {r.name!r}")
-        results[r.name] = RewardResult(r.name, "impulse")
-
+    # The shared part is ``obs``; the declared reads and forms below are
+    # resolved as findings, where the engine would raise.
+    rate_rewards = obs.rate_rewards
+    rate_values = obs.rate_values
+    binary_traces = obs.binary_traces
+    impulse_by_act = obs.impulse_by_act
+    etrace_by_act = obs.etrace_by_act
+    probe_list = obs.probe_list
+    rate_results = obs.rate_results
     n_rates = len(rate_rewards)
-    rate_results = [results[r.name] for r in rate_rewards]
     rate_fns = [r.function for r in rate_rewards]
     rate_views = [LocalView(vector, model.paths, None) for _ in range(n_rates)]
     paths_index = model.paths
-    rate_lo = [0.0] * n_rates
-    rate_hi = [0.0] * n_rates
-    for i, r in enumerate(rate_rewards):
-        if r.window is None:
-            rate_lo[i] = warmup
-            rate_hi[i] = until
-        else:
-            w0, w1 = r.window
-            rate_lo[i] = warmup if warmup > w0 else w0
-            rate_hi[i] = until if until < w1 else w1
 
     # Declared reward read sets, resolved to slots (globs expanded).
     rate_declared_slots: list[set[int] | None] = [None] * n_rates
@@ -512,7 +457,7 @@ def sanitized_run(
                     if sa is None:
                         ok = False
                         break
-                guards.append((_CMP_FNS[cmp], gval, sa, sb))
+                guards.append((_GUARD_FNS[cmp], gval, sa, sb))
         if ok:
             rate_forms[i] = (tuple(guards), f.base, tuple(terms))
 
@@ -526,75 +471,13 @@ def sanitized_run(
             acc += tc * values[ts_] / td
         return acc
 
-    probe_list: list[tuple[float, int]] = []
-    for i, r in enumerate(rate_rewards):
-        if r.probe_times:
-            for t in r.probe_times:
-                if t > until:
-                    raise SimulationError(
-                        f"rate reward {r.name!r}: probe time {t} "
-                        f"exceeds until={until}"
-                    )
-                probe_list.append((t, i))
-    probe_list.sort()
     n_probes = len(probe_list)
     probe_pos = 0
-
-    binary_traces: list[BinaryTrace] = []
-    event_traces: list[EventTrace] = []
-    trace_map: dict[str, BinaryTrace | EventTrace] = {}
-    for tr in traces:
-        if tr.name in trace_map:
-            raise SimulationError(f"duplicate trace name {tr.name!r}")
-        trace_map[tr.name] = tr
-        tr.reset()
-        if isinstance(tr, BinaryTrace):
-            binary_traces.append(tr)
-        elif isinstance(tr, EventTrace):
-            event_traces.append(tr)
-        else:
-            raise SimulationError(f"unsupported trace object: {tr!r}")
     n_btraces = len(binary_traces)
     btrace_views = [
         LocalView(vector, model.paths, None) for _ in range(n_btraces)
     ]
     btrace_values = [False] * n_btraces
-
-    impulse_by_act: list[list | None] = [None] * n_acts
-    for r in impulse_rewards:
-        ids = sim._matching_ids(r.activity_pattern)
-        if not ids:
-            raise SimulationError(
-                f"impulse reward {r.name!r} matches no activity "
-                f"(pattern {r.activity_pattern!r})"
-            )
-        ilo, ihi = r.window if r.window is not None else (0.0, float("inf"))
-        entry = (
-            (results[r.name], None, r.value, ilo, ihi)
-            if callable(r.value)
-            else (results[r.name], float(r.value), None, ilo, ihi)
-        )
-        for aid in ids:
-            lst = impulse_by_act[aid]
-            if lst is None:
-                lst = impulse_by_act[aid] = []
-            lst.append(entry)
-    etrace_by_act: list[list[EventTrace] | None] = [None] * n_acts
-    for tr in event_traces:
-        ids = sim._matching_ids(tr.activity_pattern)
-        if not ids:
-            raise SimulationError(
-                f"event trace {tr.name!r} matches no activity "
-                f"(pattern {tr.activity_pattern!r})"
-            )
-        for aid in ids:
-            lst = etrace_by_act[aid]
-            if lst is None:
-                lst = etrace_by_act[aid] = []
-            lst.append(tr)
-
-    rate_values = [0.0] * n_rates
-    rate_integrals = [0.0] * n_rates
 
     def eval_rate(i: int) -> float:
         """Fully tracked evaluation with every cross-check applied."""
@@ -932,7 +815,7 @@ def sanitized_run(
         if has_instants:
             settle([])
     else:
-        vector.reset(init_values)
+        vector.reset(initial_marking)
         settle(list(range(n_acts)))
 
     for i in range(n_rates):
@@ -943,53 +826,10 @@ def sanitized_run(
 
     last_t = 0.0
     stopped_early = False
-
-    def integrate_to(t: float) -> None:
-        nonlocal last_t
-        for i in range(n_rates):
-            val = rate_values[i]
-            if val != 0.0:
-                lo = rate_lo[i]
-                hi = rate_hi[i]
-                a = last_t if last_t > lo else lo
-                b = t if t < hi else hi
-                if b > a:
-                    rate_integrals[i] += val * (b - a)
-        last_t = t
-
-    budget_events = sim.max_events
-    budget_wall = sim.max_wall_s
-    has_budget = budget_events is not None or budget_wall is not None
-    monotonic = time.monotonic
+    has_budget = sim.max_events is not None or sim.max_wall_s is not None
     wall_deadline = (
-        monotonic() + budget_wall if budget_wall is not None else None
+        time.monotonic() + sim.max_wall_s if sim.max_wall_s is not None else None
     )
-
-    def raise_budget(kind: str, limit) -> None:
-        partial_rewards: dict[str, dict] = {}
-        for ri in range(n_rates):
-            partial_rewards[rate_rewards[ri].name] = {
-                "kind": "rate",
-                "integral": rate_integrals[ri],
-                "value": rate_values[ri],
-            }
-        for r_ in impulse_rewards:
-            res_ = results[r_.name]
-            partial_rewards[r_.name] = {
-                "kind": "impulse",
-                "impulse_sum": res_.impulse_sum,
-                "count": res_.count,
-            }
-        raise SimulationBudgetError(
-            f"simulation exceeded {kind}={limit!r} after {n_events} "
-            f"events at t={now:.6g} (until={until:g})",
-            budget=kind,
-            limit=limit,
-            n_events=n_events,
-            sim_time=now,
-            marking={path: values[slot] for path, slot in model.paths.items()},
-            rewards=partial_rewards,
-        )
 
     # -- event loop -------------------------------------------------------
     dirty: list[int] = []
@@ -1000,16 +840,14 @@ def sanitized_run(
         if ftime > until:
             break
         if has_budget:
-            if budget_events is not None and n_events >= budget_events:
-                raise_budget("max_events", budget_events)
-            if wall_deadline is not None and monotonic() >= wall_deadline:
-                raise_budget("max_wall_s", budget_wall)
+            _check_budget(sim, wall_deadline, obs, n_events, now, values)
         while probe_pos < n_probes and probe_list[probe_pos][0] <= ftime:
             pt, pi = probe_list[probe_pos]
             rate_results[pi].instants.append((pt, rate_values[pi]))
             probe_pos += 1
         if n_rates:
-            integrate_to(ftime)
+            obs.integrate(last_t, ftime)
+            last_t = ftime
         now = ftime
         token[aid] += 1
 
@@ -1042,38 +880,18 @@ def sanitized_run(
 
     # -- run end ----------------------------------------------------------
     end_time = now if stopped_early else until
-    integrate_to(end_time)
-    for i in range(n_rates):
-        rate_results[i].integral = rate_integrals[i]
-        if not math.isfinite(rate_integrals[i]):
+    obs.integrate(last_t, end_time)
+    for r, acc in zip(rate_rewards, obs.rate_integrals):
+        if not math.isfinite(acc):
             violate(
                 "non-finite-reward",
-                rate_rewards[i].name,
+                r.name,
                 None,
-                f"accumulated integral is {rate_integrals[i]!r}",
+                f"accumulated integral is {acc!r}",
             )
-    if probe_pos < n_probes and not stopped_early:
-        while probe_pos < n_probes:
-            pt, pi = probe_list[probe_pos]
-            rate_results[pi].instants.append((pt, rate_values[pi]))
-            probe_pos += 1
-    duration = max(end_time - warmup, 0.0)
-    for res in results.values():
-        res.duration = duration
-    for i, r in enumerate(rate_rewards):
-        if r.window is not None:
-            lo = rate_lo[i]
-            b = end_time if end_time < rate_hi[i] else rate_hi[i]
-            rate_results[i].duration = b - lo if b > lo else 0.0
-    for r in impulse_rewards:
-        if r.window is not None:
-            w0, w1 = r.window
-            lo = warmup if warmup > w0 else w0
-            hi = until if until < w1 else w1
-            b = end_time if end_time < hi else hi
-            results[r.name].duration = b - lo if b > lo else 0.0
-    for tr in binary_traces:
-        tr.finish(end_time)
+    result = obs.result(
+        model, values, n_events, end_time, stopped_early, probe_pos, report
+    )
 
     report.n_events = n_events
     report.final_time = end_time
@@ -1098,17 +916,7 @@ def sanitized_run(
     sim.last_reward_kernels = []
     sim.last_python_refresh_rewards = sorted(r.name for r in rate_rewards)
 
-    return RunResult(
-        final_time=end_time,
-        duration=duration,
-        n_events=n_events,
-        rewards=results,
-        traces=trace_map,
-        stopped_early=stopped_early,
-        sanitizer_report=report,
-        _final_values=list(values),
-        _paths=model.paths,
-    )
+    return result
 
 
 # ----------------------------------------------------------------------

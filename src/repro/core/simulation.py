@@ -90,8 +90,8 @@ is a pure function of (model, stream).
 
 Reward variables (:mod:`repro.core.rewards`) and traces
 (:mod:`repro.core.trace`) are observed with the same dependency machinery,
-and reward-bearing models run a *specialized observed fast loop* rather
-than a generic slow path:
+inside the one *compiled event loop* that every ``engine="auto"`` run
+takes, with or without observers:
 
 * rate rewards and binary traces are wired into flat per-slot observer
   lists (the same list-of-lists shape as the activity dependency map;
@@ -101,18 +101,20 @@ than a generic slow path:
   "touched" buffers and re-evaluates only those — integration, impulse
   accumulation, window clipping and instant-of-time probes are all inline
   checks in the loop;
-* instantaneous activities and stop predicates are also inline checks
-  (an enabled-instant set / one predicate call per event), so the paper's
-  cluster models — instants, rate and impulse rewards attached — stay on
-  the compiled fast path.  Only genuinely observer-free *and* probe-free
-  models run the plain loop that skips every check.
+* instantaneous activities, stop predicates and run budgets are also
+  inline checks (an enabled-instant set / one predicate call per event),
+  so the paper's cluster models — instants, rate and impulse rewards
+  attached — stay on the compiled path.  A check a run does not use
+  costs one flag test per event (``docs/performance.md`` Layer 12).
 
 ``Simulator(..., engine="reference")`` forces the un-specialized
 general event loop for every model.  It is the differential-testing
-oracle: ``tests/test_properties_rewards.py`` asserts the specialized
-loops reproduce it bit-for-bit on random reward-bearing models, and
+oracle: ``tests/test_properties_rewards.py`` asserts the compiled loop
+reproduces it bit-for-bit on random reward-bearing models, and
 ``tests/data/reward_golden.json`` pins it against fixtures recorded
-before the specialization existed.
+before the specialization existed.  ``engine="sanitize"``
+(:mod:`repro.core.sanitizer`) shares the run wiring and result assembly
+below (:class:`_RunObservers`) and keeps its own instrumented loop.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ from .errors import (
 from .gates import _noop
 from .places import FrozenView, LocalView
 from .rewards import ImpulseReward, RateReward, RewardResult
-from .rng import make_generator
+from .rng import SeedTree, make_generator
 from .san import INSTANT, TIMED, ActivityDef
 from .trace import BinaryTrace, EventTrace
 
@@ -241,6 +243,270 @@ class RunResult:
             raise KeyError(
                 f"unknown trace {name!r}; available: {sorted(self.traces)}"
             ) from None
+
+
+# ----------------------------------------------------------------------
+# run wiring and result assembly, shared by every engine
+# ----------------------------------------------------------------------
+def _check_seed(seed, name: str) -> int:
+    """``seed`` as an int; a seed :class:`SeedTree` rejects (a float, a
+    negative integer, a string) raises a :class:`SimulationError` naming
+    it."""
+    try:
+        SeedTree(seed)
+    except (TypeError, ValueError):
+        raise SimulationError(
+            f"{name} must be a non-negative integer, got {seed!r}"
+        ) from None
+    return int(seed)
+
+
+def _check_run_args(model, until, warmup, initial_marking) -> list[int] | None:
+    """Validate a run's horizon and start marking.
+
+    Returns the start marking as ints, or ``None`` for the model's own.
+    """
+    if not 0.0 < until < math.inf:  # also rejects NaN
+        raise SimulationError(f"until must be finite and positive, got {until}")
+    if not 0.0 <= warmup < until:
+        raise SimulationError(
+            f"warmup must lie in [0, until), got warmup={warmup}, until={until}"
+        )
+    if initial_marking is None:
+        return None
+    init_values = [int(v) for v in initial_marking]
+    if len(init_values) != len(model.initial):
+        raise SimulationError(
+            f"initial_marking has {len(init_values)} entries, "
+            f"model has {len(model.initial)} places"
+        )
+    if any(v < 0 for v in init_values):
+        raise SimulationError("initial_marking entries must be >= 0")
+    return init_values
+
+
+class _RunObservers:
+    """The reward and trace wiring of one run, and its result assembly.
+
+    Every engine builds one before its run draws anything, so a rejected
+    observer raises :class:`SimulationError` without consuming a stream:
+
+    * rewards split into rate and impulse rewards, one result per
+      unique name;
+    * each rate reward's integration bounds — its window intersected
+      with ``[warmup, until]``; plain rewards get exactly ``(warmup,
+      until)``;
+    * the instant-of-time probes, merged across rewards in time order;
+    * traces reset under unique names, split into binary and event
+      traces;
+    * per-activity tables of the impulse rewards and event traces that
+      observe a completion (``None`` when nothing observes it).
+
+    ``rate_values`` and ``rate_integrals`` are the run's per-reward
+    scratch state, which the engines update in place.
+    """
+
+    def __init__(self, rewards, traces, warmup, until, n_acts, matching_ids):
+        self.warmup = warmup
+        self.until = until
+        rate_rewards: list[RateReward] = []
+        impulse_rewards: list[ImpulseReward] = []
+        for r in rewards:
+            if isinstance(r, RateReward):
+                rate_rewards.append(r)
+            elif isinstance(r, ImpulseReward):
+                impulse_rewards.append(r)
+            else:
+                raise SimulationError(f"unsupported reward object: {r!r}")
+        results: dict[str, RewardResult] = {}
+        for kind, group in (("rate", rate_rewards), ("impulse", impulse_rewards)):
+            for r in group:
+                if r.name in results:
+                    raise SimulationError(f"duplicate reward name {r.name!r}")
+                results[r.name] = RewardResult(r.name, kind)
+        self.rate_rewards = rate_rewards
+        self.impulse_rewards = impulse_rewards
+        self.results = results
+        self.rate_results = [results[r.name] for r in rate_rewards]
+
+        n_rates = len(rate_rewards)
+        self.rate_values = [0.0] * n_rates
+        self.rate_integrals = [0.0] * n_rates
+        self.rate_lo = [warmup] * n_rates
+        self.rate_hi = [until] * n_rates
+        probe_list: list[tuple[float, int]] = []
+        for i, r in enumerate(rate_rewards):
+            if r.window is not None:
+                w0, w1 = r.window
+                self.rate_lo[i] = warmup if warmup > w0 else w0
+                self.rate_hi[i] = until if until < w1 else w1
+            for t in r.probe_times or ():
+                if t > until:
+                    raise SimulationError(
+                        f"rate reward {r.name!r}: probe time {t} "
+                        f"exceeds until={until}"
+                    )
+                probe_list.append((t, i))
+        probe_list.sort()
+        self.probe_list = probe_list
+
+        self.binary_traces: list[BinaryTrace] = []
+        self.event_traces: list[EventTrace] = []
+        self.trace_map: dict[str, BinaryTrace | EventTrace] = {}
+        for tr in traces:
+            if tr.name in self.trace_map:
+                raise SimulationError(f"duplicate trace name {tr.name!r}")
+            self.trace_map[tr.name] = tr
+            tr.reset()
+            if isinstance(tr, BinaryTrace):
+                self.binary_traces.append(tr)
+            elif isinstance(tr, EventTrace):
+                self.event_traces.append(tr)
+            else:
+                raise SimulationError(f"unsupported trace object: {tr!r}")
+
+        self.impulse_by_act: list[list | None] = [None] * n_acts
+        for r in impulse_rewards:
+            ids = matching_ids(r.activity_pattern)
+            if not ids:
+                raise SimulationError(
+                    f"impulse reward {r.name!r} matches no activity "
+                    f"(pattern {r.activity_pattern!r})"
+                )
+            ilo, ihi = r.window if r.window is not None else (0.0, math.inf)
+            entry = (
+                (results[r.name], None, r.value, ilo, ihi)
+                if callable(r.value)
+                else (results[r.name], float(r.value), None, ilo, ihi)
+            )
+            for aid in ids:
+                lst = self.impulse_by_act[aid]
+                if lst is None:
+                    lst = self.impulse_by_act[aid] = []
+                lst.append(entry)
+        self.etrace_by_act: list[list[EventTrace] | None] = [None] * n_acts
+        for tr in self.event_traces:
+            ids = matching_ids(tr.activity_pattern)
+            if not ids:
+                raise SimulationError(
+                    f"event trace {tr.name!r} matches no activity "
+                    f"(pattern {tr.activity_pattern!r})"
+                )
+            for aid in ids:
+                lst = self.etrace_by_act[aid]
+                if lst is None:
+                    lst = self.etrace_by_act[aid] = []
+                lst.append(tr)
+
+    def integrate(self, t0: float, t1: float) -> None:
+        """Accumulate each rate reward over ``(t0, t1]``, clipped to its
+        bounds.  For a plain reward the bounds are exactly ``(warmup,
+        until)``, so this is the same arithmetic as clipping one shared
+        span."""
+        integrals = self.rate_integrals
+        lo = self.rate_lo
+        hi = self.rate_hi
+        for i, val in enumerate(self.rate_values):
+            if val != 0.0:
+                a = t0 if t0 > lo[i] else lo[i]
+                b = t1 if t1 < hi[i] else hi[i]
+                if b > a:
+                    integrals[i] += val * (b - a)
+
+    def result(
+        self,
+        model: FlatModel,
+        values: list[int],
+        n_events: int,
+        end_time: float,
+        stopped_early: bool,
+        probe_pos: int,
+        report=None,
+    ) -> RunResult:
+        """Assemble the run's :class:`RunResult` at ``end_time``.
+
+        Stores the integrals, records the probes still pending, sets
+        every result's duration and finishes the binary traces.
+        """
+        warmup = self.warmup
+        until = self.until
+        rate_results = self.rate_results
+        for res, acc in zip(rate_results, self.rate_integrals):
+            res.integral = acc
+        if not stopped_early:
+            # The marking is constant from the last event to ``until``,
+            # so remaining probes read the current values.  After an
+            # early stop the trajectory beyond ``end_time`` is undefined
+            # and later probes stay unrecorded.
+            for pt, pi in self.probe_list[probe_pos:]:
+                rate_results[pi].instants.append((pt, self.rate_values[pi]))
+        duration = max(end_time - warmup, 0.0)
+        for res in self.results.values():
+            res.duration = duration
+        # Windowed rewards observe their effective window, not the run's.
+        for i, r in enumerate(self.rate_rewards):
+            if r.window is not None:
+                lo = self.rate_lo[i]
+                b = end_time if end_time < self.rate_hi[i] else self.rate_hi[i]
+                rate_results[i].duration = b - lo if b > lo else 0.0
+        for r in self.impulse_rewards:
+            if r.window is not None:
+                w0, w1 = r.window
+                lo = warmup if warmup > w0 else w0
+                hi = until if until < w1 else w1
+                b = end_time if end_time < hi else hi
+                self.results[r.name].duration = b - lo if b > lo else 0.0
+        for tr in self.binary_traces:
+            tr.finish(end_time)
+        return RunResult(
+            final_time=end_time,
+            duration=duration,
+            n_events=n_events,
+            rewards=self.results,
+            traces=self.trace_map,
+            stopped_early=stopped_early,
+            sanitizer_report=report,
+            _final_values=list(values),
+            _paths=model.paths,
+        )
+
+
+def _check_budget(sim, deadline, obs, n_events, now, values) -> None:
+    """Raise :class:`SimulationBudgetError` once a run has used up one of
+    ``sim``'s budgets (``deadline``: the ``max_wall_s`` instant, or None).
+
+    The error snapshots the partial trajectory so a runaway model is
+    diagnosable.  The check precedes the pending event's integration
+    step, so the integrals, the current rate values and the impulse sums
+    all describe the reported ``sim_time``, and every engine reports the
+    same snapshot at the same event count.
+    """
+    if sim.max_events is not None and n_events >= sim.max_events:
+        kind, limit = "max_events", sim.max_events
+    elif deadline is not None and time.monotonic() >= deadline:
+        kind, limit = "max_wall_s", sim.max_wall_s
+    else:
+        return
+    partial: dict[str, dict] = {}
+    for r, acc, val in zip(obs.rate_rewards, obs.rate_integrals, obs.rate_values):
+        partial[r.name] = {"kind": "rate", "integral": acc, "value": val}
+    for r in obs.impulse_rewards:
+        res = obs.results[r.name]
+        partial[r.name] = {
+            "kind": "impulse",
+            "impulse_sum": res.impulse_sum,
+            "count": res.count,
+        }
+    raise SimulationBudgetError(
+        f"simulation exceeded {kind}={limit!r} after {n_events} "
+        f"events at t={now:.6g} (until={obs.until:g})",
+        budget=kind,
+        limit=limit,
+        n_events=n_events,
+        sim_time=now,
+        marking={path: values[slot] for path, slot in sim.model.paths.items()},
+        rewards=partial,
+    )
 
 
 class _Compiled:
@@ -902,8 +1168,10 @@ class Simulator:
         dependency maps, kernels and sampler plans instead of
         recompiling; runs on sharing simulators must be sequential).
     base_seed:
-        Root entropy; run ``k`` (the ``k``-th call to :meth:`run` without an
-        explicit seed) uses an independent stream derived from it.
+        Root entropy, a non-negative integer (numpy integers included);
+        run ``k`` (the ``k``-th call to :meth:`run` without an explicit
+        seed) uses an independent stream derived from it.  A call that
+        :meth:`run` rejects does not count.
     max_instant_chain:
         Fixpoint guard: maximum zero-time firings at a single instant before
         :class:`~repro.core.errors.InstantaneousLoopError` is raised
@@ -920,9 +1188,8 @@ class Simulator:
         Run budget: wall-clock seconds per :meth:`run`, enforced at event
         granularity, raising the same
         :class:`~repro.core.errors.SimulationBudgetError` (``None`` =
-        unlimited).  Budgeted runs execute on the observed event loop;
-        with both budgets ``None`` (the default) the event loops carry no
-        budget checks at all.
+        unlimited).  With both budgets ``None`` (the default) a run pays
+        one flag test per event for them.
     sample_batch:
         Block size for vectorized delay draws (default
         :data:`DEFAULT_SAMPLE_BATCH`); one block per distinct distribution
@@ -947,11 +1214,12 @@ class Simulator:
         draw their equilibrium-residual lifetimes through such a
         callable.
     engine:
-        ``"auto"`` (default) dispatches each run to the most specialized
-        event loop the model and observers allow.  ``"reference"`` forces
-        the general un-specialized loop for every model: same features,
-        same trajectories, no inlining — the differential-testing oracle
-        for the specialized paths.
+        ``"auto"`` (default) runs the compiled event loop (kernels,
+        inlined observers).  ``"reference"`` forces the general
+        un-specialized loop for every model: same features, same
+        trajectories, no inlining — the differential-testing oracle for
+        the compiled loop.  ``"sanitize"`` runs the instrumented loop of
+        :mod:`repro.core.sanitizer`.
     program:
         Existing :class:`CompiledProgram` to adopt (alternative to
         passing it as ``model``).  Must have been compiled for the same
@@ -1011,7 +1279,7 @@ class Simulator:
                 ),
             )
         self.model = model
-        self.base_seed = int(base_seed)
+        self.base_seed = _check_seed(base_seed, "base_seed")
         self.max_instant_chain = int(max_instant_chain)
         if max_events is not None and int(max_events) < 1:
             raise SimulationError(
@@ -1080,6 +1348,21 @@ class Simulator:
         """
         self._run_counter = 0
 
+    def _next_stream(self, seed: int | None, rng) -> np.random.Generator:
+        """Resolve a run's generator and use up its stream index.
+
+        Called only once the run's arguments and observers are wired, so
+        a rejected call leaves the next run on the stream a fresh
+        simulator would use.
+        """
+        if rng is None:
+            if seed is None:
+                rng = make_generator(self.base_seed, "run", self._run_counter)
+            else:
+                rng = make_generator(seed)
+        self._run_counter += 1
+        return rng
+
     def _matching_ids(self, pattern: str | Callable[[str], bool]) -> list[int]:
         return self.program._matching_ids(pattern)
 
@@ -1130,15 +1413,16 @@ class Simulator:
         Parameters
         ----------
         until:
-            End of simulated time.
+            End of simulated time (finite and positive).
         warmup:
             Rewards accumulate only on ``[warmup, until]`` (traces record
             the full window).
         rewards / traces:
             Observers for this run.
         seed / rng:
-            Explicit stream control; by default run ``k`` uses the stream
-            derived from ``(base_seed, "run", k)``.
+            Explicit stream control (``seed``: a non-negative integer); by
+            default run ``k`` uses the stream derived from
+            ``(base_seed, "run", k)``.
         stop_predicate:
             Optional early-stop condition evaluated on the global view
             after each event.
@@ -1155,18 +1439,13 @@ class Simulator:
             :mod:`repro.experiments.rare`).  Default ``None`` leaves the
             initialization path byte-identical to previous releases.
         """
-        if until <= 0.0:
-            raise SimulationError(f"until must be positive, got {until}")
-        if not 0.0 <= warmup < until:
-            raise SimulationError(
-                f"warmup must lie in [0, until), got warmup={warmup}, until={until}"
-            )
-        if rng is None:
-            if seed is None:
-                rng = make_generator(self.base_seed, "run", self._run_counter)
-            else:
-                rng = make_generator(int(seed))
-        self._run_counter += 1
+        model = self.model
+        init_values = _check_run_args(model, until, warmup, initial_marking)
+        if seed is not None:
+            seed = _check_seed(seed, "seed")
+        obs = _RunObservers(
+            rewards, traces, warmup, until, self.program._n_acts, self._matching_ids
+        )
 
         if self.engine == "sanitize":
             # Instrumented interpreting loop: shadow-tracks every place
@@ -1177,34 +1456,15 @@ class Simulator:
             from .sanitizer import sanitized_run
 
             return sanitized_run(
-                self,
-                until,
-                warmup=warmup,
-                rewards=rewards,
-                traces=traces,
-                rng=rng,
-                stop_predicate=stop_predicate,
-                initial_marking=initial_marking,
+                self, obs, self._next_stream(seed, rng), stop_predicate, init_values
             )
 
         p = self.program
         c = p.tables()
         if p._dep_journal:
             p._reset_discovered_deps()
-        model = self.model
         vector = c.vector
-        if initial_marking is None:
-            vector.reset(model.initial)
-        else:
-            init_values = [int(v) for v in initial_marking]
-            if len(init_values) != len(model.initial):
-                raise SimulationError(
-                    f"initial_marking has {len(init_values)} entries, "
-                    f"model has {len(model.initial)} places"
-                )
-            if any(v < 0 for v in init_values):
-                raise SimulationError("initial_marking entries must be >= 0")
-            vector.reset(init_values)
+        vector.reset(model.initial if init_values is None else init_values)
         for reset_sampler in c.batched:
             reset_sampler()
 
@@ -1250,7 +1510,6 @@ class Simulator:
         max_chain = self.max_instant_chain
         heappush = heapq.heappush
         heappop = heapq.heappop
-        rng_uniform = rng.uniform
 
         n_acts = p._n_acts
         # token parity encodes liveness: odd = activity has a live event.
@@ -1272,8 +1531,9 @@ class Simulator:
         # change a trajectory.
         dyn_checked = p._dyn_verified
         kern_ok = p._kern_verified
-        # Verified-kernel ops, fused with the verification flag: the fast
-        # loops test one entry instead of two (kernels[aid] + kern_ok).
+        # Verified-kernel ops, fused with the verification flag: the
+        # compiled loop tests one entry instead of two (kernels[aid] +
+        # kern_ok).
         # A kernel's first completion verifies through the Python gate
         # functions and promotes its ops here (see the verify sites).
         live_kernels = [
@@ -1310,112 +1570,26 @@ class Simulator:
         use_dyn_batch = u_batch is not None and self.batch_dynamic
 
         # -- reward / trace wiring ------------------------------------
-        rate_rewards: list[RateReward] = []
-        impulse_rewards: list[ImpulseReward] = []
-        for r in rewards:
-            if isinstance(r, RateReward):
-                rate_rewards.append(r)
-            elif isinstance(r, ImpulseReward):
-                impulse_rewards.append(r)
-            else:
-                raise SimulationError(f"unsupported reward object: {r!r}")
-
-        results: dict[str, RewardResult] = {}
-        for r in rate_rewards:
-            if r.name in results:
-                raise SimulationError(f"duplicate reward name {r.name!r}")
-            results[r.name] = RewardResult(r.name, "rate")
-        for r in impulse_rewards:
-            if r.name in results:
-                raise SimulationError(f"duplicate reward name {r.name!r}")
-            results[r.name] = RewardResult(r.name, "impulse")
-
-        n_rates = len(rate_rewards)
-        rate_range = range(n_rates)  # hoisted for the inline hot loop
-        rate_results = [results[r.name] for r in rate_rewards]
-        rate_fns = [r.function for r in rate_rewards]
-        # Effective integration bounds per reward: the reward's window
-        # intersected with [warmup, until].  Plain rewards get exactly
-        # (warmup, until), which keeps their integration arithmetic
-        # bit-identical to the unwindowed engine.
-        rate_lo = [0.0] * n_rates
-        rate_hi = [0.0] * n_rates
-        for i, r in enumerate(rate_rewards):
-            if r.window is None:
-                rate_lo[i] = warmup
-                rate_hi[i] = until
-            else:
-                w0, w1 = r.window
-                rate_lo[i] = warmup if warmup > w0 else w0
-                rate_hi[i] = until if until < w1 else w1
-
-        # Instant-of-time probes, merged across rewards in time order.
-        probe_list: list[tuple[float, int]] = []
-        for i, r in enumerate(rate_rewards):
-            if r.probe_times:
-                for t in r.probe_times:
-                    if t > until:
-                        raise SimulationError(
-                            f"rate reward {r.name!r}: probe time {t} "
-                            f"exceeds until={until}"
-                        )
-                    probe_list.append((t, i))
-        probe_list.sort()
+        # The shared part (see _RunObservers) is already built; what
+        # follows is this engine's own: observer lists, views and the
+        # reward-form kernels.
+        rate_rewards = obs.rate_rewards
+        rate_results = obs.rate_results
+        rate_values = obs.rate_values
+        rate_integrals = obs.rate_integrals
+        binary_traces = obs.binary_traces
+        impulse_by_act = obs.impulse_by_act
+        etrace_by_act = obs.etrace_by_act
+        probe_list = obs.probe_list
         n_probes = len(probe_list)
         probe_pos = 0
-
-        binary_traces: list[BinaryTrace] = []
-        event_traces: list[EventTrace] = []
-        trace_map: dict[str, BinaryTrace | EventTrace] = {}
-        for tr in traces:
-            if tr.name in trace_map:
-                raise SimulationError(f"duplicate trace name {tr.name!r}")
-            trace_map[tr.name] = tr
-            tr.reset()
-            if isinstance(tr, BinaryTrace):
-                binary_traces.append(tr)
-            elif isinstance(tr, EventTrace):
-                event_traces.append(tr)
-            else:
-                raise SimulationError(f"unsupported trace object: {tr!r}")
-
-        # Per-activity observer tables (None when nothing observes the act).
-        impulse_by_act: list[list | None] = [None] * n_acts
-        for r in impulse_rewards:
-            ids = self._matching_ids(r.activity_pattern)
-            if not ids:
-                raise SimulationError(
-                    f"impulse reward {r.name!r} matches no activity "
-                    f"(pattern {r.activity_pattern!r})"
-                )
-            ilo, ihi = r.window if r.window is not None else (0.0, float("inf"))
-            entry = (
-                (results[r.name], None, r.value, ilo, ihi)
-                if callable(r.value)
-                else (results[r.name], float(r.value), None, ilo, ihi)
-            )
-            for aid in ids:
-                lst = impulse_by_act[aid]
-                if lst is None:
-                    lst = impulse_by_act[aid] = []
-                lst.append(entry)
-        etrace_by_act: list[list[EventTrace] | None] = [None] * n_acts
-        for tr in event_traces:
-            ids = self._matching_ids(tr.activity_pattern)
-            if not ids:
-                raise SimulationError(
-                    f"event trace {tr.name!r} matches no activity "
-                    f"(pattern {tr.activity_pattern!r})"
-                )
-            for aid in ids:
-                lst = etrace_by_act[aid]
-                if lst is None:
-                    lst = etrace_by_act[aid] = []
-                lst.append(tr)
-        has_observers = bool(impulse_rewards or event_traces)
-        # Combined per-activity completion-observer table for the fast
-        # loops: one index + None check on the (dominant) unobserved
-        # activities instead of two.
+        n_rates = len(rate_rewards)
+        rate_range = range(n_rates)  # hoisted for the inline hot loop
+        rate_fns = [r.function for r in rate_rewards]
+        has_observers = bool(obs.impulse_rewards or obs.event_traces)
+        # Combined per-activity completion-observer table for the
+        # compiled loop: one index + None check on the (dominant)
+        # unobserved activities instead of two.
         act_watch: list[tuple[list | None, list | None] | None] = [None] * n_acts
         if has_observers:
             for _aid in range(n_acts):
@@ -1464,7 +1638,6 @@ class Simulator:
         # converged observer's tracked evaluation records nothing.
         n_places = model.n_places
         n_btraces = len(binary_traces)
-        rate_values: list[float] = [0.0] * n_rates
         rate_obs: list[list[int] | None] = [None] * n_places
         rate_known: list[set[int]] = [set() for _ in range(n_rates)]
         rate_declared = [r.reads is not None for r in rate_rewards]
@@ -1547,7 +1720,6 @@ class Simulator:
                     form_upd[s] = [entry]
                 else:
                     lst.append(entry)
-        has_forms = any(form_compiled)
         self.last_reward_kernels = sorted(
             r.name for i, r in enumerate(rate_rewards) if form_compiled[i]
         )
@@ -1612,7 +1784,6 @@ class Simulator:
             for i in range(n_btraces)
         ]
         has_rates = bool(rate_rewards)
-        has_watch = bool(rate_rewards or binary_traces)
         # Epoch-stamped touched buffers (same scheme as the dirty list):
         # an observer index is appended at most once per observation epoch.
         rstamp = [0] * n_rates
@@ -1896,8 +2067,8 @@ class Simulator:
                 f"{_slot_place(slot)!r} to negative value {value}"
             )
 
-        # NOTE: the body of fire() is duplicated inline in the fast event
-        # loops below; keep the sites in sync.  Kernel activities apply
+        # NOTE: the compiled loop below inlines fire() for the completions
+        # it pops; keep the sites in sync.  Kernel activities apply
         # their precomputed slot ops (verified on first completion); the
         # reference engine sees an all-None kernel table and always calls
         # the Python gate functions.
@@ -1919,27 +2090,16 @@ class Simulator:
             ops = kernels[aid]
             if ops is None:
                 if case_kern[aid] is not None:
+                    # No ops: the selection verified its branch through
+                    # the Python functions, whose writes sit in ``changed``.
                     try:
-                        cops = select_case_branch(aid)
+                        ops = select_case_branch(aid)
                     except DeclarationError as _exc:
                         if not quarantine:
                             raise
                         quarantine_effect(aid, _exc)
-                        cops = None
-                    if cops is not None:
+                    if ops is not None:
                         n_case_kernels += 1
-                        for slot, is_add, amount, _dl in cops:
-                            if is_add:
-                                v = values[slot] + amount
-                                if v < 0:
-                                    _kernel_negative(aid, slot, v)
-                                values[slot] = v
-                                changed.add(slot)
-                            elif values[slot] != amount:
-                                values[slot] = amount
-                                changed.add(slot)
-                    # else: verification ran the Python functions; the
-                    # writes already sit in ``changed``.
                 else:
                     view = views[aid]
                     for fn in ig_fns[aid]:
@@ -1951,6 +2111,16 @@ class Simulator:
                         og(view, rng)
             elif kern_ok[aid]:
                 n_kernel_effects += 1
+            else:
+                ops = None
+                try:
+                    verify_kernel(aid)
+                    kern_ok[aid] = True
+                except DeclarationError as _exc:
+                    if not quarantine:
+                        raise
+                    quarantine_effect(aid, _exc)
+            if ops is not None:
                 for slot, is_add, amount, _dl in ops:
                     if is_add:
                         v = values[slot] + amount
@@ -1961,20 +2131,12 @@ class Simulator:
                     elif values[slot] != amount:
                         values[slot] = amount
                         changed.add(slot)
-            else:
-                try:
-                    verify_kernel(aid)
-                    kern_ok[aid] = True
-                except DeclarationError as _exc:
-                    if not quarantine:
-                        raise
-                    quarantine_effect(aid, _exc)
 
             if has_observers:
                 if now >= warmup:
-                    obs = impulse_by_act[aid]
-                    if obs is not None:
-                        for res, static, fn, ilo, ihi in obs:
+                    imp = impulse_by_act[aid]
+                    if imp is not None:
+                        for res, static, fn, ilo, ihi in imp:
                             if ilo <= now <= ihi:
                                 res.impulse_sum += (
                                     static if fn is None else fn(gview)
@@ -2110,6 +2272,11 @@ class Simulator:
                             dirty.append(d)
                 changed.clear()
 
+        # Everything that can reject this call has passed: resolve the
+        # stream (see _next_stream) before the first draw.
+        rng = self._next_stream(seed, rng)
+        rng_uniform = rng.uniform
+
         # -- initialization at t = 0 -----------------------------------
         # The initially enabled activities were pre-computed at compile
         # time (the initial marking is the same for every run); only the
@@ -2120,7 +2287,7 @@ class Simulator:
         # is identical, so trajectories are unchanged.  The loop mirrors
         # update_timed for a fresh (token 0, enabled) activity, horizon
         # filter included.
-        if initial_marking is None:
+        if init_values is None:
             for aid in c.init_timed:
                 token[aid] = 1
                 sampler = samplers[aid]
@@ -2197,53 +2364,12 @@ class Simulator:
 
         last_t = 0.0
         stopped_early = False
-
-        # Integrals accumulate in a flat scratch list (copied into the
-        # RewardResult objects at run end): a list store per term instead
-        # of a dataclass attribute round-trip in the per-event path.
-        rate_integrals = [0.0] * n_rates
-        has_rate_windows = any(r.window is not None for r in rate_rewards)
-        if not has_rate_windows:
-            # Common case: every reward integrates over [warmup, until],
-            # so the clipped span is shared (this is also the historical
-            # arithmetic, preserved bit-for-bit).
-            def integrate_to(t: float) -> None:
-                nonlocal last_t
-                a = last_t if last_t > warmup else warmup
-                b = t if t < until else until
-                if b > a:
-                    span = b - a
-                    for i in range(n_rates):
-                        val = rate_values[i]
-                        if val != 0.0:
-                            rate_integrals[i] += val * span
-                last_t = t
-
-        else:
-
-            def integrate_to(t: float) -> None:
-                """Accumulate each rate reward over (last_t, t], clipped.
-
-                Per-reward clipping bounds are the reward window
-                intersected with [warmup, until]; for unwindowed rewards
-                they are exactly (warmup, until), so mixing windowed and
-                plain rewards keeps the plain ones on the historical
-                arithmetic.
-                """
-                nonlocal last_t
-                for i in range(n_rates):
-                    val = rate_values[i]
-                    if val != 0.0:
-                        lo = rate_lo[i]
-                        hi = rate_hi[i]
-                        a = last_t if last_t > lo else lo
-                        b = t if t < hi else hi
-                        if b > a:
-                            rate_integrals[i] += val * (b - a)
-                last_t = t
-
-        # The observed loop inlines the common-case integration body.
-        inline_rates = has_rates and not has_rate_windows
+        # The compiled loop inlines the integration body for runs whose
+        # rewards all integrate over [warmup, until]: one clipped span
+        # shared by every reward, the same arithmetic as
+        # _RunObservers.integrate with one Python call fewer per event.
+        integrate = obs.integrate
+        inline_rates = has_rates and all(r.window is None for r in rate_rewards)
 
         # -- event loop --------------------------------------------------
         # A completed event's token always mismatches (completion and
@@ -2251,80 +2377,26 @@ class Simulator:
         # stale heap entries.
         dirty: list[int] = []
         has_stop = stop_predicate is not None
-        has_probes = n_probes > 0
-        # Run budgets force the observed loop so the plain loop never pays
-        # for them: with budgets disabled (the default) the hot path is
-        # byte-for-byte the pre-budget code.
-        budget_events = self.max_events
-        budget_wall = self.max_wall_s
-        has_budget = budget_events is not None or budget_wall is not None
-        monotonic = time.monotonic
+        has_budget = self.max_events is not None or self.max_wall_s is not None
         wall_deadline = (
-            monotonic() + budget_wall if budget_wall is not None else None
+            time.monotonic() + self.max_wall_s
+            if self.max_wall_s is not None
+            else None
         )
 
-        def raise_budget(kind: str, limit: float | int) -> None:
-            # Snapshot the partial trajectory so callers can diagnose the
-            # runaway model (marking, events, simulated time reached).
-            # Reward state is snapshotted exactly as integrated to the
-            # reported sim_time: the budget check precedes the pending
-            # event's integration step, so integrals, current rate values
-            # (kernel-maintained or Python-refreshed) and impulse sums
-            # are mutually consistent — and identical between the
-            # observed and reference loops at the same event count.
-            partial_rewards: dict[str, dict] = {}
-            for ri in range(n_rates):
-                partial_rewards[rate_rewards[ri].name] = {
-                    "kind": "rate",
-                    "integral": rate_integrals[ri],
-                    "value": rate_values[ri],
-                }
-            for r_ in impulse_rewards:
-                res_ = results[r_.name]
-                partial_rewards[r_.name] = {
-                    "kind": "impulse",
-                    "impulse_sum": res_.impulse_sum,
-                    "count": res_.count,
-                }
-            raise SimulationBudgetError(
-                f"simulation exceeded {kind}={limit!r} after {n_events} "
-                f"events at t={now:.6g} (until={until:g})",
-                budget=kind,
-                limit=limit,
-                n_events=n_events,
-                sim_time=now,
-                marking={
-                    path: values[slot]
-                    for path, slot in self.model.paths.items()
-                },
-                rewards=partial_rewards,
-            )
-
-        observed = (
-            has_instants
-            or has_watch
-            or has_stop
-            or has_probes
-            or has_budget
-            or has_verify
-        )
         # True iff some slot feeds a tracked observer (python-refresh
         # reward or binary trace).  Computed after the t=0 evaluations,
         # so initial discovery is included; when False, the touched
         # buffers can never fill mid-run (every drain site walks
-        # rate_obs/btrace_obs entries, all None) and the observed loop
+        # rate_obs/btrace_obs entries, all None) and the compiled loop
         # skips the per-event drain checks and epoch bump entirely.
         has_tracked_obs = any(
             l is not None for l in rate_obs
         ) or any(l is not None for l in btrace_obs)
-        self.last_loop = (
-            "reference"
-            if self.engine == "reference"
-            else ("observed" if observed else "plain")
-        )
-        if self.engine == "reference":
+        self.last_loop = "reference" if reference else "observed"
+        if reference:
             # General un-specialized loop: every feature, no inlining.
-            # This is the oracle the two specialized loops below are
+            # This is the oracle the compiled loop below is
             # differentially tested against.
             while heap:
                 ftime, _s, aid, tok = heappop(heap)
@@ -2333,16 +2405,14 @@ class Simulator:
                 if ftime > until:
                     break
                 if has_budget:
-                    if budget_events is not None and n_events >= budget_events:
-                        raise_budget("max_events", budget_events)
-                    if wall_deadline is not None and monotonic() >= wall_deadline:
-                        raise_budget("max_wall_s", budget_wall)
+                    _check_budget(self, wall_deadline, obs, n_events, now, values)
                 while probe_pos < n_probes and probe_list[probe_pos][0] <= ftime:
                     pt, pi = probe_list[probe_pos]
                     rate_results[pi].instants.append((pt, rate_values[pi]))
                     probe_pos += 1
                 if has_rates:
-                    integrate_to(ftime)
+                    integrate(last_t, ftime)
+                    last_t = ftime
                 now = ftime
                 token[aid] += 1
 
@@ -2388,16 +2458,21 @@ class Simulator:
                 if has_stop and stop_predicate(gview):
                     stopped_early = True
                     break
-        elif observed:
-            # Specialized observed-model fast loop: the inlined hot loop
-            # plus constant-time inline checks for rate/impulse rewards,
-            # traces, probes, instantaneous activities and stop
-            # conditions.  Reward-bearing models (the paper's cluster
-            # workloads) run here instead of the reference loop; the
-            # sequence of marking writes, RNG draws and float operations
-            # is identical, which reward_golden.json pins bit-for-bit.
+        else:
+            # The compiled loop: the inlined hot loop plus constant-time
+            # inline checks for rate/impulse rewards, traces, probes,
+            # instantaneous activities, stop conditions and budgets, each
+            # one flag test when unused.  Every auto-engine run, with or
+            # without observers, takes it; the sequence of marking
+            # writes, RNG draws and float operations is the reference
+            # loop's, which reward_golden.json pins bit-for-bit.
             # NOTE: mirrors fire() + update_timed() + settle(); keep the
-            # sites in sync (as with the plain loop below).
+            # sites in sync.
+            #
+            # The most recent activation is held in ``pending`` instead of
+            # being pushed immediately: the next loop iteration fetches
+            # min(heap ∪ {pending}) with a single heappushpop sift, which
+            # is what push-then-pop would return, at nearly half the cost.
             reads_clear = reads.clear
             changed_pop = changed.pop
             dirty_clear = dirty.clear
@@ -2418,19 +2493,13 @@ class Simulator:
                 if ftime > until:
                     break
                 if has_budget:
-                    if budget_events is not None and n_events >= budget_events:
-                        raise_budget("max_events", budget_events)
-                    if wall_deadline is not None and monotonic() >= wall_deadline:
-                        raise_budget("max_wall_s", budget_wall)
+                    _check_budget(self, wall_deadline, obs, n_events, now, values)
                 if probe_pos < n_probes:
                     while probe_pos < n_probes and probe_list[probe_pos][0] <= ftime:
                         pt, pi = probe_list[probe_pos]
                         rate_results[pi].instants.append((pt, rate_values[pi]))
                         probe_pos += 1
                 if inline_rates:
-                    # integrate_to's common (unwindowed) body, inlined:
-                    # same clipping, same accumulation order, one Python
-                    # call fewer per event.
                     a = last_t if last_t > warmup else warmup
                     b = ftime if ftime < until else until
                     if b > a:
@@ -2441,7 +2510,8 @@ class Simulator:
                                 rate_integrals[i] += val * span
                     last_t = ftime
                 elif has_rates:
-                    integrate_to(ftime)
+                    integrate(last_t, ftime)
+                    last_t = ftime
                 now = ftime
                 token[aid] = tok + 1
 
@@ -2460,15 +2530,60 @@ class Simulator:
                 epoch += 1
                 stamp[aid] = epoch
                 dirty_append(aid)
+                # A compiled effect — a verified gate-write kernel, or the
+                # branch a case/guard kernel selects with the same uniform
+                # (or guard evaluation) the Python path uses — leaves its
+                # precomputed slot ops in ``ops`` for the op block below.
+                # Every other completion, including a kernel's or a
+                # branch's first, verifying one, runs the Python functions,
+                # whose writes the drain block below walks.
                 ops = live_kernels[aid]
                 if ops is not None:
-                    # Compiled gate-write kernel: apply the precomputed
-                    # slot ops and mark each written slot's observers and
-                    # dependents directly — no gate-function call, no
-                    # LocalView, no changed-set round-trip.  A set op
-                    # that leaves the value unchanged marks nothing,
-                    # exactly like LocalView.__setitem__.
                     n_kernel_effects += 1
+                elif has_case[aid]:
+                    try:
+                        ops = select_case_branch(aid)
+                    except DeclarationError as _exc:
+                        if not quarantine:
+                            raise
+                        quarantine_effect(aid, _exc)
+                    if ops is not None:
+                        n_case_kernels += 1
+                else:
+                    kops = kernels[aid]
+                    if kops is None:
+                        view = views[aid]
+                        fn1 = plain1[aid]
+                        if fn1 is not None:
+                            fn1(view, rng)
+                        else:
+                            igs = ig_fns[aid]
+                            if igs:
+                                for fn in igs:
+                                    fn(view, rng)
+                            ct = case_tab[aid]
+                            if ct is not None:
+                                fire_cases(aid, view, ct)
+                            for og in og_fns[aid]:
+                                og(view, rng)
+                    else:
+                        try:
+                            verify_kernel(aid)
+                            kern_ok[aid] = True
+                            live_kernels[aid] = kops
+                        except DeclarationError as _exc:
+                            if not quarantine:
+                                raise
+                            # The verifier ran the Python functions, so
+                            # the true writes sit in ``changed``.
+                            quarantine_effect(aid, _exc)
+                if ops is not None:
+                    # Op block: apply the slot ops and mark each written
+                    # slot's observers and dependents directly — no
+                    # gate-function call, no LocalView, no changed-set
+                    # round-trip.  A set op that leaves the value
+                    # unchanged marks nothing, exactly like
+                    # LocalView.__setitem__.
                     for slot, is_add, amount, dl in ops:
                         if is_add:
                             v = values[slot] + amount
@@ -2521,140 +2636,27 @@ class Simulator:
                                 if stamp[d] != epoch:
                                     stamp[d] = epoch
                                     dirty_append(d)
-                elif has_case[aid]:
-                    # Compiled case/guard kernel: branch selected with the
-                    # same uniform (or guard evaluation) the Python path
-                    # uses; a verified branch applies its ops exactly like
-                    # a gate-write kernel, a first selection verifies
-                    # through the Python functions (writes drain below).
-                    try:
-                        cops = select_case_branch(aid)
-                    except DeclarationError as _exc:
-                        if not quarantine:
-                            raise
-                        quarantine_effect(aid, _exc)
-                        cops = None
-                    if cops is not None:
-                        n_case_kernels += 1
-                        for slot, is_add, amount, dl in cops:
-                            if is_add:
-                                v = values[slot] + amount
-                                if v < 0:
-                                    _kernel_negative(aid, slot, v)
-                                values[slot] = v
-                            elif values[slot] != amount:
-                                values[slot] = amount
-                            else:
-                                continue
-                            so = slot_obs[slot]
-                            if so is not None:
-                                ful, rlist, tlist = so
-                                if ful is not None:
-                                    # Reward-form kernel, inlined (see
-                                    # apply_forms).
-                                    for fi, gl, fbase, fterms in ful:
-                                        for gj, gcmp, gv, sa, sb in gl:
-                                            nv = not gcmp(
-                                                values[sa]
-                                                if sb < 0
-                                                else values[sa] - values[sb],
-                                                gv,
-                                            )
-                                            st = form_gstate[fi]
-                                            if st[gj] != nv:
-                                                st[gj] = nv
-                                                form_viol[fi] += (
-                                                    1 if nv else -1
-                                                )
-                                        if form_viol[fi]:
-                                            rate_values[fi] = 0.0
-                                        else:
-                                            facc = fbase
-                                            for ts_, tc, td in fterms:
-                                                facc += (
-                                                    tc * values[ts_] / td
-                                                )
-                                            rate_values[fi] = facc
-                                if rlist is not None:
-                                    for i in rlist:
-                                        if rstamp[i] != obs_epoch:
-                                            rstamp[i] = obs_epoch
-                                            touched_r.append(i)
-                                if tlist is not None:
-                                    for i in tlist:
-                                        if tstamp[i] != obs_epoch:
-                                            tstamp[i] = obs_epoch
-                                            touched_t.append(i)
-                            if dl:
-                                for d in dl:
-                                    if stamp[d] != epoch:
-                                        stamp[d] = epoch
-                                        dirty_append(d)
-                    else:
-                        while changed:
-                            slot = changed_pop()
-                            if form_upd[slot] is not None:
+                else:
+                    # Drain block: the Python functions' writes, inline
+                    # (every Python-effect completion passes here), with
+                    # the op block's fused per-slot observer lookup.
+                    while changed:
+                        slot = changed_pop()
+                        so = slot_obs[slot]
+                        if so is not None:
+                            ful, rlist, tlist = so
+                            if ful is not None:
                                 apply_forms(slot)
-                            rlist = rate_obs[slot]
                             if rlist is not None:
                                 for i in rlist:
                                     if rstamp[i] != obs_epoch:
                                         rstamp[i] = obs_epoch
                                         touched_r.append(i)
-                            tlist = btrace_obs[slot]
                             if tlist is not None:
                                 for i in tlist:
                                     if tstamp[i] != obs_epoch:
                                         tstamp[i] = obs_epoch
                                         touched_t.append(i)
-                            for d in dep_lists[slot]:
-                                if stamp[d] != epoch:
-                                    stamp[d] = epoch
-                                    dirty_append(d)
-                else:
-                    kops = kernels[aid]
-                    if kops is None:
-                        view = views[aid]
-                        fn1 = plain1[aid]
-                        if fn1 is not None:
-                            fn1(view, rng)
-                        else:
-                            igs = ig_fns[aid]
-                            if igs:
-                                for fn in igs:
-                                    fn(view, rng)
-                            ct = case_tab[aid]
-                            if ct is not None:
-                                fire_cases(aid, view, ct)
-                            for og in og_fns[aid]:
-                                og(view, rng)
-                    else:
-                        try:
-                            verify_kernel(aid)
-                            kern_ok[aid] = True
-                            live_kernels[aid] = kops
-                        except DeclarationError as _exc:
-                            if not quarantine:
-                                raise
-                            # The verifier ran the Python functions, so
-                            # the true writes sit in ``changed``.
-                            quarantine_effect(aid, _exc)
-                    while changed:
-                        slot = changed_pop()
-                        if form_upd[slot] is not None:
-                            apply_forms(slot)
-                        rlist = rate_obs[slot]
-                        if rlist is not None:
-                            for i in rlist:
-                                if rstamp[i] != obs_epoch:
-                                    rstamp[i] = obs_epoch
-                                    touched_r.append(i)
-                        tlist = btrace_obs[slot]
-                        if tlist is not None:
-                            for i in tlist:
-                                if tstamp[i] != obs_epoch:
-                                    tstamp[i] = obs_epoch
-                                    touched_t.append(i)
                         for d in dep_lists[slot]:
                             if stamp[d] != epoch:
                                 stamp[d] = epoch
@@ -2662,9 +2664,9 @@ class Simulator:
                 if has_observers:
                     w = act_watch[aid]
                     if w is not None:
-                        obs, etr = w
-                        if obs is not None and now >= warmup:
-                            for res, static, fn, ilo, ihi in obs:
+                        imp, etr = w
+                        if imp is not None and now >= warmup:
+                            for res, static, fn, ilo, ihi in imp:
                                 if ilo <= now <= ihi:
                                     res.impulse_sum += (
                                         static if fn is None else fn(gview)
@@ -2794,265 +2796,29 @@ class Simulator:
                 if has_stop and stop_predicate(gview):
                     stopped_early = True
                     break
-        else:
-            # Fast path: no instants, no marking observers, no stop
-            # predicate — settle reduces to one pass of timed updates,
-            # fully inlined (mirrors fire() + update_timed(); keep the
-            # sites in sync).  last_t is not maintained: with no rate
-            # rewards the final integrate_to() is a no-op.
-            #
-            # The most recent activation is held in ``pending`` instead of
-            # being pushed immediately: the next loop iteration fetches
-            # min(heap ∪ {pending}) with a single heappushpop sift, which
-            # is what push-then-pop would return, at nearly half the cost.
-            reads_clear = reads.clear
-            changed_pop = changed.pop
-            dirty_clear = dirty.clear
-            dirty_sort = dirty.sort
-            dirty_append = dirty.append
-            heappushpop = heapq.heappushpop
-            pending: tuple[float, int, int, int] | None = None
-            while True:
-                if pending is not None:
-                    ftime, _s, aid, tok = heappushpop(heap, pending)
-                    pending = None
-                elif heap:
-                    ftime, _s, aid, tok = heappop(heap)
-                else:
-                    break
-                if tok != token[aid]:
-                    continue
-                if ftime > until:
-                    break
-                now = ftime
-                token[aid] = tok + 1
-
-                n_events += 1
-                epoch += 1
-                stamp[aid] = epoch
-                dirty_append(aid)
-                ops = live_kernels[aid]
-                if ops is not None:
-                    # Compiled gate-write kernel (see the observed loop):
-                    # precomputed slot ops, dependents marked in place.
-                    n_kernel_effects += 1
-                    for slot, is_add, amount, dl in ops:
-                        if is_add:
-                            v = values[slot] + amount
-                            if v < 0:
-                                _kernel_negative(aid, slot, v)
-                            values[slot] = v
-                        elif values[slot] != amount:
-                            values[slot] = amount
-                        else:
-                            continue
-                        if dl:
-                            for d in dl:
-                                if stamp[d] != epoch:
-                                    stamp[d] = epoch
-                                    dirty_append(d)
-                elif has_case[aid]:
-                    # Compiled case/guard kernel (see the observed loop).
-                    cops = select_case_branch(aid)
-                    if cops is not None:
-                        n_case_kernels += 1
-                        for slot, is_add, amount, dl in cops:
-                            if is_add:
-                                v = values[slot] + amount
-                                if v < 0:
-                                    _kernel_negative(aid, slot, v)
-                                values[slot] = v
-                            elif values[slot] != amount:
-                                values[slot] = amount
-                            else:
-                                continue
-                            if dl:
-                                for d in dl:
-                                    if stamp[d] != epoch:
-                                        stamp[d] = epoch
-                                        dirty_append(d)
-                    else:
-                        while changed:
-                            for d in dep_lists[changed_pop()]:
-                                if stamp[d] != epoch:
-                                    stamp[d] = epoch
-                                    dirty_append(d)
-                else:
-                    kops = kernels[aid]
-                    if kops is None:
-                        view = views[aid]
-                        fn1 = plain1[aid]
-                        if fn1 is not None:
-                            fn1(view, rng)
-                        else:
-                            igs = ig_fns[aid]
-                            if igs:
-                                for fn in igs:
-                                    fn(view, rng)
-                            ct = case_tab[aid]
-                            if ct is not None:
-                                fire_cases(aid, view, ct)
-                            for og in og_fns[aid]:
-                                og(view, rng)
-                    else:
-                        verify_kernel(aid)
-                        kern_ok[aid] = True
-                        live_kernels[aid] = kops
-                    while changed:
-                        for d in dep_lists[changed_pop()]:
-                            if stamp[d] != epoch:
-                                stamp[d] = epoch
-                                dirty_append(d)
-                if has_observers:
-                    w = act_watch[aid]
-                    if w is not None:
-                        obs, etr = w
-                        if obs is not None and now >= warmup:
-                            for res, static, fn, ilo, ihi in obs:
-                                if ilo <= now <= ihi:
-                                    res.impulse_sum += (
-                                        static if fn is None else fn(gview)
-                                    )
-                                    res.count += 1
-                        if etr is not None:
-                            path = act_paths[aid]
-                            for tr in etr:
-                                tr.record(now, path, gview)
-                dirty_sort()
-                tracking_on = False
-                for aid2 in dirty:
-                    if declared[aid2]:
-                        ms = memo_slot[aid2]
-                        if ms < 0:
-                            en = preds[aid2](pviews[aid2])
-                        else:
-                            mdict = pred_memo[aid2]
-                            en = mdict.get(values[ms])
-                            if en is None:
-                                en = preds[aid2](pviews[aid2])
-                                mdict[values[ms]] = en
-                    else:
-                        # lazy tracking toggle (see the observed loop)
-                        if not tracking_on:
-                            vector.tracking = True
-                            tracking_on = True
-                        if reads:
-                            reads_clear()
-                        en = preds[aid2](views[aid2])
-                        if reads:
-                            known = act_deps[aid2]
-                            for slot in reads:
-                                if slot not in known:
-                                    known.add(slot)
-                                    dep_lists[slot].append(aid2)
-                                    dep_journal.append((aid2, slot))
-                    tok2 = token[aid2]
-                    if en:
-                        if not tok2 & 1:
-                            tok2 += 1
-                        elif reactivate[aid2]:
-                            tok2 += 2
-                        else:
-                            continue
-                        token[aid2] = tok2
-                        sm = samplers[aid2]
-                        if sm is not None:
-                            bs = batched_of[aid2]
-                            if bs is None:
-                                delay = sm(rng)
-                            else:
-                                # inlined BatchedSampler.sample fast
-                                # path: identical pop; an empty or
-                                # exhausted buffer refills via the call
-                                bpos = bs._pos
-                                bbuf = bs._buffer
-                                if bbuf is not None and bpos < bs.batch_size:
-                                    bs._pos = bpos + 1
-                                    delay = bbuf[bpos]
-                                else:
-                                    delay = sm(rng)
-                        else:
-                            if tracking_on:
-                                vector.tracking = False
-                                tracking_on = False
-                            delay = dyn_sample(aid2)
-                        ft = now + delay
-                        # beyond-horizon activations never enter the heap
-                        # (see update_timed: bit-identical trajectories)
-                        if ft <= until:
-                            if pending is None:
-                                pending = (ft, seq, aid2, tok2)
-                            else:
-                                heappush(heap, pending)
-                                pending = (ft, seq, aid2, tok2)
-                        seq += 1
-                    elif tok2 & 1:
-                        token[aid2] = tok2 + 1
-                if tracking_on:
-                    vector.tracking = False
-                dirty_clear()
 
         self.last_kernel_effects = n_kernel_effects
         self.last_case_kernels = n_case_kernels
         self.last_python_effects = n_events - n_kernel_effects - n_case_kernels
         end_time = now if stopped_early else until
-        integrate_to(end_time)
+        integrate(last_t, end_time)
         # NaN/inf accumulation guard: a reward expression that produced a
         # non-finite value poisons every downstream statistic silently
         # (means, CIs, sweep tables), so fail the run loudly instead.
         # Once per run, not per event — free on the hot path.
-        for i in range(n_rates):
-            acc = rate_integrals[i]
+        for r, acc in zip(rate_rewards, rate_integrals):
             if not math.isfinite(acc):
                 raise SimulationError(
-                    f"rate reward {rate_rewards[i].name!r} accumulated a "
+                    f"rate reward {r.name!r} accumulated a "
                     f"non-finite integral ({acc!r}); the reward expression "
                     "produced NaN or inf during the run"
                 )
-            rate_results[i].integral = acc
-        for r in impulse_rewards:
-            _isum = results[r.name].impulse_sum
+        for r in obs.impulse_rewards:
+            _isum = obs.results[r.name].impulse_sum
             if not math.isfinite(_isum):
                 raise SimulationError(
                     f"impulse reward {r.name!r} accumulated a non-finite "
                     f"sum ({_isum!r}); an impulse value evaluated to NaN "
                     "or inf during the run"
                 )
-        if probe_pos < n_probes and not stopped_early:
-            # The marking is constant from the last event to ``until``,
-            # so remaining probes read the current values.  After an
-            # early stop the trajectory beyond ``end_time`` is undefined
-            # and later probes stay unrecorded.
-            while probe_pos < n_probes:
-                pt, pi = probe_list[probe_pos]
-                rate_results[pi].instants.append((pt, rate_values[pi]))
-                probe_pos += 1
-        duration = max(end_time - warmup, 0.0)
-        for res in results.values():
-            res.duration = duration
-        # Windowed rewards observe their effective window, not the run's.
-        for i, r in enumerate(rate_rewards):
-            if r.window is not None:
-                lo = rate_lo[i]
-                b = end_time if end_time < rate_hi[i] else rate_hi[i]
-                rate_results[i].duration = b - lo if b > lo else 0.0
-        for r in impulse_rewards:
-            if r.window is not None:
-                w0, w1 = r.window
-                lo = warmup if warmup > w0 else w0
-                hi = until if until < w1 else w1
-                b = end_time if end_time < hi else hi
-                results[r.name].duration = b - lo if b > lo else 0.0
-        for tr in binary_traces:
-            tr.finish(end_time)
-
-        return RunResult(
-            final_time=end_time,
-            duration=duration,
-            n_events=n_events,
-            rewards=results,
-            traces=trace_map,
-            stopped_early=stopped_early,
-            _final_values=list(values),
-            _paths=self.model.paths,
-        )
+        return obs.result(model, values, n_events, end_time, stopped_early, probe_pos)

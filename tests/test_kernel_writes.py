@@ -120,13 +120,13 @@ class TestKernelBitIdentity:
         assert sim.last_kernel_effects > 0
 
     def test_plain_loop_kernels(self):
-        """Kernels also drive the observer-free plain loop."""
+        """Kernels also drive observer-free runs on the compiled loop."""
         annotated = _pair_fleet(8, 0.01, 0.1, annotate=True)
         plain = _pair_fleet(8, 0.01, 0.1, annotate=False)
         sa = Simulator(annotated, base_seed=3)
         sp = Simulator(plain, base_seed=3)
         ra, rp = sa.run(2000.0), sp.run(2000.0)
-        assert sa.last_loop == "plain"
+        assert sa.last_loop == "observed"
         assert ra.n_events == rp.n_events
         assert ra._final_values == rp._final_values
         assert sa.last_kernel_effects > 0

@@ -340,8 +340,7 @@ class TestRunBudgets:
         assert info.value.n_events == 10
 
     def test_budget_under_limit_is_bit_identical(self, two_state_model):
-        """An untripped budget must not perturb the trajectory, only the
-        loop choice (the plain loop stays budget-free)."""
+        """An untripped budget must not perturb the trajectory."""
         rw = RateReward("up", lambda m: float(m["comp/up"] == 1))
         plain = Simulator(two_state_model, base_seed=9)
         r1 = plain.run(2000.0, rewards=[rw])
@@ -353,7 +352,7 @@ class TestRunBudgets:
     def test_plain_loop_untouched_without_budget(self, two_state_model):
         sim = Simulator(two_state_model, base_seed=3)
         sim.run(500.0)
-        assert sim.last_loop == "plain"
+        assert sim.last_loop == "observed"
         sim2 = Simulator(two_state_model, base_seed=3, max_events=10**9)
         sim2.run(500.0)
         assert sim2.last_loop == "observed"

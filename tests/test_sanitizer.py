@@ -31,11 +31,15 @@ import pytest
 from repro.cfs import ClusterModel, StorageModel
 from repro.cfs.parameters import abe_parameters, petascale_parameters
 from repro.core import (
+    BinaryTrace,
     DeclarationError,
+    EventTrace,
     Exponential,
+    ImpulseReward,
     RateReward,
     SAN,
     SanitizerError,
+    SimulationBudgetError,
     SimulationError,
     Simulator,
     flatten,
@@ -107,6 +111,58 @@ class TestBitIdentity:
             500.0, initial_marking=want.final_marking
         )
         assert_runs_identical(got2, want2)
+
+    @staticmethod
+    def _observers():
+        """Windowed and probed rate rewards, windowed and marking-valued
+        impulse rewards and both trace kinds (fresh objects per run)."""
+        return dict(
+            warmup=100.0,
+            rewards=(
+                RateReward(
+                    "avail_w", lambda m: float(m["m/up"]), window=(300.0, 1500.0)
+                ),
+                RateReward(
+                    "avail_p",
+                    lambda m: float(m["m/up"]),
+                    probe_times=(0.0, 250.0, 999.5, 2000.0),
+                ),
+                ImpulseReward("repairs_w", "m/repair", window=(200.0, 1200.0)),
+                ImpulseReward("fails", "m/fail", lambda m: 2.0 * m["m/count"]),
+            ),
+            traces=(
+                BinaryTrace("up", lambda m: m["m/up"] == 1),
+                EventTrace("events", "m/*", payload=lambda m: m["m/count"]),
+            ),
+        )
+
+    def test_windows_probes_and_traces(self):
+        model = flatten(_machine())
+        for seed in (0, 11):
+            got = _sanitize_sim(model, seed).run(2000.0, **self._observers())
+            want = _reference_sim(model, seed).run(2000.0, **self._observers())
+            assert_runs_identical(got, want)
+            assert got.sanitizer_report.ok
+            assert len(got["avail_p"].instants) == 4
+            assert got["repairs_w"].count > 0
+            events = got.trace("events").events
+            assert events and events == want.trace("events").events
+
+    def test_tripped_max_events_snapshot(self):
+        model = flatten(_machine())
+        errors = []
+        for engine in ("sanitize", "reference"):
+            sim = Simulator(
+                model, base_seed=3, sample_batch=None, engine=engine, max_events=25
+            )
+            with pytest.raises(SimulationBudgetError) as info:
+                sim.run(2000.0, **self._observers())
+            errors.append(info.value)
+        got, want = errors
+        assert got.n_events == want.n_events == 25
+        assert got.sim_time == want.sim_time
+        assert got.marking == want.marking
+        assert got.rewards == want.rewards
 
     @pytest.mark.slow
     def test_abe_cluster_differential(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -11,6 +12,7 @@ from repro.core import (
     BinaryTrace,
     Case,
     Deterministic,
+    EventTrace,
     Exponential,
     ImpulseReward,
     InstantaneousLoopError,
@@ -311,6 +313,147 @@ class TestObserverErrors:
             res["nope"]
         with pytest.raises(KeyError):
             res.trace("nope")
+
+
+ENGINES = ("auto", "reference", "sanitize")
+
+
+class _NotATrace:
+    """Quacks like a trace (name, reset) without being one."""
+
+    name = "bogus"
+
+    def reset(self):
+        pass
+
+    def __repr__(self):
+        return "<not a trace>"
+
+
+def _up(m):
+    return float(m["comp/up"])
+
+
+#: Bad run arguments (against the one-place two-state model at
+#: until=10) and the exact error every engine must raise for them.
+_REJECTED_CALLS = {
+    "duplicate-reward": (
+        dict(rewards=[RateReward("a", _up), ImpulseReward("a", "comp/*")]),
+        "duplicate reward name 'a'",
+    ),
+    "duplicate-trace": (
+        dict(
+            traces=[
+                BinaryTrace("t", lambda m: m["comp/up"] == 1),
+                EventTrace("t", "comp/*"),
+            ]
+        ),
+        "duplicate trace name 't'",
+    ),
+    "unsupported-reward": (
+        dict(rewards=["bogus"]),
+        "unsupported reward object: 'bogus'",
+    ),
+    "unsupported-trace": (
+        dict(traces=[_NotATrace()]),
+        "unsupported trace object: <not a trace>",
+    ),
+    "impulse-matches-nothing": (
+        dict(rewards=[ImpulseReward("x", "nope/*")]),
+        "impulse reward 'x' matches no activity (pattern 'nope/*')",
+    ),
+    "event-trace-matches-nothing": (
+        dict(traces=[EventTrace("e", "nope/*")]),
+        "event trace 'e' matches no activity (pattern 'nope/*')",
+    ),
+    "probe-beyond-until": (
+        dict(rewards=[RateReward("p", _up, probe_times=[20.0])]),
+        "rate reward 'p': probe time 20.0 exceeds until=10.0",
+    ),
+    "marking-wrong-length": (
+        dict(initial_marking=[1, 0]),
+        "initial_marking has 2 entries, model has 1 places",
+    ),
+    "marking-negative": (
+        dict(initial_marking=[-1]),
+        "initial_marking entries must be >= 0",
+    ),
+}
+
+
+class TestSharedRunWiring:
+    """Every engine checks its run arguments and observers the same way."""
+
+    @pytest.mark.parametrize("case", sorted(_REJECTED_CALLS))
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_same_error_on_every_engine(self, two_state_model, engine, case):
+        kw, message = _REJECTED_CALLS[case]
+        sim = Simulator(two_state_model, base_seed=1, engine=engine)
+        with pytest.raises(SimulationError) as info:
+            sim.run(10.0, **kw)
+        assert type(info.value) is SimulationError
+        assert str(info.value) == message
+
+
+class TestRunEntryValidation:
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("until", [math.inf, math.nan, -1.0, 0.0])
+    def test_bad_until_names_until(self, two_state_model, engine, until):
+        sim = Simulator(two_state_model, base_seed=5, engine=engine)
+        with pytest.raises(SimulationError, match="until must be") as info:
+            sim.run(until)
+        assert str(until) in str(info.value)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("warmup", [math.inf, math.nan, -1.0, 10.0])
+    def test_bad_warmup_names_warmup(self, two_state_model, engine, warmup):
+        sim = Simulator(two_state_model, base_seed=5, engine=engine)
+        with pytest.raises(SimulationError, match="warmup must") as info:
+            sim.run(10.0, warmup=warmup)
+        assert str(warmup) in str(info.value)
+
+    @pytest.mark.parametrize("bad", [1.5, -1, "x", None])
+    def test_bad_base_seed_rejected_at_construction(self, two_state_model, bad):
+        with pytest.raises(SimulationError, match="base_seed") as info:
+            Simulator(two_state_model, base_seed=bad)
+        assert repr(bad) in str(info.value)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("bad", [1.5, -3, "x"])
+    def test_bad_run_seed_rejected(self, two_state_model, engine, bad):
+        sim = Simulator(two_state_model, base_seed=5, engine=engine)
+        with pytest.raises(SimulationError, match="seed") as info:
+            sim.run(10.0, seed=bad)
+        assert repr(bad) in str(info.value)
+
+    def test_numpy_integer_seeds_pass(self, two_state_model):
+        want = Simulator(two_state_model, base_seed=3).run(500.0)
+        got = Simulator(two_state_model, base_seed=np.int64(3)).run(500.0)
+        assert got.final_marking == want.final_marking
+        assert got.n_events == want.n_events
+        sim = Simulator(two_state_model)
+        a = sim.run(500.0, seed=np.uint32(7))
+        b = sim.run(500.0, seed=7)
+        assert (a.n_events, a.final_marking) == (b.n_events, b.final_marking)
+
+
+class TestRejectedCallKeepsStream:
+    """A rejected run() uses up no stream index: reuse still == fresh."""
+
+    @pytest.mark.parametrize("case", ["marking-wrong-length", "duplicate-reward"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_next_run_equals_fresh_first_run(self, two_state_model, engine, case):
+        kw, _message = _REJECTED_CALLS[case]
+        rw = RateReward("a", _up)
+        sim = Simulator(two_state_model, base_seed=4, engine=engine)
+        with pytest.raises(SimulationError):
+            sim.run(10.0, **kw)
+        got = sim.run(800.0, rewards=[rw])
+        fresh = Simulator(two_state_model, base_seed=4, engine=engine)
+        want = fresh.run(800.0, rewards=[rw])
+        assert got.n_events == want.n_events > 0
+        assert got.final_marking == want.final_marking
+        assert got["a"].integral == want["a"].integral
 
 
 class TestTraceIntegration:
