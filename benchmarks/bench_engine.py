@@ -7,18 +7,21 @@ activities), not O(model size).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cfs import abe_parameters, petascale_parameters
 from repro.cfs.cluster import build_cluster_node
 from repro.core import (
     SAN,
+    EquilibriumResidual,
     Exponential,
     RateReward,
     Simulator,
     flatten,
     replicate,
 )
+from repro.core import distributions
 
 
 def _fleet_model(n_units: int):
@@ -175,6 +178,40 @@ def bench_petascale_cluster_one_year(benchmark):
 
     result = benchmark.pedantic(run, rounds=5, iterations=1, warmup_rounds=1)
     assert 0.8 < result["cfs_availability"].time_average <= 1.0
+
+
+def bench_equilibrium_grid_cold(benchmark):
+    """First draw from the ABE disk fleet's equilibrium law on an empty
+    grid cache: one ~4.2k-point inverse-CDF tabulation, one scipy
+    ``brentq`` per point.  Each round's setup empties the per-process
+    grid cache, so every round times a build."""
+    lifetime = abe_parameters().disk_lifetime
+
+    def setup():
+        distributions._GRID_CACHE.clear()
+        return (EquilibriumResidual(lifetime),), {}
+
+    def first_draw(law):
+        return law.sample_many(np.random.default_rng(0), 1)
+
+    benchmark.pedantic(first_draw, setup=setup, rounds=5, iterations=1)
+    assert len(distributions._GRID_CACHE) == 1
+
+
+def bench_equilibrium_grid_warm(benchmark):
+    """Construction and first draw of a law equal to one already drawn
+    from: what every sweep cell after the first pays for the grid."""
+    params = abe_parameters()
+    built = EquilibriumResidual(params.disk_lifetime)
+    built.sample_many(np.random.default_rng(0), 1)
+
+    def construct_and_draw():
+        law = EquilibriumResidual(params.disk_lifetime)
+        law.sample_many(np.random.default_rng(0), 1)
+        return law
+
+    law = benchmark(construct_and_draw)
+    assert law._grid()[1] is built._grid()[1]
 
 
 def bench_statespace_exploration(benchmark):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from bisect import bisect_right
+from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
@@ -53,22 +54,34 @@ __all__ = [
 HOURS_PER_YEAR = 8760.0
 
 
+def _positive(name: str, value: float) -> float:
+    """``value`` as a float; a :class:`ModelError` naming it unless it is
+    positive and finite (NaN fails too)."""
+    if not 0.0 < value < math.inf:
+        raise ModelError(f"{name} must be positive and finite, got {value}")
+    return float(value)
+
+
+def _non_negative(name: str, value: float) -> float:
+    """``value`` as a float; a :class:`ModelError` naming it unless it is
+    finite and ``>= 0`` (NaN fails too)."""
+    if not 0.0 <= value < math.inf:
+        raise ModelError(f"{name} must be >= 0 and finite, got {value}")
+    return float(value)
+
+
 def afr_to_mtbf(afr: float) -> float:
     """Convert an annualized failure rate (fraction, e.g. 0.0292) to MTBF hours.
 
     Uses the simple annualization the paper uses: ``MTBF = 8760 / AFR``
     (AFR 2.92 % ⇔ MTBF 300000 h).
     """
-    if not 0.0 < afr:
-        raise ModelError(f"AFR must be positive, got {afr}")
-    return HOURS_PER_YEAR / afr
+    return HOURS_PER_YEAR / _positive("AFR", afr)
 
 
 def mtbf_to_afr(mtbf_hours: float) -> float:
     """Convert MTBF in hours to an annualized failure rate fraction."""
-    if not mtbf_hours > 0.0:
-        raise ModelError(f"MTBF must be positive, got {mtbf_hours}")
-    return HOURS_PER_YEAR / mtbf_hours
+    return HOURS_PER_YEAR / _positive("MTBF", mtbf_hours)
 
 
 class Distribution(ABC):
@@ -127,11 +140,12 @@ class BatchedSampler:
     block.  Any law whose :meth:`Distribution.sample_many` is a single
     vectorized call (``Distribution.batchable``) can be served this way —
     including :class:`EquilibriumResidual`, whose batch is one
-    ``np.interp`` over its cached quantile grid.  Because a whole block
-    is consumed from the stream at refill time, trajectories differ from
-    per-draw sampling (both are fully deterministic for a fixed seed);
-    the simulator therefore only uses batched sampling when explicitly
-    enabled.
+    ``np.interp`` over its quantile grid (built at the first draw, and
+    shared within a process by all laws over equal Weibull inner laws).
+    Because a whole block is consumed from the stream at refill time,
+    trajectories differ from per-draw sampling (both are fully
+    deterministic for a fixed seed); the simulator therefore only uses
+    batched sampling when explicitly enabled.
 
     The buffer must be :meth:`reset` at the start of every run so that a
     run's draws come exclusively from that run's generator (this is what
@@ -175,24 +189,18 @@ class Exponential(Distribution):
     batchable = True
 
     def __init__(self, rate: float) -> None:
-        if not rate > 0.0:
-            raise ModelError(f"Exponential rate must be positive, got {rate}")
-        self.rate = float(rate)
+        self.rate = _positive("Exponential rate", rate)
 
     @classmethod
     def from_mean(cls, mean_hours: float) -> "Exponential":
         """Construct from the mean delay in hours."""
-        if not mean_hours > 0.0:
-            raise ModelError(f"mean must be positive, got {mean_hours}")
-        return cls(1.0 / mean_hours)
+        return cls(1.0 / _positive("mean", mean_hours))
 
     @classmethod
     def per_period(cls, events: float, period_hours: float) -> "Exponential":
         """Construct from "N events per period", e.g. ``per_period(1.5, 720)``
         for the paper's "1-2 per 720 hours" hardware error rate."""
-        if not (events > 0.0 and period_hours > 0.0):
-            raise ModelError("events and period must be positive")
-        return cls(events / period_hours)
+        return cls(_positive("events", events) / _positive("period", period_hours))
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.exponential(1.0 / self.rate))
@@ -224,9 +232,7 @@ class Deterministic(Distribution):
     __slots__ = ("value",)
 
     def __init__(self, value: float) -> None:
-        if value < 0.0:
-            raise ModelError(f"Deterministic delay must be >= 0, got {value}")
-        self.value = float(value)
+        self.value = _non_negative("Deterministic delay", value)
 
     def sample(self, rng: np.random.Generator) -> float:
         return self.value
@@ -251,8 +257,8 @@ class Uniform(Distribution):
     batchable = True
 
     def __init__(self, low: float, high: float) -> None:
-        if not 0.0 <= low <= high:
-            raise ModelError(f"need 0 <= low <= high, got [{low}, {high}]")
+        if not 0.0 <= low <= high < math.inf:
+            raise ModelError(f"need 0 <= low <= high < inf, got [{low}, {high}]")
         self.low = float(low)
         self.high = float(high)
 
@@ -288,12 +294,8 @@ class Weibull(Distribution):
     batchable = True
 
     def __init__(self, shape: float, scale: float) -> None:
-        if not shape > 0.0:
-            raise ModelError(f"Weibull shape must be positive, got {shape}")
-        if not scale > 0.0:
-            raise ModelError(f"Weibull scale must be positive, got {scale}")
-        self.shape = float(shape)
-        self.scale = float(scale)
+        self.shape = _positive("Weibull shape", shape)
+        self.scale = _positive("Weibull scale", scale)
 
     @classmethod
     def from_mtbf(cls, shape: float, mtbf_hours: float) -> "Weibull":
@@ -301,9 +303,8 @@ class Weibull(Distribution):
 
         ``mean = η Γ(1 + 1/β)``, so ``η = MTBF / Γ(1 + 1/β)``.
         """
-        if not mtbf_hours > 0.0:
-            raise ModelError(f"MTBF must be positive, got {mtbf_hours}")
-        scale = mtbf_hours / special.gamma(1.0 + 1.0 / shape)
+        shape = _positive("Weibull shape", shape)
+        scale = _positive("MTBF", mtbf_hours) / special.gamma(1.0 + 1.0 / shape)
         return cls(shape, scale)
 
     @classmethod
@@ -367,16 +368,16 @@ class LogNormal(Distribution):
     batchable = True
 
     def __init__(self, mu: float, sigma: float) -> None:
-        if not sigma > 0.0:
-            raise ModelError(f"LogNormal sigma must be positive, got {sigma}")
+        if not math.isfinite(mu):
+            raise ModelError(f"LogNormal mu must be finite, got {mu}")
         self.mu = float(mu)
-        self.sigma = float(sigma)
+        self.sigma = _positive("LogNormal sigma", sigma)
 
     @classmethod
     def from_mean_cv(cls, mean: float, cv: float) -> "LogNormal":
         """Construct from the distribution mean and coefficient of variation."""
-        if not (mean > 0.0 and cv > 0.0):
-            raise ModelError("mean and cv must be positive")
+        mean = _positive("mean", mean)
+        cv = _positive("cv", cv)
         sigma2 = math.log(1.0 + cv * cv)
         mu = math.log(mean) - 0.5 * sigma2
         return cls(mu, math.sqrt(sigma2))
@@ -388,7 +389,10 @@ class LogNormal(Distribution):
         return rng.lognormal(self.mu, self.sigma, size=size)
 
     def mean(self) -> float:
-        return math.exp(self.mu + 0.5 * self.sigma * self.sigma)
+        try:
+            return math.exp(self.mu + 0.5 * self.sigma * self.sigma)
+        except OverflowError:  # past the largest float: inf, like Weibull.mean()
+            return math.inf
 
     def survival(self, t: float) -> float:
         if t <= 0.0:
@@ -407,10 +411,8 @@ class Gamma(Distribution):
     batchable = True
 
     def __init__(self, shape: float, scale: float) -> None:
-        if not (shape > 0.0 and scale > 0.0):
-            raise ModelError("Gamma shape and scale must be positive")
-        self.shape = float(shape)
-        self.scale = float(scale)
+        self.shape = _positive("Gamma shape", shape)
+        self.scale = _positive("Gamma scale", scale)
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.gamma(self.shape, self.scale))
@@ -434,11 +436,9 @@ class Erlang(Gamma):
     """Erlang distribution: sum of ``stages`` i.i.d. exponentials of ``rate``."""
 
     def __init__(self, stages: int, rate: float) -> None:
-        if stages < 1 or stages != int(stages):
+        if not (1 <= stages < math.inf and stages == int(stages)):
             raise ModelError(f"Erlang stages must be a positive integer, got {stages}")
-        if not rate > 0.0:
-            raise ModelError(f"Erlang rate must be positive, got {rate}")
-        super().__init__(float(int(stages)), 1.0 / rate)
+        super().__init__(float(int(stages)), 1.0 / _positive("Erlang rate", rate))
         self.stages = int(stages)
         self.rate = float(rate)
 
@@ -456,8 +456,11 @@ class Empirical(Distribution):
         arr = np.asarray(list(values), dtype=float)
         if arr.size == 0:
             raise ModelError("Empirical distribution needs at least one value")
-        if np.any(arr < 0.0):
-            raise ModelError("Empirical delays must be non-negative")
+        bad = arr[~((arr >= 0.0) & (arr < math.inf))]
+        if bad.size:
+            raise ModelError(
+                f"Empirical delays must be >= 0 and finite, got {bad[0]}"
+            )
         self.values = arr
 
     def sample(self, rng: np.random.Generator) -> float:
@@ -482,9 +485,7 @@ class Shifted(Distribution):
     __slots__ = ("offset", "inner")
 
     def __init__(self, offset: float, inner: Distribution) -> None:
-        if offset < 0.0:
-            raise ModelError(f"Shift offset must be >= 0, got {offset}")
-        self.offset = float(offset)
+        self.offset = _non_negative("Shift offset", offset)
         self.inner = inner
 
     @property
@@ -510,6 +511,17 @@ class Shifted(Distribution):
         return f"Shifted(offset={self.offset!r}, inner={self.inner!r})"
 
 
+#: Per-process LRU of equilibrium quantile grids, keyed by the law's value
+#: (:meth:`EquilibriumResidual._grid_key`), so that equal laws built by
+#: different sweep cells share one table.  Module level like
+#: ``parallel._SETUP_CACHE``: it outlives the models of one cell, and
+#: ``fork`` children inherit the parent's entries.  Each entry is a
+#: ``[(probs, quantiles), lists]`` pair: read-only arrays, and their
+#: plain-list copies for the scalar path (``None`` until first needed).
+_GRID_CACHE: OrderedDict[tuple, list] = OrderedDict()
+_GRID_CACHE_MAX = 16
+
+
 class EquilibriumResidual(Distribution):
     """Stationary residual-life distribution of a renewal process.
 
@@ -521,9 +533,14 @@ class EquilibriumResidual(Distribution):
     This is how the ABE disk fleet is initialized: the fleet is in service,
     so time-to-first-failure per disk follows this law rather than the raw
     Weibull (using the raw law would overstate early failures for β < 1).
+
+    The inverse-CDF grid is built on the first draw.  For a
+    :class:`Weibull` inner law it comes from a per-process cache shared
+    by every equal law, and its arrays are read-only; any other inner
+    law tabulates its own grid.
     """
 
-    __slots__ = ("inner", "_mean_inner", "_quantile_grid", "_grid_lists")
+    __slots__ = ("inner", "_mean_inner", "_table", "_grid_lists")
 
     batchable = True
 
@@ -531,23 +548,28 @@ class EquilibriumResidual(Distribution):
     _TABLE_SIZE = 4096
 
     #: Grid interpolation serves draws only for ``u <= _EXACT_TAIL_U``;
-    #: deeper upper-tail draws invert the CDF exactly.  The geometric
-    #: tail refinement keeps the grid accurate to ~2e-4 relative up to
-    #: this point, but between 0.999 and the last grid point the inverse
-    #: CDF of heavy-tailed inner laws curves too fast for linear
-    #: interpolation (observed error up to ≈1.4e-2 relative for the ABE
-    #: Weibull).  Exact inversion beyond 0.999 costs one brentq per
-    #: ~1e3 draws — negligible against the ~4800 initial disk draws.
-    _EXACT_TAIL_U = 0.999
+    #: deeper upper-tail draws invert the CDF exactly.  Up to this point
+    #: the uniform core keeps the grid accurate to 2e-4 relative (worst
+    #: about half of that near 0.995 for Weibull shapes 0.5–2.5), but
+    #: beyond ~0.9967 the inverse CDF of heavy-tailed inner laws curves
+    #: too fast for linear interpolation on the core's 1/4096 spacing
+    #: (≈1.2e-3 relative at u ≈ 0.999 for shape 0.7, ≈1.4e-2 in the
+    #: geometric tail).  Exact inversion beyond 0.995 costs one brentq
+    #: per ~200 draws — ~24 over the 4800 initial petascale disk draws.
+    _EXACT_TAIL_U = 0.995
 
     def __init__(self, inner: Distribution) -> None:
         self.inner = inner
-        self._mean_inner = inner.mean()
-        if not self._mean_inner > 0.0:
-            raise ModelError("inner distribution must have positive mean")
+        mean = inner.mean()
+        if not 0.0 < mean < math.inf:
+            raise ModelError(
+                f"inner distribution must have a positive finite mean, "
+                f"got {mean} for {inner!r}"
+            )
+        self._mean_inner = mean
         # Fail fast if the inner law cannot report survival probabilities.
         inner.survival(0.0)
-        self._quantile_grid: tuple[np.ndarray, np.ndarray] | None = None
+        self._table: list | None = None
         self._grid_lists: tuple[list[float], list[float]] | None = None
 
     def _integrated_survival(self, t: float) -> float:
@@ -617,11 +639,39 @@ class EquilibriumResidual(Distribution):
         quantiles = np.array([self._invert(p * self._mean_inner) for p in probs])
         return probs, quantiles
 
+    def _grid_key(self) -> tuple | None:
+        """The grid's cache key, or ``None`` unless the inner law is a
+        plain :class:`Weibull`: with this class and ``_TABLE_SIZE``, its
+        exact shape and scale determine the grid (a subclass could
+        override its survival function, so it is not keyed).
+        """
+        inner = self.inner
+        if type(inner) is not Weibull:
+            return None
+        return (type(self), self._TABLE_SIZE, Weibull, inner.shape, inner.scale)
+
+    def _cached_table(self) -> list:
+        """This law's ``[(probs, quantiles), lists]`` entry (built on first use)."""
+        if self._table is None:
+            key = self._grid_key()
+            entry = None if key is None else _GRID_CACHE.get(key)
+            if entry is None:
+                grid = self._build_quantile_grid()
+                for arr in grid:
+                    arr.flags.writeable = False
+                entry = [grid, None]
+                if key is not None:
+                    _GRID_CACHE[key] = entry
+                    while len(_GRID_CACHE) > _GRID_CACHE_MAX:
+                        _GRID_CACHE.popitem(last=False)
+            else:
+                _GRID_CACHE.move_to_end(key)
+            self._table = entry
+        return self._table
+
     def _grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """The cached quantile grid as ndarrays (built on first use)."""
-        if self._quantile_grid is None:
-            self._quantile_grid = self._build_quantile_grid()
-        return self._quantile_grid
+        """The quantile grid as read-only ndarrays (built on first use)."""
+        return self._cached_table()[0]
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Vectorized grid-interpolated draws: one ``np.interp`` per batch.
@@ -644,10 +694,12 @@ class EquilibriumResidual(Distribution):
 
     def sample(self, rng: np.random.Generator) -> float:
         if self._grid_lists is None:
-            grid = self._grid()
-            # plain-list copy for the scalar path: bisect + float indexing
-            # on lists avoids numpy scalar overhead per draw
-            self._grid_lists = (grid[0].tolist(), grid[1].tolist())
+            entry = self._cached_table()
+            if entry[1] is None:
+                # plain-list copy for the scalar path: bisect + float
+                # indexing on lists avoids numpy scalar overhead per draw
+                entry[1] = (entry[0][0].tolist(), entry[0][1].tolist())
+            self._grid_lists = entry[1]
         probs, quantiles = self._grid_lists
         u = rng.uniform()
         if u > self._EXACT_TAIL_U:

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
+import re
+from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import distributions
 from repro.core import (
     Deterministic,
     Empirical,
@@ -25,6 +30,7 @@ from repro.core import (
     make_generator,
     mtbf_to_afr,
 )
+from repro.core.distributions import BatchedSampler
 
 RNG = make_generator(7)
 
@@ -252,6 +258,199 @@ class TestEquilibriumResidual:
         eq = EquilibriumResidual(Weibull.from_mtbf(0.7, 100.0))
         values = [eq.survival(t) for t in (0.0, 1.0, 10.0, 100.0, 1000.0)]
         assert values == sorted(values, reverse=True)
+
+
+class TestParameterValidation:
+    """Bad parameters fail at construction with a ModelError naming them."""
+
+    # case -> (construction, text the message must contain)
+    CASES = {
+        "Weibull.from_mtbf(0.0, 1000)": (
+            lambda: Weibull.from_mtbf(0.0, 1000.0), "shape must be positive "
+            "and finite, got 0.0"),
+        "Weibull(0.7, inf)": (lambda: Weibull(0.7, math.inf), "got inf"),
+        "Weibull(inf, 100)": (lambda: Weibull(math.inf, 100.0), "got inf"),
+        "Exponential(inf)": (lambda: Exponential(math.inf), "got inf"),
+        "Exponential.from_mean(inf)": (
+            lambda: Exponential.from_mean(math.inf), "got inf"),
+        "Deterministic(nan)": (lambda: Deterministic(math.nan), "got nan"),
+        "Uniform(0, inf)": (lambda: Uniform(0.0, math.inf), "got [0.0, inf]"),
+        "LogNormal(inf, 1)": (lambda: LogNormal(math.inf, 1.0), "got inf"),
+        "Gamma(nan, 1)": (lambda: Gamma(math.nan, 1.0), "got nan"),
+        "Erlang(inf, 1)": (lambda: Erlang(math.inf, 1.0), "got inf"),
+        "Empirical([1, nan])": (
+            lambda: Empirical([1.0, math.nan]), "got nan"),
+        "Shifted(inf, Exponential(1))": (
+            lambda: Shifted(math.inf, Exponential(1.0)), "got inf"),
+        "EquilibriumResidual(Weibull(0.7, inf))": (
+            lambda: EquilibriumResidual(Weibull(0.7, math.inf)), "got inf"),
+        "EquilibriumResidual(Deterministic(inf))": (
+            lambda: EquilibriumResidual(Deterministic(math.inf)), "got inf"),
+        "EquilibriumResidual(Gamma(1e300, 1e300))": (
+            lambda: EquilibriumResidual(Gamma(1e300, 1e300)), "mean, got inf"),
+        "EquilibriumResidual(LogNormal(0, 40))": (
+            lambda: EquilibriumResidual(LogNormal(0.0, 40.0)), "mean, got inf"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_at_construction(self, case):
+        build, message = self.CASES[case]
+        with pytest.raises(ModelError, match=re.escape(message)):
+            build()
+
+    def test_lognormal_mean_overflows_to_inf(self):
+        assert LogNormal(0.0, 40.0).mean() == math.inf
+
+
+@pytest.fixture
+def stub_builds(monkeypatch):
+    """An empty grid cache, and grid builds stubbed by a cheap stand-in
+    for the ~4k root finds; returns the inner laws built, in order."""
+    monkeypatch.setattr(distributions, "_GRID_CACHE", OrderedDict())
+    built = []
+
+    def build(self):
+        built.append(self.inner)
+        probs = np.linspace(0.0, 1.0, self._TABLE_SIZE + 1)
+        return probs, probs * self._mean_inner
+
+    monkeypatch.setattr(EquilibriumResidual, "_build_quantile_grid", build)
+    return built
+
+
+class _CoarseResidual(EquilibriumResidual):
+    _TABLE_SIZE = 64
+
+
+class _OwnWeibull(Weibull):
+    pass
+
+
+def _draws(law, route, seed, n):
+    rng = np.random.default_rng(seed)
+    if route == "sample":
+        return [law.sample(rng) for _ in range(n)]
+    if route == "sample_many":
+        return law.sample_many(rng, n).tolist()
+    sampler = BatchedSampler(law, batch_size=256)
+    return [sampler.sample(rng) for _ in range(n)]
+
+
+def _draw_in_forked_worker(shape, scale, seed, n):
+    """Draws from an equal law in a pool worker that must not rebuild."""
+
+    def refuse(self):
+        raise AssertionError("the worker rebuilt the grid")
+
+    EquilibriumResidual._build_quantile_grid = refuse
+    return EquilibriumResidual(Weibull(shape, scale)).sample_many(
+        np.random.default_rng(seed), n
+    ).tolist()
+
+
+class TestGridCache:
+    """Equal laws share one per-process quantile grid."""
+
+    def test_equal_laws_share_one_grid(self, stub_builds):
+        a = EquilibriumResidual(Weibull(0.7, 1000.0))
+        b = EquilibriumResidual(Weibull(0.7, 1000.0))
+        probs_a, quantiles_a = a._grid()
+        probs_b, quantiles_b = b._grid()
+        assert probs_a is probs_b and quantiles_a is quantiles_b
+        a.sample(RNG)
+        b.sample(RNG)
+        assert a._grid_lists is b._grid_lists
+        assert len(stub_builds) == 1
+
+    def test_cached_arrays_are_read_only(self, stub_builds):
+        for arr in EquilibriumResidual(Weibull(0.7, 1000.0))._grid():
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_key_separates_parameters_type_and_table_size(self, stub_builds):
+        keyed = [
+            EquilibriumResidual(Weibull(0.7, 1000.0)),
+            EquilibriumResidual(Weibull(0.8, 1000.0)),
+            EquilibriumResidual(Weibull(0.7, 1001.0)),
+            _CoarseResidual(Weibull(0.7, 1000.0)),
+        ]
+        # Other inner types never hit a Weibull entry.
+        laws = keyed + [
+            EquilibriumResidual(_OwnWeibull(0.7, 1000.0)),
+            EquilibriumResidual(Exponential(1 / 1000.0)),
+        ]
+        grids = [law._grid()[1] for law in laws]
+        assert len(stub_builds) == len(laws)
+        assert len({id(g) for g in grids}) == len(laws)
+        assert len(grids[3]) == _CoarseResidual._TABLE_SIZE + 1
+        assert len(distributions._GRID_CACHE) == len(keyed)
+
+    def test_lru_bound_evicts(self, stub_builds, monkeypatch):
+        monkeypatch.setattr(distributions, "_GRID_CACHE_MAX", 2)
+
+        def grid(scale):
+            return EquilibriumResidual(Weibull(0.7, scale))._grid()
+
+        grid(1.0)
+        grid(2.0)
+        grid(1.0)  # hit: 2.0 is now the least recently used
+        grid(3.0)  # evicts 2.0
+        assert len(distributions._GRID_CACHE) == 2
+        grid(1.0)
+        grid(2.0)  # rebuilt, evicting 3.0
+        assert [d.scale for d in stub_builds] == [1.0, 2.0, 3.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "make_inner",
+        [lambda: Gamma(2.0, 3.0), lambda: Shifted(1.0, Exponential(0.5)),
+         lambda: Empirical([1.0, 2.0, 4.0]), lambda: _OwnWeibull(0.7, 1000.0),
+         lambda: Exponential(0.01), lambda: Deterministic(12.0)],
+        ids=["gamma", "shifted", "empirical", "weibull-subclass",
+             "exponential", "deterministic"],
+    )
+    def test_unkeyed_inner_laws_build_per_instance(
+        self, stub_builds, make_inner
+    ):
+        a = EquilibriumResidual(make_inner())
+        b = EquilibriumResidual(make_inner())
+        assert a._grid()[1] is not b._grid()[1]
+        assert a._grid()[1] is a._grid()[1]
+        assert len(stub_builds) == 2
+        assert not distributions._GRID_CACHE
+
+    @pytest.mark.parametrize("route", ["sample", "sample_many", "batched"])
+    def test_warm_draws_equal_cold_draws(self, monkeypatch, route):
+        """A cache hit serves bit-identical draws, including the exact
+        inversions beyond ``_EXACT_TAIL_U``."""
+        monkeypatch.setattr(distributions, "_GRID_CACHE", OrderedDict())
+        seed, n = 11, 3000
+        u = np.random.default_rng(seed).uniform(size=n)
+        assert (u > EquilibriumResidual._EXACT_TAIL_U).sum() >= 2
+        cold_law = EquilibriumResidual(Weibull(0.7, 300_000.0))
+        cold = _draws(cold_law, route, seed, n)
+        warm_law = EquilibriumResidual(Weibull(0.7, 300_000.0))
+        warm = _draws(warm_law, route, seed, n)
+        assert warm_law._grid()[1] is cold_law._grid()[1]
+        assert warm == cold
+        np.testing.assert_array_equal(
+            cold_law._grid()[1], cold_law._build_quantile_grid()[1]
+        )
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_forked_worker_inherits_parent_entry(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_GRID_CACHE", OrderedDict())
+        law = EquilibriumResidual(Weibull(0.7, 4321.0))
+        expected = law.sample_many(np.random.default_rng(5), 50).tolist()
+        with ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            drawn = pool.submit(
+                _draw_in_forked_worker, 0.7, 4321.0, 5, 50
+            ).result(timeout=120)
+        assert drawn == expected
 
 
 @given(

@@ -12,8 +12,9 @@ seeds on three reference models:
   future changes cannot silently perturb default trajectories either.
 
 PR 7's ``EquilibriumResidual`` upper-tail accuracy fix (exact inversion
-for ``u > 0.999``) left every entry byte-identical — verified by
-re-recording and diffing; see ``record_golden.py`` for the audit note.
+for ``u > 0.999``, later ``u > 0.995``) left every entry byte-identical —
+verified by re-recording and diffing; see ``record_golden.py`` for the
+audit note.
 """
 
 from __future__ import annotations
