@@ -146,9 +146,8 @@ def bench_abe_cluster_one_year(benchmark):
 
     ``warmup_rounds=1`` keeps one-time work (model compile, equilibrium
     quantile grids, kernel verification) out of the timed rounds, and 8
-    pedantic rounds give the snapshot minima enough samples to be stable
-    (the old 3-round runs showed 5× min-vs-mean gaps in
-    BENCH_engine.json).
+    pedantic rounds give the minima enough samples to be stable (three
+    rounds left 5× gaps between minimum and mean).
     """
     from repro.cfs import ClusterModel
 

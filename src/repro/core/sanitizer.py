@@ -6,19 +6,24 @@ are only verified on an activity's first completion — a declaration that
 is wrong on a later path silently produces wrong numbers.  This module
 is the TSan/ASan analogue for that contract:
 
-* :func:`sanitized_run` (reached through ``Simulator(sanitize=True)`` or
-  ``engine="sanitize"``) executes a run on a fully instrumented
-  interpreting event loop: every place access and marking write is
-  shadow-tracked and cross-checked against the declarations on **every**
-  evaluation and **every** firing, not just the first.  Violations are
-  collected with full provenance (activity, place path, event index,
-  simulated time) into a :class:`SanitizerReport` attached to the
-  :class:`~repro.core.simulation.RunResult`.  The instrumented loop
-  consumes the RNG stream exactly like
-  ``Simulator(model, sample_batch=None, engine="reference")`` — on a
-  clean model its trajectory and results are bit-identical to that
-  per-draw reference run, which is the differential contract pinned by
-  ``tests/test_sanitizer.py``.
+* ``Simulator(sanitize=True)`` / ``engine="sanitize"`` runs the
+  engine's reference loop on the compiled program with the checks of a
+  :class:`DeclarationChecker` swapped into its local tables.  Every
+  predicate, distribution callable and rate reward evaluates on the
+  tracked path and is checked against its declared reads (and a reward
+  against its declared form and finiteness) on **every** evaluation;
+  every compiled gate, case and guard kernel is re-verified against its
+  Python functions on **every** completion, not just the first.
+  Violations are collected with full provenance (activity, place path,
+  event index, simulated time) into a :class:`SanitizerReport` attached
+  to the :class:`~repro.core.simulation.RunResult`.  The checks only
+  observe, so a sanitized run consumes the RNG stream exactly like
+  ``engine="reference"`` on the same program: with ``sample_batch=None``
+  (the sanitize default) a clean model's trajectory and results are
+  bit-identical to the per-draw reference run, the differential
+  contract pinned by ``tests/test_sanitizer.py``.  Declared names that
+  do not resolve raise the same :class:`~repro.core.errors.SimulationError`
+  as on the other engines, before any draw.
 
 * :func:`lint_model` statically checks a model (a bare SAN, a
   composition node, a :class:`~repro.core.composition.FlatModel`, or a
@@ -34,9 +39,7 @@ and the mutation-testing harness that proves both layers effective.
 
 from __future__ import annotations
 
-import heapq
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -45,24 +48,28 @@ import numpy as np
 
 from .composition import FlatModel, Node, flatten
 from .distributions import Distribution
-from .errors import (
-    InstantaneousLoopError,
-    SanitizerError,
-    SimulationError,
-)
+from .errors import SanitizerError, SimulationError
 from .gates import _noop
 from .places import LocalView
 from .san import SAN, TIMED
-from .simulation import _GUARD_FNS, _check_budget, _compose_predicates
+from .simulation import _form_value
 
 __all__ = [
     "SanitizerViolation",
     "SanitizerReport",
-    "sanitized_run",
     "LintFinding",
     "LintReport",
     "lint_model",
 ]
+
+#: The cross-check families a :class:`SanitizerReport` counts.
+_CHECK_KINDS = (
+    "predicate_evals",
+    "distribution_evals",
+    "write_checks",
+    "case_selections",
+    "reward_evals",
+)
 
 
 # ----------------------------------------------------------------------
@@ -77,10 +84,7 @@ class SanitizerViolation:
     kind:
         Violation class: ``"undeclared-read"``, ``"undeclared-write"``,
         ``"write-mismatch"``, ``"rng-in-declared-effect"``,
-        ``"case-sum"``, ``"form-mismatch"``, ``"non-finite-reward"``,
-        ``"unresolved-read"``, ``"unresolved-write"``,
-        ``"unresolved-guard"``, ``"unresolved-reward-read"``,
-        ``"unresolved-form-place"``.
+        ``"case-sum"``, ``"form-mismatch"``, ``"non-finite-reward"``.
     subject:
         Activity path or reward name the violation belongs to.
     place:
@@ -149,10 +153,10 @@ class _RecordingRng:
     """Delegating rng proxy that flags any use.
 
     Declared-writes effects must never touch the rng (the compiled
-    kernels do not), so the sanitizer wraps the stream around them with
-    this proxy: every attribute access is recorded but delegated, which
-    keeps the draw stream identical to the plain Python path while still
-    detecting the contract breach.
+    kernels do not).  A sanitized kernel verification hands the Python
+    functions this proxy where the engine's would raise: every attribute
+    access is recorded but delegated, which keeps the draw stream
+    identical to the reference loop's while still detecting the breach.
     """
 
     __slots__ = ("_rng", "used")
@@ -167,756 +171,201 @@ class _RecordingRng:
 
 
 # ----------------------------------------------------------------------
-# instrumented execution
+# run-time checks
 # ----------------------------------------------------------------------
-def sanitized_run(
-    sim,
-    obs,
-    rng: np.random.Generator,
-    stop_predicate: Callable[[LocalView], bool] | None,
-    initial_marking: list[int] | None,
-):
-    """Execute one instrumented run for ``sim`` (a Simulator).
+class DeclarationChecker:
+    """The declaration checks of one ``engine="sanitize"`` run.
 
-    Called by :meth:`Simulator.run` when ``engine="sanitize"``, after the
-    run's arguments are checked, its rewards and traces wired (``obs``,
-    the engines' shared wiring) and its stream resolved, so stream
-    selection and argument errors match the other engines run-for-run.
-    Returns a :class:`~repro.core.simulation.RunResult` whose
-    ``sanitizer_report`` field carries the violation record; with
-    ``sim.strict`` a non-clean report raises
-    :class:`~repro.core.errors.SanitizerError` instead.
+    :meth:`Simulator.run <repro.core.simulation.Simulator.run>` builds
+    one per sanitized run and swaps its wrappers into the reference
+    loop's local tables: :meth:`predicate`, :meth:`distribution` and
+    :meth:`reward` evaluate the model's functions on the tracked path
+    and check what they read and return.  The engine hands the rest to
+    it instead of raising: each kernel verification's findings
+    (:meth:`writes`), mid-run faults (:meth:`violate`) and the run's
+    end (:meth:`finish`).  Every wrapper returns what the wrapped
+    function returns, so the trajectory is the reference loop's.
+
+    ``clock`` returns the run's ``(events executed, simulated time)``,
+    the provenance of each violation.
     """
-    model: FlatModel = sim.model
-    acts = model.activities
-    n_acts = len(acts)
-    n_places = model.n_places
-    canonical = model.canonical
-    max_chain = sim.max_instant_chain
-    until = obs.until
-    warmup = obs.warmup
 
-    report = SanitizerReport(model=model.name)
-    checks = report.checks
-    for key in (
-        "predicate_evals",
-        "distribution_evals",
-        "write_checks",
-        "case_selections",
-        "reward_evals",
-    ):
-        checks[key] = 0
-    _seen: set[tuple[str, str, str | None]] = set()
-    n_events = 0
-    now = 0.0
+    def __init__(self, model: FlatModel, vector, clock: Callable) -> None:
+        self.report = SanitizerReport(
+            model=model.name, checks=dict.fromkeys(_CHECK_KINDS, 0)
+        )
+        self.checks = self.report.checks
+        self._canonical = model.canonical
+        self._paths = [act.path for act in model.activities]
+        self._declared = [
+            act.definition.reads is not None for act in model.activities
+        ]
+        self._has_cases = [
+            bool(act.definition.cases) for act in model.activities
+        ]
+        self._values = vector.values
+        self._reads = vector.reads
+        self._clock = clock
+        self._seen: set[tuple[str, str, str | None]] = set()
 
-    def violate(kind: str, subject: str, place: str | None, message: str) -> None:
+    def violate(
+        self, kind: str, subject: str, place: str | None, message: str
+    ) -> None:
+        """Record a violation; a ``(kind, subject, place)`` site keeps
+        its first."""
         key = (kind, subject, place)
-        if key in _seen:
-            return
-        _seen.add(key)
-        report.violations.append(
-            SanitizerViolation(kind, subject, place, message, n_events, now)
+        if key not in self._seen:
+            self._seen.add(key)
+            n_events, now = self._clock()
+            self.report.violations.append(
+                SanitizerViolation(kind, subject, place, message, n_events, now)
+            )
+
+    def undeclared_reads(self, subject: str, what: str, slots) -> None:
+        """Report ``slots`` as read outside ``subject``'s declared read
+        set by its ``what``."""
+        for slot in slots:
+            self.violate(
+                "undeclared-read",
+                subject,
+                self._canonical[slot],
+                f"{what} read a place outside the declared read set",
+            )
+
+    def _drop_reads(self, subject: str, what: str) -> None:
+        # A declared function evaluates through a view filtered by its
+        # declaration, so every recorded read is undeclared.  Dropping
+        # them keeps the dependency map and observer lists exactly the
+        # declared ones, as on the compiled path.
+        reads = self._reads
+        if reads:
+            self.undeclared_reads(subject, what, reads)
+            reads.clear()
+
+    def _activity_fn(self, aid: int, fn: Callable, counter: str, what: str):
+        checks = self.checks
+        path = self._paths[aid]
+        declared = self._declared[aid]
+
+        def checked(view):
+            checks[counter] += 1
+            out = fn(view)
+            if declared:
+                self._drop_reads(path, what)
+            return out
+
+        return checked
+
+    def predicate(self, aid: int, pred: Callable) -> Callable:
+        """Activity ``aid``'s enabling predicate, counted and read-checked."""
+        return self._activity_fn(aid, pred, "predicate_evals", "enabling predicate")
+
+    def distribution(self, aid: int, fn: Callable) -> Callable:
+        """Activity ``aid``'s distribution callable, counted and
+        read-checked."""
+        return self._activity_fn(
+            aid, fn, "distribution_evals", "distribution callable"
         )
 
-    # -- marking and views ------------------------------------------------
-    vector = model.new_marking()
-    values = vector.values
-    changed = vector.changed
-    vreads = vector.reads
-    # known=None: every tracked read is recorded — full shadow tracking.
-    views = [LocalView(vector, act.index, None) for act in acts]
-    gview = model.global_view(vector)
-    act_paths = [act.path for act in acts]
-    preds: list[Callable] = [None] * n_acts
-    ig_fns: list[tuple] = [()] * n_acts
-    og_fns: list[tuple] = [()] * n_acts
-    cases_of = [act.definition.cases for act in acts]
-    case_bounds: list[tuple | None] = [None] * n_acts
-    is_timed = [act.definition.kind == TIMED for act in acts]
-    priorities = [act.definition.priority for act in acts]
-    reactivate = [act.definition.reactivate for act in acts]
-    dists = [act.definition.distribution for act in acts]
-    declared = [False] * n_acts
-    declared_slots: list[set[int] | None] = [None] * n_acts
-    # write_check[aid]: None, or one of the three kernel-eligible shapes
-    # ("plain", ops) / ("guard", slot, cmp_fn, value, ops) /
-    # ("case", branch_ops) with ops = tuple[(slot, is_add, amount)].
-    write_check: list[tuple | None] = [None] * n_acts
+    def reward(self, r, guards, base, terms) -> Callable:
+        """Rate reward ``r``'s function with its read, form and
+        finiteness checks; ``guards``, ``base`` and ``terms`` are its
+        declared form as the engine resolved it."""
+        checks = self.checks
+        name = r.name
+        fn = r.function
+        declared = r.reads is not None
+        has_form = r.form is not None
+        values = self._values
 
-    dep_lists: list[list[int]] = [[] for _ in range(n_places)]
-    act_known: list[set[int]] = [set() for _ in range(n_acts)]
-
-    def _ops_for(act, writes):
-        ops = []
-        for pname, kind, amount in writes:
-            slot = act.index.get(pname)
-            if slot is None:
-                violate(
-                    "unresolved-write",
-                    act.path,
-                    pname,
-                    f"declared write {pname!r} is not a place of its SAN",
-                )
-                return None
-            ops.append((slot, kind == "add", amount))
-        return tuple(ops)
-
-    for act in acts:
-        aid = act.ident
-        d = act.definition
-        gates = d.input_gates
-        preds[aid] = (
-            gates[0].predicate if len(gates) == 1 else _compose_predicates(gates)
-        )
-        ig_fns[aid] = tuple(g.function for g in gates if g.function is not _noop)
-        og_fns[aid] = tuple(og.function for og in d.output_gates)
-
-        if d.reads is not None:
-            slots: set[int] = set()
-            resolved = True
-            for pname in d.reads:
-                slot = act.index.get(pname)
-                if slot is None:
-                    violate(
-                        "unresolved-read",
-                        act.path,
-                        pname,
-                        f"declared read {pname!r} is not a place of its SAN",
-                    )
-                    resolved = False
-                else:
-                    slots.add(slot)
-            if resolved:
-                declared[aid] = True
-                declared_slots[aid] = slots
-                for slot in slots:
-                    act_known[aid].add(slot)
-                    dep_lists[slot].append(aid)
-            # Unresolved declarations fall back to tracked discovery so
-            # the run still makes progress (the engine would refuse to
-            # compile; here the violation *is* the diagnosis).
-
-        if d.cases:
-            if not any(callable(case.probability) for case in d.cases):
-                acc = 0.0
-                bounds = []
-                for case in d.cases:
-                    acc += float(case.probability)
-                    bounds.append(acc)
-                case_bounds[aid] = tuple(bounds)
-
-        # Mirror the compile-time kernel-eligibility rules so the write
-        # cross-check covers exactly the firings the compiled engine
-        # would apply as precomputed slot ops.
-        if not ig_fns[aid] and not d.cases and d.output_gates and all(
-            og.writes is not None and og.when is None for og in d.output_gates
-        ):
-            all_ops = []
-            ok = True
-            for og in d.output_gates:
-                ops = _ops_for(act, og.writes)
-                if ops is None:
-                    ok = False
-                    break
-                all_ops.extend(ops)
-            if ok:
-                write_check[aid] = ("plain", tuple(all_ops))
-        elif (
-            not ig_fns[aid]
-            and not d.cases
-            and len(d.output_gates) == 1
-            and d.output_gates[0].writes is not None
-            and d.output_gates[0].when is not None
-        ):
-            og = d.output_gates[0]
-            pname, cmp, gval = og.when
-            slot = act.index.get(pname)
-            if slot is None:
-                violate(
-                    "unresolved-guard",
-                    act.path,
-                    pname,
-                    f"write guard place {pname!r} is not a place of its SAN",
-                )
-            else:
-                ops = _ops_for(act, og.writes)
-                if ops is not None:
-                    write_check[aid] = ("guard", slot, _GUARD_FNS[cmp], gval, ops)
-        elif (
-            not ig_fns[aid]
-            and d.cases
-            and case_bounds[aid] is not None
-            and all(case.writes is not None for case in d.cases)
-            and all(
-                og.writes is not None and og.when is None
-                for og in d.output_gates
-            )
-        ):
-            og_ops: list = []
-            ok = True
-            for og in d.output_gates:
-                ops = _ops_for(act, og.writes)
-                if ops is None:
-                    ok = False
-                    break
-                og_ops.extend(ops)
-            if ok:
-                branch_ops = []
-                for case in d.cases:
-                    ops = _ops_for(act, case.writes)
-                    if ops is None:
-                        ok = False
-                        break
-                    branch_ops.append(ops + tuple(og_ops))
-                if ok:
-                    write_check[aid] = ("case", tuple(branch_ops))
-
-    # -- reward / trace wiring -------------------------------------------
-    # The shared part is ``obs``; the declared reads and forms below are
-    # resolved as findings, where the engine would raise.
-    rate_rewards = obs.rate_rewards
-    rate_values = obs.rate_values
-    binary_traces = obs.binary_traces
-    impulse_by_act = obs.impulse_by_act
-    etrace_by_act = obs.etrace_by_act
-    probe_list = obs.probe_list
-    rate_results = obs.rate_results
-    n_rates = len(rate_rewards)
-    rate_fns = [r.function for r in rate_rewards]
-    rate_views = [LocalView(vector, model.paths, None) for _ in range(n_rates)]
-    paths_index = model.paths
-
-    # Declared reward read sets, resolved to slots (globs expanded).
-    rate_declared_slots: list[set[int] | None] = [None] * n_rates
-    for i, r in enumerate(rate_rewards):
-        if r.reads is None:
-            continue
-        slots: set[int] = set()
-        resolved = True
-        for entry in r.reads:
-            slot = paths_index.get(entry)
-            hits = [slot] if slot is not None else list(model.match(entry).values())
-            if not hits:
-                violate(
-                    "unresolved-reward-read",
-                    r.name,
-                    entry,
-                    f"declared read {entry!r} matches no place",
-                )
-                resolved = False
-            else:
-                slots.update(hits)
-        if resolved:
-            rate_declared_slots[i] = slots
-
-    # Declared reward forms, resolved to the canonical guard/affine
-    # arithmetic the engine's form kernels compute.
-    rate_forms: list[tuple | None] = [None] * n_rates
-
-    def _form_slot(rname: str, place: str) -> int | None:
-        slot = paths_index.get(place)
-        if slot is not None:
-            return slot
-        matches = model.match(place)
-        if len(matches) != 1:
-            violate(
-                "unresolved-form-place",
-                rname,
-                place,
-                f"form place {place!r} resolved to {len(matches)} places; "
-                "expected exactly one",
-            )
-            return None
-        return next(iter(matches.values()))
-
-    for i, r in enumerate(rate_rewards):
-        if r.form is None:
-            continue
-        f = r.form
-        ok = True
-        terms = []
-        for p_, coef, div in f.terms:
-            slot = _form_slot(r.name, p_)
-            if slot is None:
-                ok = False
-                break
-            terms.append((slot, coef, div))
-        guards = []
-        if ok:
-            for place, cmp, gval in f.guards:
-                if isinstance(place, tuple):
-                    sa = _form_slot(r.name, place[0])
-                    sb = _form_slot(r.name, place[1])
-                    if sa is None or sb is None:
-                        ok = False
-                        break
-                else:
-                    sa = _form_slot(r.name, place)
-                    sb = -1
-                    if sa is None:
-                        ok = False
-                        break
-                guards.append((_GUARD_FNS[cmp], gval, sa, sb))
-        if ok:
-            rate_forms[i] = (tuple(guards), f.base, tuple(terms))
-
-    def form_value(i: int) -> float:
-        guards, base, terms = rate_forms[i]
-        for gcmp, gv, sa, sb in guards:
-            if not gcmp(values[sa] if sb < 0 else values[sa] - values[sb], gv):
-                return 0.0
-        acc = base
-        for ts_, tc, td in terms:
-            acc += tc * values[ts_] / td
-        return acc
-
-    n_probes = len(probe_list)
-    probe_pos = 0
-    n_btraces = len(binary_traces)
-    btrace_views = [
-        LocalView(vector, model.paths, None) for _ in range(n_btraces)
-    ]
-    btrace_values = [False] * n_btraces
-
-    def eval_rate(i: int) -> float:
-        """Fully tracked evaluation with every cross-check applied."""
-        checks["reward_evals"] += 1
-        vector.tracking = True
-        vreads.clear()
-        try:
-            val = float(rate_fns[i](rate_views[i]))
-        finally:
-            vector.tracking = False
-        dslots = rate_declared_slots[i]
-        if dslots is not None:
-            for slot in vreads:
-                if slot not in dslots:
-                    violate(
-                        "undeclared-read",
-                        rate_rewards[i].name,
-                        canonical[slot],
-                        "reward function read a place outside its "
-                        "declared read set",
-                    )
-        if rate_forms[i] is not None:
-            kval = form_value(i)
-            if kval != val:
-                violate(
-                    "form-mismatch",
-                    rate_rewards[i].name,
-                    None,
-                    f"declared form evaluates to {kval!r} but the reward "
-                    f"function returned {val!r}",
-                )
-        if not math.isfinite(val):
-            violate(
-                "non-finite-reward",
-                rate_rewards[i].name,
-                None,
-                f"reward function returned {val!r}",
-            )
-        return val
-
-    def eval_btrace(i: int) -> bool:
-        vector.tracking = True
-        vreads.clear()
-        try:
-            val = bool(binary_traces[i].function(btrace_views[i]))
-        finally:
-            vector.tracking = False
-        return val
-
-    # -- enabling / sampling ---------------------------------------------
-    epoch = 0
-    stamp = [0] * n_acts
-    token = [0] * n_acts
-    enabled_instant = [False] * n_acts
-    inst_enabled: set[int] = set()
-    heap: list[tuple[float, int, int, int]] = []
-    seq = 0
-
-    def eval_pred(aid: int) -> bool:
-        checks["predicate_evals"] += 1
-        vector.tracking = True
-        vreads.clear()
-        try:
-            en = preds[aid](views[aid])
-        finally:
-            vector.tracking = False
-        if declared[aid]:
-            dslots = declared_slots[aid]
-            for slot in vreads:
-                if slot not in dslots:
-                    violate(
-                        "undeclared-read",
-                        act_paths[aid],
-                        canonical[slot],
-                        "enabling predicate read a place outside the "
-                        "declared read set",
-                    )
-            # Declared activities do NOT grow their dependency set: the
-            # engine wires exactly the declared slots, so growing it here
-            # would give the sanitizer wake-ups the engine misses and the
-            # trajectories could diverge on the very models this mode is
-            # meant to diagnose.
-        else:
-            known = act_known[aid]
-            for slot in vreads:
-                if slot not in known:
-                    known.add(slot)
-                    dep_lists[slot].append(aid)
-        return bool(en)
-
-    def draw_delay(aid: int) -> float:
-        dist = dists[aid]
-        if not isinstance(dist, Distribution):
-            # Marking-dependent distribution callable: evaluate tracked.
-            checks["distribution_evals"] += 1
-            vector.tracking = True
-            vreads.clear()
-            try:
-                dist = dist(views[aid])
-            finally:
-                vector.tracking = False
-            if declared[aid]:
-                dslots = declared_slots[aid]
-                for slot in vreads:
-                    if slot not in dslots:
-                        violate(
-                            "undeclared-read",
-                            act_paths[aid],
-                            canonical[slot],
-                            "distribution callable read a place outside "
-                            "the declared read set",
-                        )
-            else:
-                known = act_known[aid]
-                for slot in vreads:
-                    if slot not in known:
-                        known.add(slot)
-                        dep_lists[slot].append(aid)
-            if not isinstance(dist, Distribution):
-                raise SimulationError(
-                    f"activity {act_paths[aid]!r}: "
-                    "distribution callable did not return a Distribution"
-                )
-        delay = dist.sample(rng)
-        if not delay >= 0.0:  # also catches NaN
-            raise SimulationError(
-                f"activity {act_paths[aid]!r} sampled invalid delay {delay!r}"
-            )
-        return delay
-
-    def update_timed(aid: int, en: bool) -> None:
-        nonlocal seq
-        tok = token[aid]
-        if en:
-            if not tok & 1:
-                tok += 1
-            elif reactivate[aid]:
-                tok += 2
-            else:
-                return
-            token[aid] = tok
-            delay = draw_delay(aid)
-            ft = now + delay
-            if ft <= until:
-                heapq.heappush(heap, (ft, seq, aid, tok))
-            seq += 1
-        elif tok & 1:
-            token[aid] = tok + 1
-
-    # -- firing with write cross-checks ----------------------------------
-    def fire(aid: int) -> None:
-        nonlocal n_events
-        n_events += 1
-        report.n_events = n_events
-        view = views[aid]
-        check = write_check[aid]
-        ops = None
-        proxy = None
-        if check is not None:
-            shape = check[0]
-            if shape == "plain":
-                ops = check[1]
-            elif shape == "guard":
-                _shape, gslot, gcmp, gval, gops = check
-                ops = gops if gcmp(values[gslot], gval) else ()
-            # "case" resolves after the uniform below
-            proxy = _RecordingRng(rng)
-        pre: dict[int, int] | None = None
-        if ops is not None:
-            pre = {slot: values[slot] for slot, _a, _v in ops}
-        effect_rng = proxy if proxy is not None else rng
-
-        for fn in ig_fns[aid]:
-            fn(view, rng)
-        cases = cases_of[aid]
-        if cases:
-            checks["case_selections"] += 1
-            u = rng.uniform()
-            bounds = case_bounds[aid]
-            if bounds is not None:
-                idx = len(bounds) - 1
-                for ci, acc in enumerate(bounds):
-                    if u <= acc:
-                        idx = ci
-                        break
-            else:
-                probs = [case.probability_in(view) for case in cases]
-                total = sum(probs)
-                if not (abs(total - 1.0) <= 1e-9):
-                    violate(
-                        "case-sum",
-                        act_paths[aid],
+        def checked(view) -> float:
+            checks["reward_evals"] += 1
+            val = float(fn(view))
+            if declared:
+                self._drop_reads(name, "reward function")
+            if has_form:
+                kval = _form_value(values, guards, base, terms)
+                if kval != val:
+                    self.violate(
+                        "form-mismatch",
+                        name,
                         None,
-                        f"case probabilities sum to {total} at completion",
+                        f"declared form evaluates to {kval!r} but the reward "
+                        f"function returned {val!r}",
                     )
-                acc = 0.0
-                idx = len(cases) - 1
-                for ci, p_ in enumerate(probs):
-                    acc += p_
-                    if u <= acc:
-                        idx = ci
-                        break
-            if check is not None and check[0] == "case":
-                ops = check[1][idx]
-                pre = {slot: values[slot] for slot, _a, _v in ops}
-            cases[idx].function(view, effect_rng)
-        for og in og_fns[aid]:
-            og(view, effect_rng)
-
-        if ops is not None:
-            checks["write_checks"] += 1
-            predicted: dict[int, int] = {}
-            for slot, is_add, amount in ops:
-                cur = predicted.get(slot, pre[slot])
-                predicted[slot] = cur + amount if is_add else amount
-            for slot in changed:
-                if slot not in predicted:
-                    violate(
-                        "undeclared-write",
-                        act_paths[aid],
-                        canonical[slot],
-                        "effect wrote a place missing from the declared "
-                        "write ops",
-                    )
-            for slot, v in predicted.items():
-                if values[slot] != v:
-                    violate(
-                        "write-mismatch",
-                        act_paths[aid],
-                        canonical[slot],
-                        f"declared ops give {v}, the effect function "
-                        f"wrote {values[slot]}",
-                    )
-                elif v < 0:  # pragma: no cover - view rejects negatives
-                    violate(
-                        "write-mismatch",
-                        act_paths[aid],
-                        canonical[slot],
-                        f"declared ops drive the place negative ({v})",
-                    )
-            if proxy is not None and proxy.used:
-                violate(
-                    "rng-in-declared-effect",
-                    act_paths[aid],
+            if not math.isfinite(val):
+                self.violate(
+                    "non-finite-reward",
+                    name,
                     None,
-                    "an effect with fully declared writes used the rng; "
-                    "the compiled kernel would not",
+                    f"reward function returned {val!r}",
                 )
+            return val
 
-        # impulse rewards / event traces observe the completion
-        if now >= warmup:
-            obs = impulse_by_act[aid]
-            if obs is not None:
-                for res, static, fn, ilo, ihi in obs:
-                    if ilo <= now <= ihi:
-                        val = static if fn is None else fn(gview)
-                        if not math.isfinite(val):
-                            violate(
-                                "non-finite-reward",
-                                res.name,
-                                None,
-                                f"impulse value evaluated to {val!r}",
-                            )
-                        res.impulse_sum += val
-                        res.count += 1
-        etr = etrace_by_act[aid]
-        if etr is not None:
-            path = act_paths[aid]
-            for tr in etr:
-                tr.record(now, path, gview)
+        return checked
 
-    def settle(dirty: list[int]) -> None:
-        nonlocal epoch
-        chain = 0
-        while True:
-            dirty.sort()
-            for aid in dirty:
-                en = eval_pred(aid)
-                if is_timed[aid]:
-                    update_timed(aid, en)
-                elif en != enabled_instant[aid]:
-                    enabled_instant[aid] = en
-                    if en:
-                        inst_enabled.add(aid)
-                    else:
-                        inst_enabled.discard(aid)
-            del dirty[:]
-            if not inst_enabled:
-                return
-            best = -1
-            best_pri = 0
-            for iid in inst_enabled:
-                pri = priorities[iid]
-                if best < 0 or pri > best_pri or (pri == best_pri and iid < best):
-                    best = iid
-                    best_pri = pri
-            chain += 1
-            if chain > max_chain:
-                raise InstantaneousLoopError(
-                    f"more than {max_chain} instantaneous firings at "
-                    f"t={now}; last activity {act_paths[best]!r}"
-                )
-            fire(best)
-            epoch += 1
-            for slot in changed:
-                for d in dep_lists[slot]:
-                    if stamp[d] != epoch:
-                        stamp[d] = epoch
-                        dirty.append(d)
-            changed.clear()
+    def effect_rng(self, rng) -> _RecordingRng:
+        """The rng a kernel verification hands the Python functions."""
+        return _RecordingRng(rng)
 
-    # -- initialization at t = 0 -----------------------------------------
-    # Mirror the engine's two-stage initialization: the compile-time
-    # pre-evaluation happens on the *model's* initial marking (it seeds
-    # tracked dependency discovery and consumes no rng), then a supplied
-    # initial_marking re-derives every enabling through settle().
-    has_instants = any(not t for t in is_timed)
-    init_en = [False] * n_acts
-    for aid in range(n_acts):
-        init_en[aid] = eval_pred(aid)
-    if initial_marking is None:
-        for aid in range(n_acts):
-            if is_timed[aid]:
-                if init_en[aid]:
-                    token[aid] = 1
-                    delay = draw_delay(aid)
-                    if delay <= until:
-                        heap.append((delay, seq, aid, 1))
-                    seq += 1
-            else:
-                enabled_instant[aid] = init_en[aid]
-                if init_en[aid]:
-                    inst_enabled.add(aid)
-        heapq.heapify(heap)
-        if has_instants:
-            settle([])
-    else:
-        vector.reset(initial_marking)
-        settle(list(range(n_acts)))
-
-    for i in range(n_rates):
-        rate_values[i] = eval_rate(i)
-    for i, tr in enumerate(binary_traces):
-        btrace_values[i] = eval_btrace(i)
-        tr.observe(0.0, btrace_values[i])
-
-    last_t = 0.0
-    stopped_early = False
-    has_budget = sim.max_events is not None or sim.max_wall_s is not None
-    wall_deadline = (
-        time.monotonic() + sim.max_wall_s if sim.max_wall_s is not None else None
-    )
-
-    # -- event loop -------------------------------------------------------
-    dirty: list[int] = []
-    while heap:
-        ftime, _s, aid, tok = heapq.heappop(heap)
-        if tok != token[aid]:
-            continue
-        if ftime > until:
-            break
-        if has_budget:
-            _check_budget(sim, wall_deadline, obs, n_events, now, values)
-        while probe_pos < n_probes and probe_list[probe_pos][0] <= ftime:
-            pt, pi = probe_list[probe_pos]
-            rate_results[pi].instants.append((pt, rate_values[pi]))
-            probe_pos += 1
-        if n_rates:
-            obs.integrate(last_t, ftime)
-            last_t = ftime
-        now = ftime
-        token[aid] += 1
-
-        fire(aid)
-        epoch += 1
-        stamp[aid] = epoch
-        dirty.append(aid)
-        for slot in changed:
-            for d in dep_lists[slot]:
-                if stamp[d] != epoch:
-                    stamp[d] = epoch
-                    dirty.append(d)
-        changed.clear()
-        settle(dirty)
-
-        # Re-evaluate EVERY rate reward and binary trace: pure functions
-        # of the marking, so the values match the engine's touched-list
-        # refresh — and every evaluation is a fresh read/form check.
-        for i in range(n_rates):
-            rate_values[i] = eval_rate(i)
-        for i in range(n_btraces):
-            val = eval_btrace(i)
-            if val != btrace_values[i]:
-                btrace_values[i] = val
-                binary_traces[i].observe(now, val)
-
-        if stop_predicate is not None and stop_predicate(gview):
-            stopped_early = True
-            break
-
-    # -- run end ----------------------------------------------------------
-    end_time = now if stopped_early else until
-    obs.integrate(last_t, end_time)
-    for r, acc in zip(rate_rewards, obs.rate_integrals):
-        if not math.isfinite(acc):
-            violate(
-                "non-finite-reward",
-                r.name,
+    def writes(self, aid: int, rng, undeclared, wrong, predicted) -> None:
+        """Report one kernel verification of activity ``aid``: the
+        ``undeclared`` slots its functions wrote, the ``wrong`` slots
+        where they disagree with the declared ops' ``predicted`` values,
+        and any use of ``rng`` (from :meth:`effect_rng`)."""
+        checks = self.checks
+        checks["write_checks"] += 1
+        if self._has_cases[aid]:
+            checks["case_selections"] += 1
+        path = self._paths[aid]
+        for slot in undeclared:
+            self.violate(
+                "undeclared-write",
+                path,
+                self._canonical[slot],
+                "effect wrote a place missing from the declared write ops",
+            )
+        for slot in wrong:
+            self.violate(
+                "write-mismatch",
+                path,
+                self._canonical[slot],
+                f"declared ops give {predicted[slot]}, the effect function "
+                f"wrote {self._values[slot]}",
+            )
+        if rng.used:
+            self.violate(
+                "rng-in-declared-effect",
+                path,
                 None,
-                f"accumulated integral is {acc!r}",
+                "an effect with fully declared writes used the rng; the "
+                "compiled kernel would not",
             )
-    result = obs.result(
-        model, values, n_events, end_time, stopped_early, probe_pos, report
-    )
 
-    report.n_events = n_events
-    report.final_time = end_time
-    if report.violations:
-        if sim.strict:
-            raise SanitizerError(
-                f"sanitizer found {len(report.violations)} declaration "
-                f"violation(s) in model {model.name!r}:\n" + report.format(),
-                report=report,
+    def finish(
+        self, n_events: int, end_time: float, strict: bool
+    ) -> SanitizerReport:
+        """Close the report at the run's end.  Violations raise
+        :class:`~repro.core.errors.SanitizerError` under ``strict``, and
+        warn otherwise."""
+        report = self.report
+        report.n_events = n_events
+        report.final_time = end_time
+        if report.violations:
+            if strict:
+                raise SanitizerError(
+                    f"sanitizer found {len(report.violations)} declaration "
+                    f"violation(s) in model {report.model!r}:\n"
+                    + report.format(),
+                    report=report,
+                )
+            warnings.warn(
+                "sanitizer violations detected (strict=False, continuing):\n"
+                + report.format(),
+                RuntimeWarning,
+                stacklevel=3,
             )
-        warnings.warn(
-            "sanitizer violations detected (strict=False, continuing):\n"
-            + report.format(),
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-    sim.last_loop = "sanitize"
-    sim.last_kernel_effects = 0
-    sim.last_case_kernels = 0
-    sim.last_python_effects = n_events
-    sim.last_reward_kernels = []
-    sim.last_python_refresh_rewards = sorted(r.name for r in rate_rewards)
-
-    return result
+        return report
 
 
 # ----------------------------------------------------------------------

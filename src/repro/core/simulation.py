@@ -112,9 +112,15 @@ general event loop for every model.  It is the differential-testing
 oracle: ``tests/test_properties_rewards.py`` asserts the compiled loop
 reproduces it bit-for-bit on random reward-bearing models, and
 ``tests/data/reward_golden.json`` pins it against fixtures recorded
-before the specialization existed.  ``engine="sanitize"``
-(:mod:`repro.core.sanitizer`) shares the run wiring and result assembly
-below (:class:`_RunObservers`) and keeps its own instrumented loop.
+before the specialization existed.  ``engine="sanitize"`` runs that
+same reference loop on the same compiled program with the declaration
+checks of :mod:`repro.core.sanitizer` swapped into its local tables:
+predicates, distribution callables and rate rewards evaluate through
+checking wrappers, every kernel is re-verified on every completion by
+the ``verify_every`` machinery, and the faults the other engines raise
+mid-run (a case sum other than 1, a non-finite reward, a wrong kernel)
+are reported instead.  The checks only observe, so a sanitized run
+follows the reference trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -261,20 +267,44 @@ def _check_seed(seed, name: str) -> int:
     return int(seed)
 
 
+def _check_number(value, name: str, integer=True, low=None, optional=False):
+    """``value`` as an argument called ``name``: an integer (numpy
+    integers included) or, with ``integer=False``, any real number; at
+    least ``low`` when given; ``None`` only when ``optional``.  Anything
+    else (a float where an integer belongs, a string, NaN) raises a
+    :class:`SimulationError` naming the argument and the value."""
+    if value is None and optional:
+        return None
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(value, kinds) and (low is None or value >= low):
+        return int(value) if integer else value
+    what = "an integer" if integer else "a number"
+    if low is not None:
+        what += f" >= {low}"
+    if optional:
+        what += " or None"
+    raise SimulationError(f"{name} must be {what}, got {value!r}")
+
+
 def _check_run_args(model, until, warmup, initial_marking) -> list[int] | None:
     """Validate a run's horizon and start marking.
 
     Returns the start marking as ints, or ``None`` for the model's own.
     """
+    until = _check_number(until, "until", integer=False)
     if not 0.0 < until < math.inf:  # also rejects NaN
         raise SimulationError(f"until must be finite and positive, got {until}")
+    warmup = _check_number(warmup, "warmup", integer=False)
     if not 0.0 <= warmup < until:
         raise SimulationError(
             f"warmup must lie in [0, until), got warmup={warmup}, until={until}"
         )
     if initial_marking is None:
         return None
-    init_values = [int(v) for v in initial_marking]
+    init_values = [
+        _check_number(v, f"initial_marking[{i}]")
+        for i, v in enumerate(initial_marking)
+    ]
     if len(init_values) != len(model.initial):
         raise SimulationError(
             f"initial_marking has {len(init_values)} entries, "
@@ -509,6 +539,20 @@ def _check_budget(sim, deadline, obs, n_events, now, values) -> None:
     )
 
 
+def _form_value(values, guards, base, terms) -> float:
+    """A declared reward form on the marking ``values``: 0 when one of
+    its resolved ``guards`` fails, else ``base`` plus the affine
+    ``terms`` in declaration order — the arithmetic of the engine's form
+    kernels."""
+    for gcmp, gv, sa, sb in guards:
+        if not gcmp(values[sa] if sb < 0 else values[sa] - values[sb], gv):
+            return 0.0
+    acc = base
+    for ts_, tc, td in terms:
+        acc += tc * values[ts_] / td
+    return acc
+
+
 class _Compiled:
     """Per-activity tables pre-resolved against the shared marking vector.
 
@@ -540,6 +584,7 @@ class _Compiled:
         "batched",
         "init_timed",
         "init_instants",
+        "init_undeclared",
     )
 
 
@@ -810,11 +855,9 @@ class CompiledProgram:
         batch_dynamic: bool = False,
     ) -> None:
         self.model = model
-        self.sample_batch = None if sample_batch is None else int(sample_batch)
-        if self.sample_batch is not None and self.sample_batch < 1:
-            raise SimulationError(
-                f"sample_batch must be >= 1 or None, got {sample_batch}"
-            )
+        self.sample_batch = _check_number(
+            sample_batch, "sample_batch", low=1, optional=True
+        )
         self.batch_dynamic = bool(batch_dynamic)
 
         acts = model.activities
@@ -1064,6 +1107,12 @@ class CompiledProgram:
         vec = c.vector
         c.init_timed = []
         c.init_instants = []
+        # (aid, slots) of declared activities whose predicate read places
+        # outside the declaration here.  The view filters reads through
+        # the declared slot set, so anything recorded is an undeclared
+        # read the dependency map would miss.  Recorded, never wired: a
+        # run raises it at entry, a sanitized run reports it.
+        c.init_undeclared = []
         for act in model.activities:
             aid = act.ident
             vec.tracking = True
@@ -1073,18 +1122,9 @@ class CompiledProgram:
             finally:
                 vec.tracking = False
             reads = vec.reads
-            if reads:
-                if c.declared[aid]:
-                    # The view filters reads through the declared slot
-                    # set, so anything recorded here is an undeclared
-                    # read — the dependency map would miss its updates.
-                    names = sorted(
-                        n for n, s in act.index.items() if s in reads
-                    )
-                    raise SimulationError(
-                        f"activity {act.path!r} reads places outside its "
-                        f"declared read set: {names}"
-                    )
+            if reads and c.declared[aid]:
+                c.init_undeclared.append((aid, sorted(reads)))
+            elif reads:
                 known = act_deps[aid]
                 for slot in reads:
                     if slot not in known:
@@ -1218,8 +1258,10 @@ class Simulator:
         inlined observers).  ``"reference"`` forces the general
         un-specialized loop for every model: same features, same
         trajectories, no inlining — the differential-testing oracle for
-        the compiled loop.  ``"sanitize"`` runs the instrumented loop of
-        :mod:`repro.core.sanitizer`.
+        the compiled loop.  ``"sanitize"`` runs the reference loop with
+        the declaration checks of :mod:`repro.core.sanitizer`; it
+        samples per draw unless ``sample_batch`` is given (or an adopted
+        program sets it).
     program:
         Existing :class:`CompiledProgram` to adopt (alternative to
         passing it as ``model``).  Must have been compiled for the same
@@ -1242,6 +1284,17 @@ class Simulator:
         verify_every: int | None = None,
         strict: bool = False,
     ) -> None:
+        if sanitize:
+            if engine not in ("auto", "sanitize"):
+                raise SimulationError(
+                    f"sanitize=True conflicts with engine={engine!r}"
+                )
+            engine = "sanitize"
+        if engine not in ("auto", "reference", "sanitize"):
+            raise SimulationError(
+                f"engine must be 'auto', 'reference', or 'sanitize', "
+                f"got {engine!r}"
+            )
         if isinstance(model, CompiledProgram):
             if program is not None and program is not model:
                 raise SimulationError(
@@ -1256,7 +1309,9 @@ class Simulator:
                     "program= was compiled for a different model object"
                 )
             if sample_batch is not _UNSET:
-                explicit = None if sample_batch is None else int(sample_batch)
+                explicit = _check_number(
+                    sample_batch, "sample_batch", low=1, optional=True
+                )
                 if explicit != program.sample_batch:
                     raise SimulationError(
                         f"sample_batch={sample_batch!r} conflicts with the "
@@ -1269,45 +1324,38 @@ class Simulator:
                 )
             self.program = program
         else:
+            if sample_batch is _UNSET:
+                # A sanitized run samples per draw unless told otherwise.
+                sample_batch = (
+                    None if engine == "sanitize" else DEFAULT_SAMPLE_BATCH
+                )
             self.program = CompiledProgram(
                 model,
-                sample_batch=(
-                    DEFAULT_SAMPLE_BATCH if sample_batch is _UNSET else sample_batch
-                ),
+                sample_batch=sample_batch,
                 batch_dynamic=(
                     False if batch_dynamic is _UNSET else bool(batch_dynamic)
                 ),
             )
         self.model = model
         self.base_seed = _check_seed(base_seed, "base_seed")
-        self.max_instant_chain = int(max_instant_chain)
-        if max_events is not None and int(max_events) < 1:
-            raise SimulationError(
-                f"max_events must be >= 1 or None, got {max_events}"
-            )
+        self.max_instant_chain = _check_number(
+            max_instant_chain, "max_instant_chain", low=0
+        )
+        self.max_events = _check_number(
+            max_events, "max_events", low=1, optional=True
+        )
+        max_wall_s = _check_number(
+            max_wall_s, "max_wall_s", integer=False, optional=True
+        )
         if max_wall_s is not None and not max_wall_s > 0.0:
             raise SimulationError(
                 f"max_wall_s must be positive or None, got {max_wall_s}"
             )
-        self.max_events = None if max_events is None else int(max_events)
         self.max_wall_s = None if max_wall_s is None else float(max_wall_s)
-        if sanitize:
-            if engine not in ("auto", "sanitize"):
-                raise SimulationError(
-                    f"sanitize=True conflicts with engine={engine!r}"
-                )
-            engine = "sanitize"
-        if engine not in ("auto", "reference", "sanitize"):
-            raise SimulationError(
-                f"engine must be 'auto', 'reference', or 'sanitize', "
-                f"got {engine!r}"
-            )
-        if verify_every is not None and int(verify_every) < 1:
-            raise SimulationError(
-                f"verify_every must be >= 1 or None, got {verify_every}"
-            )
+        self.verify_every = _check_number(
+            verify_every, "verify_every", low=1, optional=True
+        )
         self.engine = engine
-        self.verify_every = None if verify_every is None else int(verify_every)
         self.strict = bool(strict)
         self._run_counter = 0
         # Fast-path observability (see fastpath_report): which event loop
@@ -1447,20 +1495,21 @@ class Simulator:
             rewards, traces, warmup, until, self.program._n_acts, self._matching_ids
         )
 
-        if self.engine == "sanitize":
-            # Instrumented interpreting loop: shadow-tracks every place
-            # access and marking write and cross-checks declarations on
-            # every evaluation.  Dispatched before the compiled tables
-            # are built so that declarations the compiler would reject
-            # are reported as findings instead of raised.
-            from .sanitizer import sanitized_run
-
-            return sanitized_run(
-                self, obs, self._next_stream(seed, rng), stop_predicate, init_values
-            )
-
         p = self.program
         c = p.tables()
+        # engine="sanitize" is the reference loop plus the declaration
+        # checks of repro.core.sanitizer, swapped into the local tables
+        # below; "auto" alone takes the compiled loop.
+        sanitize = self.engine == "sanitize"
+        reference = self.engine != "auto"
+        if c.init_undeclared and not sanitize:
+            aid, slots = c.init_undeclared[0]
+            act = model.activities[aid]
+            names = sorted(n for n, s in act.index.items() if s in slots)
+            raise SimulationError(
+                f"activity {act.path!r} reads places outside its "
+                f"declared read set: {names}"
+            )
         if p._dep_journal:
             p._reset_discovered_deps()
         vector = c.vector
@@ -1480,9 +1529,11 @@ class Simulator:
         og_fns = c.og_fns
         case_tab = c.case_tab
         plain1 = c.plain1
-        reference = self.engine == "reference"
-        kernels = c.kernels if not reference else [None] * p._n_acts
-        case_kern = c.case_kern if not reference else [None] * p._n_acts
+        # The reference engine runs every effect through its Python
+        # functions; a sanitized run keeps the kernels to verify them.
+        with_kernels = self.engine != "reference"
+        kernels = c.kernels if with_kernels else [None] * p._n_acts
+        case_kern = c.case_kern if with_kernels else [None] * p._n_acts
         case_ok = p._case_verified
         samplers = c.samplers
         # Unwrapped BatchedSampler objects for the hot re-activation
@@ -1523,6 +1574,11 @@ class Simulator:
         # canonical order, so iteration order never leaks.
         inst_enabled: set[int] = set()
         stamp = [0] * n_acts  # epoch marks for dirty-list dedup
+        epoch = 0
+        heap: list[tuple[float, int, int, int]] = []  # (time, seq, aid, token)
+        seq = 0
+        now = 0.0
+        n_events = 0
         # declared activities' distribution callables are verified against
         # the declaration on their first evaluation; gate-write kernels
         # against their gate functions on their first completion.  Both
@@ -1531,6 +1587,38 @@ class Simulator:
         # change a trajectory.
         dyn_checked = p._dyn_verified
         kern_ok = p._kern_verified
+        # A sanitized run swaps the sanitizer's checking wrappers into
+        # the local tables.  Every activity then evaluates on the tracked
+        # path; a wrapper reports the reads a declared activity's
+        # filtered view records and drops them, so they never join the
+        # dependency map.  Kernels are verified on every completion
+        # (verify_every=1 below) against local flags: a sanitized run
+        # leaves the program's verification state as it found it.
+        checker = None
+        if sanitize:
+            from .sanitizer import DeclarationChecker
+
+            checker = DeclarationChecker(model, vector, lambda: (n_events, now))
+            preds = [checker.predicate(aid, fn) for aid, fn in enumerate(preds)]
+            dyn_dists = [
+                fn if fn is None else checker.distribution(aid, fn)
+                for aid, fn in enumerate(dyn_dists)
+            ]
+            declared = [False] * n_acts
+            kern_ok = [False] * n_acts
+            case_ok = [f if f is None else [False] * len(f) for f in case_ok]
+            for aid, slots in c.init_undeclared:
+                checker.undeclared_reads(
+                    act_paths[aid], "enabling predicate", slots
+                )
+
+        def fault(kind: str, subject: str, message: str) -> None:
+            """A model fault found mid-run: raised, or reported when
+            sanitizing."""
+            if checker is None:
+                raise SimulationError(message)
+            checker.violate(kind, subject, None, message)
+
         # Verified-kernel ops, fused with the verification flag: the
         # compiled loop tests one entry instead of two (kernels[aid] +
         # kern_ok).
@@ -1546,11 +1634,6 @@ class Simulator:
         # as python effects).
         n_kernel_effects = 0
         n_case_kernels = 0
-        epoch = 0
-        heap: list[tuple[float, int, int, int]] = []  # (time, seq, aid, token)
-        seq = 0
-        now = 0.0
-        n_events = 0
 
         # uniform block for case selection (batched mode only; kept as a
         # plain list so selections compare Python floats, not np scalars)
@@ -1609,8 +1692,10 @@ class Simulator:
         # path, the run continues — the verifier has already applied the
         # true writes, so the marking is consistent — and one
         # RuntimeWarning records the demotion.  ``strict=True`` re-raises
-        # the DeclarationError instead.
-        verify_every = self.verify_every
+        # the DeclarationError instead.  A sanitized run re-verifies every
+        # completion and reports its findings (see _verify_branch), so it
+        # never raises and never quarantines.
+        verify_every = 1 if sanitize else self.verify_every
         has_verify = verify_every is not None
         quarantine = has_verify and not self.strict
         verify_left = verify_every if has_verify else 0
@@ -1653,6 +1738,7 @@ class Simulator:
         # re-calling the Python expression after settlement.  The
         # reference engine never compiles forms — it keeps the tracked
         # observer path, which is the differential oracle for this layer.
+        # A sanitized run resolves the forms but only to check them.
         form_compiled = [
             r.form is not None and not reference for r in rate_rewards
         ]
@@ -1682,7 +1768,7 @@ class Simulator:
             return next(iter(matches.values()))
 
         for i, r in enumerate(rate_rewards):
-            if not form_compiled[i]:
+            if r.form is None or self.engine == "reference":
                 continue
             f = r.form
             terms = tuple(
@@ -1700,6 +1786,8 @@ class Simulator:
             form_guards[i] = tuple(guards)
             form_base[i] = f.base
             form_terms[i] = terms
+            if not form_compiled[i]:
+                continue
             form_gstate[i] = [False] * len(guards)
             relevant: dict[int, None] = {}
             for _cmp_fn, _gv, sa, sb in guards:
@@ -1726,6 +1814,14 @@ class Simulator:
         self.last_python_refresh_rewards = sorted(
             r.name for i, r in enumerate(rate_rewards) if not form_compiled[i]
         )
+        if sanitize:
+            # Every reward evaluates on the tracked path through its
+            # checking wrapper (read, form and finiteness checks).
+            rate_fns = [
+                checker.reward(r, form_guards[i], form_base[i], form_terms[i])
+                for i, r in enumerate(rate_rewards)
+            ]
+            rate_declared = [False] * n_rates
 
         def apply_forms(slot: int) -> None:
             """Refresh every form-compiled reward that reads ``slot``.
@@ -1944,6 +2040,8 @@ class Simulator:
         def fire_cases(aid: int, view: LocalView, ct) -> None:
             """Select and execute one case (consumes exactly one uniform)."""
             nonlocal u_buf, u_pos
+            if checker is not None:
+                checker.checks["case_selections"] += 1
             if u_batch is None:
                 u = rng_uniform()
             else:
@@ -1964,9 +2062,11 @@ class Simulator:
                 probs = [case.probability_in(view) for case in cases]
                 total = sum(probs)
                 if not (abs(total - 1.0) <= 1e-9):
-                    raise SimulationError(
+                    fault(
+                        "case-sum",
+                        act_paths[aid],
                         f"activity {act_paths[aid]!r}: case "
-                        f"probabilities sum to {total} at completion"
+                        f"probabilities sum to {total} at completion",
                     )
                 acc = 0.0
                 chosen_case = cases[-1]
@@ -1990,12 +2090,18 @@ class Simulator:
 
             ``changed`` is empty at completion time (the previous event
             drained it), so after the functions run it holds precisely
-            this firing's writes.
+            this firing's writes.  A sanitized run reports the findings
+            instead of raising, and hands the functions a recording rng
+            proxy that passes draws through, so its stream stays the
+            reference loop's.
             """
             pre = [values[slot] for slot, _a, _v, _d in ops]
             view = views[aid]
+            effect_rng = (
+                _RNG_GUARD if checker is None else checker.effect_rng(rng)
+            )
             for fn in fns:
-                fn(view, _RNG_GUARD)
+                fn(view, effect_rng)
             predicted: dict[int, int] = {}
             for (slot, is_add, amount, _dl), p0 in zip(ops, pre):
                 cur = predicted.get(slot, p0)
@@ -2004,7 +2110,9 @@ class Simulator:
             wrong = [
                 s for s, v in predicted.items() if values[s] != v or v < 0
             ]
-            if undeclared or wrong:
+            if checker is not None:
+                checker.writes(aid, effect_rng, undeclared, wrong, predicted)
+            elif undeclared or wrong:
                 parts = []
                 if undeclared:
                     parts.append(
@@ -2334,20 +2442,14 @@ class Simulator:
                 # the declared form disagrees with the reward function,
                 # so the incremental updates would silently diverge.
                 gstate = form_gstate[i]
-                viol = 0
                 for gj, (gcmp, gv, sa, sb) in enumerate(form_guards[i]):
-                    nv = not gcmp(
+                    gstate[gj] = not gcmp(
                         values[sa] if sb < 0 else values[sa] - values[sb], gv
                     )
-                    gstate[gj] = nv
-                    viol += nv
-                form_viol[i] = viol
-                if viol:
-                    kval = 0.0
-                else:
-                    kval = form_base[i]
-                    for ts_, tc, td in form_terms[i]:
-                        kval += tc * values[ts_] / td
+                form_viol[i] = sum(gstate)
+                kval = _form_value(
+                    values, form_guards[i], form_base[i], form_terms[i]
+                )
                 if kval != fn_val:
                     raise SimulationError(
                         f"rate reward {rate_rewards[i].name!r}: declared "
@@ -2393,7 +2495,7 @@ class Simulator:
         has_tracked_obs = any(
             l is not None for l in rate_obs
         ) or any(l is not None for l in btrace_obs)
-        self.last_loop = "reference" if reference else "observed"
+        self.last_loop = self.engine if reference else "observed"
         if reference:
             # General un-specialized loop: every feature, no inlining.
             # This is the oracle the compiled loop below is
@@ -2441,7 +2543,10 @@ class Simulator:
                 changed.clear()
                 settle(dirty)
 
-                # Refresh rate rewards / binary traces whose inputs changed.
+                # Refresh rate rewards / binary traces whose inputs
+                # changed; a sanitized run checks every rate reward.
+                if sanitize:
+                    touched_r[:] = rate_range
                 if touched_r:
                     for i in touched_r:
                         rate_values[i] = eval_rate(i)
@@ -2808,17 +2913,26 @@ class Simulator:
         # Once per run, not per event — free on the hot path.
         for r, acc in zip(rate_rewards, rate_integrals):
             if not math.isfinite(acc):
-                raise SimulationError(
+                fault(
+                    "non-finite-reward",
+                    r.name,
                     f"rate reward {r.name!r} accumulated a "
                     f"non-finite integral ({acc!r}); the reward expression "
-                    "produced NaN or inf during the run"
+                    "produced NaN or inf during the run",
                 )
         for r in obs.impulse_rewards:
             _isum = obs.results[r.name].impulse_sum
             if not math.isfinite(_isum):
-                raise SimulationError(
+                fault(
+                    "non-finite-reward",
+                    r.name,
                     f"impulse reward {r.name!r} accumulated a non-finite "
                     f"sum ({_isum!r}); an impulse value evaluated to NaN "
-                    "or inf during the run"
+                    "or inf during the run",
                 )
-        return obs.result(model, values, n_events, end_time, stopped_early, probe_pos)
+        report = None
+        if checker is not None:
+            report = checker.finish(n_events, end_time, self.strict)
+        return obs.result(
+            model, values, n_events, end_time, stopped_early, probe_pos, report
+        )

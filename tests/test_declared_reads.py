@@ -5,8 +5,8 @@ wired into the slot → activity dependency map at compile time and its
 predicate runs with read tracking skipped.  The contract under test:
 
 * a declared model's trajectory is **bit-identical** to its tracked twin
-  (same SAN without declarations) on both the specialized and the
-  reference engine — Hypothesis sweeps random topologies, rates and
+  (same SAN without declarations) on the specialized, the reference and
+  the sanitizing engine — Hypothesis sweeps random topologies, rates and
   seeds;
 * declarations compose with every activity flavour: instants,
   ``reactivate=True``, and marking-dependent distributions;
@@ -128,16 +128,23 @@ def _rewards():
     ]
 
 
-@given(fleet_params, st.sampled_from(["auto", "reference"]))
+@given(fleet_params, st.sampled_from(["auto", "reference", "sanitize"]))
 @settings(max_examples=25, deadline=None)
 def test_declared_equals_tracked_bitwise(params, engine):
-    """timed(..., reads=...) == tracked path, bit for bit, both engines."""
+    """timed(..., reads=...) == tracked path, bit for bit, every engine.
+
+    Under ``engine="sanitize"`` both twins must also come back clean:
+    the declarations, the marking-dependent law's included, are true.
+    """
     n_units, fail_rate, repair_mean, threshold, seed = params
     runs = {}
     for declare in (False, True):
         model = build_fleet(n_units, fail_rate, repair_mean, threshold, declare)
         sim = Simulator(model, base_seed=seed, engine=engine)
         runs[declare] = sim.run(150.0, rewards=_rewards())
+        if engine == "sanitize":
+            report = runs[declare].sanitizer_report
+            assert report.ok, report.format()
     tracked, declared = runs[False], runs[True]
     assert declared.n_events == tracked.n_events
     assert declared._final_values == tracked._final_values

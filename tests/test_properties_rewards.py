@@ -15,7 +15,9 @@ Cross-checks beyond the engine-vs-engine differential:
 * probe values equal the trace value at the probed instant;
 * windowed impulse counts equal the event-trace events in the window;
 * declared read sets produce the same accumulators as tracked discovery,
-  and undeclared reads fail loudly.
+  and undeclared reads fail loudly;
+* with per-draw sampling, ``engine="sanitize"`` reproduces the reference
+  run bit for bit and reports no violation.
 """
 
 from __future__ import annotations
@@ -166,17 +168,24 @@ observer_params = st.tuples(
 
 
 def run_pair(model, observers_factory, seed, sample_batch, **run_kwargs):
-    """Run the same configuration under both engines."""
-    out = []
-    for engine in ("auto", "reference"):
+    """Run the same configuration under both engines.
+
+    Per-draw configurations also run ``engine="sanitize"``, which must
+    reproduce the reference run bit for bit with a clean report.
+    """
+    out = {}
+    engines = ("auto", "reference") + (("sanitize",) if sample_batch is None else ())
+    for engine in engines:
         rewards, traces = observers_factory()
         sim = Simulator(
             model, base_seed=seed, sample_batch=sample_batch, engine=engine
         )
-        out.append(
-            sim.run(200.0, rewards=rewards, traces=traces, **run_kwargs)
-        )
-    return out
+        out[engine] = sim.run(200.0, rewards=rewards, traces=traces, **run_kwargs)
+    if "sanitize" in out:
+        sanitized = out["sanitize"]
+        assert sanitized.sanitizer_report.ok, sanitized.sanitizer_report.format()
+        assert reward_fingerprint(sanitized) == reward_fingerprint(out["reference"])
+    return out["auto"], out["reference"]
 
 
 @given(fleet_params, observer_params)

@@ -32,6 +32,7 @@ from repro.cfs import ClusterModel, StorageModel
 from repro.cfs.parameters import abe_parameters, petascale_parameters
 from repro.core import (
     BinaryTrace,
+    CompiledProgram,
     DeclarationError,
     EventTrace,
     Exponential,
@@ -46,7 +47,13 @@ from repro.core import (
     lint_model,
 )
 
-from _mutants import _machine, _m_wrong_add_amount, run_sanitize
+from _mutants import (
+    _m_initial_undeclared_read,
+    _m_unresolved_read,
+    _m_wrong_add_amount,
+    _machine,
+    run_sanitize,
+)
 
 
 def assert_runs_identical(a, b):
@@ -84,13 +91,22 @@ class TestBitIdentity:
     def test_machine_differential(self):
         san, _ = _machine(), None
         model = flatten(san)
-        reward = RateReward("avail", lambda m: float(m["m/up"]))
+        rewards = (
+            RateReward("avail", lambda m: float(m["m/up"])),
+            RateReward("repairs", lambda m: float(m["m/count"])),
+        )
         for seed in (0, 11, 404):
-            got = _sanitize_sim(model, seed).run(3000.0, rewards=(reward,))
-            want = _reference_sim(model, seed).run(3000.0, rewards=(reward,))
+            got = _sanitize_sim(model, seed).run(3000.0, rewards=rewards)
+            want = _reference_sim(model, seed).run(3000.0, rewards=rewards)
             assert_runs_identical(got, want)
             assert got.sanitizer_report is not None
             assert got.sanitizer_report.ok
+            # Both activities are gate-write kernels: every completion is
+            # verified, and each reward is checked at t=0 and after every
+            # event, not only after the events that change its places.
+            checks = got.sanitizer_report.checks
+            assert checks["write_checks"] == got.n_events
+            assert checks["reward_evals"] == 2 * (got.n_events + 1)
 
     def test_warmup_stop_and_restart(self):
         model = flatten(_machine())
@@ -189,6 +205,67 @@ class TestBitIdentity:
         got = _sanitize_sim(storage.model, seed=96).run(4000.0)
         want = _reference_sim(storage.model, seed=96).run(4000.0)
         assert_runs_identical(got, want)
+
+
+class TestSharedProgram:
+    """A sanitized run leaves a shared CompiledProgram as it found it:
+    its checks use local verification flags and never touch the
+    program's kernels, memos or dependency map."""
+
+    @staticmethod
+    def _sanitize(program, hours=2000.0):
+        sim = Simulator(program, base_seed=7, engine="sanitize")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return sim.run(hours).sanitizer_report
+
+    def test_sanitize_then_auto_equals_fresh_auto(self):
+        model = flatten(_machine())
+        reward = RateReward("avail", lambda m: float(m["m/up"]))
+        shared = CompiledProgram(model)
+        before = shared.fastpath_report()
+        assert self._sanitize(shared).ok
+        assert shared.fastpath_report() == before
+        got = Simulator(shared, base_seed=7).run(3000.0, rewards=(reward,))
+        want = Simulator(CompiledProgram(model), base_seed=7).run(
+            3000.0, rewards=(reward,)
+        )
+        assert_runs_identical(got, want)
+
+    def test_wrong_kernel_stays_unverified_and_unquarantined(self):
+        san, _ = _m_wrong_add_amount(True)
+        shared = CompiledProgram(flatten(san))
+        before = shared.fastpath_report()
+        report = self._sanitize(shared)
+        assert "write-mismatch" in {v.kind for v in report.violations}
+        assert shared.fastpath_report() == before
+        with pytest.raises(DeclarationError, match="m/repair"):
+            Simulator(shared, base_seed=7).run(400.0)
+
+    def test_initial_undeclared_read_raises_at_auto_run_entry(self):
+        san, _ = _m_initial_undeclared_read(True)
+        shared = CompiledProgram(flatten(san))
+        report = self._sanitize(shared, hours=400.0)
+        first = [v for v in report.violations if v.kind == "undeclared-read"]
+        assert first and first[0].place == "m/count"
+        assert (first[0].event_index, first[0].sim_time) == (0, 0.0)
+        # The undeclared read was reported, never wired as a dependency.
+        fresh = CompiledProgram(shared.model)
+        fresh.tables()
+        assert shared._act_deps == fresh._act_deps
+        sim = Simulator(shared, base_seed=7)
+        with pytest.raises(SimulationError, match="count") as info:
+            sim.run(400.0)
+        assert "outside its declared read set" in str(info.value)
+        # Rejected at run entry: the stream index stayed unused.
+        assert sim._run_counter == 0
+
+    def test_unresolved_read_raises_under_sanitize(self):
+        san, _ = _m_unresolved_read(True)
+        sim = Simulator(flatten(san), base_seed=7, engine="sanitize")
+        with pytest.raises(SimulationError, match="'ghost'"):
+            sim.run(400.0)
+        assert sim._run_counter == 0
 
 
 class TestReportAndStrict:

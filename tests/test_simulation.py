@@ -378,7 +378,48 @@ _REJECTED_CALLS = {
         dict(initial_marking=[-1]),
         "initial_marking entries must be >= 0",
     ),
+    "marking-float": (
+        dict(initial_marking=[1.5]),
+        "initial_marking[0] must be an integer, got 1.5",
+    ),
+    "marking-string": (
+        dict(initial_marking=["1"]),
+        "initial_marking[0] must be an integer, got '1'",
+    ),
+    "marking-nan": (
+        dict(initial_marking=[math.nan]),
+        "initial_marking[0] must be an integer, got nan",
+    ),
+    "marking-inf": (
+        dict(initial_marking=[math.inf]),
+        "initial_marking[0] must be an integer, got inf",
+    ),
+    "marking-none": (
+        dict(initial_marking=[None]),
+        "initial_marking[0] must be an integer, got None",
+    ),
+    "warmup-string": (
+        dict(warmup="1"),
+        "warmup must be a number, got '1'",
+    ),
 }
+
+#: Simulator arguments that must be integers (or, for ``max_wall_s``, a
+#: number), each with values that used to be truncated or to escape as
+#: a bare TypeError/ValueError.
+_REJECTED_ARGS = [
+    ("max_events", 1.5),
+    ("max_events", math.nan),
+    ("max_events", "x"),
+    ("verify_every", 2.5),
+    ("verify_every", math.nan),
+    ("sample_batch", 2.5),
+    ("sample_batch", math.nan),
+    ("max_instant_chain", 0.5),
+    ("max_instant_chain", -1),
+    ("max_instant_chain", None),
+    ("max_wall_s", "x"),
+]
 
 
 class TestSharedRunWiring:
@@ -425,6 +466,35 @@ class TestRunEntryValidation:
         with pytest.raises(SimulationError, match="seed") as info:
             sim.run(10.0, seed=bad)
         assert repr(bad) in str(info.value)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_non_number_until_rejected(self, two_state_model, engine):
+        sim = Simulator(two_state_model, base_seed=5, engine=engine)
+        with pytest.raises(SimulationError) as info:
+            sim.run("10")
+        assert str(info.value) == "until must be a number, got '10'"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("name, bad", _REJECTED_ARGS)
+    def test_bad_argument_rejected_at_construction(
+        self, two_state_model, engine, name, bad
+    ):
+        with pytest.raises(SimulationError) as info:
+            Simulator(two_state_model, engine=engine, **{name: bad})
+        assert type(info.value) is SimulationError
+        assert str(info.value).startswith(f"{name} must be ")
+        assert str(info.value).endswith(f"got {bad!r}")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_numpy_integer_arguments_pass(self, two_state_model, engine):
+        kw = dict(max_events=10**6, verify_every=3, max_instant_chain=50)
+        want = Simulator(two_state_model, base_seed=3, engine=engine, **kw)
+        np_kw = {k: np.int64(v) for k, v in kw.items()}
+        got = Simulator(two_state_model, base_seed=3, engine=engine, **np_kw)
+        assert {k: getattr(got, k) for k in kw} == kw
+        a = got.run(500.0, initial_marking=[np.int64(1)])
+        b = want.run(500.0, initial_marking=[1])
+        assert (a.n_events, a.final_marking) == (b.n_events, b.final_marking)
 
     def test_numpy_integer_seeds_pass(self, two_state_model):
         want = Simulator(two_state_model, base_seed=3).run(500.0)
