@@ -47,7 +47,8 @@ def bench_abe_sweep_cell_serial(benchmark):
 
 
 def bench_abe_sweep_cell_parallel(benchmark):
-    """Same sweep cell through the process pool (spec-mode workers).
+    """Same sweep cell through the process pool (forked workers read the
+    parent's compiled setup; without fork they rebuild from the spec).
 
     Asserts bit-identity with serial execution; the serial/parallel OPS
     ratio in the benchmark table is the replication-scaling speedup

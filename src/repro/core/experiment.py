@@ -4,7 +4,11 @@ The paper reports every simulation result "at 95% confidence level, with
 intervals".  This module provides that workflow: run ``n`` independent
 replications (independent RNG streams from the seed tree), collect one
 scalar per metric per replication, and summarize with Student-t confidence
-intervals.
+intervals.  A study runs in rounds (one round of ``n``, or a
+:class:`~repro.core.stopping.StoppingRule`'s schedule), and each round is
+either a serial ``Simulator.run`` loop or one pooled batch
+(:mod:`repro.core.parallel`); replication ``k`` draws stream ``k`` either
+way, so the samples do not depend on how the rounds ran.
 """
 
 from __future__ import annotations
@@ -17,8 +21,10 @@ import numpy as np
 from scipy import special
 
 from .errors import SimulationError
+from .parallel import ReplicationSetup, resolve_n_jobs, run_replications_parallel
 from .rewards import ImpulseReward, RateReward
-from .simulation import RunResult, Simulator
+from .simulation import RunResult, Simulator, _check_number
+from .stopping import _check_confidence, _run_rounds
 from .trace import BinaryTrace, EventTrace
 
 __all__ = [
@@ -51,6 +57,7 @@ class Estimate:
         With a single sample the half-width is infinite (no variance
         information); with identical samples it is zero.
         """
+        confidence = _check_confidence(confidence)
         arr = np.asarray(samples, dtype=float)
         if arr.size == 0:
             raise SimulationError("cannot build an estimate from zero samples")
@@ -195,7 +202,6 @@ def replicate_runs(
     spec: "ReplicationSpec | None" = None,
     retry: "RetryPolicy | None" = None,
     chaos: "ChaosPolicy | None" = None,
-    serial_fallback: bool = True,
     stopping: "StoppingRule | None" = None,
 ) -> ExperimentResult:
     """Run independent replications and summarize metrics with CIs.
@@ -217,6 +223,8 @@ def replicate_runs(
         caller wants to keep them; ``on_result`` receives each run).
     extra_metrics:
         Additional ``name -> f(RunResult)`` scalars to collect.
+    confidence:
+        CI level, strictly between 0 and 1.
     on_result:
         Callback invoked with ``(replication_index, RunResult)``, useful for
         harvesting traces or logging progress.  Serial mode only.
@@ -229,13 +237,12 @@ def replicate_runs(
         workers rebuild the model from a picklable recipe (required on
         platforms without the ``fork`` start method; it must describe the
         same study as ``simulator``/``rewards``).
-    retry / chaos / serial_fallback:
+    retry / chaos:
         Supervision knobs for parallel execution (see
         :mod:`repro.core.resilience` and
         :func:`~repro.core.parallel.run_replications_parallel`): retry
-        policy with per-attempt timeouts, deterministic fault injection
-        (``None`` honors ``REPRO_CHAOS``), and graceful degradation to
-        serial execution when pools are unavailable.  Worker-crash
+        policy with per-attempt timeouts and deterministic fault
+        injection (``None`` honors ``REPRO_CHAOS``).  Worker-crash
         recovery re-executes only incomplete replications and is
         bit-identical to an uninterrupted run.  Serial execution
         (``n_jobs=1``) runs unsupervised.
@@ -252,107 +259,10 @@ def replicate_runs(
         runs exactly ``n_replications`` replications, byte-identical to
         previous releases.
     """
-    if n_replications < 1:
-        raise SimulationError(f"n_replications must be >= 1, got {n_replications}")
+    n_replications = _check_number(n_replications, "n_replications", low=1)
+    confidence = _check_confidence(confidence)
     metrics = build_metrics(rewards, extra_metrics)
-
-    from .parallel import (
-        ReplicationSetup,
-        resolve_n_jobs,
-        run_replications_parallel,
-    )
-
     jobs = resolve_n_jobs(n_jobs)
-    if stopping is not None:
-        return _replicate_adaptive(
-            simulator,
-            until,
-            cap=n_replications,
-            warmup=warmup,
-            rewards=rewards,
-            traces_factory=traces_factory,
-            extra_metrics=extra_metrics,
-            metrics=metrics,
-            confidence=confidence,
-            on_result=on_result,
-            jobs=jobs,
-            spec=spec,
-            retry=retry,
-            chaos=chaos,
-            serial_fallback=serial_fallback,
-            stopping=stopping,
-        )
-    if jobs > 1:
-        if on_result is not None:
-            raise SimulationError(
-                "on_result callbacks require serial execution (n_jobs=1): "
-                "RunResult objects do not cross process boundaries"
-            )
-        # The live setup always rides along: without a spec it is the
-        # fork-inherited worker bootstrap; with one it pre-seeds the
-        # per-process setup cache so forked workers reuse this
-        # already-compiled program instead of rebuilding from the spec.
-        setup = ReplicationSetup(simulator, rewards, traces_factory, extra_metrics)
-        samples = run_replications_parallel(
-            until=until,
-            warmup=warmup,
-            base_seed=simulator.base_seed,
-            counter_base=simulator._run_counter,
-            n_replications=n_replications,
-            n_jobs=jobs,
-            spec=spec,
-            setup=setup,
-            retry=retry,
-            chaos=chaos,
-            serial_fallback=serial_fallback,
-        )
-        # Keep the local counter in step so a later serial call continues
-        # exactly where a serial-only sequence would have.
-        simulator._run_counter += n_replications
-        return ExperimentResult(samples, until, warmup, confidence)
-
-    samples = {name: [] for name in metrics}
-    for k in range(n_replications):
-        traces = tuple(traces_factory()) if traces_factory is not None else ()
-        result = simulator.run(
-            until, warmup=warmup, rewards=rewards, traces=traces
-        )
-        for name, fn in metrics.items():
-            samples[name].append(float(fn(result)))
-        if on_result is not None:
-            on_result(k, result)
-    return ExperimentResult(samples, until, warmup, confidence)
-
-
-def _replicate_adaptive(
-    simulator: Simulator,
-    until: float,
-    *,
-    cap: int,
-    warmup: float,
-    rewards,
-    traces_factory,
-    extra_metrics,
-    metrics: Mapping[str, MetricFn],
-    confidence: float,
-    on_result,
-    jobs: int,
-    spec,
-    retry,
-    chaos,
-    serial_fallback: bool,
-    stopping,
-) -> ExperimentResult:
-    """Sequential-stopping body of :func:`replicate_runs`.
-
-    Rounds follow the rule's deterministic schedule
-    (:meth:`~repro.core.stopping.StoppingRule.next_round`); the decision
-    after each round sees exactly the per-metric sample prefix a serial
-    run would have, so serial, pooled, and resumed executions stop at
-    the same replication count with float-identical samples.
-    """
-    from .parallel import ReplicationSetup, run_replications_adaptive
-
     if jobs > 1:
         if on_result is not None:
             raise SimulationError(
@@ -360,41 +270,38 @@ def _replicate_adaptive(
                 "RunResult objects do not cross process boundaries"
             )
         setup = ReplicationSetup(simulator, rewards, traces_factory, extra_metrics)
-        samples, n_done = run_replications_adaptive(
-            until=until,
-            warmup=warmup,
-            base_seed=simulator.base_seed,
-            counter_base=simulator._run_counter,
-            max_replications=cap,
-            n_jobs=jobs,
-            stopping=stopping,
-            spec=spec,
-            setup=setup,
-            retry=retry,
-            chaos=chaos,
-            serial_fallback=serial_fallback,
-        )
-        simulator._run_counter += n_done
-        return ExperimentResult(samples, until, warmup, confidence)
-
     samples = {name: [] for name in metrics}
-    n_done = 0
-    while True:
-        round_n = stopping.next_round(n_done, cap)
-        if round_n == 0:
-            break
-        for _ in range(round_n):
-            traces = (
-                tuple(traces_factory()) if traces_factory is not None else ()
+    counter0 = simulator._run_counter
+
+    def run_round(k0: int, count: int) -> None:
+        if jobs > 1:
+            batch = run_replications_parallel(
+                until=until,
+                warmup=warmup,
+                base_seed=simulator.base_seed,
+                counter_base=counter0 + k0,
+                n_replications=count,
+                n_jobs=jobs,
+                spec=spec,
+                setup=setup,
+                retry=retry,
+                chaos=chaos,
             )
+            # Keep the local counter in step so a later serial call
+            # continues exactly where a serial-only sequence would have.
+            simulator._run_counter = counter0 + k0 + count
+            for name, values in batch.items():
+                samples[name].extend(values)
+            return
+        for k in range(k0, k0 + count):
+            traces = tuple(traces_factory()) if traces_factory is not None else ()
             result = simulator.run(
                 until, warmup=warmup, rewards=rewards, traces=traces
             )
             for name, fn in metrics.items():
                 samples[name].append(float(fn(result)))
             if on_result is not None:
-                on_result(n_done, result)
-            n_done += 1
-        if stopping.satisfied(samples):
-            break
+                on_result(k, result)
+
+    _run_rounds(run_round, n_replications, stopping, lambda: samples)
     return ExperimentResult(samples, until, warmup, confidence)

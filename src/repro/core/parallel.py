@@ -7,36 +7,36 @@ order* replications execute.  This module exploits that with a
 :class:`concurrent.futures.ProcessPoolExecutor`: stream ``k`` is always
 assigned to replication ``k`` regardless of worker scheduling, which
 makes the per-metric sample lists **bit-identical to serial execution
-for any number of jobs**.
+for any number of jobs**.  RESTART root trees
+(:func:`repro.experiments.rare.splitting_probability`) are independent
+by index in the same way, and both kinds of study reach the pool
+through one chunked, supervised dispatch (:func:`_run_chunked`).
 
-Two ways to get a model into the workers:
+Workers get the study's setup one way per start method:
 
-* **Spec mode** — pass a :class:`ReplicationSpec` naming a module-level
-  factory plus picklable arguments; each worker process rebuilds the
-  simulator/rewards/metrics once from the spec (works with any process
-  start method).  :meth:`repro.cfs.cluster.ClusterModel.replication_spec`
-  is the canonical example.
-* **Inherit mode** — no spec: the parent's simulator, reward objects and
-  metric closures are handed to workers through ``fork`` copy-on-write
-  memory (gate functions and reward lambdas are not picklable, so this
-  is the only way to parallelize an ad-hoc model).  Requires a platform
-  with the ``fork`` start method (Linux, macOS with default disabled —
-  a :class:`~repro.core.errors.SimulationError` explains the fallback).
+* **fork** — the parent stores its live :class:`ReplicationSetup` (the
+  simulator it already compiled, its reward objects and metric
+  closures) in a module global before the pool forks, and the workers
+  read it through copy-on-write memory.  Nothing is rebuilt or pickled,
+  so this also parallelizes ad-hoc models whose gate functions and
+  reward lambdas cannot be pickled.
+* **no fork** — a :class:`ReplicationSpec` (a module-level factory plus
+  picklable arguments) makes each worker rebuild the setup once, through
+  :func:`build_setup_cached`;
+  :meth:`repro.cfs.cluster.ClusterModel.replication_spec` is the
+  canonical example.  Without a spec the study runs serially
+  in-process, after a once-per-process :class:`RuntimeWarning`.
 
-Either way, a built setup is **reused, never rebuilt**, within one
-process: :func:`build_setup_cached` keeps a small per-process LRU of
-setups keyed by their spec, so repeated pools, sweep cells and nested
-replication pools pay model construction + table compilation once per
-process (compile-once/replicate-many, see ``docs/performance.md``
-Layer 6).  Reuse is bit-identical to fresh construction: a cache hit
-resets the simulator's stream counter
+A built setup is **reused, never rebuilt**, within one process:
+:func:`build_setup_cached` keeps a small per-process LRU of setups keyed
+by their spec, so the sweep cells one worker executes and the spawned
+workers of repeated pools pay model construction + table compilation
+once per process (compile-once/replicate-many, see
+``docs/performance.md`` Layer 6).  Reuse is bit-identical to fresh
+construction: a cache hit resets the simulator's stream counter
 (:meth:`~repro.core.simulation.Simulator.reset_streams`), and every
 other carry-over (verification flags, predicate memos, discovered
-dependencies) is trajectory-neutral by the engine's contracts.  With
-the ``fork`` start method the parent additionally *seeds* the cache
-with its own already-built setup before a spec-mode pool forks, so the
-workers inherit the compiled program through copy-on-write memory and
-skip the rebuild entirely.
+dependencies) is trajectory-neutral by the engine's contracts.
 
 Use via :func:`repro.core.experiment.replicate_runs` with ``n_jobs``.
 """
@@ -54,6 +54,7 @@ from typing import Callable, Mapping, Sequence
 from .errors import SimulationError
 from .resilience import ChaosPolicy, RetryPolicy, run_tasks_supervised
 from .rng import make_generator
+from .simulation import _check_number
 
 __all__ = [
     "ReplicationSetup",
@@ -61,7 +62,6 @@ __all__ = [
     "build_setup_cached",
     "pool_context",
     "resolve_n_jobs",
-    "run_replications_adaptive",
     "run_replications_parallel",
 ]
 
@@ -101,8 +101,8 @@ class ReplicationSpec:
 
     ``factory`` must be an importable module-level callable returning a
     :class:`ReplicationSetup`; ``args``/``kwargs`` must be picklable.
-    Each worker process calls ``factory(*args, **kwargs)`` exactly once
-    and reuses the result for all replications it executes.
+    A worker started without ``fork`` calls ``factory(*args, **kwargs)``
+    exactly once and reuses the result for all replications it executes.
     """
 
     factory: Callable[..., ReplicationSetup]
@@ -122,9 +122,9 @@ class ReplicationSpec:
 
 def resolve_n_jobs(n_jobs: int | None) -> int:
     """Normalize an ``n_jobs`` request (``None``/1 serial, -1 = all cores)."""
-    if n_jobs is None:
+    n = _check_number(n_jobs, "n_jobs", optional=True)
+    if n is None:
         return 1
-    n = int(n_jobs)
     if n == -1:
         return max(os.cpu_count() or 1, 1)
     if n < 1:
@@ -137,9 +137,8 @@ def resolve_n_jobs(n_jobs: int | None) -> int:
 # ----------------------------------------------------------------------
 # Small LRU of built setups keyed by their pickled spec.  Lives at module
 # level so it survives across pools within one process (sweep workers
-# execute many cells), and so ``fork`` children inherit a parent-seeded
-# entry through copy-on-write memory.  Bounded: petascale setups hold a
-# ~12k-place compiled program each.
+# execute many cells).  Bounded: petascale setups hold a ~12k-place
+# compiled program each.
 _SETUP_CACHE: OrderedDict[bytes, tuple[ReplicationSetup, dict]] = OrderedDict()
 _SETUP_CACHE_MAX = 4
 
@@ -182,73 +181,56 @@ def build_setup_cached(
     return entry
 
 
-def _seed_setup_cache(spec: ReplicationSpec, setup: ReplicationSetup) -> bytes | None:
-    """Pre-seed the cache with the parent's live setup before forking.
-
-    Returns the key to drop afterwards (the entry borrows the caller's
-    simulator, so it must not outlive the pool in the parent), or
-    ``None`` when the spec was already cached.
-    """
-    key = _spec_key(spec)
-    if key in _SETUP_CACHE:
-        return None
-    _SETUP_CACHE[key] = (setup, setup.metrics())
-    return key
-
-
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-# In spec mode the initializer builds the setup from the pickled spec
-# (through the per-process cache, which a forked child may inherit
-# pre-seeded); in inherit mode the parent stores it here *before*
-# forking the pool, and the child reads the copy-on-write global.
+# The parent stores the study's live setup here before the pool starts:
+# forked workers read it through copy-on-write memory, and chunks run
+# in-process read it directly.  A spawned worker starts with None and
+# rebuilds the setup from the spec.
 _WORKER_SETUP: ReplicationSetup | None = None
-_WORKER_METRICS: dict[str, Callable] | None = None
 
 
 def _init_worker(spec: ReplicationSpec | None) -> None:
-    global _WORKER_SETUP, _WORKER_METRICS
-    if spec is not None:
-        _WORKER_SETUP, _WORKER_METRICS = build_setup_cached(spec)
-        return
-    if _WORKER_SETUP is None:  # pragma: no cover - defensive
-        raise SimulationError(
-            "worker has no replication setup (no spec given and nothing "
-            "inherited via fork)"
-        )
-    _WORKER_METRICS = _WORKER_SETUP.metrics()
+    global _WORKER_SETUP
+    if _WORKER_SETUP is None:
+        _WORKER_SETUP = build_setup_cached(spec)[0]
 
 
-def _run_one(task: tuple) -> tuple[int, dict[str, float]]:
-    """Execute replication ``k`` on stream ``(base_seed, 'run', k)``."""
-    base_seed, until, warmup, k = task
-    setup = _WORKER_SETUP
-    metrics = _WORKER_METRICS
-    sim = setup.simulator
-    rng = make_generator(base_seed, "run", k)
-    traces = (
-        tuple(setup.traces_factory())
-        if setup.traces_factory is not None
-        else ()
-    )
-    result = sim.run(
-        until, warmup=warmup, rewards=setup.rewards, traces=traces, rng=rng
-    )
-    return k, {name: float(fn(result)) for name, fn in metrics.items()}
+def _run_chunk(payload: tuple) -> list:
+    """Execute one contiguous chunk of a study in this worker.
 
-
-def _run_chunk(payload: tuple) -> list[tuple[int, dict[str, float]]]:
-    """Execute one contiguous chunk of replications in this worker.
-
-    A chunk is the supervised unit of work: the RNG stream of each
-    replication is derived positionally from its index ``k``, never from
+    A chunk is the supervised unit of work: the RNG streams of each
+    item are derived positionally from its index ``k``, never from
     execution history, so a chunk rerun after a worker crash — in a
     rebuilt pool or serially in the parent — reproduces exactly the
-    samples the uninterrupted run would have produced.
+    items the uninterrupted run would have produced.
     """
-    base_seed, until, warmup, ks = payload
-    return [_run_one((base_seed, until, warmup, k)) for k in ks]
+    fn, args, ks = payload
+    return fn(_WORKER_SETUP, ks, *args)
+
+
+def _replication_chunk(setup, ks, base_seed, until, warmup) -> list:
+    """Replications ``ks``, replication ``k`` on stream ``(base_seed,
+    'run', k)``: one ``{metric: value}`` dict each."""
+    sim = setup.simulator
+    metrics = setup.metrics()
+    out = []
+    for k in ks:
+        traces = (
+            tuple(setup.traces_factory())
+            if setup.traces_factory is not None
+            else ()
+        )
+        result = sim.run(
+            until,
+            warmup=warmup,
+            rewards=setup.rewards,
+            traces=traces,
+            rng=make_generator(base_seed, "run", k),
+        )
+        out.append({name: float(fn(result)) for name, fn in metrics.items()})
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -275,9 +257,9 @@ def _warn_no_fork(default_method: str) -> None:
         f"pools use the {default_method!r} start method instead.  Workers "
         "therefore rebuild their model from the pickled spec (no "
         "copy-on-write inheritance of the parent's compiled program or of "
-        "in-process caches), and inherit-mode replicate_runs — which "
-        "requires fork to hand closures to workers — degrades to serial "
-        "in-process execution.",
+        "in-process caches), and a study without a ReplicationSpec — "
+        "whose closures only fork can hand to workers — runs serially "
+        "in-process.",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -289,15 +271,70 @@ def pool_context():
     Prefers the ``fork`` start method for cheap start-up and falls back
     to the platform default — with a once-per-process
     :class:`RuntimeWarning` naming the active start method and its
-    consequences (no copy-on-write program inheritance; inherit mode
-    degrades to serial).  Used by spec-mode replication pools and by the
-    sweep-cell scheduler (:mod:`repro.experiments.sweep`).
+    consequences (no copy-on-write program inheritance; a study without
+    a spec runs serially).  Used by the chunked study dispatch and by
+    the sweep-cell scheduler (:mod:`repro.experiments.sweep`).
     """
     ctx = _fork_context()
     if ctx is None:
         ctx = multiprocessing.get_context()
         _warn_no_fork(ctx.get_start_method())
     return ctx
+
+
+def _run_chunked(
+    fn: Callable,
+    args: tuple,
+    first: int,
+    count: int,
+    *,
+    tag: str,
+    label: str,
+    n_jobs: int,
+    setup: ReplicationSetup,
+    spec: ReplicationSpec | None,
+    retry: RetryPolicy | None,
+    chaos: ChaosPolicy | None,
+) -> list:
+    """Items ``first .. first + count - 1`` of one study, in index order.
+
+    ``fn(setup, ks, *args)`` is a module-level function returning the
+    items of the contiguous chunk ``ks``.  Each worker gets ~4 chunks,
+    so fast and slow items load-balance while per-task dispatch stays
+    amortized.  Chunk ``ks`` is the supervised task ``(tag, ks[0],
+    ks[-1])``, the key ``REPRO_CHAOS`` addresses; ``label`` names it in
+    messages.  Under ``fork`` the workers read the parent's live
+    ``setup``; otherwise ``spec`` makes each rebuild it, and without a
+    spec the chunks run serially in-process after a warning.
+    """
+    global _WORKER_SETUP
+    ctx = _fork_context()
+    if ctx is None:
+        ctx = pool_context()
+        if spec is None:
+            n_jobs = 1  # run_tasks_supervised executes serially in-process
+    n_jobs = min(n_jobs, count)
+    chunk = max(1, count // (n_jobs * 4))
+    ks = range(first, first + count)
+    chunks = [tuple(ks[i : i + chunk]) for i in range(0, count, chunk)]
+    tasks = [((tag, c[0], c[-1]), (fn, args, c)) for c in chunks]
+    _WORKER_SETUP = setup  # inherited by forked workers (or read in-process)
+    try:
+        outcomes = run_tasks_supervised(
+            tasks,
+            _run_chunk,
+            n_jobs=n_jobs,
+            mp_context=ctx,
+            initializer=_init_worker,
+            initargs=(spec,),
+            retry=retry,
+            chaos=chaos,
+            on_error="raise",
+            label=label,
+        )
+    finally:
+        _WORKER_SETUP = None
+    return [item for key, _payload in tasks for item in outcomes[key]]
 
 
 def run_replications_parallel(
@@ -312,19 +349,18 @@ def run_replications_parallel(
     setup: ReplicationSetup | None = None,
     retry: RetryPolicy | None = None,
     chaos: ChaosPolicy | None = None,
-    serial_fallback: bool = True,
 ) -> dict[str, list[float]]:
     """Run replications ``counter_base .. counter_base + n - 1`` in a pool.
 
     Returns per-metric sample lists in replication order — bit-identical
-    to running the same streams serially.  ``spec`` / ``setup`` select
-    the worker bootstrap mode: ``setup`` alone inherits the parent's
-    objects via ``fork`` (required); ``spec`` works everywhere.  With
-    **both**, workers bootstrap from the spec but — under ``fork`` —
-    inherit the parent's already-built ``setup`` through the pre-seeded
-    per-process cache, skipping model construction + compilation
-    entirely (the caller vouches that ``setup`` realizes ``spec``, the
-    same contract as ``replicate_runs(spec=...)``).
+    to running the same streams serially.  Under ``fork`` the workers
+    read ``setup`` from the parent (built here from ``spec`` when not
+    given); without ``fork`` each worker rebuilds it from ``spec``, and
+    with no spec the replications run serially in-process after a
+    once-per-process :class:`RuntimeWarning`.  With both, the caller
+    vouches that ``setup`` realizes ``spec`` (the same contract as
+    ``replicate_runs(spec=...)``); a worker whose metric set differs
+    from ``setup``'s raises :class:`SimulationError`.
 
     Execution is supervised (:mod:`repro.core.resilience`): replications
     are submitted as contiguous chunks; a chunk whose worker crashes or
@@ -333,79 +369,27 @@ def run_replications_parallel(
     replication ``k`` always draws from seed-tree stream ``k``, recovery
     is bit-identical to an uninterrupted run.  ``chaos`` injects
     deterministic faults for testing (``None`` = honor ``REPRO_CHAOS``).
-    With ``serial_fallback`` (default), inherit mode on a platform
-    without ``fork`` degrades to in-process serial execution with a
-    :class:`RuntimeWarning` instead of raising.
     """
-    if spec is None and setup is None:
-        raise SimulationError("pass spec=, setup=, or both")
-
-    seeded_key: bytes | None = None
-    if spec is not None:
-        # Spec mode: workers rebuild from the picklable recipe (or reuse
-        # the parent's build when forked over a pre-seeded cache).
-        ctx = pool_context()
-        init_arg = spec
-        if setup is not None and ctx.get_start_method() == "fork":
-            seeded_key = _seed_setup_cache(spec, setup)
-        setup = None  # _WORKER_SETUP stays untouched in spec mode
-    else:
-        ctx = _fork_context()
-        init_arg = None
-        if ctx is None:
-            if not serial_fallback:
-                raise SimulationError(
-                    "parallel replications without a ReplicationSpec "
-                    "require the 'fork' start method (model objects hold "
-                    "closures that cannot be pickled); build a "
-                    "ReplicationSpec with a module-level factory, or "
-                    "leave serial_fallback=True to degrade to in-process "
-                    "serial execution"
-                )
-            _warn_no_fork(multiprocessing.get_context().get_start_method())
-            n_jobs = 1  # run_tasks_supervised executes serially in-process
-
-    global _WORKER_SETUP
-    if setup is not None:
-        _WORKER_SETUP = setup  # inherited by forked workers (or read serially)
-
-    n_jobs = min(n_jobs, n_replications)
-    ks = range(counter_base, counter_base + n_replications)
-    # Same batching arithmetic the historical pool.map(chunksize=...) used:
-    # ~4 chunks per worker, so a grid mixing fast and slow replications
-    # load-balances while per-task dispatch overhead stays amortized.
-    chunk = max(1, n_replications // (max(n_jobs, 1) * 4))
-    chunks = [tuple(ks[i : i + chunk]) for i in range(0, len(ks), chunk)]
-    tasks = [
-        (("reps", c[0], c[-1]), (base_seed, until, warmup, c)) for c in chunks
-    ]
-    try:
-        outcomes = run_tasks_supervised(
-            tasks,
-            _run_chunk,
-            n_jobs=n_jobs,
-            mp_context=ctx,
-            initializer=_init_worker,
-            initargs=(init_arg,),
-            retry=retry,
-            chaos=chaos,
-            on_error="raise",
-            label="replication chunk",
-        )
-    finally:
-        _WORKER_SETUP = None
-        if seeded_key is not None:
-            # The seeded entry borrows the caller's live simulator; do
-            # not let later same-process cache hits reset its streams.
-            _SETUP_CACHE.pop(seeded_key, None)
-
-    results = [item for key, _payload in tasks for item in outcomes[key]]
-    results.sort(key=lambda item: item[0])
-    samples: dict[str, list[float]] = {}
-    for k, metric_values in results:
-        if not samples:
-            samples = {name: [] for name in metric_values}
-        if set(metric_values) != set(samples):
+    if setup is None:
+        if spec is None:
+            raise SimulationError("pass spec=, setup=, or both")
+        setup = build_setup_cached(spec)[0]
+    items = _run_chunked(
+        _replication_chunk,
+        (base_seed, until, warmup),
+        counter_base,
+        n_replications,
+        tag="reps",
+        label="replication chunk",
+        n_jobs=n_jobs,
+        setup=setup,
+        spec=spec,
+        retry=retry,
+        chaos=chaos,
+    )
+    samples: dict[str, list[float]] = {name: [] for name in setup.metrics()}
+    for metric_values in items:
+        if metric_values.keys() != samples.keys():
             raise SimulationError(
                 "workers returned inconsistent metric sets "
                 f"({sorted(metric_values)} vs {sorted(samples)})"
@@ -413,67 +397,3 @@ def run_replications_parallel(
         for name, value in metric_values.items():
             samples[name].append(value)
     return samples
-
-
-def run_replications_adaptive(
-    *,
-    until: float,
-    warmup: float,
-    base_seed: int,
-    counter_base: int,
-    max_replications: int,
-    n_jobs: int,
-    stopping,
-    spec: ReplicationSpec | None = None,
-    setup: ReplicationSetup | None = None,
-    retry: RetryPolicy | None = None,
-    chaos: ChaosPolicy | None = None,
-    serial_fallback: bool = True,
-) -> tuple[dict[str, list[float]], int]:
-    """Sequentially-stopped replication scheduling over supervised pools.
-
-    The dynamic work queue behind ``replicate_runs(..., stopping=...)``
-    with ``n_jobs > 1``: replication *rounds* sized by the rule's
-    deterministic schedule (:class:`~repro.core.stopping.StoppingRule`)
-    are dispatched through :func:`run_replications_parallel` — the same
-    supervised chunking, crash recovery, retry, and chaos machinery as a
-    fixed-count study — until the watched metrics reach the rule's
-    relative-CI target or ``max_replications`` is exhausted.  Returns
-    ``(samples, n_executed)``.
-
-    Replication ``k`` always draws from seed-tree stream ``k`` and the
-    round boundaries depend only on ``(rule, n_done, cap)``, so the
-    stopping point and every sample are float-identical to a serial
-    sequentially-stopped run, for any ``n_jobs`` and after any
-    crash/retry recovery.  Each round submits a fresh supervised pool;
-    under ``fork`` with a pre-seeded setup cache the workers inherit the
-    compiled program, so per-round pool start-up stays cheap relative
-    to the replications it buys.
-    """
-    samples: dict[str, list[float]] = {}
-    n_done = 0
-    while True:
-        round_n = stopping.next_round(n_done, max_replications)
-        if round_n == 0:
-            break
-        batch = run_replications_parallel(
-            until=until,
-            warmup=warmup,
-            base_seed=base_seed,
-            counter_base=counter_base + n_done,
-            n_replications=round_n,
-            n_jobs=min(n_jobs, round_n),
-            spec=spec,
-            setup=setup,
-            retry=retry,
-            chaos=chaos,
-            serial_fallback=serial_fallback,
-        )
-        if not samples:
-            samples = {name: [] for name in batch}
-        for name, values in batch.items():
-            samples[name].extend(values)
-        n_done += round_n
-        if stopping.satisfied(samples):
-            break
-    return samples, n_done

@@ -25,20 +25,22 @@ the engine's determinism contract:
   by ``tests/test_rare.py``).
 
 Use via ``replicate_runs(..., stopping=StoppingRule(rel_ci=0.05))``,
-``replication_cell(..., stopping=...)`` on sweep grids, or the CLI's
-``--rel-ci`` flag.
+``replication_cell(..., stopping=...)`` on sweep grids,
+``splitting_probability(..., stopping=...)``, or the CLI's ``--rel-ci``
+flag; replicated and RESTART studies share one round loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy import special
 
 from .errors import SimulationError
+from .simulation import _check_number
 
 __all__ = [
     "StoppingRule",
@@ -46,6 +48,15 @@ __all__ = [
     "batch_means_variance",
     "batch_means_half_width",
 ]
+
+
+def _check_confidence(confidence) -> float:
+    """``confidence`` as a CI level in (0, 1), else a
+    :class:`SimulationError` naming it."""
+    confidence = _check_number(confidence, "confidence", integer=False)
+    if not 0.0 < confidence < 1.0:  # also rejects NaN
+        raise SimulationError(f"confidence must lie in (0, 1), got {confidence}")
+    return confidence
 
 
 def batch_means(samples: Sequence[float], batch: int) -> np.ndarray:
@@ -136,18 +147,11 @@ class StoppingRule:
     batch: int = 4
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.rel_ci:
+        if not 0.0 < _check_number(self.rel_ci, "rel_ci", integer=False):
             raise SimulationError(f"rel_ci must be > 0, got {self.rel_ci}")
-        if not 0.0 < self.confidence < 1.0:
-            raise SimulationError(
-                f"confidence must lie in (0, 1), got {self.confidence}"
-            )
-        if self.batch < 1:
-            raise SimulationError(f"batch must be >= 1, got {self.batch}")
-        if self.min_replications < 1:
-            raise SimulationError(
-                f"min_replications must be >= 1, got {self.min_replications}"
-            )
+        _check_confidence(self.confidence)
+        _check_number(self.batch, "batch", low=1)
+        _check_number(self.min_replications, "min_replications", low=1)
         if not isinstance(self.metrics, tuple):
             object.__setattr__(self, "metrics", tuple(self.metrics))
 
@@ -193,3 +197,28 @@ class StoppingRule:
             if not math.isfinite(half) or half > self.rel_ci * abs(mean):
                 return False
         return True
+
+
+def _run_rounds(
+    run_round: Callable[[int, int], None],
+    cap: int,
+    rule: StoppingRule | None,
+    samples: Callable[[], Mapping[str, Sequence[float]]],
+) -> None:
+    """Run one study in rounds; ``run_round(k0, count)`` runs and records
+    items ``k0 .. k0 + count - 1``.  Without a rule the study is one
+    round of ``cap`` items; with one, rounds follow
+    :meth:`StoppingRule.next_round` until ``rule.satisfied(samples())``
+    holds after a round or the cap is spent.  Replicated studies and
+    RESTART root trees both run through here.
+    """
+    if rule is None:
+        run_round(0, cap)
+        return
+    n_done = 0
+    while n_done < cap:
+        count = rule.next_round(n_done, cap)
+        run_round(n_done, count)
+        n_done += count
+        if rule.satisfied(samples()):
+            return

@@ -57,13 +57,14 @@ from ..core.experiment import Estimate, replicate_runs
 from ..core.parallel import (
     ReplicationSetup,
     ReplicationSpec,
+    _run_chunked,
     build_setup_cached,
-    pool_context,
     resolve_n_jobs,
 )
-from ..core.resilience import ChaosPolicy, RetryPolicy, run_tasks_supervised
+from ..core.resilience import ChaosPolicy, RetryPolicy
 from ..core.rng import SeedTree
-from ..core.stopping import StoppingRule
+from ..core.simulation import _check_number
+from ..core.stopping import StoppingRule, _check_confidence, _run_rounds
 
 __all__ = [
     "LevelFunction",
@@ -415,14 +416,12 @@ def _run_root_tree(
     return hit_weight, n_segments, n_hits
 
 
-def _splitting_chunk(payload: tuple) -> list[tuple[int, float, int, int]]:
-    """Supervised worker entry: a contiguous chunk of root trees."""
-    spec, horizon, policy, base_seed, ks = payload
-    setup, _metrics = build_setup_cached(spec)
+def _root_chunk(setup, ks, horizon, policy, base_seed) -> list:
+    """Root trees ``ks``, in whichever process hosts the chunk."""
     simulator = setup.simulator
     level_fn = policy.level.resolve(simulator.model)
     return [
-        (k, *_run_root_tree(simulator, level_fn, policy, horizon, base_seed, k))
+        _run_root_tree(simulator, level_fn, policy, horizon, base_seed, k)
         for k in ks
     ]
 
@@ -450,15 +449,18 @@ def splitting_probability(
     source:
         A :class:`~repro.core.simulation.Simulator`, or a
         :class:`~repro.core.parallel.ReplicationSpec` (required for
-        ``n_jobs > 1``; workers rebuild/reuse the compiled program via
-        the per-process setup cache).
+        ``n_jobs > 1``; it is built once here through the per-process
+        setup cache, forked workers read that build, and workers
+        without ``fork`` rebuild it from the spec).
     horizon:
-        Mission time in hours.
+        Mission time in hours (finite and positive).
     policy:
         Level function, thresholds and splitting factors.  Pass
         ``policy.crude()`` for plain Monte Carlo with early stopping.
     n_roots:
         Root replications (the cap, when ``stopping`` is given).
+    confidence:
+        CI level, strictly between 0 and 1.
     stopping:
         Optional :class:`~repro.core.stopping.StoppingRule` over the
         per-root contributions: roots run in deterministic rounds until
@@ -472,10 +474,14 @@ def splitting_probability(
         Worker processes over root trees (-1 = all cores); results are
         bit-identical for every value.
     """
-    if horizon <= 0.0:
-        raise SimulationError(f"horizon must be positive, got {horizon}")
-    if n_roots < 1:
-        raise SimulationError(f"n_roots must be >= 1, got {n_roots}")
+    horizon = _check_number(horizon, "horizon", integer=False)
+    if not 0.0 < horizon < math.inf:  # also rejects NaN
+        raise SimulationError(
+            f"horizon must be finite and positive, got {horizon}"
+        )
+    n_roots = _check_number(n_roots, "n_roots", low=1)
+    confidence = _check_confidence(confidence)
+    jobs = resolve_n_jobs(n_jobs)
 
     spec: ReplicationSpec | None = None
     if isinstance(source, ReplicationSpec):
@@ -492,7 +498,6 @@ def splitting_probability(
         raise SimulationError(
             f"base_seed must be a non-negative integer, got {base_seed!r}"
         ) from None
-    jobs = resolve_n_jobs(n_jobs)
     if jobs > 1 and spec is None:
         raise SimulationError(
             "parallel splitting requires a ReplicationSpec source (worker "
@@ -508,52 +513,30 @@ def splitting_probability(
     def run_roots(k0: int, count: int) -> None:
         nonlocal n_segments, n_hits
         if jobs > 1 and count > 1:
-            ks = range(k0, k0 + count)
-            chunk = max(1, count // (min(jobs, count) * 4))
-            chunks = [tuple(ks[i : i + chunk]) for i in range(0, count, chunk)]
-            tasks = [
-                (("rare", c[0], c[-1]), (spec, horizon, policy, base_seed, c))
-                for c in chunks
-            ]
-            outcomes = run_tasks_supervised(
-                tasks,
-                _splitting_chunk,
-                n_jobs=min(jobs, len(chunks)),
-                mp_context=pool_context(),
+            trees = _run_chunked(
+                _root_chunk,
+                (horizon, policy, base_seed),
+                k0,
+                count,
+                tag="rare",
+                label="splitting chunk",
+                n_jobs=jobs,
+                setup=setup,
+                spec=spec,
                 retry=retry,
                 chaos=chaos,
-                on_error="raise",
-                label="splitting chunk",
             )
-            results = [
-                item for key, _payload in tasks for item in outcomes[key]
-            ]
-            results.sort(key=lambda item: item[0])
-            for _k, weight, segs, hits in results:
-                samples.append(weight)
-                n_segments += segs
-                n_hits += hits
         else:
-            for k in range(k0, k0 + count):
-                weight, segs, hits = _run_root_tree(
-                    simulator, level_fn, policy, horizon, base_seed, k
-                )
-                samples.append(weight)
-                n_segments += segs
-                n_hits += hits
+            trees = (
+                _run_root_tree(simulator, level_fn, policy, horizon, base_seed, k)
+                for k in range(k0, k0 + count)
+            )
+        for weight, segs, hits in trees:
+            samples.append(weight)
+            n_segments += segs
+            n_hits += hits
 
-    if stopping is None:
-        run_roots(0, n_roots)
-    else:
-        n_done = 0
-        while True:
-            round_n = stopping.next_round(n_done, n_roots)
-            if round_n == 0:
-                break
-            run_roots(n_done, round_n)
-            n_done += round_n
-            if stopping.satisfied({"probability": samples}):
-                break
+    _run_rounds(run_roots, n_roots, stopping, lambda: {"probability": samples})
 
     est = Estimate.from_samples(samples, confidence)
     return RareEventEstimate(
@@ -691,7 +674,8 @@ def tier_setup_factory(
     disk_repair_rate: float,
     base_seed: int,
 ) -> ReplicationSetup:
-    """Module-level setup factory so tier studies parallelize (spec mode)."""
+    """Module-level setup factory, so a spec can rebuild tier studies in
+    workers started without ``fork``."""
     from ..core import RateReward, Simulator
 
     model = aggregate_tier_san(

@@ -21,6 +21,7 @@ from repro.core import (
     SeedTree,
     SimulationError,
     Simulator,
+    StoppingRule,
     derive_seed,
     flatten,
     make_generator,
@@ -55,6 +56,12 @@ class TestEstimate:
     def test_zero_samples_rejected(self):
         with pytest.raises(SimulationError):
             Estimate.from_samples([])
+
+    @pytest.mark.parametrize("bad", [2.0, 1.0, 0.0, -0.5, float("nan"), "x"])
+    def test_bad_confidence_rejected(self, bad):
+        with pytest.raises(SimulationError, match="confidence") as exc:
+            Estimate.from_samples([1.0, 2.0, 3.0], bad)
+        assert repr(bad) in str(exc.value)
 
     def test_coverage_of_known_mean(self):
         # ~95% of intervals should contain the true mean; check loosely.
@@ -108,15 +115,56 @@ class TestReplicateRuns:
                 extra_metrics={"a": lambda r: 0.0},
             )
 
-    def test_on_result_callback(self, two_state_model):
+    @pytest.mark.parametrize(
+        "stopping, n",
+        [
+            (None, 3),
+            # Never satisfied: rounds of 2, 1, 1 and 1 up to the cap.
+            (StoppingRule(rel_ci=1e-12, min_replications=2, batch=1), 5),
+        ],
+    )
+    def test_on_result_callback(self, two_state_model, stopping, n):
         sim = Simulator(two_state_model, base_seed=5)
         rw = RateReward("a", lambda m: float(m["comp/up"]))
         seen = []
         replicate_runs(
-            sim, 100.0, n_replications=3, rewards=[rw],
-            on_result=lambda k, r: seen.append(k),
+            sim, 100.0, n_replications=n, rewards=[rw],
+            on_result=lambda k, r: seen.append(k), stopping=stopping,
         )
-        assert seen == [0, 1, 2]
+        assert seen == list(range(n))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("n_replications", 2.5),
+            ("n_replications", "3"),
+            ("n_replications", float("nan")),
+            ("n_replications", 0),
+            ("confidence", 1.5),
+            ("confidence", float("nan")),
+            ("confidence", 0.0),
+            ("confidence", "x"),
+            ("n_jobs", 1.5),
+            ("n_jobs", "x"),
+        ],
+    )
+    def test_bad_argument_rejected_before_any_run(
+        self, two_state_model, name, bad, jobs, monkeypatch
+    ):
+        from repro.core import parallel
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a replication ran or a pool started")
+
+        sim = Simulator(two_state_model, base_seed=8)
+        monkeypatch.setattr(sim, "run", forbidden)
+        monkeypatch.setattr(parallel, "_run_chunked", forbidden)
+        kwargs = {"n_replications": 4, "n_jobs": jobs, name: bad}
+        rw = RateReward("a", lambda m: float(m["comp/up"]))
+        with pytest.raises(SimulationError, match=name) as exc:
+            replicate_runs(sim, 100.0, rewards=[rw], **kwargs)
+        assert repr(bad) in str(exc.value)
 
     def test_unknown_metric_lookup(self, two_state_model):
         sim = Simulator(two_state_model, base_seed=6)

@@ -9,6 +9,8 @@ equality, not approximation.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.cfs import abe_parameters
@@ -22,6 +24,7 @@ from repro.core import (
     ReplicationSpec,
     SimulationError,
     Simulator,
+    StoppingRule,
     flatten,
     replicate_runs,
     resolve_n_jobs,
@@ -65,11 +68,27 @@ class TestForkInheritMode:
         for metric in base.metrics:
             assert par.samples(metric) == base.samples(metric)
 
-    def test_run_counter_continuity(self):
+    @pytest.mark.parametrize(
+        "stopping",
+        [
+            None,
+            # Never satisfied: rounds of 2, 1 and 1 up to the cap of 4.
+            StoppingRule(rel_ci=1e-12, min_replications=2, batch=1),
+        ],
+    )
+    def test_run_counter_continuity(self, stopping):
         # serial-after-parallel continues exactly where all-serial would
         base = _serial_baseline(n=8)
         sim = Simulator(flatten(build_two_state_san()), base_seed=77)
-        replicate_runs(sim, UNTIL, n_replications=4, rewards=_rewards(), n_jobs=2)
+        first = replicate_runs(
+            sim,
+            UNTIL,
+            n_replications=4,
+            rewards=_rewards(),
+            n_jobs=2,
+            stopping=stopping,
+        )
+        assert first.n_replications == 4
         cont = replicate_runs(sim, UNTIL, n_replications=4, rewards=_rewards())
         for metric in base.metrics:
             assert cont.samples(metric) == base.samples(metric)[4:]
@@ -185,6 +204,63 @@ class TestSpecMode:
                 metric
             )
 
+    def test_forked_workers_read_the_parents_setup(self, monkeypatch):
+        """Under fork no pooled worker rebuilds: replicated and RESTART
+        studies both hand the parent's live setup to their workers."""
+        from repro.core import parallel
+        from repro.experiments.rare import (
+            splitting_probability,
+            tier_replication_spec,
+            tier_splitting_policy,
+        )
+
+        def forbidden(spec):
+            raise AssertionError("a forked worker rebuilt its setup")
+
+        serial = ClusterModel(abe_parameters(), base_seed=2008).simulate(
+            hours=1500.0, n_replications=4
+        )
+        policy = tier_splitting_policy(4, 1, 0.01, 0.5)
+        roots = splitting_probability(
+            tier_replication_spec(4, 1, 0.01, 0.5, 42), 100.0, policy, n_roots=16
+        )
+        monkeypatch.setattr(parallel, "build_setup_cached", forbidden)
+        forked = ClusterModel(abe_parameters(), base_seed=2008).simulate(
+            hours=1500.0, n_replications=4, n_jobs=2
+        )
+        for metric in serial.experiment.metrics:
+            assert forked.experiment.samples(metric) == serial.experiment.samples(
+                metric
+            )
+        forked_roots = splitting_probability(
+            tier_replication_spec(4, 1, 0.01, 0.5, 42),
+            100.0,
+            policy,
+            n_roots=16,
+            n_jobs=2,
+        )
+        assert forked_roots.samples == roots.samples
+
+    def test_spawned_workers_rebuild_from_spec(self, monkeypatch):
+        """Without fork, each worker rebuilds the study from the spec."""
+        from repro.core import parallel
+
+        serial = ClusterModel(abe_parameters(), base_seed=2008).simulate(
+            hours=1500.0, n_replications=4
+        )
+        monkeypatch.setattr(parallel, "_fork_context", lambda: None)
+        monkeypatch.setattr(
+            parallel, "pool_context", lambda: multiprocessing.get_context("spawn")
+        )
+        spawned = ClusterModel(abe_parameters(), base_seed=2008).simulate(
+            hours=1500.0, n_replications=4, n_jobs=2
+        )
+        assert spawned.experiment.metrics == serial.experiment.metrics
+        for metric in serial.experiment.metrics:
+            assert spawned.experiment.samples(metric) == serial.experiment.samples(
+                metric
+            )
+
     def test_spec_is_picklable(self):
         import pickle
 
@@ -212,3 +288,7 @@ class TestResolveNJobs:
             resolve_n_jobs(0)
         with pytest.raises(SimulationError):
             resolve_n_jobs(-2)
+        for bad in (1.5, 2.7, "x", "2", float("nan")):
+            with pytest.raises(SimulationError, match="n_jobs") as exc:
+                resolve_n_jobs(bad)
+            assert repr(bad) in str(exc.value)

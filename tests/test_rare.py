@@ -195,7 +195,7 @@ class TestValidation:
             raise AssertionError("a root tree ran or a pool started")
 
         monkeypatch.setattr(rare, "_run_root_tree", forbidden)
-        monkeypatch.setattr(rare, "run_tasks_supervised", forbidden)
+        monkeypatch.setattr(rare, "_run_chunked", forbidden)
         with pytest.raises(SimulationError, match="base_seed") as exc:
             splitting_probability(
                 tier_spec(3),
@@ -206,6 +206,53 @@ class TestValidation:
                 n_jobs=jobs,
             )
         assert repr(bad) in str(exc.value)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("horizon", float("nan")),
+            ("horizon", float("inf")),
+            ("horizon", "5"),
+            ("horizon", 0.0),
+            ("n_roots", 2.5),
+            ("n_roots", "3"),
+            ("n_roots", 0),
+            ("confidence", 2.0),
+            ("confidence", 0.0),
+            ("confidence", float("nan")),
+            ("confidence", "x"),
+        ],
+    )
+    def test_bad_argument_rejected_before_any_root(
+        self, name, bad, jobs, monkeypatch
+    ):
+        import repro.experiments.rare as rare
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a root tree ran or a pool started")
+
+        monkeypatch.setattr(rare, "_run_root_tree", forbidden)
+        monkeypatch.setattr(rare, "_run_chunked", forbidden)
+        kwargs = {"horizon": T, "n_roots": 8, name: bad}
+        with pytest.raises(SimulationError, match=name) as exc:
+            splitting_probability(
+                tier_spec(3),
+                policy=tier_splitting_policy(N, F, LAM, MU),
+                n_jobs=jobs,
+                **kwargs,
+            )
+        assert repr(bad) in str(exc.value)
+
+    def test_brute_force_rejects_bad_confidence(self):
+        sim = Simulator(tier_model(), base_seed=1)
+        with pytest.raises(SimulationError, match="confidence") as exc:
+            brute_force_probability(
+                sim, T, tier_level(), float(F + 1), n_replications=4,
+                confidence=2.0,
+            )
+        assert "2.0" in str(exc.value)
+        assert sim._run_counter == 0
 
     def test_suggested_splits_shape(self):
         splits = suggested_splits(N, F, LAM, MU)
@@ -493,6 +540,18 @@ class TestStoppingRule:
             StoppingRule(rel_ci=0.1, batch=0)
         with pytest.raises(SimulationError):
             StoppingRule(rel_ci=0.1, min_replications=0)
+        for kwargs in (
+            {"batch": 2.5},
+            {"min_replications": 9.5},
+            {"rel_ci": "x"},
+            {"rel_ci": float("nan")},
+            {"confidence": float("nan")},
+            {"confidence": "x"},
+        ):
+            (name, bad), = kwargs.items()
+            with pytest.raises(SimulationError, match=name) as exc:
+                StoppingRule(**{"rel_ci": 0.1, **kwargs})
+            assert repr(bad) in str(exc.value)
 
     def test_round_schedule_is_deterministic_and_caps(self):
         rule = StoppingRule(rel_ci=0.1, min_replications=16, batch=4)

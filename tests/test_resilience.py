@@ -512,20 +512,6 @@ class TestSerialDegradation:
             degraded = _replication_samples(2)
         assert degraded == serial
 
-    def test_inherit_mode_raises_when_fallback_disabled(self):
-        model = flatten(build_two_state_san())
-        sim = Simulator(model, base_seed=2008)
-        rw = RateReward("avail", lambda m: float(m["comp/up"] == 1))
-        with pytest.raises(SimulationError, match="serial_fallback"):
-            replicate_runs(
-                sim,
-                HOURS,
-                n_replications=4,
-                rewards=[rw],
-                n_jobs=2,
-                serial_fallback=False,
-            )
-
 
 # ----------------------------------------------------------------------
 # sweeps: partial results, chaos recovery, checkpoint/resume
