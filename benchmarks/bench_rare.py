@@ -20,7 +20,14 @@ terms that speedup rests on, at a size small enough for CI smoke:
   tree's bookkeeping overhead per root;
 * ``bench_adaptive_stopping_overhead`` replicates a tier study to a
   relative-CI target vs a fixed count of the same size, so the batch
-  means / CI re-check cost per round stays visibly near zero.
+  means / CI re-check cost per round stays visibly near zero;
+* ``bench_restart_run`` times 200 restart segments from ``[2, 0]`` on
+  the deep-tail tier (480 disks, f=6) with the deep-tail stop
+  predicate: zero-event segments (a horizon too short for any event)
+  and one-event segments (deep-tail's typical segment).  They cost
+  ``Simulator.run``'s per-call set-up, not event work: the fixed cost
+  that the program's cached run plan cuts (docs/performance.md,
+  Layer 16).
 
 Every estimate is asserted bit-stable across rounds (same seeds, same
 schedule), so the benches double as determinism smoke tests.
@@ -28,10 +35,16 @@ schedule), so the benches double as determinism smoke tests.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
+import pytest
+
 from repro.core import Simulator, StoppingRule
 from repro.core.experiment import replicate_runs
 from repro.core.parallel import build_setup_cached
+from repro.core.rng import make_generator
 from repro.experiments.rare import (
+    _make_stop_predicate,
     aggregate_tier_san,
     splitting_probability,
     tier_replication_spec,
@@ -46,6 +59,11 @@ N_REPS = 48
 DEEP_TIER = (60, 3, 1e-4, 0.02)
 DEEP_HOURS = 8760.0
 DEEP_ROOTS = 4
+#: The deep-tail tier, the marking its restart segments start from, and
+#: the segments timed per round.
+DEEP_TAIL_TIER = (480, 6, 1e-5, 0.02)
+RESTART_MARKING = [2, 0]
+RESTART_RUNS = 200
 
 
 def _simulator():
@@ -154,3 +172,35 @@ def bench_fixed_count_baseline(benchmark):
 
     result = benchmark.pedantic(fixed, rounds=5, iterations=1, warmup_rounds=1)
     assert result.n_replications == N_REPS
+
+
+@pytest.mark.parametrize("events", [0, 1])
+def bench_restart_run(benchmark, events):
+    """Restart segments from [2, 0] with the deep-tail stop predicate."""
+    sim = Simulator(aggregate_tier_san(*DEEP_TAIL_TIER), base_seed=2008)
+    policy = tier_splitting_policy(*DEEP_TAIL_TIER)
+    level_fn = policy.level.resolve(sim.model)
+    thresholds = policy.thresholds
+    bracket = bisect_right(thresholds, level_fn(RESTART_MARKING))
+    stop = _make_stop_predicate(
+        level_fn, thresholds[bracket], thresholds[bracket - 1]
+    )
+    # Either event from [2, 0] leaves the bracket, so a mission-year
+    # horizon fires exactly one; a 1e-6 h horizon fires none.
+    until = 8760.0 if events else 1e-6
+
+    def streams():
+        gens = [make_generator(2008, "restart", i) for i in range(RESTART_RUNS)]
+        return (gens,), {}
+
+    def segments(gens):
+        return [
+            sim.run(
+                until, rng=g, stop_predicate=stop, initial_marking=RESTART_MARKING
+            ).n_events
+            for g in gens
+        ]
+
+    counts = benchmark.pedantic(segments, setup=streams, rounds=5, warmup_rounds=1)
+    assert counts == [events] * RESTART_RUNS
+

@@ -41,6 +41,7 @@ other Möbius variable shapes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from .patterns import path_match
 from typing import Callable, Sequence
@@ -277,8 +278,8 @@ class RateReward:
         Optional ``(start, end)`` interval-of-time window; accumulation
         is restricted to the window intersected with ``[warmup, until]``.
     probe_times:
-        Optional instant-of-time sample points (hours, ``>= 0``); each
-        run records ``(time, value)`` pairs in
+        Optional instant-of-time sample points (hours, finite and
+        ``>= 0``); each run records ``(time, value)`` pairs in
         :attr:`RewardResult.instants`.  The recorded value is the left
         limit: the reward value just before any event at that instant.
     form:
@@ -335,13 +336,14 @@ class RateReward:
         if probe_times is None:
             self.probe_times = None
         else:
-            times = tuple(sorted(float(t) for t in probe_times))
-            if times and times[0] < 0.0:
-                raise ModelError(
-                    f"rate reward {name!r}: probe times must be >= 0, "
-                    f"got {times[0]}"
-                )
-            self.probe_times = times or None
+            times = tuple(float(t) for t in probe_times)
+            for t in times:
+                if not 0.0 <= t < math.inf:  # also rejects NaN
+                    raise ModelError(
+                        f"rate reward {name!r}: probe times must be finite "
+                        f"and >= 0, got {t}"
+                    )
+            self.probe_times = tuple(sorted(times)) or None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RateReward({self.name!r})"

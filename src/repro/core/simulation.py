@@ -81,7 +81,13 @@ The compile artifacts live in a :class:`CompiledProgram` — immutable
 model structure (tables, dependency maps, kernels, sampler plans) plus
 the per-run mutable state (marking vector, discovered-dependency
 journal, one-shot verification flags), reset in O(marking) at the start
-of every run.  A program can be built once and shared by many
+of every run.  The program also keeps the *run plan* (``_RunPlan``):
+what a run derives from the program, the engine and the reward objects
+(the rate/impulse split, the kernel tables the loops fire through,
+reward views, observer lists, form kernels), built by the first run
+and reused while later runs pass the same engine and reward objects,
+so a short run (a RESTART segment) pays only for its per-run state.
+A program can be built once and shared by many
 simulators (``Simulator(program)`` or ``Simulator(model,
 program=...)``), which is what lets replicate-many and sweep workloads
 compile once per process and reuse the program across replications and
@@ -163,6 +169,9 @@ DEFAULT_SAMPLE_BATCH = 256
 #: Sentinel distinguishing "argument not passed" from an explicit value
 #: when a Simulator adopts an existing CompiledProgram.
 _UNSET = object()
+
+#: The integer types run arguments accept (numpy integers included).
+_INTEGERS = (int, np.integer)
 
 #: Compiled comparison functions for declared write guards
 #: (``OutputGate(..., when=(place, cmp, value))``).
@@ -275,7 +284,7 @@ def _check_number(value, name: str, integer=True, low=None, optional=False):
     :class:`SimulationError` naming the argument and the value."""
     if value is None and optional:
         return None
-    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    kinds = _INTEGERS if integer else (int, float, np.integer, np.floating)
     if isinstance(value, kinds) and (low is None or value >= low):
         return int(value) if integer else value
     what = "an integer" if integer else "a number"
@@ -286,8 +295,10 @@ def _check_number(value, name: str, integer=True, low=None, optional=False):
     raise SimulationError(f"{name} must be {what}, got {value!r}")
 
 
-def _check_run_args(model, until, warmup, initial_marking) -> list[int] | None:
-    """Validate a run's horizon and start marking.
+def _check_run_args(
+    model, until, warmup, initial_marking, stop_predicate, rng
+) -> list[int] | None:
+    """Validate a run's horizon, start marking, stop predicate and rng.
 
     Returns the start marking as ints, or ``None`` for the model's own.
     """
@@ -299,10 +310,21 @@ def _check_run_args(model, until, warmup, initial_marking) -> list[int] | None:
         raise SimulationError(
             f"warmup must lie in [0, until), got warmup={warmup}, until={until}"
         )
+    if stop_predicate is not None and not callable(stop_predicate):
+        raise SimulationError(
+            f"stop_predicate must be callable or None, got {stop_predicate!r}"
+        )
+    if rng is not None and not isinstance(rng, np.random.Generator):
+        raise SimulationError(
+            f"rng must be a numpy.random.Generator or None, got {rng!r}"
+        )
     if initial_marking is None:
         return None
+    # An entry's name is formatted only when the entry fails.
     init_values = [
-        _check_number(v, f"initial_marking[{i}]")
+        int(v)
+        if isinstance(v, _INTEGERS)
+        else _check_number(v, f"initial_marking[{i}]")
         for i, v in enumerate(initial_marking)
     ]
     if len(init_values) != len(model.initial):
@@ -310,35 +332,48 @@ def _check_run_args(model, until, warmup, initial_marking) -> list[int] | None:
             f"initial_marking has {len(init_values)} entries, "
             f"model has {len(model.initial)} places"
         )
-    if any(v < 0 for v in init_values):
+    if init_values and min(init_values) < 0:
         raise SimulationError("initial_marking entries must be >= 0")
     return init_values
 
 
-class _RunObservers:
-    """The reward and trace wiring of one run, and its result assembly.
+def _form_slot(model: FlatModel, rname: str, place: str) -> int:
+    """The one slot a reward form's ``place`` names."""
+    slot = model.paths.get(place)
+    if slot is not None:
+        return slot
+    matches = model.match(place)
+    if len(matches) != 1:
+        raise SimulationError(
+            f"rate reward {rname!r}: form place {place!r} resolved "
+            f"to {len(matches)} places; expected exactly one"
+        )
+    return next(iter(matches.values()))
 
-    Every engine builds one before its run draws anything, so a rejected
-    observer raises :class:`SimulationError` without consuming a stream:
 
-    * rewards split into rate and impulse rewards, one result per
-      unique name;
-    * each rate reward's integration bounds — its window intersected
-      with ``[warmup, until]``; plain rewards get exactly ``(warmup,
-      until)``;
-    * the instant-of-time probes, merged across rewards in time order;
-    * traces reset under unique names, split into binary and event
-      traces;
-    * per-activity tables of the impulse rewards and event traces that
-      observe a completion (``None`` when nothing observes it).
+class _RunPlan:
+    """What a run derives from the compiled program, the engine and the
+    reward objects, built once and reused.
 
-    ``rate_values`` and ``rate_integrals`` are the run's per-reward
-    scratch state, which the engines update in place.
+    The program keeps one plan (``CompiledProgram._plan``), reused by
+    every run with the same engine and the same reward objects (by
+    identity, in order) and rebuilt by any other.  It holds the rewards
+    (so their identities cannot be recycled), checked before the run
+    uses up a stream; the kernel tables the engine fires through, which
+    promotion, demotion and quarantine update in place for every
+    simulator sharing the program; the reward views, observer lists and
+    form kernels; and the completion observers, whose impulse entries
+    each run binds to its fresh results.  A run resets what it mutates:
+    tracked discoveries roll back to the declared baseline, form guard
+    state is re-initialized at t=0, and results, traces, bounds and loop
+    state are built per run.
     """
 
-    def __init__(self, rewards, traces, warmup, until, n_acts, matching_ids):
-        self.warmup = warmup
-        self.until = until
+    def __init__(self, program: CompiledProgram, engine: str, rewards: tuple):
+        self.engine = engine
+        self.rewards = rewards
+        model = program.model
+        n_acts = program._n_acts
         rate_rewards: list[RateReward] = []
         impulse_rewards: list[ImpulseReward] = []
         for r in rewards:
@@ -348,56 +383,21 @@ class _RunObservers:
                 impulse_rewards.append(r)
             else:
                 raise SimulationError(f"unsupported reward object: {r!r}")
-        results: dict[str, RewardResult] = {}
-        for kind, group in (("rate", rate_rewards), ("impulse", impulse_rewards)):
-            for r in group:
-                if r.name in results:
-                    raise SimulationError(f"duplicate reward name {r.name!r}")
-                results[r.name] = RewardResult(r.name, kind)
+        names: set[str] = set()
+        for r in rate_rewards + impulse_rewards:
+            if r.name in names:
+                raise SimulationError(f"duplicate reward name {r.name!r}")
+            names.add(r.name)
         self.rate_rewards = rate_rewards
         self.impulse_rewards = impulse_rewards
-        self.results = results
-        self.rate_results = [results[r.name] for r in rate_rewards]
 
-        n_rates = len(rate_rewards)
-        self.rate_values = [0.0] * n_rates
-        self.rate_integrals = [0.0] * n_rates
-        self.rate_lo = [warmup] * n_rates
-        self.rate_hi = [until] * n_rates
-        probe_list: list[tuple[float, int]] = []
-        for i, r in enumerate(rate_rewards):
-            if r.window is not None:
-                w0, w1 = r.window
-                self.rate_lo[i] = warmup if warmup > w0 else w0
-                self.rate_hi[i] = until if until < w1 else w1
-            for t in r.probe_times or ():
-                if t > until:
-                    raise SimulationError(
-                        f"rate reward {r.name!r}: probe time {t} "
-                        f"exceeds until={until}"
-                    )
-                probe_list.append((t, i))
-        probe_list.sort()
-        self.probe_list = probe_list
-
-        self.binary_traces: list[BinaryTrace] = []
-        self.event_traces: list[EventTrace] = []
-        self.trace_map: dict[str, BinaryTrace | EventTrace] = {}
-        for tr in traces:
-            if tr.name in self.trace_map:
-                raise SimulationError(f"duplicate trace name {tr.name!r}")
-            self.trace_map[tr.name] = tr
-            tr.reset()
-            if isinstance(tr, BinaryTrace):
-                self.binary_traces.append(tr)
-            elif isinstance(tr, EventTrace):
-                self.event_traces.append(tr)
-            else:
-                raise SimulationError(f"unsupported trace object: {tr!r}")
-
-        self.impulse_by_act: list[list | None] = [None] * n_acts
+        # One [result, static, fn, lo, hi] entry per impulse reward,
+        # shared by every activity it observes; each run binds slot 0 to
+        # its fresh RewardResult.
+        self.impulse_entries = []
+        self.act_watch: list[tuple | None] = [None] * n_acts
         for r in impulse_rewards:
-            ids = matching_ids(r.activity_pattern)
+            ids = program._matching_ids(r.activity_pattern)
             if not ids:
                 raise SimulationError(
                     f"impulse reward {r.name!r} matches no activity "
@@ -405,103 +405,198 @@ class _RunObservers:
                 )
             ilo, ihi = r.window if r.window is not None else (0.0, math.inf)
             entry = (
-                (results[r.name], None, r.value, ilo, ihi)
+                [None, None, r.value, ilo, ihi]
                 if callable(r.value)
-                else (results[r.name], float(r.value), None, ilo, ihi)
+                else [None, float(r.value), None, ilo, ihi]
             )
+            self.impulse_entries.append(entry)
             for aid in ids:
-                lst = self.impulse_by_act[aid]
-                if lst is None:
-                    lst = self.impulse_by_act[aid] = []
-                lst.append(entry)
-        self.etrace_by_act: list[list[EventTrace] | None] = [None] * n_acts
-        for tr in self.event_traces:
-            ids = matching_ids(tr.activity_pattern)
-            if not ids:
-                raise SimulationError(
-                    f"event trace {tr.name!r} matches no activity "
-                    f"(pattern {tr.activity_pattern!r})"
+                imp, _ = self.act_watch[aid] or ([], None)
+                imp.append(entry)
+                self.act_watch[aid] = (imp, None)
+
+        c = program.tables()
+        # The reference engine runs every effect through its Python
+        # functions; a sanitized run keeps the kernels to verify them,
+        # against flags of its own.
+        auto = engine == "auto"
+        if engine == "reference":
+            self.kernels = [None] * n_acts
+            self.case_kern = [None] * n_acts
+        else:
+            self.kernels = c.kernels
+            self.case_kern = c.case_kern
+        # Verified-kernel ops, fused with the verification flag: the
+        # compiled loop tests one entry instead of two (kernels[aid] +
+        # kern_ok).  A kernel's first completion verifies through the
+        # Python gate functions and promotes its ops here.
+        self.live_kernels = [
+            ops if auto and ok else None
+            for ops, ok in zip(self.kernels, program._kern_verified)
+        ]
+        # Per-activity "has a case/guard kernel" flags: compile makes
+        # plain kernels and case kernels mutually exclusive, so the hot
+        # dispatch needs one boolean load, not a second table probe.
+        self.has_case = [ck is not None for ck in self.case_kern]
+
+        # Rate rewards: slot -> observer indices, list-of-lists like the
+        # dependency map (``None``: unobserved).  Declared reads are wired
+        # here; the rest grow by tracked discovery, journaled for
+        # reset_observers.  Each reward evaluates through its own view
+        # filtered by its known-slot set.
+        n_places = model.n_places
+        n_rates = len(rate_rewards)
+        paths_index = model.paths
+        self.rate_fns = [r.function for r in rate_rewards]
+        self.rate_declared = [r.reads is not None for r in rate_rewards]
+        self.rate_known = [set() for _ in range(n_rates)]
+        self.rate_views = [
+            LocalView(c.vector, paths_index, known) for known in self.rate_known
+        ]
+        # The compiled loop inlines the integration body when every
+        # reward integrates over [warmup, until]: one clipped span shared
+        # by every reward, the same arithmetic as the per-reward clip.
+        self.inline_rates = bool(rate_rewards) and all(
+            r.window is None for r in rate_rewards
+        )
+        # Compiled reward-form kernels (declared Indicator/Affine forms).
+        # A form-compiled reward is *not* wired into the rate_obs observer
+        # lists: every event that writes one of its places refreshes its
+        # value inline through ``form_upd`` (exact integer guard
+        # bookkeeping + the canonical affine arithmetic) instead of
+        # re-calling the Python expression after settlement.  The
+        # reference engine never compiles forms — it keeps the tracked
+        # observer path, which is the differential oracle for this layer.
+        # A sanitized run resolves the forms but only to check them.
+        self.form_compiled = form_compiled = [
+            r.form is not None and auto for r in rate_rewards
+        ]
+        # form_upd[slot]: None, or a list of (reward_i, guard_entries,
+        # base, terms) to apply when the slot's value changes.
+        # guard_entries is a tuple of (guard_j, cmp_fn, bound, slot_a,
+        # slot_b) covering the form guards that read this slot (slot_b
+        # == -1 for single-place guards); terms is the full
+        # (slot, coef, divisor) tuple of the reward's affine part.
+        # form_gstate[i]: reward i's guard flags, re-initialized at t=0.
+        self.form_upd = form_upd = [None] * n_places
+        self.form_gstate: list[list[bool] | None] = [None] * n_rates
+        self.form_guards: list[tuple | None] = [None] * n_rates
+        self.form_base: list[float] = [0.0] * n_rates
+        self.form_terms: list[tuple | None] = [None] * n_rates
+        for i, r in enumerate(rate_rewards):
+            if r.form is None or engine == "reference":
+                continue
+            f = r.form
+            terms = tuple(
+                (_form_slot(model, r.name, p), coef, div) for p, coef, div in f.terms
+            )
+            guards = []
+            for place, cmp, gval in f.guards:
+                if isinstance(place, tuple):
+                    sa = _form_slot(model, r.name, place[0])
+                    sb = _form_slot(model, r.name, place[1])
+                else:
+                    sa = _form_slot(model, r.name, place)
+                    sb = -1
+                guards.append((_GUARD_FNS[cmp], gval, sa, sb))
+            self.form_guards[i] = tuple(guards)
+            self.form_base[i] = f.base
+            self.form_terms[i] = terms
+            if not form_compiled[i]:
+                continue
+            self.form_gstate[i] = [False] * len(guards)
+            relevant: dict[int, None] = {}
+            for _cmp_fn, _gv, sa, sb in guards:
+                relevant.setdefault(sa)
+                if sb >= 0:
+                    relevant.setdefault(sb)
+            for s, _coef, _div in terms:
+                relevant.setdefault(s)
+            for s in relevant:
+                gl = tuple(
+                    (gj, cmp_fn, gv, sa, sb)
+                    for gj, (cmp_fn, gv, sa, sb) in enumerate(guards)
+                    if sa == s or sb == s
                 )
-            for aid in ids:
-                lst = self.etrace_by_act[aid]
+                entry = (i, gl, f.base, terms)
+                lst = form_upd[s]
                 if lst is None:
-                    lst = self.etrace_by_act[aid] = []
-                lst.append(tr)
-
-    def integrate(self, t0: float, t1: float) -> None:
-        """Accumulate each rate reward over ``(t0, t1]``, clipped to its
-        bounds.  For a plain reward the bounds are exactly ``(warmup,
-        until)``, so this is the same arithmetic as clipping one shared
-        span."""
-        integrals = self.rate_integrals
-        lo = self.rate_lo
-        hi = self.rate_hi
-        for i, val in enumerate(self.rate_values):
-            if val != 0.0:
-                a = t0 if t0 > lo[i] else lo[i]
-                b = t1 if t1 < hi[i] else hi[i]
-                if b > a:
-                    integrals[i] += val * (b - a)
-
-    def result(
-        self,
-        model: FlatModel,
-        values: list[int],
-        n_events: int,
-        end_time: float,
-        stopped_early: bool,
-        probe_pos: int,
-        report=None,
-    ) -> RunResult:
-        """Assemble the run's :class:`RunResult` at ``end_time``.
-
-        Stores the integrals, records the probes still pending, sets
-        every result's duration and finishes the binary traces.
-        """
-        warmup = self.warmup
-        until = self.until
-        rate_results = self.rate_results
-        for res, acc in zip(rate_results, self.rate_integrals):
-            res.integral = acc
-        if not stopped_early:
-            # The marking is constant from the last event to ``until``,
-            # so remaining probes read the current values.  After an
-            # early stop the trajectory beyond ``end_time`` is undefined
-            # and later probes stay unrecorded.
-            for pt, pi in self.probe_list[probe_pos:]:
-                rate_results[pi].instants.append((pt, self.rate_values[pi]))
-        duration = max(end_time - warmup, 0.0)
-        for res in self.results.values():
-            res.duration = duration
-        # Windowed rewards observe their effective window, not the run's.
-        for i, r in enumerate(self.rate_rewards):
-            if r.window is not None:
-                lo = self.rate_lo[i]
-                b = end_time if end_time < self.rate_hi[i] else self.rate_hi[i]
-                rate_results[i].duration = b - lo if b > lo else 0.0
-        for r in self.impulse_rewards:
-            if r.window is not None:
-                w0, w1 = r.window
-                lo = warmup if warmup > w0 else w0
-                hi = until if until < w1 else w1
-                b = end_time if end_time < hi else hi
-                self.results[r.name].duration = b - lo if b > lo else 0.0
-        for tr in self.binary_traces:
-            tr.finish(end_time)
-        return RunResult(
-            final_time=end_time,
-            duration=duration,
-            n_events=n_events,
-            rewards=self.results,
-            traces=self.trace_map,
-            stopped_early=stopped_early,
-            sanitizer_report=report,
-            _final_values=list(values),
-            _paths=model.paths,
+                    form_upd[s] = [entry]
+                else:
+                    lst.append(entry)
+        self.reward_kernels = sorted(
+            r.name for i, r in enumerate(rate_rewards) if form_compiled[i]
+        )
+        self.python_refresh = sorted(
+            r.name for i, r in enumerate(rate_rewards) if not form_compiled[i]
         )
 
+        self.rate_obs = rate_obs = [None] * n_places
+        for i, r in enumerate(rate_rewards):
+            if r.reads is None:
+                continue
+            known = self.rate_known[i]
+            wire_obs = not form_compiled[i]
+            for entry in r.reads:
+                slot = paths_index.get(entry)
+                slots = [slot] if slot is not None else list(model.match(entry).values())
+                if not slots:
+                    raise SimulationError(
+                        f"rate reward {r.name!r}: declared read {entry!r} "
+                        "matches no place"
+                    )
+                for s in slots:
+                    if s not in known:
+                        known.add(s)
+                        if not wire_obs:
+                            continue
+                        lst = rate_obs[s]
+                        if lst is None:
+                            rate_obs[s] = [i]
+                        else:
+                            lst.append(i)
+        # Binary traces come fresh with each run and discover every read.
+        self.btrace_obs: list[list[int] | None] = [None] * n_places
+        self.tracked_baseline = any(lst is not None for lst in rate_obs)
+        # (known, observer lists, slot, index) per tracked discovery.
+        self.obs_journal: list[tuple] = []
+        # Fused per-slot observer index for the kernel hot paths: one
+        # lookup + None check per written slot instead of three, since
+        # almost every written slot observes nothing.  Entries alias the
+        # live observer lists; a discovery that *replaces* a ``None``
+        # entry with a fresh list re-fuses the slot.
+        self.slot_obs: list[tuple | None] = [None] * n_places
+        for s in range(n_places):
+            self.refresh_slot(s)
 
-def _check_budget(sim, deadline, obs, n_events, now, values) -> None:
+    def refresh_slot(self, slot: int) -> None:
+        """Re-fuse ``slot``'s entry of ``slot_obs``."""
+        f, rl, tl = self.form_upd[slot], self.rate_obs[slot], self.btrace_obs[slot]
+        self.slot_obs[slot] = (
+            None if f is None and rl is None and tl is None else (f, rl, tl)
+        )
+
+    def reset_observers(self) -> None:
+        """Roll the observer lists back to the declared baseline.
+
+        Tracked discovery only appends, one entry per observer and slot,
+        so removal restores the exact baseline; the known-sets mutate in
+        place because each view holds a direct reference to its own.
+        """
+        for known, table, slot, i in self.obs_journal:
+            known.discard(slot)
+            lst = table[slot]
+            lst.remove(i)
+            if not lst:
+                table[slot] = None
+                self.refresh_slot(slot)
+        self.obs_journal.clear()
+
+
+def _check_budget(
+    sim, deadline, until, n_events, now, values, results, rate_results, integrals,
+    rate_values,
+) -> None:
     """Raise :class:`SimulationBudgetError` once a run has used up one of
     ``sim``'s budgets (``deadline``: the ``max_wall_s`` instant, or None).
 
@@ -518,24 +613,38 @@ def _check_budget(sim, deadline, obs, n_events, now, values) -> None:
     else:
         return
     partial: dict[str, dict] = {}
-    for r, acc, val in zip(obs.rate_rewards, obs.rate_integrals, obs.rate_values):
-        partial[r.name] = {"kind": "rate", "integral": acc, "value": val}
-    for r in obs.impulse_rewards:
-        res = obs.results[r.name]
-        partial[r.name] = {
-            "kind": "impulse",
-            "impulse_sum": res.impulse_sum,
-            "count": res.count,
-        }
+    for res, acc, val in zip(rate_results, integrals, rate_values):
+        partial[res.name] = {"kind": "rate", "integral": acc, "value": val}
+    for res in results.values():
+        if res.kind == "impulse":
+            partial[res.name] = {
+                "kind": "impulse",
+                "impulse_sum": res.impulse_sum,
+                "count": res.count,
+            }
     raise SimulationBudgetError(
         f"simulation exceeded {kind}={limit!r} after {n_events} "
-        f"events at t={now:.6g} (until={obs.until:g})",
+        f"events at t={now:.6g} (until={until:g})",
         budget=kind,
         limit=limit,
         n_events=n_events,
         sim_time=now,
         marking={path: values[slot] for path, slot in sim.model.paths.items()},
         rewards=partial,
+    )
+
+
+def _slot_place(model: FlatModel, slot: int) -> str:
+    for path, s in model.paths.items():
+        if s == slot:
+            return path
+    return f"<slot {slot}>"  # pragma: no cover - defensive
+
+
+def _kernel_negative(model: FlatModel, aid: int, slot: int, value: int):
+    raise SimulationError(
+        f"activity {model.activities[aid].path!r}: declared write drives "
+        f"place {_slot_place(model, slot)!r} to negative value {value}"
     )
 
 
@@ -582,6 +691,7 @@ class _Compiled:
         "reactivate",
         "paths",
         "batched",
+        "batched_of",
         "init_timed",
         "init_instants",
         "init_undeclared",
@@ -906,6 +1016,9 @@ class CompiledProgram:
         # skip the Python call entirely once a value has been seen.
         # Persistent across runs (pure function ⇒ value-transparent).
         self._pred_memo: list[dict | None] = [None] * self._n_acts
+        # The run plan of the most recent (engine, rewards) combination
+        # (see _RunPlan), built by the first run that needs it.
+        self._plan: _RunPlan | None = None
 
     # ------------------------------------------------------------------
     # helpers
@@ -1098,6 +1211,13 @@ class CompiledProgram:
                 c.samplers[aid] = _make_checked_sampler(d.distribution, act.path)
             elif plan.samp_kind == "dynamic":
                 c.dyn_dists[aid] = d.distribution
+        # batched_of[aid]: the BatchedSampler behind a batched lane, whose
+        # common-case buffer pop the compiled loop inlines; an empty or
+        # exhausted buffer falls through to the identical sample() call.
+        c.batched_of = [
+            s.__self__ if kind == "batched" else None
+            for s, kind in zip(c.samplers, c.samp_kind)
+        ]
 
         # Pre-evaluate every enabling predicate on the initial marking:
         # the initial marking is identical for every run, so the set of
@@ -1488,20 +1608,104 @@ class Simulator:
             initialization path byte-identical to previous releases.
         """
         model = self.model
-        init_values = _check_run_args(model, until, warmup, initial_marking)
+        init_values = _check_run_args(
+            model, until, warmup, initial_marking, stop_predicate, rng
+        )
         if seed is not None:
             seed = _check_seed(seed, "seed")
-        obs = _RunObservers(
-            rewards, traces, warmup, until, self.program._n_acts, self._matching_ids
-        )
-
         p = self.program
+        engine = self.engine
+        rewards = tuple(rewards)
+        plan = p._plan
+        if (
+            plan is None
+            or plan.engine != engine
+            or len(plan.rewards) != len(rewards)
+            or (rewards and any(a is not b for a, b in zip(plan.rewards, rewards)))
+        ):
+            plan = p._plan = _RunPlan(p, engine, rewards)
+        if plan.obs_journal:
+            plan.reset_observers()
         c = p.tables()
         # engine="sanitize" is the reference loop plus the declaration
         # checks of repro.core.sanitizer, swapped into the local tables
         # below; "auto" alone takes the compiled loop.
-        sanitize = self.engine == "sanitize"
-        reference = self.engine != "auto"
+        sanitize = engine == "sanitize"
+        reference = engine != "auto"
+        n_acts = p._n_acts
+
+        # -- this run's results, bounds, probes and traces -------------
+        # A rate reward integrates over its window intersected with
+        # [warmup, until]; probes merge across rewards in time order.
+        rate_rewards = plan.rate_rewards
+        n_rates = len(rate_rewards)
+        results: dict[str, RewardResult] = {}
+        rate_results: list[RewardResult] = []
+        rate_values = [0.0] * n_rates
+        rate_integrals = [0.0] * n_rates
+        rate_lo = [warmup] * n_rates
+        rate_hi = [until] * n_rates
+        probe_list: list[tuple[float, int]] = []
+        for i, r in enumerate(rate_rewards):
+            rate_results.append(RewardResult(r.name, "rate"))
+            results[r.name] = rate_results[i]
+            if r.window is not None:
+                w0, w1 = r.window
+                rate_lo[i] = warmup if warmup > w0 else w0
+                rate_hi[i] = until if until < w1 else w1
+            for t in r.probe_times or ():
+                if t > until:
+                    raise SimulationError(
+                        f"rate reward {r.name!r}: probe time {t} "
+                        f"exceeds until={until}"
+                    )
+                probe_list.append((t, i))
+        probe_list.sort()
+        for r, entry in zip(plan.impulse_rewards, plan.impulse_entries):
+            entry[0] = results[r.name] = RewardResult(r.name, "impulse")
+        n_probes = len(probe_list)
+        probe_pos = 0
+        # A binary trace discovers its reads through its own view,
+        # filtered by its known-slot set.
+        binary_traces: list[BinaryTrace] = []
+        btrace_known: list[set[int]] = []
+        btrace_views: list[LocalView] = []
+        event_traces: list[EventTrace] = []
+        trace_map: dict[str, BinaryTrace | EventTrace] = {}
+        for tr in traces:
+            if tr.name in trace_map:
+                raise SimulationError(f"duplicate trace name {tr.name!r}")
+            trace_map[tr.name] = tr
+            tr.reset()
+            if isinstance(tr, BinaryTrace):
+                binary_traces.append(tr)
+                btrace_known.append(set())
+                btrace_views.append(
+                    LocalView(c.vector, model.paths, btrace_known[-1])
+                )
+            elif isinstance(tr, EventTrace):
+                event_traces.append(tr)
+            else:
+                raise SimulationError(f"unsupported trace object: {tr!r}")
+        # Completion observers per activity: (the plan's impulse entries,
+        # this run's event traces), or None for the (dominant) unobserved.
+        act_watch = plan.act_watch
+        if event_traces:
+            act_watch = list(act_watch)
+            for tr in event_traces:
+                ids = self._matching_ids(tr.activity_pattern)
+                if not ids:
+                    raise SimulationError(
+                        f"event trace {tr.name!r} matches no activity "
+                        f"(pattern {tr.activity_pattern!r})"
+                    )
+                for aid in ids:
+                    imp, etr = act_watch[aid] or (None, ())
+                    act_watch[aid] = (imp, [*(etr or ()), tr])
+        has_observers = bool(plan.impulse_rewards or event_traces)
+        self.last_reward_kernels = list(plan.reward_kernels)
+        self.last_python_refresh_rewards = list(plan.python_refresh)
+
         if c.init_undeclared and not sanitize:
             aid, slots = c.init_undeclared[0]
             act = model.activities[aid]
@@ -1529,22 +1733,13 @@ class Simulator:
         og_fns = c.og_fns
         case_tab = c.case_tab
         plain1 = c.plain1
-        # The reference engine runs every effect through its Python
-        # functions; a sanitized run keeps the kernels to verify them.
-        with_kernels = self.engine != "reference"
-        kernels = c.kernels if with_kernels else [None] * p._n_acts
-        case_kern = c.case_kern if with_kernels else [None] * p._n_acts
+        kernels = plan.kernels
+        case_kern = plan.case_kern
+        has_case = plan.has_case
+        live_kernels = plan.live_kernels
         case_ok = p._case_verified
         samplers = c.samplers
-        # Unwrapped BatchedSampler objects for the hot re-activation
-        # sites: the common-case buffer pop is inlined there (a few
-        # slot-attribute loads instead of a bound-method call); an empty
-        # or exhausted buffer falls through to the plain sample() call,
-        # which performs the identical refill-and-pop.
-        batched_of = [
-            samplers[a].__self__ if c.samp_kind[a] == "batched" else None
-            for a in range(p._n_acts)
-        ]
+        batched_of = c.batched_of
         dyn_dists = c.dyn_dists
         is_timed = c.is_timed
         declared = c.declared
@@ -1555,14 +1750,12 @@ class Simulator:
         act_deps = p._act_deps
         dep_lists = p._dep_lists
         dep_journal = p._dep_journal
-        instant_ids = p._instant_ids
         priorities = p._priorities
-        has_instants = bool(instant_ids)
+        has_instants = bool(p._instant_ids)
         max_chain = self.max_instant_chain
         heappush = heapq.heappush
         heappop = heapq.heappop
 
-        n_acts = p._n_acts
         # token parity encodes liveness: odd = activity has a live event.
         # Completion and deactivation both bump the token, so a heap
         # entry's token mismatching the current one marks it stale.
@@ -1587,13 +1780,40 @@ class Simulator:
         # change a trajectory.
         dyn_checked = p._dyn_verified
         kern_ok = p._kern_verified
+
+        # Rate-reward / binary-trace incremental state (see _RunPlan).
+        rate_fns = plan.rate_fns
+        rate_declared = plan.rate_declared
+        rate_views = plan.rate_views
+        rate_obs = plan.rate_obs
+        btrace_obs = plan.btrace_obs
+        slot_obs = plan.slot_obs
+        form_compiled = plan.form_compiled
+        form_upd = plan.form_upd
+        form_gstate = plan.form_gstate
+        form_guards = plan.form_guards
+        form_viol = [0] * n_rates
+        rate_range = range(n_rates)  # hoisted for the inline hot loop
+        has_rates = bool(rate_rewards)
+        n_btraces = len(binary_traces)
+        btrace_values: list[bool] = [False] * n_btraces
+        # Epoch-stamped touched buffers (same scheme as the dirty list):
+        # an observer index is appended at most once per observation epoch.
+        rstamp = [0] * n_rates
+        tstamp = [0] * n_btraces
+        touched_r: list[int] = []
+        touched_t: list[int] = []
+        obs_epoch = 1
+
         # A sanitized run swaps the sanitizer's checking wrappers into
         # the local tables.  Every activity then evaluates on the tracked
         # path; a wrapper reports the reads a declared activity's
         # filtered view records and drops them, so they never join the
         # dependency map.  Kernels are verified on every completion
         # (verify_every=1 below) against local flags: a sanitized run
-        # leaves the program's verification state as it found it.
+        # leaves the program's verification state as it found it.  Every
+        # reward evaluates on the tracked path through its checking
+        # wrapper (read, form and finiteness checks).
         checker = None
         if sanitize:
             from .sanitizer import DeclarationChecker
@@ -1611,6 +1831,13 @@ class Simulator:
                 checker.undeclared_reads(
                     act_paths[aid], "enabling predicate", slots
                 )
+            rate_fns = [
+                checker.reward(
+                    r, form_guards[i], plan.form_base[i], plan.form_terms[i]
+                )
+                for i, r in enumerate(rate_rewards)
+            ]
+            rate_declared = [False] * n_rates
 
         def fault(kind: str, subject: str, message: str) -> None:
             """A model fault found mid-run: raised, or reported when
@@ -1619,14 +1846,6 @@ class Simulator:
                 raise SimulationError(message)
             checker.violate(kind, subject, None, message)
 
-        # Verified-kernel ops, fused with the verification flag: the
-        # compiled loop tests one entry instead of two (kernels[aid] +
-        # kern_ok).
-        # A kernel's first completion verifies through the Python gate
-        # functions and promotes its ops here (see the verify sites).
-        live_kernels = [
-            kernels[a] if kern_ok[a] else None for a in range(p._n_acts)
-        ]
         # Only compiled completions are counted per event (free for
         # models without kernels); python-effect completions are derived
         # at run end as n_events - n_kernel_effects - n_case_kernels
@@ -1651,37 +1870,6 @@ class Simulator:
         # Distribution type check per object.
         dyn_samplers: dict[int, Callable] = {}
         use_dyn_batch = u_batch is not None and self.batch_dynamic
-
-        # -- reward / trace wiring ------------------------------------
-        # The shared part (see _RunObservers) is already built; what
-        # follows is this engine's own: observer lists, views and the
-        # reward-form kernels.
-        rate_rewards = obs.rate_rewards
-        rate_results = obs.rate_results
-        rate_values = obs.rate_values
-        rate_integrals = obs.rate_integrals
-        binary_traces = obs.binary_traces
-        impulse_by_act = obs.impulse_by_act
-        etrace_by_act = obs.etrace_by_act
-        probe_list = obs.probe_list
-        n_probes = len(probe_list)
-        probe_pos = 0
-        n_rates = len(rate_rewards)
-        rate_range = range(n_rates)  # hoisted for the inline hot loop
-        rate_fns = [r.function for r in rate_rewards]
-        has_observers = bool(obs.impulse_rewards or obs.event_traces)
-        # Combined per-activity completion-observer table for the
-        # compiled loop: one index + None check on the (dominant)
-        # unobserved activities instead of two.
-        act_watch: list[tuple[list | None, list | None] | None] = [None] * n_acts
-        if has_observers:
-            for _aid in range(n_acts):
-                if impulse_by_act[_aid] is not None or etrace_by_act[_aid] is not None:
-                    act_watch[_aid] = (impulse_by_act[_aid], etrace_by_act[_aid])
-        # Per-activity "has a case/guard kernel" flags: compile makes
-        # plain kernels and case kernels mutually exclusive, so the hot
-        # dispatch needs one boolean load, not a second table probe.
-        has_case = [ck is not None for ck in case_kern]
 
         # Periodic kernel re-verification (``Simulator(verify_every=N)``):
         # every N-th completion demotes the firing activity's verified
@@ -1714,114 +1902,15 @@ class Simulator:
                 stacklevel=3,
             )
 
-        # Rate-reward / binary-trace incremental state: slot -> observer
-        # indices as flat list-of-lists indexed by slot (same shape as the
-        # activity dependency map; ``None`` marks unobserved slots).
-        # Rewards with declared reads are wired in full here; the rest
-        # grow their lists by tracked discovery.  Each observer evaluates
-        # through its own view filtered by its known-slot set, so a
-        # converged observer's tracked evaluation records nothing.
-        n_places = model.n_places
-        n_btraces = len(binary_traces)
-        rate_obs: list[list[int] | None] = [None] * n_places
-        rate_known: list[set[int]] = [set() for _ in range(n_rates)]
-        rate_declared = [r.reads is not None for r in rate_rewards]
-        rate_views = [
-            LocalView(vector, model.paths, rate_known[i]) for i in range(n_rates)
-        ]
-        paths_index = model.paths
-        # Compiled reward-form kernels (declared Indicator/Affine forms).
-        # A form-compiled reward is *not* wired into the rate_obs observer
-        # lists: every event that writes one of its places refreshes its
-        # value inline through ``form_upd`` (exact integer guard
-        # bookkeeping + the canonical affine arithmetic) instead of
-        # re-calling the Python expression after settlement.  The
-        # reference engine never compiles forms — it keeps the tracked
-        # observer path, which is the differential oracle for this layer.
-        # A sanitized run resolves the forms but only to check them.
-        form_compiled = [
-            r.form is not None and not reference for r in rate_rewards
-        ]
-        # form_upd[slot]: None, or a list of (reward_i, guard_entries,
-        # base, terms) to apply when the slot's value changes.
-        # guard_entries is a tuple of (guard_j, cmp_fn, bound, slot_a,
-        # slot_b) covering the form guards that read this slot (slot_b
-        # == -1 for single-place guards); terms is the full
-        # (slot, coef, divisor) tuple of the reward's affine part.
-        form_upd: list[list | None] = [None] * n_places
-        form_gstate: list[list[bool] | None] = [None] * n_rates
-        form_viol: list[int] = [0] * n_rates
-        form_guards: list[tuple | None] = [None] * n_rates
-        form_base: list[float] = [0.0] * n_rates
-        form_terms: list[tuple | None] = [None] * n_rates
-
-        def _form_slot(rname: str, place: str) -> int:
-            slot = paths_index.get(place)
-            if slot is not None:
-                return slot
-            matches = model.match(place)
-            if len(matches) != 1:
-                raise SimulationError(
-                    f"rate reward {rname!r}: form place {place!r} resolved "
-                    f"to {len(matches)} places; expected exactly one"
-                )
-            return next(iter(matches.values()))
-
-        for i, r in enumerate(rate_rewards):
-            if r.form is None or self.engine == "reference":
-                continue
-            f = r.form
-            terms = tuple(
-                (_form_slot(r.name, p), coef, div) for p, coef, div in f.terms
-            )
-            guards = []
-            for place, cmp, gval in f.guards:
-                if isinstance(place, tuple):
-                    sa = _form_slot(r.name, place[0])
-                    sb = _form_slot(r.name, place[1])
-                else:
-                    sa = _form_slot(r.name, place)
-                    sb = -1
-                guards.append((_GUARD_FNS[cmp], gval, sa, sb))
-            form_guards[i] = tuple(guards)
-            form_base[i] = f.base
-            form_terms[i] = terms
-            if not form_compiled[i]:
-                continue
-            form_gstate[i] = [False] * len(guards)
-            relevant: dict[int, None] = {}
-            for _cmp_fn, _gv, sa, sb in guards:
-                relevant.setdefault(sa)
-                if sb >= 0:
-                    relevant.setdefault(sb)
-            for s, _coef, _div in terms:
-                relevant.setdefault(s)
-            for s in relevant:
-                gl = tuple(
-                    (gj, cmp_fn, gv, sa, sb)
-                    for gj, (cmp_fn, gv, sa, sb) in enumerate(guards)
-                    if sa == s or sb == s
-                )
-                entry = (i, gl, f.base, terms)
-                lst = form_upd[s]
-                if lst is None:
-                    form_upd[s] = [entry]
-                else:
-                    lst.append(entry)
-        self.last_reward_kernels = sorted(
-            r.name for i, r in enumerate(rate_rewards) if form_compiled[i]
-        )
-        self.last_python_refresh_rewards = sorted(
-            r.name for i, r in enumerate(rate_rewards) if not form_compiled[i]
-        )
-        if sanitize:
-            # Every reward evaluates on the tracked path through its
-            # checking wrapper (read, form and finiteness checks).
-            rate_fns = [
-                checker.reward(r, form_guards[i], form_base[i], form_terms[i])
-                for i, r in enumerate(rate_rewards)
-            ]
-            rate_declared = [False] * n_rates
+        def integrate(t0: float, t1: float) -> None:
+            """Accumulate each rate reward over ``(t0, t1]``, clipped to
+            its bounds (exactly ``(warmup, until)`` for a plain one)."""
+            for i, val in enumerate(rate_values):
+                if val != 0.0:
+                    a = t0 if t0 > rate_lo[i] else rate_lo[i]
+                    b = t1 if t1 < rate_hi[i] else rate_hi[i]
+                    if b > a:
+                        rate_integrals[i] += val * (b - a)
 
         def apply_forms(slot: int) -> None:
             """Refresh every form-compiled reward that reads ``slot``.
@@ -1849,63 +1938,6 @@ class Simulator:
                         acc += tc * values[ts_] / td
                     rate_values[fi] = acc
 
-        for i, r in enumerate(rate_rewards):
-            if r.reads is None:
-                continue
-            known = rate_known[i]
-            wire_obs = not form_compiled[i]
-            for entry in r.reads:
-                slot = paths_index.get(entry)
-                slots = [slot] if slot is not None else list(model.match(entry).values())
-                if not slots:
-                    raise SimulationError(
-                        f"rate reward {r.name!r}: declared read {entry!r} "
-                        "matches no place"
-                    )
-                for s in slots:
-                    if s not in known:
-                        known.add(s)
-                        if not wire_obs:
-                            continue
-                        lst = rate_obs[s]
-                        if lst is None:
-                            rate_obs[s] = [i]
-                        else:
-                            lst.append(i)
-        btrace_values: list[bool] = [False] * n_btraces
-        btrace_obs: list[list[int] | None] = [None] * n_places
-        btrace_known: list[set[int]] = [set() for _ in range(n_btraces)]
-        btrace_views = [
-            LocalView(vector, model.paths, btrace_known[i])
-            for i in range(n_btraces)
-        ]
-        has_rates = bool(rate_rewards)
-        # Epoch-stamped touched buffers (same scheme as the dirty list):
-        # an observer index is appended at most once per observation epoch.
-        rstamp = [0] * n_rates
-        tstamp = [0] * n_btraces
-        touched_r: list[int] = []
-        touched_t: list[int] = []
-        obs_epoch = 1
-
-        # Fused per-slot observer index for the kernel hot paths: one
-        # lookup + None check per written slot instead of three
-        # (form_upd / rate_obs / btrace_obs), since almost every written
-        # slot observes nothing.  Entries alias the live observer lists,
-        # so in-place appends stay visible; the tracked-discovery sites
-        # that *replace* a ``None`` entry with a fresh list re-fuse the
-        # slot below (see eval_rate / eval_btrace).
-        slot_obs: list[tuple | None] = [None] * n_places
-
-        def _refresh_slot_obs(slot: int) -> None:
-            f, rl, tl = form_upd[slot], rate_obs[slot], btrace_obs[slot]
-            slot_obs[slot] = (
-                None if f is None and rl is None and tl is None else (f, rl, tl)
-            )
-
-        for _s in range(n_places):
-            _refresh_slot_obs(_s)
-
         def eval_rate(i: int) -> float:
             if not rate_declared[i]:
                 vector.tracking = True
@@ -1916,13 +1948,14 @@ class Simulator:
                     vector.tracking = False
                 if reads:
                     # the filtered view records only undiscovered slots
-                    known = rate_known[i]
+                    known = plan.rate_known[i]
                     for slot in reads:
                         known.add(slot)
+                        plan.obs_journal.append((known, rate_obs, slot, i))
                         lst = rate_obs[slot]
                         if lst is None:
                             rate_obs[slot] = [i]
-                            _refresh_slot_obs(slot)
+                            plan.refresh_slot(slot)
                         else:
                             lst.append(i)
                 return val
@@ -1943,7 +1976,7 @@ class Simulator:
                 vector.tracking = False
             if reads:
                 slot_names = sorted(
-                    p for p, s in paths_index.items() if s in reads
+                    path for path, s in model.paths.items() if s in reads
                 )
                 raise SimulationError(
                     f"rate reward {rate_rewards[i].name!r} reads places "
@@ -1962,10 +1995,11 @@ class Simulator:
                 known = btrace_known[i]
                 for slot in reads:
                     known.add(slot)
+                    plan.obs_journal.append((known, btrace_obs, slot, i))
                     lst = btrace_obs[slot]
                     if lst is None:
                         btrace_obs[slot] = [i]
-                        _refresh_slot_obs(slot)
+                        plan.refresh_slot(slot)
                     else:
                         lst.append(i)
             return val
@@ -2077,12 +2111,6 @@ class Simulator:
                         break
                 chosen_case.function(view, rng)
 
-        def _slot_place(slot: int) -> str:
-            for path, s in self.model.paths.items():
-                if s == slot:
-                    return path
-            return f"<slot {slot}>"  # pragma: no cover - defensive
-
         def _verify_branch(aid: int, ops, fns, label: str) -> None:
             """First completion of a compiled effect: fire through the
             Python functions (bit-identical trajectory) and check the
@@ -2117,11 +2145,11 @@ class Simulator:
                 if undeclared:
                     parts.append(
                         "writes undeclared places "
-                        f"{sorted(_slot_place(s) for s in undeclared)}"
+                        f"{sorted(_slot_place(model, s) for s in undeclared)}"
                     )
                 for s in sorted(wrong):
                     parts.append(
-                        f"{_slot_place(s)}: declared ops give "
+                        f"{_slot_place(model, s)}: declared ops give "
                         f"{predicted[s]}, function wrote {values[s]}"
                     )
                 raise DeclarationError(
@@ -2168,12 +2196,6 @@ class Simulator:
             _verify_branch(aid, branch_ops[idx], branch_fns[idx], labels[idx])
             flags[idx] = True
             return None
-
-        def _kernel_negative(aid: int, slot: int, value: int) -> None:
-            raise SimulationError(
-                f"activity {act_paths[aid]!r}: declared write drives place "
-                f"{_slot_place(slot)!r} to negative value {value}"
-            )
 
         # NOTE: the compiled loop below inlines fire() for the completions
         # it pops; keep the sites in sync.  Kernel activities apply
@@ -2233,7 +2255,7 @@ class Simulator:
                     if is_add:
                         v = values[slot] + amount
                         if v < 0:
-                            _kernel_negative(aid, slot, v)
+                            _kernel_negative(model, aid, slot, v)
                         values[slot] = v
                         changed.add(slot)
                     elif values[slot] != amount:
@@ -2241,20 +2263,20 @@ class Simulator:
                         changed.add(slot)
 
             if has_observers:
-                if now >= warmup:
-                    imp = impulse_by_act[aid]
-                    if imp is not None:
+                w = act_watch[aid]
+                if w is not None:
+                    imp, etr = w
+                    if imp is not None and now >= warmup:
                         for res, static, fn, ilo, ihi in imp:
                             if ilo <= now <= ihi:
                                 res.impulse_sum += (
                                     static if fn is None else fn(gview)
                                 )
                                 res.count += 1
-                etr = etrace_by_act[aid]
-                if etr is not None:
-                    path = act_paths[aid]
-                    for tr in etr:
-                        tr.record(now, path, gview)
+                    if etr is not None:
+                        path = act_paths[aid]
+                        for tr in etr:
+                            tr.record(now, path, gview)
 
         def update_timed(aid: int, en: bool) -> None:
             """Apply an enabling-state change to a timed activity.
@@ -2448,7 +2470,7 @@ class Simulator:
                     )
                 form_viol[i] = sum(gstate)
                 kval = _form_value(
-                    values, form_guards[i], form_base[i], form_terms[i]
+                    values, form_guards[i], plan.form_base[i], plan.form_terms[i]
                 )
                 if kval != fn_val:
                     raise SimulationError(
@@ -2466,12 +2488,7 @@ class Simulator:
 
         last_t = 0.0
         stopped_early = False
-        # The compiled loop inlines the integration body for runs whose
-        # rewards all integrate over [warmup, until]: one clipped span
-        # shared by every reward, the same arithmetic as
-        # _RunObservers.integrate with one Python call fewer per event.
-        integrate = obs.integrate
-        inline_rates = has_rates and all(r.window is None for r in rate_rewards)
+        inline_rates = plan.inline_rates
 
         # -- event loop --------------------------------------------------
         # A completed event's token always mismatches (completion and
@@ -2491,10 +2508,10 @@ class Simulator:
         # so initial discovery is included; when False, the touched
         # buffers can never fill mid-run (every drain site walks
         # rate_obs/btrace_obs entries, all None) and the compiled loop
-        # skips the per-event drain checks and epoch bump entirely.
-        has_tracked_obs = any(
-            l is not None for l in rate_obs
-        ) or any(l is not None for l in btrace_obs)
+        # skips the per-event drain checks and epoch bump entirely.  The
+        # lists beyond the declared baseline are exactly the journaled
+        # discoveries.
+        has_tracked_obs = plan.tracked_baseline or bool(plan.obs_journal)
         self.last_loop = self.engine if reference else "observed"
         if reference:
             # General un-specialized loop: every feature, no inlining.
@@ -2507,7 +2524,10 @@ class Simulator:
                 if ftime > until:
                     break
                 if has_budget:
-                    _check_budget(self, wall_deadline, obs, n_events, now, values)
+                    _check_budget(
+                        self, wall_deadline, until, n_events, now, values,
+                        results, rate_results, rate_integrals, rate_values,
+                    )
                 while probe_pos < n_probes and probe_list[probe_pos][0] <= ftime:
                     pt, pi = probe_list[probe_pos]
                     rate_results[pi].instants.append((pt, rate_values[pi]))
@@ -2598,7 +2618,10 @@ class Simulator:
                 if ftime > until:
                     break
                 if has_budget:
-                    _check_budget(self, wall_deadline, obs, n_events, now, values)
+                    _check_budget(
+                        self, wall_deadline, until, n_events, now, values,
+                        results, rate_results, rate_integrals, rate_values,
+                    )
                 if probe_pos < n_probes:
                     while probe_pos < n_probes and probe_list[probe_pos][0] <= ftime:
                         pt, pi = probe_list[probe_pos]
@@ -2693,7 +2716,7 @@ class Simulator:
                         if is_add:
                             v = values[slot] + amount
                             if v < 0:
-                                _kernel_negative(aid, slot, v)
+                                _kernel_negative(model, aid, slot, v)
                             values[slot] = v
                         elif values[slot] != amount:
                             values[slot] = amount
@@ -2907,32 +2930,65 @@ class Simulator:
         self.last_python_effects = n_events - n_kernel_effects - n_case_kernels
         end_time = now if stopped_early else until
         integrate(last_t, end_time)
+        # -- result assembly -------------------------------------------
         # NaN/inf accumulation guard: a reward expression that produced a
         # non-finite value poisons every downstream statistic silently
         # (means, CIs, sweep tables), so fail the run loudly instead.
         # Once per run, not per event — free on the hot path.
-        for r, acc in zip(rate_rewards, rate_integrals):
+        for res, acc in zip(rate_results, rate_integrals):
             if not math.isfinite(acc):
                 fault(
                     "non-finite-reward",
-                    r.name,
-                    f"rate reward {r.name!r} accumulated a "
+                    res.name,
+                    f"rate reward {res.name!r} accumulated a "
                     f"non-finite integral ({acc!r}); the reward expression "
                     "produced NaN or inf during the run",
                 )
-        for r in obs.impulse_rewards:
-            _isum = obs.results[r.name].impulse_sum
-            if not math.isfinite(_isum):
+            res.integral = acc
+        duration = max(end_time - warmup, 0.0)
+        for res in results.values():
+            res.duration = duration
+            if res.kind == "impulse" and not math.isfinite(res.impulse_sum):
                 fault(
                     "non-finite-reward",
-                    r.name,
-                    f"impulse reward {r.name!r} accumulated a non-finite "
-                    f"sum ({_isum!r}); an impulse value evaluated to NaN "
-                    "or inf during the run",
+                    res.name,
+                    f"impulse reward {res.name!r} accumulated a non-finite "
+                    f"sum ({res.impulse_sum!r}); an impulse value evaluated "
+                    "to NaN or inf during the run",
                 )
         report = None
         if checker is not None:
             report = checker.finish(n_events, end_time, self.strict)
-        return obs.result(
-            model, values, n_events, end_time, stopped_early, probe_pos, report
+        if not stopped_early:
+            # The marking is constant from the last event to ``until``,
+            # so remaining probes read the current values.  After an
+            # early stop the trajectory beyond ``end_time`` is undefined
+            # and later probes stay unrecorded.
+            for pt, pi in probe_list[probe_pos:]:
+                rate_results[pi].instants.append((pt, rate_values[pi]))
+        # Windowed rewards observe their effective window, not the run's.
+        for i, r in enumerate(rate_rewards):
+            if r.window is not None:
+                lo = rate_lo[i]
+                b = end_time if end_time < rate_hi[i] else rate_hi[i]
+                rate_results[i].duration = b - lo if b > lo else 0.0
+        for r in plan.impulse_rewards:
+            if r.window is not None:
+                w0, w1 = r.window
+                lo = warmup if warmup > w0 else w0
+                hi = until if until < w1 else w1
+                b = end_time if end_time < hi else hi
+                results[r.name].duration = b - lo if b > lo else 0.0
+        for tr in binary_traces:
+            tr.finish(end_time)
+        return RunResult(
+            final_time=end_time,
+            duration=duration,
+            n_events=n_events,
+            rewards=results,
+            traces=trace_map,
+            stopped_early=stopped_early,
+            sanitizer_report=report,
+            _final_values=list(values),
+            _paths=model.paths,
         )

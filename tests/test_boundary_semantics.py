@@ -17,6 +17,8 @@ pins the documented semantics:
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core import (
@@ -27,7 +29,7 @@ from repro.core import (
     Simulator,
     flatten,
 )
-from repro.core.errors import SimulationError
+from repro.core.errors import ModelError, SimulationError
 from repro.core.rewards import Indicator
 
 
@@ -127,6 +129,18 @@ class TestProbeBoundaries:
         rw = [_up_reward(probe_times=[11.0])]
         with pytest.raises(SimulationError, match="exceeds until"):
             Simulator(_clock_model(), base_seed=9).run(10.0, rewards=rw)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_probe_time_rejected(self, bad):
+        """A NaN probe would sort first and block every later probe, so
+        each bad time is rejected wherever it sits in the list."""
+        for times in ([bad, 1.0], [1.0, bad]):
+            with pytest.raises(ModelError) as info:
+                _up_reward(probe_times=times)
+            assert str(info.value) == (
+                "rate reward 'up_frac': probe times must be finite and "
+                f">= 0, got {bad}"
+            )
 
     def test_probe_after_last_event_uses_final_marking(self):
         """No events between the last completion and ``until``: remaining

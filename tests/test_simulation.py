@@ -7,14 +7,18 @@ import math
 import numpy as np
 import pytest
 
+import warnings
+
 from repro.core import (
     SAN,
     BinaryTrace,
     Case,
+    CompiledProgram,
     Deterministic,
     EventTrace,
     Exponential,
     ImpulseReward,
+    Indicator,
     InstantaneousLoopError,
     RateReward,
     SimulationError,
@@ -28,6 +32,8 @@ from repro.core import (
 from repro.markov import two_state_availability
 
 from _helpers import build_two_state_san
+from _mutants import _m_case_branch0, _m_wrong_add_amount, _machine
+from test_sanitizer import assert_runs_identical
 
 
 class TestTwoState:
@@ -402,6 +408,14 @@ _REJECTED_CALLS = {
         dict(warmup="1"),
         "warmup must be a number, got '1'",
     ),
+    "stop-predicate-not-callable": (
+        dict(stop_predicate=5),
+        "stop_predicate must be callable or None, got 5",
+    ),
+    "rng-not-generator": (
+        dict(rng=5),
+        "rng must be a numpy.random.Generator or None, got 5",
+    ),
 }
 
 #: Simulator arguments that must be integers (or, for ``max_wall_s``, a
@@ -510,7 +524,15 @@ class TestRunEntryValidation:
 class TestRejectedCallKeepsStream:
     """A rejected run() uses up no stream index: reuse still == fresh."""
 
-    @pytest.mark.parametrize("case", ["marking-wrong-length", "duplicate-reward"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "marking-wrong-length",
+            "duplicate-reward",
+            "stop-predicate-not-callable",
+            "rng-not-generator",
+        ],
+    )
     @pytest.mark.parametrize("engine", ENGINES)
     def test_next_run_equals_fresh_first_run(self, two_state_model, engine, case):
         kw, _message = _REJECTED_CALLS[case]
@@ -546,3 +568,119 @@ class TestTraceIntegration:
         for a, b in zip(ivs, ivs[1:]):
             assert a.end == pytest.approx(b.start)
             assert a.value != b.value
+
+
+#: Rewards on the repairable machine of tests/_mutants.py (places m/up,
+#: m/down, m/count): tracked, declared and form rate rewards with windows
+#: and probes, and a windowed impulse reward.  The tracked reward reads
+#: m/down only once a repair has happened, so it discovers a slot mid-run.
+_PLAN_REWARDS = (
+    RateReward(
+        "tracked",
+        lambda m: float(m["m/up"]) if m["m/count"] == 0 else 2.0 * m["m/down"],
+        window=(100.0, 900.0),
+        probe_times=[50.0, 500.0],
+    ),
+    RateReward(
+        "declared",
+        lambda m: float(m["m/count"]),
+        reads=["m/count"],
+        probe_times=[250.0],
+    ),
+    RateReward(
+        "form", form=Indicator(guards=[("m/down", "<=", 0)]), window=(0.0, 600.0)
+    ),
+    ImpulseReward("repairs", "m/repair", window=(10.0, 800.0)),
+)
+
+
+def _plan_traces(n_binary: int) -> tuple:
+    """Fresh traces for one run, the way a traces factory hands them out."""
+    binary = (
+        BinaryTrace("up", lambda m: m["m/up"] == 1),
+        BinaryTrace("busy", lambda m: m["m/count"] >= 2 or m["m/down"] == 1),
+    )
+    return binary[:n_binary] + (EventTrace("events", "m/*"),)
+
+
+#: Run configurations a reused simulator alternates between.
+_PLAN_CONFIGS = {
+    "rewards": lambda: dict(rewards=_PLAN_REWARDS),
+    "none": lambda: dict(),
+    "traces": lambda: dict(traces=_plan_traces(2)),
+    "rewards-traces": lambda: dict(rewards=_PLAN_REWARDS, traces=_plan_traces(1)),
+    "restart": lambda: dict(rewards=_PLAN_REWARDS, initial_marking=[0, 1, 3]),
+    "restart-traces": lambda: dict(
+        traces=_plan_traces(2), initial_marking=[0, 1, 0]
+    ),
+}
+
+_PLAN_SCHEDULE = (
+    "rewards", "rewards", "none", "traces", "rewards-traces", "rewards",
+    "restart", "restart", "none", "traces", "traces", "rewards-traces",
+    "restart-traces", "rewards", "restart-traces", "none",
+)
+
+
+def _snapshot(result) -> tuple:
+    """Everything a caller can read from a RunResult, copied."""
+    rewards = {
+        name: (r.integral, r.impulse_sum, r.count, r.duration, list(r.instants))
+        for name, r in result.rewards.items()
+    }
+    traces = {
+        name: tr.intervals() if isinstance(tr, BinaryTrace) else tr.events
+        for name, tr in result.traces.items()
+    }
+    return (result.n_events, result.final_marking, rewards, traces)
+
+
+class TestRunPlanReuse:
+    """A run reuses the program's cached run plan while the engine and the
+    reward objects stay the same; nothing a run does may leak into the
+    next one through it."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_alternating_runs_equal_fresh_runs(self, engine):
+        model = flatten(_machine())
+        sim = Simulator(model, engine=engine)
+        for k, name in enumerate(_PLAN_SCHEDULE):
+            got = sim.run(1000.0, seed=k, **_PLAN_CONFIGS[name]())
+            fresh = Simulator(model, engine=engine)
+            want = fresh.run(1000.0, seed=k, **_PLAN_CONFIGS[name]())
+            assert_runs_identical(got, want)
+            if "events" in want.traces:
+                assert got.trace("events").events == want.trace("events").events
+            assert sim.fastpath_report() == fresh.fastpath_report()
+
+    def test_earlier_result_unchanged_by_next_run(self):
+        sim = Simulator(flatten(_machine()), base_seed=3)
+        first = sim.run(1000.0, rewards=_PLAN_REWARDS, traces=_plan_traces(2))
+        before = _snapshot(first)
+        second = sim.run(1000.0, rewards=_PLAN_REWARDS, traces=_plan_traces(2))
+        assert _snapshot(first) == before
+        assert _snapshot(second) != before
+        assert second.rewards is not first.rewards
+        for name, res in first.rewards.items():
+            assert second[name] is not res
+
+    @pytest.mark.parametrize("mutant", [_m_wrong_add_amount, _m_case_branch0])
+    def test_quarantine_reaches_a_simulator_sharing_the_program(self, mutant):
+        san, _ = mutant(True)
+        model = flatten(san)
+        program = CompiledProgram(model, sample_batch=None)
+        a = Simulator(program, verify_every=1)
+        b = Simulator(program)
+        # B's plan exists before the quarantine: a run too short for the
+        # mutated activity to complete.
+        assert b.run(1e-6, seed=1).n_events == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            a.run(2000.0, seed=2)
+        assert any("quarantined" in str(w.message) for w in caught)
+        got = b.run(2000.0, seed=3)
+        want = Simulator(model, sample_batch=None, engine="reference").run(
+            2000.0, seed=3
+        )
+        assert_runs_identical(got, want)
+
