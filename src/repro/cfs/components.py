@@ -27,7 +27,7 @@ annotations are bit-identical to the unannotated model (pinned by
 
 from __future__ import annotations
 
-from ..core.composition import Node, join, leaf, replicate
+from ..core.composition import Node, join, leaf, rename, replicate
 from ..core.distributions import Exponential, Uniform
 from ..core.places import LocalView
 from ..core.san import SAN
@@ -117,7 +117,7 @@ def build_oss_pair_node(params: CFSParameters, name: str = "oss_pair") -> Node:
         member_name="server",
     )
     software = build_oss_software_san(params)
-    children: list[Node] = [_Reexport(hardware, ["pair_down", "down_count"]), software]
+    children: list[Node] = [hardware, software]
     shared = [
         "pairs_down",
         "pair_outages_total",
@@ -131,26 +131,6 @@ def build_oss_pair_node(params: CFSParameters, name: str = "oss_pair") -> Node:
         shared += ["pair_down", "spare_free", "covered_pairs", "spare_swaps_total"]
         return join(name, *children, shared=shared)
     return join(name, *children, shared=shared, exports=["pair_down", "down_count"])
-
-
-class _Reexport(Node):
-    """Passes extra child exports up through a composition level."""
-
-    def __init__(self, child: Node, names: list[str]) -> None:
-        self.child = child
-        self.name = child.name
-        self.names = list(names)
-
-    def _flatten_into(self, ctx, prefix: str) -> dict[str, int]:
-        exports = self.child._flatten_into(ctx, prefix)
-        missing = [n for n in self.names if n not in exports]
-        if missing:
-            from ..core.errors import CompositionError
-
-            raise CompositionError(
-                f"{self.child.name!r} does not export {missing}"
-            )
-        return exports
 
 
 def build_oss_layer_node(params: CFSParameters, name: str = "oss_layer") -> Node:
@@ -187,32 +167,10 @@ def build_oss_san_network_node(params: CFSParameters, name: str = "oss_san_nw") 
         name="switchpair",
         member_name="switch",
     )
-    return _Rename(
+    return rename(
         join(name, pair, shared=["pairs_down", "pair_outages_total"]),
         {"pairs_down": "nw_pairs_down", "pair_outages_total": "nw_pair_outages_total"},
     )
-
-
-class _Rename(Node):
-    """Renames exported places of a child node."""
-
-    def __init__(self, child: Node, renames: dict[str, str]) -> None:
-        self.child = child
-        self.name = child.name
-        self.renames = dict(renames)
-
-    def _flatten_into(self, ctx, prefix: str) -> dict[str, int]:
-        exports = self.child._flatten_into(ctx, prefix)
-        out = dict(exports)
-        for old, new in self.renames.items():
-            if old not in exports:
-                from ..core.errors import CompositionError
-
-                raise CompositionError(
-                    f"rename source {old!r} not exported by {self.child.name!r}"
-                )
-            out[new] = out.pop(old)
-        return out
 
 
 def build_san_fabric_san(params: CFSParameters, name: str = "san_fabric") -> SAN:

@@ -18,6 +18,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -45,6 +46,26 @@ def build_parser() -> argparse.ArgumentParser:
             )
         return value
 
+    def seed_value(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        return value
+
+    def count_value(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        return value
+
+    def hours_value(text: str) -> float:
+        value = float(text)
+        if not 0.0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be finite and positive, got {text}"
+            )
+        return value
+
     def add_jobs(p: argparse.ArgumentParser, unit: str = "sweep cells") -> None:
         p.add_argument(
             "--jobs",
@@ -68,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p_tables = sub.add_parser("tables", help="regenerate Tables 1-5")
-    p_tables.add_argument("--seed", type=int, default=2013)
+    p_tables.add_argument("--seed", type=seed_value, default=2013)
     p_tables.add_argument(
         "--on-error",
         choices=["raise", "collect"],
@@ -85,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_all = sub.add_parser("all", help="regenerate every table and figure")
     p_all.add_argument("--full", action="store_true")
-    p_all.add_argument("--seed", type=int, default=2013)
+    p_all.add_argument("--seed", type=seed_value, default=2013)
     add_jobs(p_all)
     add_checkpoint(p_all)
 
@@ -109,17 +130,17 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p_cal = sub.add_parser("calibrate", help="print the Figure 4 anchors")
-    p_cal.add_argument("--replications", type=int, default=8)
-    p_cal.add_argument("--hours", type=float, default=8760.0)
+    p_cal.add_argument("--replications", type=count_value, default=8)
+    p_cal.add_argument("--hours", type=hours_value, default=8760.0)
     add_rel_ci(p_cal)
     add_jobs(p_cal)
     add_checkpoint(p_cal)
 
     p_sim = sub.add_parser("simulate", help="simulate a preset")
     p_sim.add_argument("preset", choices=["abe", "petascale", "petascale-spare"])
-    p_sim.add_argument("--replications", type=int, default=8)
-    p_sim.add_argument("--hours", type=float, default=8760.0)
-    p_sim.add_argument("--seed", type=int, default=2008)
+    p_sim.add_argument("--replications", type=count_value, default=8)
+    p_sim.add_argument("--hours", type=hours_value, default=8760.0)
+    p_sim.add_argument("--seed", type=seed_value, default=2008)
     p_sim.add_argument(
         "--sanitize",
         action="store_true",
@@ -143,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rare.add_argument("--fail-rate", type=float, default=1e-5, metavar="L")
     p_rare.add_argument("--repair-rate", type=float, default=0.02, metavar="M")
-    p_rare.add_argument("--hours", type=float, default=8760.0)
+    p_rare.add_argument("--hours", type=hours_value, default=8760.0)
     p_rare.add_argument(
         "--roots", type=int, default=256, metavar="K",
         help="root replications (the cap when --rel-ci is set)",
@@ -180,12 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
         "the loss level (tolerance + 1). Default is crude Monte Carlo "
         "with early stopping at the loss event",
     )
-    p_rare.add_argument("--seed", type=int, default=2008)
+    p_rare.add_argument("--seed", type=seed_value, default=2008)
     add_jobs(p_rare, unit="root replications (one study, no grid)")
 
     p_logs = sub.add_parser("logs", help="synthesize the ABE logs")
     p_logs.add_argument("output_dir")
-    p_logs.add_argument("--seed", type=int, default=2013)
+    p_logs.add_argument("--seed", type=seed_value, default=2013)
 
     p_lint = sub.add_parser(
         "lint",
@@ -371,7 +392,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_rare(args: argparse.Namespace) -> int:
-    from .core import StoppingRule
+    from .core import SimulationError, StoppingRule
     from .experiments import (
         brute_force_probability,
         splitting_probability,
@@ -379,9 +400,12 @@ def _cmd_rare(args: argparse.Namespace) -> int:
         tier_replication_spec,
         tier_splitting_policy,
     )
+    from .experiments.rare import SplittingPolicy, _stage_odds
     from .markov.raid_markov import RAIDTierMarkov
 
     t0 = time.time()
+    # Checks the tier's arguments before any root starts.
+    odds = _stage_odds(args.disks, args.tolerance, args.fail_rate, args.repair_rate)
     spec = tier_replication_spec(
         args.disks, args.tolerance, args.fail_rate, args.repair_rate,
         args.seed,
@@ -390,17 +414,18 @@ def _cmd_rare(args: argparse.Namespace) -> int:
         StoppingRule(rel_ci=args.rel_ci) if args.rel_ci is not None else None
     )
     if isinstance(args.splitting, tuple):
-        # Custom threshold ladder: splitting factors per rung as the
-        # product of the per-disk near-optimal factors the rung spans.
-        from .experiments.rare import SplittingPolicy
-
-        lam, mu = args.fail_rate, args.repair_rate
+        # Custom threshold ladder: each rung splits by the product of the
+        # per-disk odds it spans (suggested_splits rounds them one by one).
+        if args.splitting[-1] > args.tolerance + 1:
+            raise SimulationError(
+                f"--splitting thresholds must not exceed the loss level "
+                f"{args.tolerance + 1} (tolerance + 1), got {args.splitting[-1]:g}"
+            )
         factors = []
         for lo, hi in zip(args.splitting, args.splitting[1:]):
             acc = 1.0
             for j in range(max(1, int(lo)), int(hi)):
-                up = (args.disks - j) * lam
-                acc *= (up + j * mu) / up
+                acc *= odds[j - 1]
             factors.append(max(1, min(32, round(acc))))
         policy = SplittingPolicy(
             tier_level(), args.splitting, tuple(factors)
@@ -518,7 +543,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     ``Ctrl-C`` exits cleanly with the conventional code 130 (128 +
     SIGINT) instead of a traceback; an interrupted checkpointed run
-    (``--checkpoint-dir``) keeps its journal and resumes on rerun.
+    (``--checkpoint-dir``) keeps its journal and resumes on rerun.  A
+    :class:`~repro.core.errors.ReproError` (bad input a command found)
+    ends in one ``repro: <message>`` line on stderr and exit code 2, the
+    code argparse uses for a bad flag; any other exception is a bug and
+    keeps its traceback.
     """
     args = build_parser().parse_args(argv)
     if os.environ.get("REPRO_CHAOS"):
@@ -537,11 +566,16 @@ def main(argv: Sequence[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
+    from .core.errors import ReproError
+
     try:
         return _COMMANDS[args.command](args)
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
+    except ReproError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -4,7 +4,8 @@ Public API:
 
 * distributions: :class:`Exponential`, :class:`Weibull`, :class:`Deterministic`, ...
 * model building: :class:`SAN`, :class:`InputGate`, :class:`OutputGate`, :class:`Case`
-* composition: :func:`join`, :func:`replicate`, :func:`leaf`, :func:`flatten`
+* composition: :func:`join`, :func:`replicate`, :func:`rename`, :func:`leaf`,
+  :func:`flatten`
 * execution: :class:`Simulator`, :class:`RateReward`, :class:`ImpulseReward`,
   :class:`BinaryTrace`, :class:`EventTrace`
 * experiments: :func:`replicate_runs` (serial or ``n_jobs`` parallel),
@@ -26,6 +27,7 @@ from .composition import (
     flatten,
     join,
     leaf,
+    rename,
     replicate,
 )
 from .distributions import (
@@ -126,6 +128,7 @@ __all__ = [
     "leaf",
     "join",
     "replicate",
+    "rename",
     "flatten",
     "FlatModel",
     "FlatActivity",

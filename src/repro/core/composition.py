@@ -9,20 +9,28 @@ module provides exactly those operators:
 * :func:`join` composes children, **sharing state variables by name**
   (a shared place becomes one global slot written/read by all sharers);
 * :func:`replicate` instantiates ``n`` copies of a subtree, sharing the
-  listed places *across* the copies.
+  listed places *across* the copies;
+* :func:`rename` re-exports a subtree's places under new names.
 
 :func:`flatten` compiles a composition tree into a :class:`FlatModel`:
 a dense marking vector, path-addressed places (``cfs/ddn[0]/tier[3]/up``),
 and activity instances bound to their slots.  Flattening is pure — the
 same tree can be flattened once and simulated many times.
+
+Flattening is the Rep construction of Sanders & Meyer (IEEE JSAC 9(1),
+1991): each node builds a template once, its places' union classes in
+first-place order plus its exports; a replicate stamps its child's
+template ``n`` times by slot arithmetic, a join unions classes, not
+places, and one last walk writes each path string once.
 """
 
 from __future__ import annotations
 
 import gc
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import CompositionError
 from .patterns import compile_pattern, path_match
@@ -34,17 +42,15 @@ __all__ = [
     "LeafNode",
     "JoinNode",
     "ReplicateNode",
+    "RenameNode",
     "leaf",
     "join",
     "replicate",
+    "rename",
     "flatten",
     "FlatActivity",
     "FlatModel",
 ]
-
-
-def _join_path(prefix: str, name: str) -> str:
-    return f"{prefix}/{name}" if prefix else name
 
 
 @contextmanager
@@ -69,13 +75,41 @@ def _gc_paused():
         gc.enable()
 
 
+class _Template(NamedTuple):
+    """A node in its own union-class numbering (first-place order): class
+    markings, exports, whether a union met two markings, and ``emit(pre,
+    cmap, sink)``, which writes an instance whose class c owns ``cmap[c]``."""
+
+    initial: list[int]
+    exports: dict[str, int]
+    conflict: bool
+    emit: Callable[[str, list[int], "_Sink"], None]
+
+
+class _Sink:
+    """The emit walk's output: aliases in order, the same bucketed by their
+    count of ``/``, and ``(pre, activities, index, initial)`` per leaf."""
+
+    def __init__(self) -> None:
+        self.paths, self.slots, self.leaves, self.by_depth = [], [], [], {}
+
+    def add(self, paths: list[str], slots: list[int], depth: int) -> None:
+        self.paths += paths
+        self.slots += slots
+        bucket = self.by_depth.get(depth) or self.by_depth.setdefault(depth, ([], []))
+        bucket[0].extend(paths)
+        bucket[1].extend(slots)
+
+    def aliases(self, pre: str, aliases, cmap: list[int]) -> None:
+        for name, c in aliases:
+            self.add([pre + name], [cmap[c]], pre.count("/") + name.count("/"))
+
+
 class Node:
-    """Base class for composition-tree nodes."""
+    """Base class for composition-tree nodes; ``flatten`` asks each for
+    its :class:`_Template` with ``_template()``."""
 
     name: str
-
-    def _flatten_into(self, ctx: "_FlattenContext", prefix: str) -> dict[str, int]:
-        raise NotImplementedError
 
 
 class LeafNode(Node):
@@ -86,15 +120,16 @@ class LeafNode(Node):
         self.san = san
         self.name = san.name
 
-    def _flatten_into(self, ctx: "_FlattenContext", prefix: str) -> dict[str, int]:
-        exports: dict[str, int] = {}
-        for pname, place in self.san.places.items():
-            pid = ctx.new_place(_join_path(prefix, pname), place.initial)
-            exports[pname] = pid
-        index = dict(exports)
-        for act in self.san.activities.values():
-            ctx.new_activity(_join_path(prefix, act.name), act, index)
-        return exports
+    def _template(self) -> _Template:
+        names = tuple(self.san.places)
+        acts = tuple(self.san.activities.values())
+        initial = [p.initial for p in self.san.places.values()]
+
+        def emit(pre: str, cmap: list[int], sink: _Sink) -> None:
+            sink.add([pre + name for name in names], cmap, pre.count("/"))
+            sink.leaves.append((pre, acts, dict(zip(names, cmap)), initial))
+
+        return _Template(initial, {n: c for c, n in enumerate(names)}, False, emit)
 
 
 class JoinNode(Node):
@@ -137,41 +172,77 @@ class JoinNode(Node):
         self.shared = tuple(shared)
         self.extra_exports = tuple(exports)
 
-    def _flatten_into(self, ctx: "_FlattenContext", prefix: str) -> dict[str, int]:
-        child_exports: list[tuple[str, dict[str, int]]] = []
-        for child in self.children:
-            exp = child._flatten_into(ctx, _join_path(prefix, child.name))
-            child_exports.append((child.name, exp))
+    def _template(self) -> _Template:
+        kids = [child._template() for child in self.children]
+        offsets, initial = [], []
+        for t in kids:
+            offsets.append(len(initial))
+            initial += t.initial
+        conflict = any(t.conflict for t in kids)
+        parent: dict[int, int] = {}  # union-find over classes; roots absent
 
-        exports: dict[str, int] = {}
+        def find(c: int) -> int:
+            while c in parent:
+                c = parent[c]
+            return c
+
+        def owners(n: str) -> list[int]:
+            return [o + t.exports[n] for o, t in zip(offsets, kids) if n in t.exports]
+
+        exports, aliases = {}, []
         for sname in self.shared:
-            ids = [exp[sname] for _, exp in child_exports if sname in exp]
+            ids = owners(sname)
             if not ids:
                 raise CompositionError(
                     f"join {self.name!r}: shared place {sname!r} is not "
                     "exported by any child"
                 )
-            rep = ids[0]
             for other in ids[1:]:
-                ctx.union(rep, other)
-            ctx.add_alias(_join_path(prefix, sname), rep)
-            exports[sname] = rep
-
+                lo, hi = sorted((find(ids[0]), find(other)))
+                if lo != hi:  # the lower class keeps its place order
+                    parent[hi] = lo
+                    conflict = conflict or initial[lo] != initial[hi]
+            aliases.append((sname, ids[0]))
+            exports[sname] = ids[0]
         for ename in self.extra_exports:
-            owners = [
-                (cname, exp[ename]) for cname, exp in child_exports if ename in exp
-            ]
-            if len(owners) != 1:
+            ids = owners(ename)
+            if len(ids) != 1:
                 raise CompositionError(
                     f"join {self.name!r}: export {ename!r} must be provided by "
-                    f"exactly one child, found {len(owners)}"
+                    f"exactly one child, found {len(ids)}"
                 )
             if ename in exports:
                 raise CompositionError(
                     f"join {self.name!r}: {ename!r} is both shared and exported"
                 )
-            exports[ename] = owners[0][1]
-        return exports
+            exports[ename] = ids[0]
+
+        # Drop the merged classes; a child that lost none owns a slice.
+        gone = sorted(parent)
+        for c in reversed(gone):
+            del initial[c]
+
+        def slot(c: int) -> int:
+            c = find(c)
+            return c - bisect_left(gone, c)
+
+        parts = []
+        for child, t, lo in zip(self.children, kids, offsets):
+            hi, skip = lo + len(t.initial), bisect_left(gone, lo)
+            m = slice(lo - skip, hi - skip)
+            if skip < bisect_left(gone, hi):  # the child lost a class
+                m = [slot(c) for c in range(lo, hi)]
+            parts.append((child.name, t.emit, m))
+        aliases = [(name, slot(c)) for name, c in aliases]
+
+        def emit(pre: str, cmap: list[int], sink: _Sink) -> None:
+            for name, child_emit, m in parts:
+                sub = cmap[m] if type(m) is slice else [cmap[c] for c in m]
+                child_emit(f"{pre}{name}/" if pre or name else "", sub, sink)
+            sink.aliases(pre, aliases, cmap)
+
+        exports = {n: slot(c) for n, c in exports.items()}
+        return _Template(initial, exports, conflict, emit)
 
 
 class ReplicateNode(Node):
@@ -188,26 +259,53 @@ class ReplicateNode(Node):
         self.n = int(n)
         self.shared = tuple(shared)
 
-    def _flatten_into(self, ctx: "_FlattenContext", prefix: str) -> dict[str, int]:
-        replica_exports: list[dict[str, int]] = []
-        for i in range(self.n):
-            rep_prefix = _join_path(prefix, f"{self.child.name}[{i}]")
-            replica_exports.append(self.child._flatten_into(ctx, rep_prefix))
-
-        exports: dict[str, int] = {}
+    def _template(self) -> _Template:
+        t = self.child._template()
+        aliases = []
         for sname in self.shared:
-            missing = [i for i, exp in enumerate(replica_exports) if sname not in exp]
-            if missing:
+            if sname not in t.exports:
                 raise CompositionError(
                     f"replicate {self.name!r}: shared place {sname!r} is not "
-                    f"exported by replica(s) {missing[:3]}"
+                    f"exported by replica(s) {list(range(self.n))[:3]}"
                 )
-            rep = replica_exports[0][sname]
-            for exp in replica_exports[1:]:
-                ctx.union(rep, exp[sname])
-            ctx.add_alias(_join_path(prefix, sname), rep)
-            exports[sname] = rep
-        return exports
+            aliases.append((sname, t.exports[sname]))
+        # Copy 0 owns classes 0..size-1; copy i >= 1 reuses its shared ones
+        # and owns the `step` slots from size + (i-1)*step, in class order.
+        shared = sorted({c for _, c in aliases})
+        rest = [m for c, m in enumerate(t.initial) if c not in shared]
+        size, step, child_emit = len(t.initial), len(rest), t.emit
+        labels = [f"{self.child.name}[{i}]/" for i in range(self.n)]
+
+        def emit(pre: str, cmap: list[int], sink: _Sink) -> None:
+            child_emit(pre + labels[0], cmap[:size], sink)
+            for i, label in enumerate(labels[1:]):
+                sub = cmap[size + i * step : size + (i + 1) * step]
+                for c in shared:
+                    sub.insert(c, cmap[c])
+                child_emit(pre + label, sub, sink)
+            sink.aliases(pre, aliases, cmap)
+
+        initial = t.initial + rest * (self.n - 1)
+        return _Template(initial, dict(aliases), t.conflict, emit)
+
+
+class RenameNode(Node):
+    """Re-exports a child's places ``old -> new``; it takes the child's
+    name and adds no path level, so no path changes."""
+
+    def __init__(self, child: Node, mapping: Mapping[str, str]) -> None:
+        self.child, self.name, self.mapping = child, child.name, dict(mapping)
+
+    def _template(self) -> _Template:
+        t = self.child._template()
+        exports = dict(t.exports)
+        for old, new in self.mapping.items():
+            if old not in t.exports:
+                raise CompositionError(
+                    f"rename source {old!r} not exported by {self.child.name!r}"
+                )
+            exports[new] = exports.pop(old)
+        return t._replace(exports=exports)
 
 
 def leaf(san: SAN) -> LeafNode:
@@ -236,6 +334,11 @@ def replicate(
     return ReplicateNode(name, _as_node(child), n, shared)
 
 
+def rename(child: SAN | Node, mapping: Mapping[str, str]) -> RenameNode:
+    """Re-export ``child``'s places ``old -> new`` per ``mapping``."""
+    return RenameNode(_as_node(child), mapping)
+
+
 # ----------------------------------------------------------------------
 # flattening
 # ----------------------------------------------------------------------
@@ -250,7 +353,8 @@ class FlatActivity:
     definition:
         The template :class:`~repro.core.san.ActivityDef`.
     index:
-        Local place name → global marking slot for this instance.
+        Local place name → global marking slot for this instance.  All
+        activities of one leaf instance share this dict; it is read-only.
     ident:
         Dense activity id assigned by the flattener.
     """
@@ -259,46 +363,6 @@ class FlatActivity:
     definition: ActivityDef
     index: dict[str, int]
     ident: int = -1
-
-
-class _FlattenContext:
-    """Accumulates proto-places/activities plus the sharing union-find."""
-
-    def __init__(self) -> None:
-        self.parent: list[int] = []
-        self.proto_paths: list[str] = []
-        self.proto_initials: list[int] = []
-        self.aliases: list[tuple[str, int]] = []
-        self.activities: list[tuple[str, ActivityDef, dict[str, int]]] = []
-
-    def new_place(self, path: str, initial: int) -> int:
-        pid = len(self.parent)
-        self.parent.append(pid)
-        self.proto_paths.append(path)
-        self.proto_initials.append(initial)
-        self.aliases.append((path, pid))
-        return pid
-
-    def add_alias(self, path: str, pid: int) -> None:
-        self.aliases.append((path, pid))
-
-    def new_activity(self, path: str, definition: ActivityDef, index: dict[str, int]) -> None:
-        self.activities.append((path, definition, index))
-
-    def find(self, pid: int) -> int:
-        root = pid
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[pid] != root:
-            self.parent[pid], pid = root, self.parent[pid]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # Keep the lower id as representative for deterministic layout.
-            lo, hi = (ra, rb) if ra < rb else (rb, ra)
-            self.parent[hi] = lo
 
 
 class FlatModel:
@@ -405,46 +469,38 @@ class FlatModel:
 def flatten(root: SAN | Node) -> FlatModel:
     """Compile a composition tree (or bare SAN) into a :class:`FlatModel`."""
     root_node = _as_node(root)
-    ctx = _FlattenContext()
-    root_node._flatten_into(ctx, root_node.name)
-
-    # Compact union classes into dense slots (representative order).
-    slot_of_root: dict[int, int] = {}
-    initial: list[int] = []
-    canonical: list[str] = []
-    for pid in range(len(ctx.parent)):
-        r = ctx.find(pid)
-        if r not in slot_of_root:
-            slot_of_root[r] = len(initial)
-            initial.append(ctx.proto_initials[r])
-            canonical.append(ctx.proto_paths[r])
-        if ctx.proto_initials[pid] != ctx.proto_initials[r]:
-            raise CompositionError(
-                f"shared place has conflicting initial markings: "
-                f"{ctx.proto_paths[pid]!r}={ctx.proto_initials[pid]} vs "
-                f"{ctx.proto_paths[r]!r}={ctx.proto_initials[r]}"
-            )
-
-    paths: dict[str, int] = {}
-    for path, pid in ctx.aliases:
-        slot = slot_of_root[ctx.find(pid)]
-        if path in paths and paths[path] != slot:
-            raise CompositionError(f"place path collision: {path!r}")
-        paths[path] = slot
-        # Prefer the shallowest alias as the canonical name for the slot.
-        if path.count("/") < canonical[slot].count("/"):
-            canonical[slot] = path
-
+    template = root_node._template()
+    initial, sink = template.initial, _Sink()
+    root_pre = f"{root_node.name}/" if root_node.name else ""  # unnamed: none
+    template.emit(root_pre, list(range(len(initial))), sink)
+    if template.conflict:  # name the first place, in place order, that differs
+        first: dict[int, str] = {}
+        for pre, _, index, inits in sink.leaves:
+            for (name, slot), init in zip(index.items(), inits):
+                first.setdefault(slot, pre + name)
+                if init != initial[slot]:
+                    raise CompositionError(
+                        f"shared place has conflicting initial markings: "
+                        f"{pre + name!r}={init} vs {first[slot]!r}={initial[slot]}"
+                    )
+    paths = dict(zip(sink.paths, sink.slots))
+    if len(paths) < len(sink.paths):
+        seen: dict[str, int] = {}
+        for path, slot in zip(sink.paths, sink.slots):
+            if seen.setdefault(path, slot) != slot:
+                raise CompositionError(f"place path collision: {path!r}")
+    # The canonical name is the shallowest alias, the first seen among equals.
+    names: dict[int, str] = {}
+    for _, (aliases, slots) in sorted(sink.by_depth.items(), reverse=True):
+        names.update(zip(reversed(slots), reversed(aliases)))
+    canonical = [names[slot] for slot in range(len(initial))]
+    # All activities of one leaf instance share its (read-only) index.
     activities = [
-        FlatActivity(
-            path=path,
-            definition=definition,
-            index={name: slot_of_root[ctx.find(pid)] for name, pid in index.items()},
-        )
-        for path, definition, index in ctx.activities
+        FlatActivity(pre + act.name, act, index)
+        for pre, acts, index, _ in sink.leaves
+        for act in acts
     ]
-    act_paths = [a.path for a in activities]
-    if len(set(act_paths)) != len(act_paths):  # pragma: no cover - defensive
+    if len({a.path for a in activities}) != len(activities):  # pragma: no cover
         raise CompositionError("duplicate activity paths after flattening")
 
     return FlatModel(root_node.name, initial, paths, canonical, activities)

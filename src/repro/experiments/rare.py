@@ -609,6 +609,26 @@ def brute_force_probability(
 # ----------------------------------------------------------------------
 # the aggregate RAID-tier twin (the acceptance suite's workhorse)
 # ----------------------------------------------------------------------
+def _tier_args(n_disks, fault_tolerance, disk_failure_rate, disk_repair_rate):
+    """The aggregate tier's ``(n, f, lambda, mu)``, checked before any
+    arithmetic: integers with ``1 <= f < n`` and finite positive rates."""
+    n = _check_number(n_disks, "n_disks")
+    f = _check_number(fault_tolerance, "fault_tolerance")
+    if not 1 <= f < n:
+        raise SimulationError(
+            f"fault tolerance must be in [1, n_disks), got {f} of {n}"
+        )
+    rates = []
+    for name, rate in (
+        ("disk_failure_rate", disk_failure_rate),
+        ("disk_repair_rate", disk_repair_rate),
+    ):
+        if not 0.0 < _check_number(rate, name, integer=False) < math.inf:
+            raise SimulationError(f"{name} must be finite and positive, got {rate!r}")
+        rates.append(float(rate))
+    return n, f, rates[0], rates[1]
+
+
 def aggregate_tier_san(
     n_disks: int,
     fault_tolerance: int,
@@ -628,17 +648,9 @@ def aggregate_tier_san(
     """
     from ..core import SAN, Exponential, flatten
 
-    n = int(n_disks)
-    f = int(fault_tolerance)
-    lam = float(disk_failure_rate)
-    mu = float(disk_repair_rate)
-    if not 1 <= f < n:
-        raise SimulationError(
-            f"fault tolerance must be in [1, n_disks), got {f} of {n}"
-        )
-    if min(lam, mu) <= 0.0:
-        raise SimulationError("failure and repair rates must be positive")
-
+    n, f, lam, mu = _tier_args(
+        n_disks, fault_tolerance, disk_failure_rate, disk_repair_rate
+    )
     san = SAN("tier")
     san.place("failed", 0)
     san.place("lost", 0)
@@ -736,14 +748,29 @@ def suggested_splits(
     ``(n-j)·lambda / ((n-j)·lambda + j·mu)``.  Factors are rounded and
     clipped to ``[1, cap]`` to bound the branching.
     """
-    lam = float(disk_failure_rate)
-    mu = float(disk_repair_rate)
-    factors = []
-    for j in range(1, int(fault_tolerance) + 1):
-        up = (n_disks - j) * lam
-        p_up = up / (up + j * mu)
-        factors.append(max(1, min(int(cap), round(1.0 / p_up))))
-    return tuple(factors)
+    cap = _check_number(cap, "cap", low=1)
+    odds = _stage_odds(n_disks, fault_tolerance, disk_failure_rate, disk_repair_rate)
+    return tuple(max(1, min(cap, round(x))) for x in odds)
+
+
+def _stage_odds(
+    n_disks: int,
+    fault_tolerance: int,
+    disk_failure_rate: float,
+    disk_repair_rate: float,
+) -> tuple[float, ...]:
+    """Unrounded splitting factors: ``1 / p_up`` for each stage ``j`` in
+    ``1..f``, where ``p_up`` is the probability of a (j+1)-th failure
+    before a repair (see :func:`suggested_splits`).  A stage spanning
+    several failures splits by the product of their odds."""
+    n, f, lam, mu = _tier_args(
+        n_disks, fault_tolerance, disk_failure_rate, disk_repair_rate
+    )
+    odds = []
+    for j in range(1, f + 1):
+        up = (n - j) * lam
+        odds.append(1.0 / (up / (up + j * mu)))
+    return tuple(odds)
 
 
 def tier_splitting_policy(
@@ -760,7 +787,9 @@ def tier_splitting_policy(
     Thresholds sit at 1..f+1 concurrently failed disks (the top is data
     loss); ``splits`` defaults to :func:`suggested_splits`.
     """
-    f = int(fault_tolerance)
+    f = _tier_args(
+        n_disks, fault_tolerance, disk_failure_rate, disk_repair_rate
+    )[1]
     if splits is None:
         splits = suggested_splits(
             n_disks, f, disk_failure_rate, disk_repair_rate

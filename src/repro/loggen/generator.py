@@ -238,56 +238,55 @@ def generate_job_records(
     """
     down_intervals = cfs_trace.intervals_where(False)
     onset_times = np.array([iv.start for iv in down_intervals])
+    down_ends = np.array([iv.end for iv in down_intervals])
 
-    def cfs_down_at(t: float) -> bool:
-        for iv in down_intervals:
-            if iv.start <= t < iv.end:
-                return True
-            if iv.start > t:
-                break
-        return False
-
-    transients = _transients_from_traces(switch_trace, spine_trace)
     by_switch: dict[int | None, list[float]] = {}
-    for tr in transients:
+    for tr in _transients_from_traces(switch_trace, spine_trace):
         by_switch.setdefault(tr.switch, []).append(tr.time)
-    spine_times = np.array(by_switch.get(None, []))
-    switch_times = {
-        k: np.array(v) for k, v in by_switch.items() if k is not None
-    }
-
-    def any_in(times: np.ndarray, lo: float, hi: float) -> bool:
-        if times.size == 0:
-            return False
-        idx = np.searchsorted(times, lo, side="left")
-        return idx < times.size and times[idx] <= hi
 
     n_jobs = rng.poisson(job_rate_per_hour * horizon_hours)
-    arrivals = np.sort(rng.uniform(0.0, horizon_hours, size=int(n_jobs)))
-    jobs: list[JobRecord] = []
-    for i, start in enumerate(arrivals):
-        duration = float(rng.exponential(job_mean_duration_hours))
-        end = min(start + duration, horizon_hours)
-        switch = int(rng.integers(0, n_switches))
-        if any_in(switch_times.get(switch, np.array([])), start, end) or any_in(
-            spine_times, start, end
-        ):
-            status = FAILED_TRANSIENT
-        elif any_in(onset_times, start, min(start + job_io_exposure_hours, end)) or (
-            not queue_during_outage and cfs_down_at(float(start))
-        ):
-            status = FAILED_OTHER
-        else:
-            status = COMPLETED
-        jobs.append(
-            JobRecord(
-                job_id=f"job-{i:06d}",
-                submit_time=hours_to_datetime(epoch, float(start)),
-                duration_hours=duration,
-                status=status,
-            )
+    starts = np.sort(rng.uniform(0.0, horizon_hours, size=int(n_jobs)))
+    # Each job draws its duration, then its switch: scalar draws, in order.
+    durations = np.empty(starts.size)
+    switches = np.empty(starts.size, dtype=np.int64)
+    for i in range(starts.size):
+        durations[i] = rng.exponential(job_mean_duration_hours)
+        switches[i] = rng.integers(0, n_switches)
+    ends = np.minimum(starts + durations, horizon_hours)
+
+    def any_in(times, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Per job: does one of the sorted ``times`` lie in ``[lo, hi]``?"""
+        times = np.asarray(times, dtype=float)
+        idx = np.searchsorted(times, lo, side="left")
+        hit = idx < times.size
+        hit[hit] = times[idx[hit]] <= hi[hit]
+        return hit
+
+    transient = any_in(by_switch.pop(None, []), starts, ends)
+    for switch, times in by_switch.items():
+        mine = switches == switch
+        transient[mine] |= any_in(times, starts[mine], ends[mine])
+    exposure_end = np.minimum(starts + job_io_exposure_hours, ends)
+    other = any_in(onset_times, starts, exposure_end)
+    if not queue_during_outage and onset_times.size:
+        # Down intervals are disjoint and sorted: only the last one to
+        # start at or before a job's submission can contain it.
+        k = np.searchsorted(onset_times, starts, side="right") - 1
+        other |= (k >= 0) & (starts < down_ends[np.maximum(k, 0)])
+
+    return [
+        JobRecord(
+            job_id=f"job-{i:06d}",
+            submit_time=hours_to_datetime(epoch, start),
+            duration_hours=duration,
+            status=(
+                FAILED_TRANSIENT if hit else FAILED_OTHER if late else COMPLETED
+            ),
         )
-    return jobs
+        for i, (start, duration, hit, late) in enumerate(
+            zip(starts.tolist(), durations.tolist(), transient.tolist(), other.tolist())
+        )
+    ]
 
 
 def job_end_events(jobs: Iterable[JobRecord]) -> list[LogEvent]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.composition import Node, join, replicate
+from ..core.composition import Node, join, rename, replicate
 from ..core.distributions import Distribution, Exponential, Uniform, Weibull
 from .config import RAIDConfig
 from .controller import build_failover_pair_node
@@ -107,36 +107,10 @@ def build_ddn_unit_node(spec: DDNUnitSpec, name: str = "ddn") -> Node:
     )
 
 
-class _CounterRename(Node):
-    """Re-exports a child's places under different names.
-
-    The fail-over pair builder exports generic ``pairs_down`` /
-    ``pair_outages_total`` counters; inside a DDN unit these must not
-    unify with the OSS pairs' counters, so they are re-exported as
-    ``ctrl_pairs_down`` / ``ctrl_pair_outages_total``.
-    """
-
-    def __init__(self, child: Node, renames: dict[str, str]) -> None:
-        self.child = child
-        self.name = child.name
-        self.renames = dict(renames)
-
-    def _flatten_into(self, ctx, prefix: str) -> dict[str, int]:
-        exports = self.child._flatten_into(ctx, prefix)
-        out = dict(exports)
-        for old, new in self.renames.items():
-            if old not in exports:
-                from ..core.errors import CompositionError
-
-                raise CompositionError(
-                    f"rename source {old!r} not exported by {self.child.name!r}"
-                )
-            out[new] = out.pop(old)
-        return out
-
-
 def _rename_pair_counters(pair: Node) -> Node:
-    return _CounterRename(
+    """Re-export the pair's generic ``pairs_down`` / ``pair_outages_total``
+    as ``ctrl_*``, so they do not unify with the OSS pairs' counters."""
+    return rename(
         pair,
         {
             "pairs_down": "ctrl_pairs_down",

@@ -143,6 +143,89 @@ class TestFriendlyValidation:
             3.0,
         )
 
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["tables", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+            (["all", "--seed", "-3"], "argument --seed: must be >= 0, got -3"),
+            (["logs", "out", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+            (
+                ["calibrate", "--hours", "-1"],
+                "argument --hours: must be finite and positive, got -1",
+            ),
+            (
+                ["simulate", "abe", "--hours", "nan"],
+                "argument --hours: must be finite and positive, got nan",
+            ),
+            (
+                ["rare", "--hours", "inf"],
+                "argument --hours: must be finite and positive, got inf",
+            ),
+            (
+                ["simulate", "abe", "--replications", "0"],
+                "argument --replications: must be >= 1, got 0",
+            ),
+        ],
+    )
+    def test_rejected_at_parse_time(self, argv, needle, monkeypatch, capsys):
+        from repro import cli
+
+        ran = []
+        monkeypatch.setitem(cli._COMMANDS, argv[0], lambda args: ran.append(1) or 0)
+        self._expect_exit2(argv, capsys, needle)
+        assert not ran
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (
+                ["rare", "--disks", "10", "--tolerance", "20"],
+                "fault tolerance must be in [1, n_disks), got 20 of 10",
+            ),
+            (
+                ["rare", "--fail-rate", "nan"],
+                "disk_failure_rate must be finite and positive, got nan",
+            ),
+            (
+                ["rare", "--disks", "4", "--tolerance", "2", "--splitting", "1,5"],
+                "--splitting thresholds must not exceed the loss level 3 "
+                "(tolerance + 1), got 5",
+            ),
+        ],
+    )
+    def test_repro_error_is_one_stderr_line(self, argv, needle, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro: {needle}\n"
+        assert captured.out == ""
+
+    def test_other_exceptions_keep_their_traceback(self, monkeypatch):
+        from repro import cli
+
+        def boom(args):
+            raise RuntimeError("a bug")
+
+        monkeypatch.setitem(cli._COMMANDS, "tables", boom)
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(["tables"])
+
+    def test_no_traceback_end_to_end(self):
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        for argv in (["tables", "--seed", "-1"], ["rare", "--fail-rate", "nan"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 2
+            assert "Traceback" not in proc.stderr
+            assert proc.stderr.strip().splitlines()[-1].endswith(
+                ("got -1", "got nan")
+            )
+
     def test_bad_chaos_env_exits_2(self, monkeypatch, capsys):
         from repro import cli
 

@@ -8,9 +8,11 @@ from repro.core import (
     SAN,
     CompositionError,
     Exponential,
+    LeafNode,
     flatten,
     join,
     leaf,
+    rename,
     replicate,
 )
 
@@ -152,3 +154,57 @@ class TestCanonicalNames:
         model = flatten(replicate("fleet", make_counter_san(), 2, shared=["total"]))
         text = model.summary()
         assert "2 timed" in text
+
+
+class TestRename:
+    def test_exports_renamed_paths_unchanged(self):
+        a = make_counter_san("a")
+        b = make_counter_san("b", shared_name="count")
+        model = flatten(join("sys", a, rename(b, {"count": "total"}), shared=["total"]))
+        slot = model.place_index("sys/total")
+        assert model.place_index("sys/a/total") == slot
+        assert model.place_index("sys/b/count") == slot
+        assert "sys/b/total" not in model.paths
+
+    def test_old_name_is_no_longer_exported(self):
+        node = join("sys", rename(make_counter_san("a"), {"total": "t2"}), shared=["total"])
+        with pytest.raises(CompositionError, match="not\\s+exported by any child"):
+            flatten(node)
+
+    def test_missing_source_rejected(self):
+        node = join("sys", rename(make_counter_san("a"), {"nope": "x"}))
+        with pytest.raises(
+            CompositionError, match="rename source 'nope' not exported by 'a'"
+        ):
+            flatten(node)
+
+    def test_takes_child_name_and_wraps_bare_san(self):
+        node = rename(make_counter_san("a"), {"total": "t"})
+        assert node.name == "a"
+        assert isinstance(node.child, LeafNode)
+        assert [a.path for a in flatten(node).activities] == ["a/tick"]
+
+    def test_renamed_counter_shared_across_replicas(self):
+        unit = rename(make_counter_san("unit"), {"total": "n"})
+        model = flatten(replicate("fleet", unit, 3, shared=["n"]))
+        assert model.n_places == 4
+        assert model.canonical[model.place_index("fleet/unit[2]/total")] == "fleet/n"
+
+    def test_new_name_may_contain_slash(self):
+        node = join("sys", rename(make_counter_san("a"), {"total": "x/y"}), shared=["x/y"])
+        model = flatten(node)
+        assert model.place_index("sys/x/y") == model.place_index("sys/a/total")
+        # "sys/x/y" has two '/', as many as "sys/a/total": the first seen wins.
+        assert model.canonical[model.place_index("sys/x/y")] == "sys/a/total"
+
+
+class TestActivityIndex:
+    def test_one_leaf_instance_shares_one_index(self):
+        san = make_counter_san()
+        san.timed("tock", Exponential(2.0), enabled=lambda m: m["local"] == 1)
+        model = flatten(replicate("fleet", san, 2, shared=["total"]))
+        first = model.activities_matching("fleet/unit[0]/*")
+        second = model.activities_matching("fleet/unit[1]/*")
+        assert first[0].index is first[1].index
+        assert first[0].index is not second[0].index
+        assert first[0].index["total"] == second[0].index["total"]

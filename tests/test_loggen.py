@@ -183,6 +183,157 @@ class TestJobGeneration:
         assert {j.job_id for j in back} == {j.job_id for j in jobs}
 
 
+def per_job_records(
+    cfs_trace, switch_trace, spine_trace, rng, horizon_hours, epoch,
+    job_rate_per_hour, job_mean_duration_hours, job_io_exposure_hours,
+    n_switches, queue_during_outage=True,
+):
+    """The per-job classification loop ``generate_job_records`` batches,
+    kept as its reference."""
+    from repro.analysis.jobs import (
+        COMPLETED,
+        FAILED_OTHER,
+        FAILED_TRANSIENT,
+        JobRecord,
+    )
+    from repro.loggen.generator import _transients_from_traces
+
+    down_intervals = cfs_trace.intervals_where(False)
+    onset_times = np.array([iv.start for iv in down_intervals])
+
+    def cfs_down_at(t):
+        for iv in down_intervals:
+            if iv.start <= t < iv.end:
+                return True
+            if iv.start > t:
+                break
+        return False
+
+    transients = _transients_from_traces(switch_trace, spine_trace)
+    by_switch = {}
+    for tr in transients:
+        by_switch.setdefault(tr.switch, []).append(tr.time)
+    spine_times = np.array(by_switch.get(None, []))
+    switch_times = {k: np.array(v) for k, v in by_switch.items() if k is not None}
+
+    def any_in(times, lo, hi):
+        if times.size == 0:
+            return False
+        idx = np.searchsorted(times, lo, side="left")
+        return idx < times.size and times[idx] <= hi
+
+    n_jobs = rng.poisson(job_rate_per_hour * horizon_hours)
+    arrivals = np.sort(rng.uniform(0.0, horizon_hours, size=int(n_jobs)))
+    jobs = []
+    for i, start in enumerate(arrivals):
+        duration = float(rng.exponential(job_mean_duration_hours))
+        end = min(start + duration, horizon_hours)
+        switch = int(rng.integers(0, n_switches))
+        if any_in(switch_times.get(switch, np.array([])), start, end) or any_in(
+            spine_times, start, end
+        ):
+            status = FAILED_TRANSIENT
+        elif any_in(onset_times, start, min(start + job_io_exposure_hours, end)) or (
+            not queue_during_outage and cfs_down_at(float(start))
+        ):
+            status = FAILED_OTHER
+        else:
+            status = COMPLETED
+        jobs.append(
+            JobRecord(
+                job_id=f"job-{i:06d}",
+                submit_time=hours_to_datetime(epoch, float(start)),
+                duration_hours=duration,
+                status=status,
+            )
+        )
+    return jobs
+
+
+@pytest.fixture(scope="module")
+def abe_job_inputs():
+    """The arguments ``generate_abe_logs(seed=2013)`` classifies its jobs
+    with, the generator captured in its state at that call."""
+    import copy
+
+    import repro.loggen.abe as abe
+
+    captured = {}
+
+    def capture(*args, **kwargs):
+        args = list(args)
+        args[3] = copy.deepcopy(args[3])
+        captured["call"] = (args, kwargs)
+        return []
+
+    original = abe.generate_job_records
+    abe.generate_job_records = capture
+    try:
+        abe.generate_abe_logs(seed=2013)
+    finally:
+        abe.generate_job_records = original
+    return captured["call"]
+
+
+def _both(args, kwargs, **overrides):
+    """(records, final generator state) of the batched code and of the
+    per-job reference, each from its own copy of the generator."""
+    import copy
+
+    out = []
+    for fn in (generate_job_records, per_job_records):
+        call = list(args)
+        call[3] = copy.deepcopy(args[3])
+        jobs = fn(*call, **{**kwargs, **overrides})
+        fields = [
+            (j.job_id, j.submit_time, j.duration_hours, j.status, type(j.status))
+            for j in jobs
+        ]
+        out.append((fields, call[3].bit_generator.state))
+    return out
+
+
+class TestBatchedJobClassification:
+    def test_abe_seed_2013_logs(self, abe_job_inputs):
+        batched, reference = _both(*abe_job_inputs)
+        assert len(batched[0]) == 47417
+        assert {f[3] for f in batched[0]} == {
+            "completed", "failed_transient", "failed_other"
+        }
+        assert batched == reference
+
+    def test_abe_without_queueing(self, abe_job_inputs):
+        batched, reference = _both(*abe_job_inputs, queue_during_outage=False)
+        assert batched == reference
+
+    def test_no_arrivals(self, abe_job_inputs):
+        batched, reference = _both(*abe_job_inputs, job_rate_per_hour=0.0)
+        assert batched == reference
+        assert batched[0] == []
+
+    def test_switch_without_transients(self):
+        cfs = make_binary_trace(
+            [(0.0, True), (50.0, False), (60.0, True), (300.0, False), (320.0, True)],
+            500.0,
+        )
+        sw = make_event_trace(
+            "sw",
+            [(float(t), "c/switches/switch[0]/transient") for t in range(5, 500, 7)],
+        )
+        sp = make_event_trace("sp", [(133.0, "c/spine/transient")])
+        args = [cfs, sw, sp, make_generator(11), 500.0, EPOCH]
+        kwargs = dict(
+            job_rate_per_hour=3.0, job_mean_duration_hours=2.0,
+            job_io_exposure_hours=1.0, n_switches=3,
+        )
+        for queue in (True, False):
+            batched, reference = _both(args, kwargs, queue_during_outage=queue)
+            assert batched == reference
+            assert {f[3] for f in batched[0]} == {
+                "completed", "failed_transient", "failed_other"
+            }
+
+
 class TestDiskSurvival:
     def test_renewal_counts(self):
         law = Weibull.from_mtbf(1.0, 100.0)

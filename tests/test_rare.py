@@ -254,6 +254,33 @@ class TestValidation:
         assert "2.0" in str(exc.value)
         assert sim._run_counter == 0
 
+    @pytest.mark.parametrize(
+        "args, kwargs, needle",
+        [
+            ((10, 20, 1e-5, 0.02), {}, "got 20 of 10"),
+            ((4, 4, 1e-5, 0.02), {}, "got 4 of 4"),
+            ((480, 0, 1e-5, 0.02), {}, "got 0 of 480"),
+            ((480.0, 6, 1e-5, 0.02), {}, "n_disks must be an integer, got 480.0"),
+            ((480, "6", 1e-5, 0.02), {}, "fault_tolerance must be an integer, got '6'"),
+            ((480, 6, float("nan"), 0.02), {}, "disk_failure_rate must be finite and positive, got nan"),
+            ((480, 6, 1e-5, float("inf")), {}, "disk_repair_rate must be finite and positive, got inf"),
+            ((480, 6, -1e-5, 0.02), {}, "disk_failure_rate must be finite and positive, got -1e-05"),
+            ((480, 6, 1e-5, 0.0), {}, "disk_repair_rate must be finite and positive, got 0.0"),
+            ((480, 6, 1e-5, 0.02), {"cap": 0}, "cap must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_tier_helpers_check_inputs_first(self, args, kwargs, needle):
+        calls = [lambda: suggested_splits(*args, **kwargs)]
+        if not kwargs:
+            calls += [
+                lambda: aggregate_tier_san(*args),
+                lambda: tier_splitting_policy(*args),
+            ]
+        for call in calls:
+            with pytest.raises(SimulationError) as exc_info:
+                call()
+            assert needle in str(exc_info.value)
+
     def test_suggested_splits_shape(self):
         splits = suggested_splits(N, F, LAM, MU)
         assert len(splits) == F
