@@ -181,9 +181,10 @@ def bench_petascale_cluster_one_year(benchmark):
 
 def bench_equilibrium_grid_cold(benchmark):
     """First draw from the ABE disk fleet's equilibrium law on an empty
-    grid cache: one ~4.2k-point inverse-CDF tabulation, one scipy
-    ``brentq`` per point.  Each round's setup empties the per-process
-    grid cache, so every round times a build."""
+    grid cache: one 4,160-point inverse-CDF tabulation, all points
+    solved together by the lane transcription of scipy's ``brentq``.
+    Each round's setup empties the per-process grid cache, so every
+    round times a build."""
     lifetime = abe_parameters().disk_lifetime
 
     def setup():

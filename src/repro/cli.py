@@ -474,12 +474,10 @@ def _cmd_rare(args: argparse.Namespace) -> int:
 
 
 def _cmd_logs(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
+    from .experiments.sweep import _make_dir
     from .loggen import generate_abe_logs, write_log
 
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_dir(args.output_dir, "output_dir")
     logs = generate_abe_logs(seed=args.seed)
     n_san = write_log(logs.san_log.events, str(out / "san.log"))
     n_compute = write_log(logs.compute_log.events, str(out / "compute.log"))
@@ -569,6 +567,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     from .core.errors import ReproError
 
     try:
+        if getattr(args, "checkpoint_dir", None) is not None:
+            # Before any log synthesis or cell: the journal needs it.
+            from .experiments.sweep import _make_dir
+
+            _make_dir(args.checkpoint_dir, "--checkpoint-dir")
         return _COMMANDS[args.command](args)
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

@@ -26,7 +26,7 @@ import math
 from abc import ABC, abstractmethod
 from bisect import bisect_right
 from collections import OrderedDict
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import optimize, special
@@ -511,6 +511,120 @@ class Shifted(Distribution):
         return f"Shifted(offset={self.offset!r}, inner={self.inner!r})"
 
 
+def _brentq_lanes(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    xa: np.ndarray,
+    xb: np.ndarray,
+    xtol: float = 1e-9,
+    rtol: float = 1e-12,
+    maxiter: int = 100,
+) -> np.ndarray:
+    """Roots of ``f`` in the brackets ``[xa[i], xb[i]]``, all lanes at once.
+
+    A numpy transcription of scipy's C ``brentq`` (Brent, *Algorithms
+    for Minimization without Derivatives*, 1973, as ``brentq.c`` runs
+    it).  ``f(x, lanes)`` returns lane ``lanes[k]``'s function at
+    ``x[k]``.  Brent's method steps each lane on its own values only,
+    so when ``f`` computes every value exactly as the scalar function
+    does, each root has the bits ``optimize.brentq`` returns for that
+    lane; a lane retires at the iteration scipy would return.  Errors
+    keep scipy's types: ``ValueError`` for a NaN function value or for
+    ends of the same sign, ``RuntimeError`` when a lane has not
+    converged after ``maxiter`` iterations.
+    """
+
+    def evaluate(x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        fx = f(x, lanes)
+        nan = np.isnan(fx)
+        if nan.any():
+            raise ValueError(
+                f"The function value at x={x[nan][0]} is NaN; "
+                "solver cannot continue."
+            )
+        return fx
+
+    xpre = np.array(xa, dtype=float)
+    xcur = np.array(xb, dtype=float)
+    lanes = np.arange(len(xpre))
+    roots = np.empty(len(xpre))
+    fpre = evaluate(xpre, lanes)
+    fcur = evaluate(xcur, lanes)
+    # An end where f is 0 is the root (xa first); the rest need a sign change.
+    at_a = fpre == 0
+    at_b = (fcur == 0) & ~at_a
+    roots[at_a] = xpre[at_a]
+    roots[at_b] = xcur[at_b]
+    live = ~(at_a | at_b)
+    if (np.signbit(fpre[live]) == np.signbit(fcur[live])).any():
+        raise ValueError("f(a) and f(b) must have different signs")
+    lanes, xpre, xcur, fpre, fcur = (a[live] for a in (lanes, xpre, xcur, fpre, fcur))
+    xblk = fblk = spre = scur = np.zeros(len(lanes))
+    # Steps a lane does not take may divide by zero; np.where drops them.
+    with np.errstate(all="ignore"):
+        for _ in range(maxiter):
+            if not lanes.size:
+                break
+            flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+            xblk = np.where(flip, xpre, xblk)
+            fblk = np.where(flip, fpre, fblk)
+            span = xcur - xpre
+            spre = np.where(flip, span, spre)
+            scur = np.where(flip, span, scur)
+            # Keep the best estimate in xcur: swap it with the block end.
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = (
+                np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                np.where(swap, xcur, xblk),
+            )
+            fpre, fcur, fblk = (
+                np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                np.where(swap, fcur, fblk),
+            )
+            delta = (xtol + rtol * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0) | (np.abs(sbis) < delta)
+            if done.any():
+                roots[lanes[done]] = xcur[done]
+                keep = ~done
+                (lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
+                 delta, sbis) = (
+                    a[keep] for a in (lanes, xpre, xcur, xblk, fpre, fcur,
+                                      fblk, spre, scur, delta, sbis)
+                )
+                if not lanes.size:
+                    break
+            # Interpolate (secant) when xpre is the block end, else
+            # extrapolate (inverse quadratic); keep the step only if it
+            # is short enough, else bisect.
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(
+                xpre == xblk,
+                -fcur * (xcur - xpre) / (fcur - fpre),
+                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)),
+            )
+            aspre = np.abs(spre)
+            bound = 3 * np.abs(sbis) - delta
+            short = (
+                (aspre > delta) & (np.abs(fcur) < np.abs(fpre))
+                & (2 * np.abs(stry) < np.where(aspre < bound, aspre, bound))
+            )
+            spre = np.where(short, scur, sbis)
+            scur = np.where(short, stry, sbis)
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(
+                np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta)
+            )
+            fcur = evaluate(xcur, lanes)
+    if lanes.size:
+        raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    return roots
+
+
+#: Brackets stop doubling here: ``EquilibriumResidual`` raises rather
+#: than return a quantile beyond it (shipped laws stay below ~1e8 h).
+_BRACKET_CAP = 1e16
+
 #: Per-process LRU of equilibrium quantile grids, keyed by the law's value
 #: (:meth:`EquilibriumResidual._grid_key`), so that equal laws built by
 #: different sweep cells share one table.  Module level like
@@ -535,9 +649,11 @@ class EquilibriumResidual(Distribution):
     Weibull (using the raw law would overstate early failures for β < 1).
 
     The inverse-CDF grid is built on the first draw.  For a
-    :class:`Weibull` inner law it comes from a per-process cache shared
-    by every equal law, and its arrays are read-only; any other inner
-    law tabulates its own grid.
+    :class:`Weibull` inner law it is solved in lanes and comes from a
+    per-process cache shared by every equal law, and its arrays are
+    read-only; any other inner law tabulates its own grid.  A quantile
+    beyond 1e16 h, or a survival integral that overflows, is a
+    :class:`ModelError` naming the law.
     """
 
     __slots__ = ("inner", "_mean_inner", "_table", "_grid_lists")
@@ -581,7 +697,10 @@ class EquilibriumResidual(Distribution):
             # ∫₀ᵗ exp(-(u/η)^β) du = (η/β) γ(1/β, (t/η)^β) with γ the lower
             # incomplete gamma; gammainc is the regularized form.
             beta, eta = inner.shape, inner.scale
-            x = (t / eta) ** beta
+            try:
+                x = (t / eta) ** beta
+            except OverflowError:
+                raise self._overflow() from None
             return float(
                 (eta / beta) * special.gamma(1.0 / beta) * special.gammainc(1.0 / beta, x)
             )
@@ -605,10 +724,24 @@ class EquilibriumResidual(Distribution):
 
     def sample_exact(self, rng: np.random.Generator) -> float:
         """Inverse-CDF sample via root finding (slow, arbitrarily accurate)."""
-        u = rng.uniform()
-        return self._invert(u * self._mean_inner)
+        return self._invert(rng.uniform())
 
-    def _invert(self, target: float) -> float:
+    def _overflow(self) -> ModelError:
+        return ModelError(
+            f"{self!r}: its survival integral overflows a float "
+            f"(the inner law's scale is too small)"
+        )
+
+    def _beyond_cap(self, u: float) -> ModelError:
+        return ModelError(
+            f"{self!r}: the quantile of u = {u!r} lies beyond "
+            f"{_BRACKET_CAP:g} h (the inner law's tail is too heavy to sample)"
+        )
+
+    def _invert(self, u: float) -> float:
+        """The ``u`` quantile by one scalar ``brentq``."""
+        target = u * self._mean_inner
+
         def g(t: float) -> float:
             return self._integrated_survival(t) - target
 
@@ -616,9 +749,39 @@ class EquilibriumResidual(Distribution):
         hi = max(self._mean_inner, 1.0)
         while g(hi) < 0.0:
             hi *= 2.0
-            if hi > 1e16:  # pragma: no cover - numerically unreachable
-                return hi
+            if hi > _BRACKET_CAP:
+                raise self._beyond_cap(u)
         return float(optimize.brentq(g, 0.0, hi, xtol=1e-9, rtol=1e-12))
+
+    def _invert_lanes(self, probs: np.ndarray) -> np.ndarray:
+        """``_invert`` of every probability at once, bit for bit, for a
+        plain :class:`Weibull` inner law: the same bracket doubling per
+        lane, then :func:`_brentq_lanes`.
+        """
+        beta, eta = self.inner.shape, self.inner.scale
+        a = 1.0 / beta
+        factor = (eta / beta) * special.gamma(a)
+        targets = probs * self._mean_inner
+
+        def g(t: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+            # _integrated_survival(t) - target per lane.  (t/η)**β goes
+            # through Python floats, i.e. libm's pow: numpy's SIMD power
+            # differs from it in the last bit on some inputs.
+            try:
+                x = [(v / eta) ** beta if v > 0.0 else 0.0 for v in t.tolist()]
+            except OverflowError:
+                raise self._overflow() from None
+            value = np.where(t > 0.0, factor * special.gammainc(a, x), 0.0)
+            return value - targets[lanes]
+
+        hi = np.full(len(probs), max(self._mean_inner, 1.0))
+        low = np.arange(len(probs))
+        while low.size:
+            low = low[g(hi[low], low) < 0.0]
+            hi[low] *= 2.0
+            if low.size and hi[low[0]] > _BRACKET_CAP:
+                raise self._beyond_cap(float(probs[low[0]]))
+        return _brentq_lanes(g, np.zeros(len(probs)), hi)
 
     def _build_quantile_grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Tabulate the inverse CDF on a fine probability grid.
@@ -628,7 +791,8 @@ class EquilibriumResidual(Distribution):
         resolution any availability measure can resolve.  Upper-tail
         samples (u beyond ``_EXACT_TAIL_U``) fall back to exact
         inversion, where the inverse CDF curves too fast for the linear
-        interpolant.
+        interpolant.  A plain :class:`Weibull` inner law solves all
+        points in lanes; any other law runs one ``brentq`` per point.
         """
         n = self._TABLE_SIZE
         # Uniformly spaced core plus geometrically refined tails.
@@ -636,8 +800,9 @@ class EquilibriumResidual(Distribution):
         low_tail = np.geomspace(1e-7, core[0], 32, endpoint=False)
         high_tail = 1.0 - np.geomspace(1e-5, 1.0 - core[-1], 32, endpoint=False)[::-1]
         probs = np.unique(np.concatenate(([0.0], low_tail, core, high_tail)))
-        quantiles = np.array([self._invert(p * self._mean_inner) for p in probs])
-        return probs, quantiles
+        if type(self.inner) is Weibull:
+            return probs, self._invert_lanes(probs)
+        return probs, np.array([self._invert(p) for p in probs])
 
     def _grid_key(self) -> tuple | None:
         """The grid's cache key, or ``None`` unless the inner law is a
@@ -689,7 +854,7 @@ class EquilibriumResidual(Distribution):
         tail = u > self._EXACT_TAIL_U
         if tail.any():
             for i in np.flatnonzero(tail):
-                out[i] = self._invert(u[i] * self._mean_inner)
+                out[i] = self._invert(u[i])
         return out
 
     def sample(self, rng: np.random.Generator) -> float:
@@ -703,7 +868,7 @@ class EquilibriumResidual(Distribution):
         probs, quantiles = self._grid_lists
         u = rng.uniform()
         if u > self._EXACT_TAIL_U:
-            return self._invert(u * self._mean_inner)
+            return self._invert(u)
         # Inline linear interpolation on the cached grid: same arithmetic
         # (and bit-identical results) as ``np.interp(u, probs, quantiles)``
         # at a fraction of the scalar-call overhead.  u is in

@@ -33,10 +33,12 @@ def figure4_cells(
     """The Figure 4 grid: one full-cluster cell per scale step, plus a
     spare-OSS variant per step when ``include_spare``.
 
-    These are the heaviest cells of the whole report (a petascale year
-    costs ~25× an ABE year, see BENCH_engine.json), which is exactly why
-    cell-level scheduling pays: the spare/no-spare studies at each step
-    are independent and pipeline across workers.
+    These are the heaviest cells of the whole report (a petascale
+    cluster year costs ~22× an ABE cluster year: 138 ms against 6.2 ms
+    in ``benchmarks/bench_engine.py``'s one-year benchmarks on a 1-core
+    host), which is exactly why cell-level scheduling pays: the
+    spare/no-spare studies at each step are independent and pipeline
+    across workers.
     """
     base = base if base is not None else abe_parameters()
     cells: list[SweepCell] = []

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from ..core.errors import SimulationError
+from ..core.errors import ReproError, SimulationError
 from ..core.experiment import ExperimentResult, replicate_runs
 from ..core.parallel import (
     ReplicationSpec,
@@ -294,6 +294,24 @@ def cell_digest(cell: SweepCell) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+def _make_dir(directory: str | os.PathLike, argument: str) -> Path:
+    """``directory`` as a :class:`Path`, created with its parents if
+    missing.  An ``OSError`` becomes a :class:`ReproError` that names
+    ``argument``, the path and the OS's reason."""
+    path = Path(directory)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        reason = (
+            "it exists and is not a directory"
+            if isinstance(exc, FileExistsError) else exc.strerror or str(exc)
+        )
+        raise ReproError(
+            f"{argument} {str(path)!r}: cannot create directory: {reason}"
+        ) from None
+    return path
+
+
 class _CheckpointJournal:
     """Per-cell result journal backing ``run_sweep(checkpoint_dir=...)``.
 
@@ -314,8 +332,7 @@ class _CheckpointJournal:
     _MAGIC = b"repro-ckpt/sha256:"
 
     def __init__(self, directory: str | os.PathLike) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        self.directory = _make_dir(directory, "checkpoint_dir")
 
     def _path(self, cell: SweepCell) -> Path:
         return self.directory / f"{cell_digest(cell)}.pkl"

@@ -199,6 +199,40 @@ class TestFriendlyValidation:
         assert captured.err == f"repro: {needle}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["logs", "DIR"], "output_dir"),
+            (["tables", "--jobs", "2", "--checkpoint-dir", "DIR"], "--checkpoint-dir"),
+            (["all", "--jobs", "2", "--resume", "DIR"], "--checkpoint-dir"),
+            (["calibrate", "--checkpoint-dir", "DIR"], "--checkpoint-dir"),
+        ],
+    )
+    def test_unusable_directory_exits_2(
+        self, argv, flag, tmp_path, monkeypatch, capsys
+    ):
+        """A directory that cannot be created ends in one line naming the
+        argument, the path and the OS reason, before any log synthesis
+        or cell."""
+        import repro.loggen
+        import repro.loggen.abe
+        from repro.experiments import SweepCell
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the directory check")
+
+        monkeypatch.setattr(repro.loggen, "generate_abe_logs", refuse)
+        monkeypatch.setattr(repro.loggen.abe, "generate_abe_logs", refuse)
+        monkeypatch.setattr(SweepCell, "execute", refuse)
+        (tmp_path / "file").write_text("")
+        bad = str(tmp_path / "file" / "out")
+        assert main([bad if a == "DIR" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"repro: {flag} {bad!r}: cannot create directory: Not a directory\n"
+        )
+        assert captured.out == ""
+
     def test_other_exceptions_keep_their_traceback(self, monkeypatch):
         from repro import cli
 
@@ -209,13 +243,18 @@ class TestFriendlyValidation:
         with pytest.raises(RuntimeError, match="a bug"):
             main(["tables"])
 
-    def test_no_traceback_end_to_end(self):
+    def test_no_traceback_end_to_end(self, tmp_path):
         import os
         import subprocess
         import sys
 
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        for argv in (["tables", "--seed", "-1"], ["rare", "--fail-rate", "nan"]):
+        (tmp_path / "file").write_text("")
+        for argv in (
+            ["tables", "--seed", "-1"],
+            ["rare", "--fail-rate", "nan"],
+            ["logs", str(tmp_path / "file" / "out")],
+        ):
             proc = subprocess.run(
                 [sys.executable, "-m", "repro", *argv],
                 capture_output=True, text=True, env=env, timeout=120,
@@ -223,7 +262,7 @@ class TestFriendlyValidation:
             assert proc.returncode == 2
             assert "Traceback" not in proc.stderr
             assert proc.stderr.strip().splitlines()[-1].endswith(
-                ("got -1", "got nan")
+                ("got -1", "got nan", "Not a directory")
             )
 
     def test_bad_chaos_env_exits_2(self, monkeypatch, capsys):

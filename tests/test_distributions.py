@@ -259,6 +259,33 @@ class TestEquilibriumResidual:
         values = [eq.survival(t) for t in (0.0, 1.0, 10.0, 100.0, 1000.0)]
         assert values == sorted(values, reverse=True)
 
+    @pytest.mark.parametrize("route", ["sample", "sample_many", "grid", "scalar"])
+    @pytest.mark.parametrize(
+        "inner, needle",
+        [
+            # Quantiles beyond the 1e16 h bracket cap: 4,139 of the 4,160
+            # grid points, and u = 0.637 (the CDF at 4.87e18 h is 0.0006).
+            (Weibull(0.05, 1.0), "lies beyond 1e+16 h"),
+            # (t/η)**β overflows at the first bracket, t = 1 h.
+            (Weibull(3.0, 1e-300), "overflows a float"),
+        ],
+        ids=["heavy-tail", "tiny-scale"],
+    )
+    def test_unsamplable_law_raises_model_error(
+        self, monkeypatch, inner, needle, route
+    ):
+        monkeypatch.setattr(distributions, "_GRID_CACHE", OrderedDict())
+        law = EquilibriumResidual(inner)
+        calls = {
+            "sample": lambda: law.sample(np.random.default_rng(0)),
+            "sample_many": lambda: law.sample_many(np.random.default_rng(0), 8),
+            "grid": law._build_quantile_grid,
+            "scalar": lambda: law._invert(0.637),
+        }
+        message = re.escape(repr(law)) + ".*" + re.escape(needle)
+        with pytest.raises(ModelError, match=message):
+            calls[route]()
+
 
 class TestParameterValidation:
     """Bad parameters fail at construction with a ModelError naming them."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import re
 import warnings
 
 import pytest
@@ -34,7 +35,7 @@ from repro.core import (
     replicate_runs,
     run_tasks_supervised,
 )
-from repro.core.errors import InstantaneousLoopError
+from repro.core.errors import InstantaneousLoopError, ReproError
 from repro.core.rewards import RateReward
 from repro.experiments import SweepCell, replication_cell, run_sweep
 from repro.experiments.runner import format_cell_failures
@@ -646,6 +647,24 @@ class TestSweepResilience:
         entry.write_bytes(b"truncated garbage")
         result = run_sweep(cells, n_jobs=1, checkpoint_dir=str(d))
         assert dict(result) == {"a": 9}
+
+    @pytest.mark.parametrize("blocked", ["file/ckpt", "file"])
+    def test_unusable_checkpoint_dir_raises_before_any_cell(
+        self, tmp_path, monkeypatch, blocked
+    ):
+        """A path under (or at) a regular file is a ReproError naming the
+        argument, the path and the reason; no cell runs."""
+        (tmp_path / "file").write_text("")
+        d = tmp_path / blocked
+
+        def refuse(cell):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(SweepCell, "execute", refuse)
+        reason = "Not a directory" if "/" in blocked else "is not a directory"
+        message = f"^checkpoint_dir {re.escape(repr(str(d)))}: .*{reason}$"
+        with pytest.raises(ReproError, match=message):
+            run_sweep([SweepCell("a", square_cell_fn, (2,))], checkpoint_dir=d)
 
     def test_sweep_result_failures_empty_on_clean_run(self):
         result = run_sweep([SweepCell("a", square_cell_fn, (2,))])
