@@ -474,13 +474,22 @@ def _cmd_rare(args: argparse.Namespace) -> int:
 
 
 def _cmd_logs(args: argparse.Namespace) -> int:
+    from .core.errors import ReproError
     from .experiments.sweep import _make_dir
     from .loggen import generate_abe_logs, write_log
 
     out = _make_dir(args.output_dir, "output_dir")
     logs = generate_abe_logs(seed=args.seed)
-    n_san = write_log(logs.san_log.events, str(out / "san.log"))
-    n_compute = write_log(logs.compute_log.events, str(out / "compute.log"))
+    counts = []
+    for log, name in ((logs.san_log, "san.log"), (logs.compute_log, "compute.log")):
+        path = str(out / name)
+        try:
+            counts.append(write_log(log.events, path))
+        except OSError as exc:
+            raise ReproError(
+                f"cannot write log file {path!r}: {exc.strerror or exc}"
+            ) from None
+    n_san, n_compute = counts
     print(f"wrote {n_san} SAN-log lines and {n_compute} compute-log lines to {out}")
     print(f"ground-truth CFS availability: {logs.ground_truth.cfs_availability:.4f}")
     return 0

@@ -53,24 +53,43 @@ __all__ = [
 ]
 
 
+#: Set by :func:`repro.core.resilience._start_worker` in the library's
+#: pool workers: there, :func:`_gc_paused` freezes each finished build.
+_FREEZE_BUILDS = False
+
+
 @contextmanager
 def _gc_paused():
     """Pause cyclic garbage collection around a model build.
 
     Flattening and compiling a replicated model allocate a few hundred
-    thousand container objects, and the collector would otherwise walk
-    them again and again in full collections while they are built.  The
-    model graph holds no reference cycles (a dropped model is freed by
-    reference counting alone), so there is nothing for those walks to
-    find.  Usable as a decorator.  On exit, error included, the caller's
-    state is restored: a caller that disabled collection keeps it off.
+    thousand container objects with no reference cycles among them (a
+    dropped model is freed by reference counting alone), so collections
+    that walk them find nothing; the pause keeps the collector off them
+    while they are built.  Usable as a decorator.  On exit, error
+    included, the caller's state is restored: a caller that disabled
+    collection keeps it off, and nothing below happens.
+
+    In the library's pool workers (``_FREEZE_BUILDS``) a build that
+    succeeds ends in ``gc.freeze()``, which moves every tracked object
+    into the permanent generation, so later collections stop walking the
+    build too.  A young collection before the pause frees the garbage
+    made since the last one instead of freezing it.  A build that raises
+    does not freeze.  Frozen objects are still freed by reference
+    counting, but cyclic garbage alive at a freeze is never collected,
+    so the parent process and serial runs never freeze.
     """
     if not gc.isenabled():
         yield
         return
+    freeze = _FREEZE_BUILDS
+    if freeze:
+        gc.collect(0)
     gc.disable()
     try:
         yield
+        if freeze:
+            gc.freeze()
     finally:
         gc.enable()
 

@@ -738,6 +738,11 @@ class EquilibriumResidual(Distribution):
             f"{_BRACKET_CAP:g} h (the inner law's tail is too heavy to sample)"
         )
 
+    def _xtol(self) -> float:
+        """The root finders' absolute tolerance: 1e-9 h, scaled by a mean
+        μ below 1 h so that quantiles below 1e-9 h still resolve."""
+        return 1e-9 * min(self._mean_inner, 1.0)
+
     def _invert(self, u: float) -> float:
         """The ``u`` quantile by one scalar ``brentq``."""
         target = u * self._mean_inner
@@ -751,7 +756,7 @@ class EquilibriumResidual(Distribution):
             hi *= 2.0
             if hi > _BRACKET_CAP:
                 raise self._beyond_cap(u)
-        return float(optimize.brentq(g, 0.0, hi, xtol=1e-9, rtol=1e-12))
+        return float(optimize.brentq(g, 0.0, hi, xtol=self._xtol(), rtol=1e-12))
 
     def _invert_lanes(self, probs: np.ndarray) -> np.ndarray:
         """``_invert`` of every probability at once, bit for bit, for a
@@ -781,7 +786,7 @@ class EquilibriumResidual(Distribution):
             hi[low] *= 2.0
             if low.size and hi[low[0]] > _BRACKET_CAP:
                 raise self._beyond_cap(float(probs[low[0]]))
-        return _brentq_lanes(g, np.zeros(len(probs)), hi)
+        return _brentq_lanes(g, np.zeros(len(probs)), hi, xtol=self._xtol())
 
     def _build_quantile_grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Tabulate the inverse CDF on a fine probability grid.

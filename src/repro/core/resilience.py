@@ -45,6 +45,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
+from . import composition
 from .errors import ChaosError, SimulationError, TaskTimeoutError
 
 __all__ = [
@@ -289,6 +290,15 @@ def _warn_serial_fallback(label: str, cause: BaseException) -> None:
     )
 
 
+def _start_worker(initializer: Callable | None, initargs: tuple) -> None:
+    """Pool-worker start-up: freeze each finished model build out of the
+    collector's generations (see ``composition._gc_paused``), then run
+    the caller's initializer."""
+    composition._FREEZE_BUILDS = True
+    if initializer is not None:
+        initializer(*initargs)
+
+
 def _raise_exhausted(label: str, key: object, attempts: int, exc: BaseException):
     raise SimulationError(
         f"{label} {key!r} failed after {attempts} attempt(s): "
@@ -327,7 +337,9 @@ def run_tasks_supervised(
         Worker processes; ``<= 1`` executes serially in-process (no
         pickling requirements, chaos/retry still applied).
     mp_context / initializer / initargs:
-        Pool configuration, as for :class:`ProcessPoolExecutor`.
+        Pool configuration, as for :class:`ProcessPoolExecutor`.  Each
+        pool worker runs ``initializer`` after :func:`_start_worker` has
+        set it to freeze its model builds; serial execution does not.
     retry:
         Policy applied per task; default :class:`RetryPolicy`.
     chaos:
@@ -428,8 +440,8 @@ def run_tasks_supervised(
         return ProcessPoolExecutor(
             max_workers=min(n_jobs, len(tasks)),
             mp_context=mp_context,
-            initializer=initializer,
-            initargs=initargs,
+            initializer=_start_worker,
+            initargs=(initializer, initargs),
         )
 
     def drain_to_serial(cause: BaseException) -> None:

@@ -233,6 +233,19 @@ class TestFriendlyValidation:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize("name", ["san.log", "compute.log"])
+    def test_unwritable_log_file_exits_2(self, name, tmp_path, capsys):
+        """A log file that cannot be written ends in one line naming the
+        file and the OS reason."""
+        (tmp_path / name).mkdir()
+        assert main(["logs", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        path = str(tmp_path / name)
+        assert captured.err == (
+            f"repro: cannot write log file {path!r}: Is a directory\n"
+        )
+        assert captured.out == ""
+
     def test_other_exceptions_keep_their_traceback(self, monkeypatch):
         from repro import cli
 

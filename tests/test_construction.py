@@ -1,10 +1,12 @@
 """Model construction: memoized place globs, template-level compile plans,
-and the cyclic-GC pause around flatten and the first compile."""
+the cyclic-GC pause around flatten and the first compile, and the freeze
+of each finished build in pool workers."""
 
 from __future__ import annotations
 
 import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -19,10 +21,12 @@ from repro.core import (
     Deterministic,
     Exponential,
     SimulationError,
+    Simulator,
     flatten,
     join,
     replicate,
 )
+from repro.core import composition
 from repro.core.composition import FlatModel
 from repro.core.distributions import Distribution
 from repro.core.patterns import path_match
@@ -316,3 +320,139 @@ def test_gc_state_restored_when_construction_raises(gc_state, enabled):
     with pytest.raises(SimulationError, match="declared write 'missing'"):
         CompiledProgram(model).tables()
     assert gc.isenabled() is enabled
+
+
+# ----------------------------------------------------------------------
+# pool workers freeze each finished build; nothing else does
+# ----------------------------------------------------------------------
+def _freeze_probe_cell(n: int) -> tuple[tuple, int]:
+    """Sweep cell: build and run a small fleet; report the run and this
+    process's freeze count."""
+    result = Simulator(_fleet(n), base_seed=n).run(20.0)
+    return (result.n_events, result.final_time), gc.get_freeze_count()
+
+
+@pytest.fixture
+def freezing(monkeypatch, gc_state):
+    """This process freezes its builds, as a pool worker does."""
+    monkeypatch.setattr(composition, "_FREEZE_BUILDS", True)
+    gc.enable()
+    yield
+    gc.unfreeze()
+
+
+def _walked(obj) -> bool:
+    """Whether the collector's generations still hold ``obj`` (a frozen
+    object is in none of them).  Identity, not a freeze count: another
+    thread may free frozen objects at any time."""
+    return any(o is obj for o in gc.get_objects())
+
+
+class _Cyclic:
+    pass
+
+
+class TestFreezeScope:
+    def test_builds_outside_pool_workers_do_not_freeze(self, gc_state):
+        gc.enable()
+        before = gc.get_freeze_count()
+        program = CompiledProgram(_fleet())
+        program.tables()
+        result = Simulator(program, base_seed=1).run(20.0)
+        assert result.n_events > 0
+        assert gc.get_freeze_count() == before
+
+    def test_pool_workers_freeze_their_builds(self):
+        from repro.experiments import SweepCell, run_sweep
+
+        here = gc.get_freeze_count()
+        cells = [SweepCell(n, _freeze_probe_cell, (n,)) for n in (2, 3)]
+        pooled = run_sweep(cells, n_jobs=2)
+        serial = run_sweep(cells, n_jobs=1)
+        assert all(frozen > here for _run, frozen in pooled.values())
+        assert all(frozen == here for _run, frozen in serial.values())
+        assert [r for r, _ in pooled.values()] == [r for r, _ in serial.values()]
+
+    def test_a_successful_build_freezes(self, freezing):
+        model = flatten(_probe_san([]))
+        assert gc.isenabled() and not _walked(model)
+        program = CompiledProgram(model)
+        assert _walked(program)
+        tables = program.tables()
+        assert gc.isenabled() and not _walked(program) and not _walked(tables)
+
+    def test_a_build_that_raises_does_not_freeze(self, freezing):
+        model = _bad_write_model()
+        tree = _conflicting_tree()
+        with pytest.raises(CompositionError, match="conflicting initial"):
+            flatten(tree)
+        assert gc.isenabled() and _walked(tree)
+        program = CompiledProgram(model)
+        with pytest.raises(SimulationError, match="declared write 'missing'"):
+            program.tables()
+        assert gc.isenabled() and _walked(program)
+
+    def test_a_caller_with_gc_off_gets_no_freeze(self, freezing):
+        gc.disable()
+        program = CompiledProgram(flatten(_probe_san([])))
+        program.tables()
+        assert not gc.isenabled()
+        assert _walked(program) and _walked(program.model)
+
+    def test_a_cycle_dropped_before_a_build_is_still_collected(self, freezing):
+        """The young collection before the pause frees fresh cyclic
+        garbage instead of freezing it for good."""
+        gc.disable()  # no collection may move the cycle out of generation 0
+        cycle = _Cyclic()
+        cycle.self = cycle
+        ref = weakref.ref(cycle)
+        del cycle
+        gc.enable()
+        CompiledProgram(flatten(_probe_san([]))).tables()
+        assert gc.isenabled()
+        gc.collect()
+        assert ref() is None
+
+
+# ----------------------------------------------------------------------
+# the freeze's premise: a dropped shipped model needs no collector
+# ----------------------------------------------------------------------
+def _shipped_spec(name: str):
+    from repro.cfs.cluster import ClusterModel, StorageModel
+    from repro.cfs.parameters import abe_parameters, petascale_parameters
+    from repro.experiments import tier_replication_spec
+
+    specs = {
+        "abe": lambda: ClusterModel.spec(abe_parameters(), 1),
+        "petascale": lambda: ClusterModel.spec(petascale_parameters(), 1),
+        "petascale-spare": lambda: ClusterModel.spec(
+            petascale_parameters().with_spare_oss(1), 1
+        ),
+        "abe-storage": lambda: StorageModel.spec(abe_parameters(), 1),
+        "petascale-storage": lambda: StorageModel.spec(petascale_parameters(), 1),
+        "deep-tail-tier": lambda: tier_replication_spec(480, 6, 1e-5, 0.02, 1),
+    }
+    return specs[name]()
+
+
+class TestFreezePremise:
+    @pytest.mark.parametrize(
+        "name",
+        ["abe", "petascale", "petascale-spare", "abe-storage",
+         "petascale-storage", "deep-tail-tier"],
+    )
+    def test_a_dropped_shipped_model_is_freed_by_reference_counting(
+        self, name, gc_state
+    ):
+        """Pool workers freeze every build, so a reference cycle in a
+        shipped model would leak the whole model in each worker."""
+        setup = _shipped_spec(name).build()
+        sim = setup.simulator
+        sim.program.tables()
+        traces = setup.traces_factory() if setup.traces_factory else ()
+        result = sim.run(500.0, rewards=setup.rewards, traces=traces)
+        assert result.n_events > 0
+        refs = [weakref.ref(o) for o in (sim, sim.program, sim.program.model)]
+        gc.disable()
+        del setup, sim, traces, result
+        assert [r() is None for r in refs] == [True, True, True]

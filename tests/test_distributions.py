@@ -259,6 +259,25 @@ class TestEquilibriumResidual:
         values = [eq.survival(t) for t in (0.0, 1.0, 10.0, 100.0, 1000.0)]
         assert values == sorted(values, reverse=True)
 
+    @pytest.mark.parametrize(
+        "inner", [Weibull(2.0, 1e-10), Weibull(0.7, 1e-7)], ids=repr
+    )
+    def test_quantiles_below_a_nanohour_are_resolved(self, monkeypatch, inner):
+        """Every quantile of these laws lies below 1e-9 h, the root
+        finders' tolerance for a mean of 1 h or more; theirs scales with
+        the mean, so each grid point and draw inverts the CDF."""
+        monkeypatch.setattr(distributions, "_GRID_CACHE", OrderedDict())
+        law = EquilibriumResidual(inner)
+        probs, quantiles = law._build_quantile_grid()
+        assert max(
+            abs(law.cdf(q) - p) for q, p in zip(quantiles.tolist(), probs.tolist())
+        ) <= 1e-9
+        scalar = np.array([law._invert(p) for p in probs])
+        assert quantiles.tobytes() == scalar.tobytes()
+        draws = law.sample_many(np.random.default_rng(0), 64)
+        u = np.random.default_rng(0).uniform(size=64)
+        assert max(abs(law.cdf(x) - v) for x, v in zip(draws, u)) < 1e-3
+
     @pytest.mark.parametrize("route", ["sample", "sample_many", "grid", "scalar"])
     @pytest.mark.parametrize(
         "inner, needle",
