@@ -27,7 +27,11 @@ terms that speedup rests on, at a size small enough for CI smoke:
   and one-event segments (deep-tail's typical segment).  They cost
   ``Simulator.run``'s per-call set-up, not event work: the fixed cost
   that the program's cached run plan cuts (docs/performance.md,
-  Layer 16).
+  Layer 16);
+* ``bench_seed_tree_stream`` derives one segment's stream,
+  ``node.child(-1).generator()``, below a node 0, 50 and 130 keys deep:
+  the per-segment cost a ``SeedTree`` node's mixed entropy pool cuts
+  (docs/performance.md, Layer 20), which must not grow with depth.
 
 Every estimate is asserted bit-stable across rounds (same seeds, same
 schedule), so the benches double as determinism smoke tests.
@@ -37,12 +41,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 
 from repro.core import Simulator, StoppingRule
 from repro.core.experiment import replicate_runs
 from repro.core.parallel import build_setup_cached
-from repro.core.rng import make_generator
+from repro.core.rng import SeedTree, derive_seed, make_generator
 from repro.experiments.rare import (
     _make_stop_predicate,
     aggregate_tier_san,
@@ -204,3 +209,12 @@ def bench_restart_run(benchmark, events):
     counts = benchmark.pedantic(segments, setup=streams, rounds=5, warmup_rounds=1)
     assert counts == [events] * RESTART_RUNS
 
+
+@pytest.mark.parametrize("depth", [0, 50, 130])
+def bench_seed_tree_stream(benchmark, depth):
+    """One restart segment's stream below a node ``depth`` keys deep."""
+    path = ("rare", 0, *range(depth))[:depth]
+    node = SeedTree(2008).child(*path)
+    gen = benchmark(lambda: node.child(-1).generator())
+    oracle = np.random.default_rng(derive_seed(2008, *path, -1))
+    assert gen.bit_generator.state == oracle.bit_generator.state

@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rare.add_argument("--repair-rate", type=float, default=0.02, metavar="M")
     p_rare.add_argument("--hours", type=hours_value, default=8760.0)
     p_rare.add_argument(
-        "--roots", type=int, default=256, metavar="K",
+        "--roots", type=count_value, default=256, metavar="K",
         help="root replications (the cap when --rel-ci is set)",
     )
     p_rare.add_argument(
@@ -181,6 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(
                 f"thresholds must be comma-separated numbers, got {text!r}"
             )
+        for t in thresholds:
+            if not math.isfinite(t):
+                raise argparse.ArgumentTypeError(
+                    f"thresholds must be finite, got {t} in {text!r}"
+                )
         for lo, hi in zip(thresholds, thresholds[1:]):
             if not lo < hi:
                 raise argparse.ArgumentTypeError(

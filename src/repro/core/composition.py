@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import CompositionError
-from .patterns import compile_pattern, path_match
+from .patterns import filter_matching
 from .places import LocalView, MarkingVector
 from .san import SAN, ActivityDef
 
@@ -131,6 +131,20 @@ class Node:
     name: str
 
 
+def _check_names(kind: str, name: str, children: Sequence[Node]) -> None:
+    """A join or replicate name is one path level, so it must be
+    '/'-free; it may be empty only at the root, so every child's name
+    must be non-empty (the rules of SAN and place names)."""
+    if "/" in name:
+        raise CompositionError(f"{kind} name must be '/'-free: {name!r}")
+    for child in children:
+        if not child.name:
+            raise CompositionError(
+                f"{kind} {name!r}: child names must be non-empty "
+                "(only the root may be unnamed)"
+            )
+
+
 class LeafNode(Node):
     """A leaf of the composition tree holding one SAN template."""
 
@@ -157,9 +171,11 @@ class JoinNode(Node):
     Parameters
     ----------
     name:
-        Node name (used in place paths).
+        Node name (used in place paths): '/'-free, and empty only at the
+        root of the tree.
     children:
-        Sub-nodes; their names must be unique within the join.
+        Sub-nodes; their names must be non-empty and unique within the
+        join.
     shared:
         Place names to unify across every child that exports them.  Each
         shared name must be exported by at least one child; sharing a name
@@ -179,6 +195,7 @@ class JoinNode(Node):
     ) -> None:
         if not children:
             raise CompositionError(f"join {name!r} requires at least one child")
+        _check_names("join", name, children)
         names = [c.name for c in children]
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
@@ -267,12 +284,15 @@ class JoinNode(Node):
 class ReplicateNode(Node):
     """Instantiates ``n`` copies of a subtree, sharing the listed places.
 
-    Copies are addressed ``<name>/<child.name>[i]`` in place paths.
+    Copies are addressed ``<name>/<child.name>[i]`` in place paths, so
+    ``name`` must be '/'-free (empty only at the root) and the child's
+    name non-empty.
     """
 
     def __init__(self, name: str, child: Node, n: int, shared: Iterable[str] = ()) -> None:
         if n < 1:
             raise CompositionError(f"replicate {name!r}: n must be >= 1, got {n}")
+        _check_names("replicate", name, [child])
         self.name = name
         self.child = child
         self.n = int(n)
@@ -448,21 +468,18 @@ class FlatModel:
         """
         hits = self._matches.get(pattern)
         if hits is None:
-            # Only paths ending in the text after the last wildcard can
-            # match, and endswith() is far cheaper than the regex.
-            tail = pattern[max(pattern.rfind("*"), pattern.rfind("?")) + 1 :]
-            rx = compile_pattern(pattern)
             slots: dict[int, str] = {}
-            for path, slot in self.paths.items():
-                if path.endswith(tail) and rx.match(path) is not None:
-                    slots.setdefault(slot, self.canonical[slot])
+            for slot in filter_matching(pattern, self.paths.items()):
+                slots.setdefault(slot, self.canonical[slot])
             hits = {cpath: slot for slot, cpath in sorted(slots.items())}
             self._matches[pattern] = hits
         return dict(hits)
 
     def activities_matching(self, pattern: str) -> list[FlatActivity]:
         """Glob-match activity paths."""
-        return [a for a in self.activities if path_match(a.path, pattern)]
+        return list(
+            filter_matching(pattern, ((a.path, a) for a in self.activities))
+        )
 
     def new_marking(self) -> MarkingVector:
         """Allocate a marking vector initialized to the initial marking."""

@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from typing import Iterable, Iterator, TypeVar
+
+_T = TypeVar("_T")
 
 __all__ = ["path_match", "compile_pattern"]
 
@@ -36,3 +39,20 @@ def compile_pattern(pattern: str) -> re.Pattern[str]:
 def path_match(path: str, pattern: str) -> bool:
     """True if ``path`` matches the glob ``pattern`` (brackets literal)."""
     return compile_pattern(pattern).match(path) is not None
+
+
+def filter_matching(
+    pattern: str, pairs: Iterable[tuple[str, _T]]
+) -> Iterator[_T]:
+    """Yield, in order, the value of each ``(path, value)`` pair whose
+    path matches ``pattern``.
+
+    Only paths ending in the literal text after the pattern's last
+    wildcard can match, and ``str.endswith`` is far cheaper than the
+    regex, so the regex runs only on the paths that pass that test.
+    """
+    tail = pattern[max(pattern.rfind("*"), pattern.rfind("?")) + 1 :]
+    match = compile_pattern(pattern).match
+    for path, value in pairs:
+        if path.endswith(tail) and match(path) is not None:
+            yield value

@@ -1049,13 +1049,13 @@ class CompiledProgram:
             return ids
         cached = self._pattern_cache.get(pattern)
         if cached is None:
-            from .patterns import path_match
+            from .patterns import filter_matching
 
-            cached = [
-                a.ident
-                for a in self.model.activities
-                if path_match(a.path, pattern)
-            ]
+            cached = list(
+                filter_matching(
+                    pattern, ((a.path, a.ident) for a in self.model.activities)
+                )
+            )
             self._pattern_cache[pattern] = cached
         return cached
 

@@ -164,7 +164,7 @@ class LevelFunction:
 class SplittingPolicy:
     """Thresholds and splitting factors for a :class:`LevelFunction`.
 
-    ``thresholds`` must be strictly increasing; reaching
+    ``thresholds`` must be finite and strictly increasing; reaching
     ``thresholds[-1]`` *is* the rare event.  ``splits[j]`` is the
     RESTART splitting factor applied on upward crossings of
     ``thresholds[j]`` — one entry per threshold except the last (the
@@ -185,6 +185,12 @@ class SplittingPolicy:
         object.__setattr__(self, "splits", tuple(int(r) for r in self.splits))
         if not self.thresholds:
             raise SimulationError("splitting policy needs >= 1 threshold")
+        for t in self.thresholds:
+            if not math.isfinite(t):
+                raise SimulationError(
+                    f"splitting thresholds must be finite, got {t!r} in "
+                    f"{self.thresholds}"
+                )
         for lo, hi in zip(self.thresholds, self.thresholds[1:]):
             if not lo < hi:
                 raise SimulationError(
@@ -645,18 +651,26 @@ def aggregate_tier_san(
     — the closed-form transient is the *exact* distribution of the
     simulated loss time, which is what lets the statistical acceptance
     suite test the rare-event estimators against truth.
+
+    Each activity's laws are built once, one per count of failed disks
+    at which it is enabled, and its distribution callable returns the
+    prebuilt law, so a run's sampler cache serves every later draw of
+    that law.  Under ``Simulator(batch_dynamic=True)`` a law's draws in
+    a run therefore come from one block instead of one block per draw.
     """
     from ..core import SAN, Exponential, flatten
 
     n, f, lam, mu = _tier_args(
         n_disks, fault_tolerance, disk_failure_rate, disk_repair_rate
     )
+    fail_laws = {k: Exponential((n - k) * lam) for k in range(f + 1)}
+    repair_laws = {k: Exponential(k * mu) for k in range(1, f + 1)}
     san = SAN("tier")
     san.place("failed", 0)
     san.place("lost", 0)
     san.timed(
         "fail",
-        lambda m: Exponential((n - m["failed"]) * lam),
+        lambda m: fail_laws[m["failed"]],
         enabled=lambda m: m["failed"] <= f and m["lost"] == 0,
         effect=lambda m, rng: m.__setitem__("failed", m["failed"] + 1),
         reads=["failed", "lost"],
@@ -664,7 +678,7 @@ def aggregate_tier_san(
     )
     san.timed(
         "repair",
-        lambda m: Exponential(m["failed"] * mu),
+        lambda m: repair_laws[m["failed"]],
         enabled=lambda m: 1 <= m["failed"] <= f and m["lost"] == 0,
         effect=lambda m, rng: m.__setitem__("failed", m["failed"] - 1),
         reads=["failed", "lost"],

@@ -165,6 +165,19 @@ class TestFriendlyValidation:
                 ["simulate", "abe", "--replications", "0"],
                 "argument --replications: must be >= 1, got 0",
             ),
+            (["rare", "--roots", "0"], "argument --roots: must be >= 1, got 0"),
+            (
+                ["rare", "--splitting", "nan"],
+                "argument --splitting: thresholds must be finite, got nan in 'nan'",
+            ),
+            (
+                ["rare", "--splitting=-inf"],
+                "argument --splitting: thresholds must be finite, got -inf in '-inf'",
+            ),
+            (
+                ["rare", "--splitting", "1,inf"],
+                "argument --splitting: thresholds must be finite, got inf in '1,inf'",
+            ),
         ],
     )
     def test_rejected_at_parse_time(self, argv, needle, monkeypatch, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -27,7 +28,8 @@ from repro.core import (
     make_generator,
     replicate_runs,
 )
-from repro.core.patterns import compile_pattern, path_match
+from repro.core.patterns import compile_pattern, filter_matching, path_match
+from repro.core.rng import _key_to_int
 
 from _helpers import build_two_state_san
 
@@ -275,6 +277,89 @@ class TestStreamDerivation:
             make_generator(base, *path)
 
 
+#: Base seeds on both sides of every 32-bit word boundary up to six
+#: words, so the pool sees one to four seed words and seeds past the
+#: 4-word pool fold their extra words in after the cross-mix.
+_WORD_BOUNDARY_SEEDS = st.one_of(
+    st.sampled_from(
+        [0, 1] + [2 ** (32 * k) + d for k in range(1, 6) for d in (-1, 0, 1)]
+    ),
+    st.integers(min_value=2**128, max_value=2**200),
+)
+
+
+class TestSeedTreePool:
+    """A node carries numpy's mixed pool and hash constant; generators
+    are seeded from it without a ``SeedSequence``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(base=_WORD_BOUNDARY_SEEDS, path=_PATHS)
+    def test_pool_of_every_prefix_equals_numpy(self, base, path):
+        # A wrong hash constant leaves its own key's pool right and shows
+        # in the next key's, so every prefix is checked.
+        node = SeedTree(base)
+        for depth in range(len(path) + 1):
+            if depth:
+                node = node.child(path[depth - 1])
+            oracle = derive_seed(base, *path[:depth])
+            assert list(node._pool) == oracle.pool.tolist()
+
+    @pytest.mark.parametrize("base", [0, 2008, 2**64 + 5, 2**130 + 7])
+    @pytest.mark.parametrize("path", [(), ("rare", 3), ("rare", 3, *range(60))])
+    def test_spawn_keeps_numpy_streams(self, base, path):
+        # Built the way numpy seeds from a node's packed entropy words:
+        # the base seed's 32-bit words, zero-padded to four, then one
+        # word per key.
+        words, n = [], base
+        while True:
+            words.append(n & 0xFFFFFFFF)
+            n >>= 32
+            if not n:
+                break
+        words += [0] * (4 - len(words)) + [_key_to_int(k) for k in path]
+        packed = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+        node = SeedTree(base).child(*path)
+        oracles = [
+            np.random.default_rng(packed),
+            np.random.default_rng(node.seed_sequence()),
+        ]
+        gen = node.generator()
+        for k in (2, 3):  # the second spawn continues the first's count
+            kids = gen.spawn(k)
+            for oracle in oracles:
+                for kid, want in zip(kids, oracle.spawn(k), strict=True):
+                    assert kid.bit_generator.state == want.bit_generator.state
+        # A node's first spawned child draws what its child(0) draws.
+        first = node.generator().spawn(1)[0]
+        assert first.random(3).tolist() == node.child(0).generator().random(3).tolist()
+
+    @pytest.mark.parametrize("n_words", [1, 4, 9])
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64, "u4", np.dtype("u8")])
+    def test_seed_seq_generate_state_matches_numpy(self, n_words, dtype):
+        node = SeedTree(2**70 + 3).child("rare", 5, -1)
+        seed_seq = node.generator().bit_generator.seed_seq
+        want = node.seed_sequence().generate_state(n_words, dtype)
+        got = seed_seq.generate_state(n_words, dtype)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        with pytest.raises(ValueError):
+            seed_seq.generate_state(2, np.float64)
+
+    def test_generator_pickles_with_its_stream(self):
+        gen = SeedTree(7).child("rare", 1, 0).generator()
+        gen.random(5)
+        copy = pickle.loads(pickle.dumps(gen))
+        assert copy.random(5).tolist() == gen.random(5).tolist()
+        assert copy.spawn(1)[0].random() == gen.spawn(1)[0].random()
+
+
+#: Paths and globs over brackets, wildcards (literal in a path) and the
+#: pieces of the shipped models' activity paths.
+_GLOB_TEXT = st.lists(
+    st.sampled_from(["a", "b", "/", "[", "]", "?", "*", "0", "disk[", "replace"]),
+    max_size=8,
+).map("".join)
+
+
 class TestPathGlobs:
     def test_brackets_are_literal(self):
         assert path_match("tier[3]/disk[7]/fail", "tier[*]/disk[*]/fail")
@@ -297,6 +382,20 @@ class TestPathGlobs:
     def test_regex_specials_escaped(self):
         assert path_match("a.b", "a.b")
         assert not path_match("axb", "a.b")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        paths=st.lists(_GLOB_TEXT, max_size=12),
+        pattern=st.one_of(
+            _GLOB_TEXT,
+            st.sampled_from(["*/disks/disk[*]/replace", "*/tierctl/data_loss"]),
+        ),
+    )
+    def test_filter_matching_equals_path_match_scan(self, paths, pattern):
+        pairs = [(path, i) for i, path in enumerate(paths)]
+        assert list(filter_matching(pattern, pairs)) == [
+            i for path, i in pairs if path_match(path, pattern)
+        ]
 
 
 class TestStudentTCritical:

@@ -156,54 +156,87 @@ def _leaf_san(label, names):
     return san
 
 
+def _build(make, *kids):
+    """``make(*kids)``, or the :class:`CompositionError` that building a
+    kid or this node raised."""
+    for kid in kids:
+        if isinstance(kid, CompositionError):
+            return kid
+    try:
+        return make(*kids)
+    except CompositionError as exc:
+        return exc
+
+
 @st.composite
 def subtrees(draw, label, depth):
-    """A random tree and the names it exports.
+    """A random tree (or the error building it raised), the names it
+    exports, and whether it holds a node name the naming rules reject.
 
-    Node names are unique among siblings; join and replicate names may
-    contain ``/`` and renames may export names with ``/``, so aliases can
-    collide and shared classes can meet different initial markings:
-    such trees must fail alike on both flatteners.
+    Node names are unique among siblings.  Join and replicate names may
+    be empty or contain ``/``: a ``/`` name, or an empty name below the
+    root, must raise at construction.  Renames may export names with
+    ``/``, so aliases can collide and shared classes can meet different
+    initial markings: such trees must fail alike on both flatteners.
     """
     kinds = ["leaf"] if depth == 0 else ["leaf", "join", "join", "replicate", "rename"]
     kind = draw(st.sampled_from(kinds))
     if kind == "leaf":
         names = draw(st.lists(st.sampled_from(NAMES), min_size=1, unique=True))
-        return leaf(_leaf_san(label, names)), names
+        return leaf(_leaf_san(label, names)), names, False
     if kind == "rename":
-        child, exported = draw(subtrees(label, depth - 1))
+        child, exported, bad = draw(subtrees(label, depth - 1))
         olds = draw(_some(exported, unique=True, max_size=2))
         mapping = {old: draw(st.sampled_from(RENAME_TO)) for old in olds}
         out = dict.fromkeys(exported)
         for old, new in mapping.items():
             out.pop(old, None)
             out[new] = None
-        return rename(child, mapping), list(out)
-    name = label + draw(st.sampled_from(["", "/v"]))
+        return _build(lambda c: rename(c, mapping), child), list(out), bad
+    name = draw(st.sampled_from([label] * 6 + [label + "/v", ""]))
     if kind == "replicate":
-        child, exported = draw(subtrees(label + "r", depth - 1))
+        child, exported, bad = draw(subtrees(label + "r", depth - 1))
         shared = draw(_some(exported, max_size=3))
         n = draw(st.integers(1, 3))
-        return replicate(name, child, n, shared=shared), list(dict.fromkeys(shared))
+        bad = bad or "/" in name or _unnamed(child)
+        node = _build(lambda c: replicate(name, c, n, shared=shared), child)
+        return node, list(dict.fromkeys(shared)), bad
     kids = [
         draw(subtrees(f"{label}{i}", depth - 1))
         for i in range(draw(st.integers(1, 3)))
     ]
-    everything = [n for _, exported in kids for n in exported]
+    everything = [n for _, exported, _ in kids for n in exported]
     shared = draw(_some(sorted(set(everything)), max_size=4))
     singles = sorted(
         n for n in set(everything) if everything.count(n) == 1 and n not in shared
     )
     exports = draw(_some(singles, unique=True, max_size=2))
-    node = join(name, *[k for k, _ in kids], shared=shared, exports=exports)
-    return node, list(dict.fromkeys(shared + exports))
+    bad = "/" in name or any(b or _unnamed(k) for k, _, b in kids)
+    node = _build(
+        lambda *ks: join(name, *ks, shared=shared, exports=exports),
+        *[k for k, _, _ in kids],
+    )
+    return node, list(dict.fromkeys(shared + exports)), bad
 
 
+def _unnamed(node):
+    return not isinstance(node, CompositionError) and not node.name
+
+
+# About a quarter of the drawn trees break a naming rule; 200 examples
+# still compare ~150 valid trees on both flatteners.
 @given(subtrees("r", 3))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_random_trees(tree_and_exports):
-    tree, _ = tree_and_exports
-    assert outcome(flatten, tree) == outcome(reference_flatten, tree)
+    tree, _, bad = tree_and_exports
+    if bad:
+        assert isinstance(tree, CompositionError)
+        assert "name must be '/'-free" in str(tree) or (
+            "child names must be non-empty" in str(tree)
+        )
+    else:
+        assert not isinstance(tree, CompositionError)
+        assert outcome(flatten, tree) == outcome(reference_flatten, tree)
 
 
 # ----------------------------------------------------------------------
@@ -233,9 +266,26 @@ def test_shallower_later_alias_becomes_canonical():
 
 def test_slash_names_and_n1_replicas():
     child = rename(_san("c", a=0, b=1), {"a": "p/q"})
-    tree = replicate("r/s", join("j/k", child, shared=["p/q"]), 1, shared=["p/q"])
+    with pytest.raises(CompositionError, match="join name must be '/'-free"):
+        join("j/k", child, shared=["p/q"])
+    inner = join("j", child, shared=["p/q"])
+    with pytest.raises(CompositionError, match="replicate name must be '/'-free"):
+        replicate("r/s", inner, 1, shared=["p/q"])
+    tree = replicate("r", inner, 1, shared=["p/q"])
     assert_same(tree)
-    assert "r/s/p/q" in flatten(tree).paths
+    assert "r/p/q" in flatten(tree).paths  # a renamed alias may hold '/'
+
+
+def test_node_names_checked_at_construction():
+    c = _san("c", p=0)
+    # Once flattened, the two subtrees would both own top/a/b/c/p.
+    with pytest.raises(CompositionError, match="'a/b'"):
+        join("top", join("a/b", c), join("a", join("b", c)))
+    # An empty name below the root would drop its path level.
+    for make in (lambda k: join("top", k), lambda k: replicate("top", k, 2)):
+        with pytest.raises(CompositionError, match="child names must be non-empty"):
+            make(join("", c))
+    assert list(flatten(join("", c)).paths) == ["c/p"]  # the root may be unnamed
 
 
 DEFECTS = {

@@ -23,6 +23,7 @@ import math
 import pytest
 
 from repro.core import (
+    Exponential,
     RateReward,
     SimulationError,
     Simulator,
@@ -166,6 +167,21 @@ class TestValidation:
         with pytest.raises(SimulationError, match=">= 1"):
             SplittingPolicy(lf, (1.0, 2.0), (0,))
 
+    @pytest.mark.parametrize(
+        "thresholds, splits, shown",
+        [
+            ((math.nan,), (), "nan"),
+            ((-math.inf,), (), "-inf"),
+            ((1.0, math.inf), (4,), "inf"),
+            ((math.nan, 2.0), (4,), "nan"),
+        ],
+    )
+    def test_policy_rejects_non_finite_thresholds(self, thresholds, splits, shown):
+        with pytest.raises(
+            SimulationError, match=f"thresholds must be finite, got {shown} in"
+        ):
+            SplittingPolicy(tier_level(), thresholds, splits)
+
     def test_initial_marking_at_top_raises(self):
         model = tier_model()
         policy = SplittingPolicy(tier_level(), (0.0,))
@@ -280,6 +296,20 @@ class TestValidation:
             with pytest.raises(SimulationError) as exc_info:
                 call()
             assert needle in str(exc_info.value)
+
+    def test_tier_laws_are_prebuilt_per_count(self):
+        n, f, lam, mu = 480, 6, 1e-5, 0.02
+        model = aggregate_tier_san(n, f, lam, mu)
+        acts = {a.path: a.definition.distribution for a in model.activities}
+        fail, repair = acts["tier/fail"], acts["tier/repair"]
+        for k in range(f + 1):
+            law = fail({"failed": k, "lost": 0})
+            assert law is fail({"failed": k, "lost": 0})
+            assert law.rate == Exponential((n - k) * lam).rate
+        for k in range(1, f + 1):
+            law = repair({"failed": k, "lost": 0})
+            assert law is repair({"failed": k, "lost": 0})
+            assert law.rate == Exponential(k * mu).rate
 
     def test_suggested_splits_shape(self):
         splits = suggested_splits(N, F, LAM, MU)
