@@ -363,7 +363,7 @@ class DeclarationChecker:
                 "sanitizer violations detected (strict=False, continuing):\n"
                 + report.format(),
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
         return report
 
@@ -598,9 +598,8 @@ def lint_model(model) -> LintReport:
 
         # -- predicate on the initial marking -------------------------
         view = LocalView(vector, index, None)
-        vector.tracking = True
-        vector.reads.clear()
         en = False
+        vector.begin_tracking()
         try:
             en = bool(ActDefPred(d)(view))
         except Exception as exc:
@@ -614,7 +613,7 @@ def lint_model(model) -> LintReport:
                 )
             )
         finally:
-            vector.tracking = False
+            vector.end_tracking()
         init_enabled.append(en)
         initial_reads = set(vector.reads)
         if d.reads is not None and reads_resolved:
@@ -642,8 +641,7 @@ def lint_model(model) -> LintReport:
         if isinstance(dist, Distribution):
             _check_distribution(dist, act.path, findings)
         elif callable(dist):
-            vector.tracking = True
-            vector.reads.clear()
+            vector.begin_tracking()
             try:
                 returned = dist(view)
             except Exception as exc:
@@ -659,7 +657,7 @@ def lint_model(model) -> LintReport:
                     )
                 )
             finally:
-                vector.tracking = False
+                vector.end_tracking()
             if d.reads is not None and reads_resolved:
                 dslots = {index[p] for p in d.reads}
                 extra = set(vector.reads) - dslots

@@ -113,14 +113,19 @@ takes, with or without observers:
   attached — stay on the compiled path.  A check a run does not use
   costs one flag test per event (``docs/performance.md`` Layer 12).
 
-``Simulator(..., engine="reference")`` forces the un-specialized
-general event loop for every model.  It is the differential-testing
-oracle: ``tests/test_properties_rewards.py`` asserts the compiled loop
-reproduces it bit-for-bit on random reward-bearing models, and
-``tests/data/reward_golden.json`` pins it against fixtures recorded
-before the specialization existed.  ``engine="sanitize"`` runs that
-same reference loop on the same compiled program with the declaration
-checks of :mod:`repro.core.sanitizer` swapped into its local tables:
+A run is one ``_Run`` object: :meth:`Simulator.run` checks its
+arguments, finds the run plan, builds the run's state, resolves the
+stream, initializes t=0, dispatches to an event loop and assembles the
+result.  The state's methods are the one copy of each piece of event
+semantics.  ``Simulator(..., engine="reference")`` runs the general
+event loop, a short loop over those methods, for every model.  It is
+the differential-testing oracle: ``tests/test_properties_rewards.py``
+asserts the compiled loop, which inlines the per-event body and calls
+the methods on its rare branches only, reproduces it bit-for-bit on
+random reward-bearing models, and ``tests/data/reward_golden.json``
+pins it against fixtures recorded before the specialization existed.
+``engine="sanitize"`` runs the reference loop with the declaration
+checks of :mod:`repro.core.sanitizer` swapped into the run's tables:
 predicates, distribution callables and rate rewards evaluate through
 checking wrappers, every kernel is re-verified on every completion by
 the ``verify_every`` machinery, and the faults the other engines raise
@@ -576,6 +581,21 @@ class _RunPlan:
             None if f is None and rl is None and tl is None else (f, rl, tl)
         )
 
+    def observe_reads(self, known: set, table: list, i: int, reads) -> None:
+        """Wire observer ``i`` into ``table`` (``rate_obs`` or
+        ``btrace_obs``) for each slot of ``reads`` its tracked evaluation
+        newly read, adding it to ``known`` (the slots its view filters);
+        journaled for :meth:`reset_observers`."""
+        for slot in reads:
+            known.add(slot)
+            self.obs_journal.append((known, table, slot, i))
+            lst = table[slot]
+            if lst is None:
+                table[slot] = [i]
+                self.refresh_slot(slot)
+            else:
+                lst.append(i)
+
     def reset_observers(self) -> None:
         """Roll the observer lists back to the declared baseline.
 
@@ -591,47 +611,6 @@ class _RunPlan:
                 table[slot] = None
                 self.refresh_slot(slot)
         self.obs_journal.clear()
-
-
-def _check_budget(
-    sim, deadline, until, n_events, now, values, results, rate_results, integrals,
-    rate_values,
-) -> None:
-    """Raise :class:`SimulationBudgetError` once a run has used up one of
-    ``sim``'s budgets (``deadline``: the ``max_wall_s`` instant, or None).
-
-    The error snapshots the partial trajectory so a runaway model is
-    diagnosable.  The check precedes the pending event's integration
-    step, so the integrals, the current rate values and the impulse sums
-    all describe the reported ``sim_time``, and every engine reports the
-    same snapshot at the same event count.
-    """
-    if sim.max_events is not None and n_events >= sim.max_events:
-        kind, limit = "max_events", sim.max_events
-    elif deadline is not None and time.monotonic() >= deadline:
-        kind, limit = "max_wall_s", sim.max_wall_s
-    else:
-        return
-    partial: dict[str, dict] = {}
-    for res, acc, val in zip(rate_results, integrals, rate_values):
-        partial[res.name] = {"kind": "rate", "integral": acc, "value": val}
-    for res in results.values():
-        if res.kind == "impulse":
-            partial[res.name] = {
-                "kind": "impulse",
-                "impulse_sum": res.impulse_sum,
-                "count": res.count,
-            }
-    raise SimulationBudgetError(
-        f"simulation exceeded {kind}={limit!r} after {n_events} "
-        f"events at t={now:.6g} (until={until:g})",
-        budget=kind,
-        limit=limit,
-        n_events=n_events,
-        sim_time=now,
-        marking={path: values[slot] for path, slot in sim.model.paths.items()},
-        rewards=partial,
-    )
 
 
 def _slot_place(model: FlatModel, slot: int) -> str:
@@ -708,22 +687,6 @@ def _compose_predicates(gates) -> Callable[[LocalView], bool]:
         return True
 
     return composed
-
-
-def _make_const_sampler(value: float) -> Callable:
-    def sample(rng, _v=value):
-        return _v
-
-    return sample
-
-
-def _make_exponential_sampler(dist: Exponential) -> Callable:
-    scale = 1.0 / dist.rate
-
-    def sample(rng, _scale=scale):
-        return float(rng.exponential(_scale))
-
-    return sample
 
 
 def _make_checked_sampler(dist: Distribution, path: str) -> Callable:
@@ -886,10 +849,11 @@ class _ActivityPlan:
         self.samp_kind = None
         if d.kind == TIMED:
             dist = d.distribution
-            # Exact-type fast lanes for const/exponential; block serving
-            # for any law that advertises a vectorized, stream-equivalent
-            # sample_many (Distribution.batchable — a subclass overriding
-            # sample/sample_many owns the flag).
+            # Exact-type lanes for const/exponential, which draw through
+            # the law's own sample (it cannot return an invalid delay);
+            # block serving for any law that advertises a vectorized,
+            # stream-equivalent sample_many (Distribution.batchable — a
+            # subclass overriding sample/sample_many owns the flag).
             if not isinstance(dist, Distribution):
                 self.samp_kind = "dynamic"
                 return
@@ -903,14 +867,12 @@ class _ActivityPlan:
                     return
             sampler = shared_samplers.get(id(dist))
             if sampler is None:
-                if self.samp_kind == "const":
-                    sampler = _make_const_sampler(dist.value)
-                elif self.samp_kind == "batched":
+                if self.samp_kind == "batched":
                     batched = BatchedSampler(dist, sample_batch)
                     batched_resets.append(batched.reset)
                     sampler = batched.sample
                 else:
-                    sampler = _make_exponential_sampler(dist)
+                    sampler = dist.sample
                 shared_samplers[id(dist)] = sampler
             self.sampler = sampler
 
@@ -1235,13 +1197,11 @@ class CompiledProgram:
         c.init_undeclared = []
         for act in model.activities:
             aid = act.ident
-            vec.tracking = True
-            vec.reads.clear()
+            vec.begin_tracking()
             try:
                 en = c.preds[aid](c.views[aid])
             finally:
-                vec.tracking = False
-            reads = vec.reads
+                reads = vec.end_tracking()
             if reads and c.declared[aid]:
                 c.init_undeclared.append((aid, sorted(reads)))
             elif reads:
@@ -1607,31 +1567,90 @@ class Simulator:
             :mod:`repro.experiments.rare`).  Default ``None`` leaves the
             initialization path byte-identical to previous releases.
         """
-        model = self.model
         init_values = _check_run_args(
-            model, until, warmup, initial_marking, stop_predicate, rng
+            self.model, until, warmup, initial_marking, stop_predicate, rng
         )
         if seed is not None:
             seed = _check_seed(seed, "seed")
         p = self.program
-        engine = self.engine
         rewards = tuple(rewards)
         plan = p._plan
         if (
             plan is None
-            or plan.engine != engine
+            or plan.engine != self.engine
             or len(plan.rewards) != len(rewards)
-            or (rewards and any(a is not b for a, b in zip(plan.rewards, rewards)))
+            or any(map(operator.is_not, plan.rewards, rewards))
         ):
-            plan = p._plan = _RunPlan(p, engine, rewards)
+            plan = p._plan = _RunPlan(p, self.engine, rewards)
         if plan.obs_journal:
             plan.reset_observers()
+        state = _Run(self, plan, until, warmup, traces, stop_predicate, init_values)
+        # Everything that can reject this call has passed: resolve the
+        # stream (see _next_stream) before the first draw.
+        state.rng = self._next_stream(seed, rng)
+        state.initialize(init_values)
+        if self.engine == "auto":
+            self.last_loop = "observed"
+            state.compiled_loop()
+        else:
+            self.last_loop = self.engine
+            state.reference_loop()
+        return state.result()
+
+
+# ----------------------------------------------------------------------
+# one run
+# ----------------------------------------------------------------------
+class _Run:
+    """The state of one :meth:`Simulator.run`, shared by its parts (see
+    the module docstring).  Building it checks the run's observers and
+    resets the program.
+
+    The run reads the compiled tables (``c``), the run plan and the
+    program directly, except the tables a sanitized run replaces with
+    checking copies, which are attributes.  The run's scalars (``now``,
+    ``seq``, ``epoch``, ``obs_epoch``, ``n_events`` and the effect
+    counters) are attributes too, read and written by the methods and
+    the reference loop; the compiled loop keeps them in locals and
+    writes them back around its :meth:`settle` call and at its end.
+    """
+
+    __slots__ = (
+        "sim", "model", "p", "c", "plan", "until", "warmup",
+        "stop_predicate", "deadline", "rng", "checker",
+        # results, probes and traces
+        "results", "rate_results", "rate_values", "rate_integrals",
+        "rate_lo", "rate_hi", "probe_list", "probe_pos",
+        "binary_traces", "btrace_known", "btrace_views", "btrace_values",
+        "trace_map", "act_watch", "has_observers",
+        # the marking and the tables a sanitized run replaces
+        "vector", "values", "changed", "reads", "preds", "dyn_dists",
+        "declared", "kern_ok", "case_ok", "rate_fns", "rate_declared",
+        # event state
+        "token", "enabled_instant", "inst_enabled", "stamp", "heap",
+        "rstamp", "tstamp", "touched_r", "touched_t", "form_viol", "now",
+        "seq", "epoch", "obs_epoch", "n_events", "n_kernel_effects",
+        "n_case_kernels", "last_t", "stopped_early",
+        # sampling and verification
+        "u_batch", "u_buf", "u_pos", "dyn_samplers", "verify_every",
+        "has_verify", "quarantine", "verify_left",
+    )
+
+    def __init__(
+        self, sim, plan, until, warmup, traces, stop_predicate, init_values
+    ) -> None:
+        model = sim.model
+        p = sim.program
         c = p.tables()
-        # engine="sanitize" is the reference loop plus the declaration
-        # checks of repro.core.sanitizer, swapped into the local tables
-        # below; "auto" alone takes the compiled loop.
-        sanitize = engine == "sanitize"
-        reference = engine != "auto"
+        self.sim = sim
+        self.model = model
+        self.p = p
+        self.c = c
+        self.plan = plan
+        self.until = until
+        self.warmup = warmup
+        self.stop_predicate = stop_predicate
+        sanitize = sim.engine == "sanitize"
         n_acts = p._n_acts
 
         # -- this run's results, bounds, probes and traces -------------
@@ -1639,13 +1658,13 @@ class Simulator:
         # [warmup, until]; probes merge across rewards in time order.
         rate_rewards = plan.rate_rewards
         n_rates = len(rate_rewards)
-        results: dict[str, RewardResult] = {}
-        rate_results: list[RewardResult] = []
-        rate_values = [0.0] * n_rates
-        rate_integrals = [0.0] * n_rates
-        rate_lo = [warmup] * n_rates
-        rate_hi = [until] * n_rates
-        probe_list: list[tuple[float, int]] = []
+        self.results = results = {}
+        self.rate_results = rate_results = []
+        self.rate_values = [0.0] * n_rates
+        self.rate_integrals = [0.0] * n_rates
+        self.rate_lo = rate_lo = [warmup] * n_rates
+        self.rate_hi = rate_hi = [until] * n_rates
+        self.probe_list = probe_list = []
         for i, r in enumerate(rate_rewards):
             rate_results.append(RewardResult(r.name, "rate"))
             results[r.name] = rate_results[i]
@@ -1661,17 +1680,16 @@ class Simulator:
                     )
                 probe_list.append((t, i))
         probe_list.sort()
+        self.probe_pos = 0
         for r, entry in zip(plan.impulse_rewards, plan.impulse_entries):
             entry[0] = results[r.name] = RewardResult(r.name, "impulse")
-        n_probes = len(probe_list)
-        probe_pos = 0
         # A binary trace discovers its reads through its own view,
         # filtered by its known-slot set.
-        binary_traces: list[BinaryTrace] = []
-        btrace_known: list[set[int]] = []
-        btrace_views: list[LocalView] = []
+        self.binary_traces = binary_traces = []
+        self.btrace_known = btrace_known = []
+        self.btrace_views = btrace_views = []
+        self.trace_map = trace_map = {}
         event_traces: list[EventTrace] = []
-        trace_map: dict[str, BinaryTrace | EventTrace] = {}
         for tr in traces:
             if tr.name in trace_map:
                 raise SimulationError(f"duplicate trace name {tr.name!r}")
@@ -1687,13 +1705,14 @@ class Simulator:
                 event_traces.append(tr)
             else:
                 raise SimulationError(f"unsupported trace object: {tr!r}")
+        self.btrace_values = [False] * len(binary_traces)
         # Completion observers per activity: (the plan's impulse entries,
         # this run's event traces), or None for the (dominant) unobserved.
         act_watch = plan.act_watch
         if event_traces:
             act_watch = list(act_watch)
             for tr in event_traces:
-                ids = self._matching_ids(tr.activity_pattern)
+                ids = sim._matching_ids(tr.activity_pattern)
                 if not ids:
                     raise SimulationError(
                         f"event trace {tr.name!r} matches no activity "
@@ -1702,9 +1721,10 @@ class Simulator:
                 for aid in ids:
                     imp, etr = act_watch[aid] or (None, ())
                     act_watch[aid] = (imp, [*(etr or ()), tr])
-        has_observers = bool(plan.impulse_rewards or event_traces)
-        self.last_reward_kernels = list(plan.reward_kernels)
-        self.last_python_refresh_rewards = list(plan.python_refresh)
+        self.act_watch = act_watch
+        self.has_observers = bool(plan.impulse_rewards or event_traces)
+        sim.last_reward_kernels = list(plan.reward_kernels)
+        sim.last_python_refresh_rewards = list(plan.python_refresh)
 
         if c.init_undeclared and not sanitize:
             aid, slots = c.init_undeclared[0]
@@ -1716,161 +1736,61 @@ class Simulator:
             )
         if p._dep_journal:
             p._reset_discovered_deps()
-        vector = c.vector
+        self.vector = vector = c.vector
         vector.reset(model.initial if init_values is None else init_values)
         for reset_sampler in c.batched:
             reset_sampler()
+        self.values = vector.values
+        self.changed = vector.changed
+        self.reads = vector.reads
 
-        # Local aliases: everything the event loop touches is a local.
-        values = vector.values
-        changed = vector.changed
-        reads = vector.reads
-        views = c.views
-        pviews = c.pviews
-        gview = c.gview
-        preds = c.preds
-        ig_fns = c.ig_fns
-        og_fns = c.og_fns
-        case_tab = c.case_tab
-        plain1 = c.plain1
-        kernels = plan.kernels
-        case_kern = plan.case_kern
-        has_case = plan.has_case
-        live_kernels = plan.live_kernels
-        case_ok = p._case_verified
-        samplers = c.samplers
-        batched_of = c.batched_of
-        dyn_dists = c.dyn_dists
-        is_timed = c.is_timed
-        declared = c.declared
-        memo_slot = c.memo_slot
-        pred_memo = p._pred_memo
-        reactivate = c.reactivate
-        act_paths = c.paths
-        act_deps = p._act_deps
-        dep_lists = p._dep_lists
-        dep_journal = p._dep_journal
-        priorities = p._priorities
-        has_instants = bool(p._instant_ids)
-        max_chain = self.max_instant_chain
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
+        # -- event state -----------------------------------------------
         # token parity encodes liveness: odd = activity has a live event.
         # Completion and deactivation both bump the token, so a heap
         # entry's token mismatching the current one marks it stale.
-        token = [0] * n_acts
-        enabled_instant = [False] * n_acts
+        self.token = [0] * n_acts
+        self.enabled_instant = [False] * n_acts
         # Currently-enabled instantaneous activities, kept as a set so
         # the firing scan touches only the (few) enabled ones instead of
-        # every instant in the model; the selection below re-imposes the
-        # canonical order, so iteration order never leaks.
-        inst_enabled: set[int] = set()
-        stamp = [0] * n_acts  # epoch marks for dirty-list dedup
-        epoch = 0
-        heap: list[tuple[float, int, int, int]] = []  # (time, seq, aid, token)
-        seq = 0
-        now = 0.0
-        n_events = 0
-        # declared activities' distribution callables are verified against
-        # the declaration on their first evaluation; gate-write kernels
-        # against their gate functions on their first completion.  Both
-        # flags persist across runs (see CompiledProgram): verification
-        # is observation-only, so skipping it on warm programs cannot
-        # change a trajectory.
-        dyn_checked = p._dyn_verified
-        kern_ok = p._kern_verified
-
-        # Rate-reward / binary-trace incremental state (see _RunPlan).
-        rate_fns = plan.rate_fns
-        rate_declared = plan.rate_declared
-        rate_views = plan.rate_views
-        rate_obs = plan.rate_obs
-        btrace_obs = plan.btrace_obs
-        slot_obs = plan.slot_obs
-        form_compiled = plan.form_compiled
-        form_upd = plan.form_upd
-        form_gstate = plan.form_gstate
-        form_guards = plan.form_guards
-        form_viol = [0] * n_rates
-        rate_range = range(n_rates)  # hoisted for the inline hot loop
-        has_rates = bool(rate_rewards)
-        n_btraces = len(binary_traces)
-        btrace_values: list[bool] = [False] * n_btraces
+        # every instant in the model; settle() re-imposes the canonical
+        # order, so iteration order never leaks.
+        self.inst_enabled = set()
+        self.stamp = [0] * n_acts  # epoch marks for dirty-list dedup
+        self.heap = []  # (time, seq, aid, token)
         # Epoch-stamped touched buffers (same scheme as the dirty list):
         # an observer index is appended at most once per observation epoch.
-        rstamp = [0] * n_rates
-        tstamp = [0] * n_btraces
-        touched_r: list[int] = []
-        touched_t: list[int] = []
-        obs_epoch = 1
-
-        # A sanitized run swaps the sanitizer's checking wrappers into
-        # the local tables.  Every activity then evaluates on the tracked
-        # path; a wrapper reports the reads a declared activity's
-        # filtered view records and drops them, so they never join the
-        # dependency map.  Kernels are verified on every completion
-        # (verify_every=1 below) against local flags: a sanitized run
-        # leaves the program's verification state as it found it.  Every
-        # reward evaluates on the tracked path through its checking
-        # wrapper (read, form and finiteness checks).
-        checker = None
-        if sanitize:
-            from .sanitizer import DeclarationChecker
-
-            checker = DeclarationChecker(model, vector, lambda: (n_events, now))
-            preds = [checker.predicate(aid, fn) for aid, fn in enumerate(preds)]
-            dyn_dists = [
-                fn if fn is None else checker.distribution(aid, fn)
-                for aid, fn in enumerate(dyn_dists)
-            ]
-            declared = [False] * n_acts
-            kern_ok = [False] * n_acts
-            case_ok = [f if f is None else [False] * len(f) for f in case_ok]
-            for aid, slots in c.init_undeclared:
-                checker.undeclared_reads(
-                    act_paths[aid], "enabling predicate", slots
-                )
-            rate_fns = [
-                checker.reward(
-                    r, form_guards[i], plan.form_base[i], plan.form_terms[i]
-                )
-                for i, r in enumerate(rate_rewards)
-            ]
-            rate_declared = [False] * n_rates
-
-        def fault(kind: str, subject: str, message: str) -> None:
-            """A model fault found mid-run: raised, or reported when
-            sanitizing."""
-            if checker is None:
-                raise SimulationError(message)
-            checker.violate(kind, subject, None, message)
-
+        self.rstamp = [0] * n_rates
+        self.tstamp = [0] * len(binary_traces)
+        self.touched_r = []
+        self.touched_t = []
+        self.form_viol = [0] * n_rates
+        self.now = 0.0
+        self.seq = 0
+        self.epoch = 0
+        self.obs_epoch = 1
+        self.n_events = 0
         # Only compiled completions are counted per event (free for
         # models without kernels); python-effect completions are derived
         # at run end as n_events - n_kernel_effects - n_case_kernels
         # (verification firings run the Python functions, so they count
         # as python effects).
-        n_kernel_effects = 0
-        n_case_kernels = 0
+        self.n_kernel_effects = 0
+        self.n_case_kernels = 0
+        self.last_t = 0.0
+        self.stopped_early = False
 
-        # uniform block for case selection (batched mode only; kept as a
-        # plain list so selections compare Python floats, not np scalars)
-        u_batch = self.sample_batch
-        u_buf: list[float] | None = None
-        u_pos = 0
-
-        # Per-run sampler cache for marking-dependent distributions,
-        # keyed by the returned object's id (the cached entry holds a
-        # strong reference, so ids cannot be recycled while cached).
-        # Rebuilt every run: a warm simulator must follow the same
-        # trajectory as a fresh one, so no sampling state may carry over.
-        # With batch_dynamic, batchable returned laws are served from
-        # per-object blocks; otherwise the cache just memoizes the
-        # Distribution type check per object.
-        dyn_samplers: dict[int, Callable] = {}
-        use_dyn_batch = u_batch is not None and self.batch_dynamic
-
+        # -- sampling and verification ---------------------------------
+        # Uniform block for case selection (batched mode only; kept as a
+        # plain list so selections compare Python floats, not np scalars).
+        self.u_batch = u_batch = p.sample_batch
+        self.u_buf = None
+        self.u_pos = 0
+        # With batch_dynamic, a law a distribution callable returns is
+        # drawn through a sampler cached by its id (the entry holds a
+        # strong reference), its own block when batchable; rebuilt every
+        # run, as a warm simulator must follow a fresh one's trajectory.
+        # Without batch_dynamic a law is drawn directly.
+        self.dyn_samplers = {} if u_batch is not None and p.batch_dynamic else None
         # Periodic kernel re-verification (``Simulator(verify_every=N)``):
         # every N-th completion demotes the firing activity's verified
         # state, so that completion re-runs the first-completion
@@ -1881,1063 +1801,1142 @@ class Simulator:
         # true writes, so the marking is consistent — and one
         # RuntimeWarning records the demotion.  ``strict=True`` re-raises
         # the DeclarationError instead.  A sanitized run re-verifies every
-        # completion and reports its findings (see _verify_branch), so it
+        # completion and reports its findings (see verify_branch), so it
         # never raises and never quarantines.
-        verify_every = 1 if sanitize else self.verify_every
-        has_verify = verify_every is not None
-        quarantine = has_verify and not self.strict
-        verify_left = verify_every if has_verify else 0
+        self.verify_every = verify_every = 1 if sanitize else sim.verify_every
+        self.has_verify = verify_every is not None
+        self.quarantine = self.has_verify and not sim.strict
+        self.verify_left = verify_every if self.has_verify else 0
 
-        def quarantine_effect(aid: int, exc: DeclarationError) -> None:
-            kernels[aid] = None
-            live_kernels[aid] = None
-            kern_ok[aid] = False
-            case_kern[aid] = None
-            has_case[aid] = False
-            warnings.warn(
-                f"quarantined compiled effect of activity "
-                f"{act_paths[aid]!r}; continuing on the Python path "
-                f"({exc})",
-                RuntimeWarning,
-                stacklevel=3,
+        # Declared activities' distribution callables are verified
+        # against the declaration on their first evaluation; kernels
+        # against their gate functions on their first completion.  Both
+        # flags persist across runs (see CompiledProgram): verification
+        # is observation-only, so skipping it on warm programs cannot
+        # change a trajectory.
+        self.preds = c.preds
+        self.dyn_dists = c.dyn_dists
+        self.declared = c.declared
+        self.kern_ok = p._kern_verified
+        self.case_ok = p._case_verified
+        self.rate_fns = plan.rate_fns
+        self.rate_declared = plan.rate_declared
+        self.checker = None
+        if not sanitize:
+            return
+        # A sanitized run swaps the sanitizer's checking wrappers into
+        # these tables.  Every activity then evaluates on the tracked
+        # path; a wrapper reports the reads a declared activity's
+        # filtered view records and drops them, so they never join the
+        # dependency map.  Kernels are verified on every completion
+        # against flags of the run's own: a sanitized run leaves the
+        # program's verification state as it found it.  Every reward
+        # evaluates on the tracked path through its checking wrapper
+        # (read, form and finiteness checks).
+        from .sanitizer import DeclarationChecker
+
+        checker = self.checker = DeclarationChecker(model, vector, self.clock)
+        self.preds = [checker.predicate(aid, fn) for aid, fn in enumerate(c.preds)]
+        self.dyn_dists = [
+            fn if fn is None else checker.distribution(aid, fn)
+            for aid, fn in enumerate(c.dyn_dists)
+        ]
+        self.declared = [False] * n_acts
+        self.kern_ok = [False] * n_acts
+        self.case_ok = [f if f is None else [False] * len(f) for f in self.case_ok]
+        for aid, slots in c.init_undeclared:
+            checker.undeclared_reads(c.paths[aid], "enabling predicate", slots)
+        self.rate_fns = [
+            checker.reward(
+                r, plan.form_guards[i], plan.form_base[i], plan.form_terms[i]
             )
+            for i, r in enumerate(rate_rewards)
+        ]
+        self.rate_declared = [False] * n_rates
 
-        def integrate(t0: float, t1: float) -> None:
-            """Accumulate each rate reward over ``(t0, t1]``, clipped to
-            its bounds (exactly ``(warmup, until)`` for a plain one)."""
-            for i, val in enumerate(rate_values):
-                if val != 0.0:
-                    a = t0 if t0 > rate_lo[i] else rate_lo[i]
-                    b = t1 if t1 < rate_hi[i] else rate_hi[i]
-                    if b > a:
-                        rate_integrals[i] += val * (b - a)
+    # -- faults and budgets ----------------------------------------------
+    def clock(self) -> tuple[int, float]:
+        """The run's ``(events executed, simulated time)``, the provenance
+        of a sanitizer violation."""
+        return self.n_events, self.now
 
-        def apply_forms(slot: int) -> None:
-            """Refresh every form-compiled reward that reads ``slot``.
+    def fault(self, kind: str, subject: str, message: str) -> None:
+        """A model fault found mid-run: raised, or reported when
+        sanitizing."""
+        if self.checker is None:
+            raise SimulationError(message)
+        self.checker.violate(kind, subject, None, message)
 
-            Shared by the settle fixpoint and the non-kernel drain sites;
-            the two kernel hot paths inline the same body.  Reading the
-            current marking (not the write delta) keeps this idempotent:
-            the last call after the final relevant write of an event
-            leaves exactly the value the Python expression would return.
-            """
-            for fi, gl, fbase, fterms in form_upd[slot]:
-                for gj, gcmp, gv, sa, sb in gl:
-                    nv = not gcmp(
-                        values[sa] if sb < 0 else values[sa] - values[sb], gv
-                    )
-                    st = form_gstate[fi]
-                    if st[gj] != nv:
-                        st[gj] = nv
-                        form_viol[fi] += 1 if nv else -1
-                if form_viol[fi]:
-                    rate_values[fi] = 0.0
-                else:
-                    acc = fbase
-                    for ts_, tc, td in fterms:
-                        acc += tc * values[ts_] / td
-                    rate_values[fi] = acc
+    def check_budget(self, n_events: int, now: float) -> None:
+        """Raise :class:`SimulationBudgetError` once the run has used up
+        one of the simulator's budgets.
 
-        def eval_rate(i: int) -> float:
-            if not rate_declared[i]:
-                vector.tracking = True
-                reads.clear()
-                try:
-                    val = float(rate_fns[i](rate_views[i]))
-                finally:
-                    vector.tracking = False
-                if reads:
-                    # the filtered view records only undiscovered slots
-                    known = plan.rate_known[i]
-                    for slot in reads:
-                        known.add(slot)
-                        plan.obs_journal.append((known, rate_obs, slot, i))
-                        lst = rate_obs[slot]
-                        if lst is None:
-                            rate_obs[slot] = [i]
-                            plan.refresh_slot(slot)
-                        else:
-                            lst.append(i)
-                return val
-            return float(rate_fns[i](rate_views[i]))
-
-        def check_declared_rate(i: int) -> float:
-            """Initial evaluation of a declared-reads reward, verified.
-
-            The filtered view records any read outside the declaration;
-            a non-empty record means the declaration is wrong and the
-            observer lists would miss updates — fail loudly.
-            """
-            vector.tracking = True
-            reads.clear()
-            try:
-                val = float(rate_fns[i](rate_views[i]))
-            finally:
-                vector.tracking = False
-            if reads:
-                slot_names = sorted(
-                    path for path, s in model.paths.items() if s in reads
-                )
-                raise SimulationError(
-                    f"rate reward {rate_rewards[i].name!r} reads places "
-                    f"outside its declared read set: {slot_names}"
-                )
-            return val
-
-        def eval_btrace(i: int) -> bool:
-            vector.tracking = True
-            reads.clear()
-            try:
-                val = bool(binary_traces[i].function(btrace_views[i]))
-            finally:
-                vector.tracking = False
-            if reads:
-                known = btrace_known[i]
-                for slot in reads:
-                    known.add(slot)
-                    plan.obs_journal.append((known, btrace_obs, slot, i))
-                    lst = btrace_obs[slot]
-                    if lst is None:
-                        btrace_obs[slot] = [i]
-                        plan.refresh_slot(slot)
-                    else:
-                        lst.append(i)
-            return val
-
-        # -- delay sampling (rare paths) -------------------------------
-        def dyn_sample(aid: int) -> float:
-            """Marking-dependent distribution: evaluate under tracking
-            (or, for declared-reads activities, with tracking skipped
-            after a verified first evaluation)."""
-            if declared[aid]:
-                if dyn_checked[aid]:
-                    dist = dyn_dists[aid](pviews[aid])
-                else:
-                    # First activation on this simulator: evaluate tracked
-                    # through the declaration-filtered view, so anything
-                    # recorded is an undeclared read — the dependency map
-                    # would miss its updates (same check as the predicates
-                    # at compile time and declared rate rewards at t=0).
-                    vector.tracking = True
-                    reads.clear()
-                    try:
-                        dist = dyn_dists[aid](views[aid])
-                    finally:
-                        vector.tracking = False
-                    if reads:
-                        index = self.model.activities[aid].index
-                        names = sorted(
-                            n for n, s in index.items() if s in reads
-                        )
-                        raise SimulationError(
-                            f"activity {act_paths[aid]!r}: distribution "
-                            f"callable reads places outside the declared "
-                            f"read set: {names}"
-                        )
-                    # only a verified evaluation may skip future checks
-                    dyn_checked[aid] = True
-            else:
-                vector.tracking = True
-                reads.clear()
-                try:
-                    dist = dyn_dists[aid](views[aid])
-                finally:
-                    vector.tracking = False
-                if reads:
-                    known = act_deps[aid]
-                    for slot in reads:
-                        if slot not in known:
-                            known.add(slot)
-                            dep_lists[slot].append(aid)
-                            dep_journal.append((aid, slot))
-            sample = dyn_samplers.get(id(dist))
-            if sample is None:
-                if not isinstance(dist, Distribution):
-                    raise SimulationError(
-                        f"activity {act_paths[aid]!r}: "
-                        "distribution callable did not return a Distribution"
-                    )
-                if use_dyn_batch and dist.batchable:
-                    sample = BatchedSampler(dist, u_batch).sample
-                else:
-                    sample = dist.sample
-                dyn_samplers[id(dist)] = sample
-            delay = sample(rng)
-            if not delay >= 0.0:  # also catches NaN
-                raise SimulationError(
-                    f"activity {act_paths[aid]!r} sampled invalid "
-                    f"delay {delay!r}"
-                )
-            return delay
-
-        # -- event execution -------------------------------------------
-        def fire_cases(aid: int, view: LocalView, ct) -> None:
-            """Select and execute one case (consumes exactly one uniform)."""
-            nonlocal u_buf, u_pos
-            if checker is not None:
-                checker.checks["case_selections"] += 1
-            if u_batch is None:
-                u = rng_uniform()
-            else:
-                if u_buf is None or u_pos >= u_batch:
-                    u_buf = rng.random(u_batch).tolist()
-                    u_pos = 0
-                u = u_buf[u_pos]
-                u_pos += 1
-            bounds, cases = ct
-            if bounds is not None:
-                chosen = bounds[-1][1]
-                for acc, fn in bounds:
-                    if u <= acc:
-                        chosen = fn
-                        break
-                chosen(view, rng)
-            else:
-                probs = [case.probability_in(view) for case in cases]
-                total = sum(probs)
-                if not (abs(total - 1.0) <= 1e-9):
-                    fault(
-                        "case-sum",
-                        act_paths[aid],
-                        f"activity {act_paths[aid]!r}: case "
-                        f"probabilities sum to {total} at completion",
-                    )
-                acc = 0.0
-                chosen_case = cases[-1]
-                for case, p in zip(cases, probs):
-                    acc += p
-                    if u <= acc:
-                        chosen_case = case
-                        break
-                chosen_case.function(view, rng)
-
-        def _verify_branch(aid: int, ops, fns, label: str) -> None:
-            """First completion of a compiled effect: fire through the
-            Python functions (bit-identical trajectory) and check the
-            declared ops reproduce exactly the writes they made.
-
-            ``changed`` is empty at completion time (the previous event
-            drained it), so after the functions run it holds precisely
-            this firing's writes.  A sanitized run reports the findings
-            instead of raising, and hands the functions a recording rng
-            proxy that passes draws through, so its stream stays the
-            reference loop's.
-            """
-            pre = [values[slot] for slot, _a, _v, _d in ops]
-            view = views[aid]
-            effect_rng = (
-                _RNG_GUARD if checker is None else checker.effect_rng(rng)
+        The error snapshots the partial trajectory so a runaway model is
+        diagnosable.  The check precedes the pending event's integration
+        step, so the integrals, the current rate values and the impulse
+        sums all describe the reported ``sim_time``, and every engine
+        reports the same snapshot at the same event count.
+        """
+        sim = self.sim
+        if sim.max_events is not None and n_events >= sim.max_events:
+            kind, limit = "max_events", sim.max_events
+        elif self.deadline is not None and time.monotonic() >= self.deadline:
+            kind, limit = "max_wall_s", sim.max_wall_s
+        else:
+            return
+        partial: dict[str, dict] = {
+            res.name: {"kind": "rate", "integral": acc, "value": val}
+            for res, acc, val in zip(
+                self.rate_results, self.rate_integrals, self.rate_values
             )
-            for fn in fns:
-                fn(view, effect_rng)
-            predicted: dict[int, int] = {}
-            for (slot, is_add, amount, _dl), p0 in zip(ops, pre):
-                cur = predicted.get(slot, p0)
-                predicted[slot] = cur + amount if is_add else amount
-            undeclared = [s for s in changed if s not in predicted]
-            wrong = [
-                s for s, v in predicted.items() if values[s] != v or v < 0
-            ]
-            if checker is not None:
-                checker.writes(aid, effect_rng, undeclared, wrong, predicted)
-            elif undeclared or wrong:
-                parts = []
-                if undeclared:
-                    parts.append(
-                        "writes undeclared places "
-                        f"{sorted(_slot_place(model, s) for s in undeclared)}"
-                    )
-                for s in sorted(wrong):
-                    parts.append(
-                        f"{_slot_place(model, s)}: declared ops give "
-                        f"{predicted[s]}, function wrote {values[s]}"
-                    )
-                raise DeclarationError(
-                    f"activity {act_paths[aid]!r}: declared writes do not "
+        }
+        for res in self.results.values():
+            if res.kind == "impulse":
+                partial[res.name] = {
+                    "kind": "impulse",
+                    "impulse_sum": res.impulse_sum,
+                    "count": res.count,
+                }
+        raise SimulationBudgetError(
+            f"simulation exceeded {kind}={limit!r} after {n_events} "
+            f"events at t={now:.6g} (until={self.until:g})",
+            budget=kind,
+            limit=limit,
+            n_events=n_events,
+            sim_time=now,
+            marking={p: self.values[s] for p, s in self.model.paths.items()},
+            rewards=partial,
+        )
+
+    def quarantine_effect(self, aid: int, exc: DeclarationError) -> None:
+        """Handle a failed verification of ``aid``'s compiled effect:
+        raise ``exc`` unless the run quarantines, else drop the activity
+        to the Python path for good, with a warning.  The verifier ran
+        the Python functions, so the true writes sit in ``changed``."""
+        if not self.quarantine:
+            raise exc
+        plan = self.plan
+        plan.kernels[aid] = None
+        plan.live_kernels[aid] = None
+        self.kern_ok[aid] = False
+        plan.case_kern[aid] = None
+        plan.has_case[aid] = False
+        warnings.warn(
+            f"quarantined compiled effect of activity "
+            f"{self.c.paths[aid]!r}; continuing on the Python path "
+            f"({exc})",
+            RuntimeWarning,
+            stacklevel=6,
+        )
+
+    # -- observers -------------------------------------------------------
+    def integrate(self, t0: float, t1: float) -> None:
+        """Accumulate each rate reward over ``(t0, t1]``, clipped to its
+        bounds (exactly ``(warmup, until)`` for a plain one)."""
+        rate_lo = self.rate_lo
+        rate_hi = self.rate_hi
+        rate_integrals = self.rate_integrals
+        for i, val in enumerate(self.rate_values):
+            if val != 0.0:
+                a = t0 if t0 > rate_lo[i] else rate_lo[i]
+                b = t1 if t1 < rate_hi[i] else rate_hi[i]
+                if b > a:
+                    rate_integrals[i] += val * (b - a)
+
+    def apply_forms(self, slot: int) -> None:
+        """Refresh every form-compiled reward that reads ``slot``.
+
+        Reading the current marking (not the write delta) keeps this
+        idempotent: the last call after the final relevant write of an
+        event leaves exactly the value the Python expression would
+        return.
+        """
+        values = self.values
+        form_gstate = self.plan.form_gstate
+        form_viol = self.form_viol
+        rate_values = self.rate_values
+        for fi, gl, fbase, fterms in self.plan.form_upd[slot]:
+            for gj, gcmp, gv, sa, sb in gl:
+                nv = not gcmp(values[sa] if sb < 0 else values[sa] - values[sb], gv)
+                st = form_gstate[fi]
+                if st[gj] != nv:
+                    st[gj] = nv
+                    form_viol[fi] += 1 if nv else -1
+            if form_viol[fi]:
+                rate_values[fi] = 0.0
+            else:
+                acc = fbase
+                for ts_, tc, td in fterms:
+                    acc += tc * values[ts_] / td
+                rate_values[fi] = acc
+
+    def tracked(self, fn: Callable, view: LocalView):
+        """``fn(view)`` with read tracking on; the slots it read that
+        ``view`` did not know yet are left in ``self.reads``."""
+        vector = self.vector
+        vector.begin_tracking()
+        try:
+            return fn(view)
+        finally:
+            vector.end_tracking()
+
+    def eval_rate(self, i: int) -> float:
+        """Rate reward ``i``'s value.  An undeclared reward evaluates
+        tracked, and the slots it newly read join its observer lists."""
+        plan = self.plan
+        if self.rate_declared[i]:
+            return float(self.rate_fns[i](plan.rate_views[i]))
+        val = float(self.tracked(self.rate_fns[i], plan.rate_views[i]))
+        if self.reads:
+            plan.observe_reads(plan.rate_known[i], plan.rate_obs, i, self.reads)
+        return val
+
+    def eval_btrace(self, i: int) -> bool:
+        """Binary trace ``i``'s value, evaluated tracked; the slots it
+        newly read join its observer lists."""
+        val = bool(self.tracked(self.binary_traces[i].function, self.btrace_views[i]))
+        if self.reads:
+            plan = self.plan
+            plan.observe_reads(self.btrace_known[i], plan.btrace_obs, i, self.reads)
+        return val
+
+    def refresh_observers(self, now: float) -> None:
+        """Re-evaluate the touched rate rewards and binary traces; a
+        trace whose value changed records it at ``now``."""
+        touched_r = self.touched_r
+        if touched_r:
+            rate_values = self.rate_values
+            for i in touched_r:
+                rate_values[i] = self.eval_rate(i)
+            del touched_r[:]
+        touched_t = self.touched_t
+        if touched_t:
+            btrace_values = self.btrace_values
+            for i in touched_t:
+                val = self.eval_btrace(i)
+                if val != btrace_values[i]:
+                    btrace_values[i] = val
+                    self.binary_traces[i].observe(now, val)
+            del touched_t[:]
+
+    def observe_completion(self, aid: int, watch: tuple, now: float) -> None:
+        """Impulse rewards and event traces of a completion of ``aid``
+        (``watch``: its non-empty ``act_watch`` entry)."""
+        imp, etr = watch
+        gview = self.c.gview
+        if imp is not None and now >= self.warmup:
+            for res, static, fn, ilo, ihi in imp:
+                if ilo <= now <= ihi:
+                    res.impulse_sum += static if fn is None else fn(gview)
+                    res.count += 1
+        if etr is not None:
+            path = self.c.paths[aid]
+            for tr in etr:
+                tr.record(now, path, gview)
+
+    def flush_probes(self, t: float) -> int:
+        """Record every probe due at or before ``t`` at the current
+        reward values; returns the index of the next probe."""
+        probe_list = self.probe_list
+        pos = self.probe_pos
+        while pos < len(probe_list) and probe_list[pos][0] <= t:
+            pt, pi = probe_list[pos]
+            self.rate_results[pi].instants.append((pt, self.rate_values[pi]))
+            pos += 1
+        self.probe_pos = pos
+        return pos
+
+    # -- enabling and delay sampling -----------------------------------
+    def discover(self, aid: int) -> None:
+        """Wire the slots activity ``aid``'s tracked evaluation newly read
+        into the dependency map, journaled so that the next run starts
+        from the compile-time map again."""
+        p = self.p
+        known = p._act_deps[aid]
+        for slot in self.reads:
+            if slot not in known:
+                known.add(slot)
+                p._dep_lists[slot].append(aid)
+                p._dep_journal.append((aid, slot))
+
+    def dyn_sample(self, aid: int) -> float:
+        """A delay from activity ``aid``'s marking-dependent distribution:
+        the callable evaluates under tracking (or, for declared-reads
+        activities, with tracking skipped after a verified first
+        evaluation), and the law it returns is drawn from."""
+        c = self.c
+        if not self.declared[aid]:
+            dist = self.tracked(self.dyn_dists[aid], c.views[aid])
+            if self.reads:
+                self.discover(aid)
+        elif self.p._dyn_verified[aid]:
+            dist = self.dyn_dists[aid](c.pviews[aid])
+        else:
+            # First activation on this program: evaluate tracked through
+            # the declaration-filtered view, so anything recorded is an
+            # undeclared read — the dependency map would miss its updates
+            # (same check as the predicates at compile time and declared
+            # rate rewards at t=0).
+            dist = self.tracked(self.dyn_dists[aid], c.views[aid])
+            reads = self.reads
+            if reads:
+                index = self.model.activities[aid].index
+                names = sorted(n for n, s in index.items() if s in reads)
+                raise SimulationError(
+                    f"activity {c.paths[aid]!r}: distribution callable "
+                    f"reads places outside the declared read set: {names}"
+                )
+            # only a verified evaluation may skip future checks
+            self.p._dyn_verified[aid] = True
+        cache = self.dyn_samplers
+        sample = None if cache is None else cache.get(id(dist))
+        if sample is None:
+            if not isinstance(dist, Distribution):
+                raise SimulationError(
+                    f"activity {c.paths[aid]!r}: "
+                    "distribution callable did not return a Distribution"
+                )
+            sample = dist.sample
+            if cache is not None:
+                if dist.batchable:
+                    sample = BatchedSampler(dist, self.u_batch).sample
+                cache[id(dist)] = sample
+        delay = sample(self.rng)
+        if not delay >= 0.0:  # also catches NaN
+            raise SimulationError(
+                f"activity {c.paths[aid]!r} sampled invalid delay {delay!r}"
+            )
+        return delay
+
+    def update_timed(self, aid: int, en: bool) -> None:
+        """Apply an enabling-state change to a timed activity.
+
+        Activations whose completion falls beyond ``until`` are never
+        pushed: they could only be popped after the loop's horizon
+        check, so their absence cannot change the fired-event sequence
+        (lazy cancellation tolerates missing entries — a later disable
+        just bumps the token).  The stream and ``seq`` assignment are
+        untouched, so trajectories are bit-identical; the fleet models'
+        heaps shrink by every idle-component lifetime that exceeds the
+        run (most of a petascale year's 4800 disk draws).
+        """
+        token = self.token
+        tok = token[aid]
+        if en:
+            if not tok & 1:
+                tok += 1
+            elif self.c.reactivate[aid]:
+                tok += 2
+            else:
+                return
+            token[aid] = tok
+            sampler = self.c.samplers[aid]
+            delay = sampler(self.rng) if sampler is not None else self.dyn_sample(aid)
+            ft = self.now + delay
+            if ft <= self.until:
+                heapq.heappush(self.heap, (ft, self.seq, aid, tok))
+            self.seq += 1
+        elif tok & 1:
+            token[aid] = tok + 1
+
+    # -- event execution -------------------------------------------------
+    def draw_uniform(self) -> float:
+        """One case-selection uniform: a direct draw per selection, or
+        the next entry of the run's uniform block."""
+        u_batch = self.u_batch
+        if u_batch is None:
+            return self.rng.uniform()
+        buf = self.u_buf
+        pos = self.u_pos
+        if buf is None or pos >= u_batch:
+            buf = self.u_buf = self.rng.random(u_batch).tolist()
+            pos = 0
+        self.u_pos = pos + 1
+        return buf[pos]
+
+    def fire_python(self, aid: int) -> None:
+        """Complete ``aid`` through its Python functions: input gates,
+        the selected case, output gates."""
+        c = self.c
+        view = c.views[aid]
+        rng = self.rng
+        for fn in c.ig_fns[aid]:
+            fn(view, rng)
+        ct = c.case_tab[aid]
+        if ct is not None:
+            self.fire_cases(aid, view, ct)
+        for og in c.og_fns[aid]:
+            og(view, rng)
+
+    def fire_cases(self, aid: int, view: LocalView, ct) -> None:
+        """Select and execute one case (consumes exactly one uniform)."""
+        if self.checker is not None:
+            self.checker.checks["case_selections"] += 1
+        u = self.draw_uniform()
+        rng = self.rng
+        bounds, cases = ct
+        if bounds is not None:
+            chosen = bounds[-1][1]
+            for acc, fn in bounds:
+                if u <= acc:
+                    chosen = fn
+                    break
+            chosen(view, rng)
+            return
+        probs = [case.probability_in(view) for case in cases]
+        total = sum(probs)
+        if not (abs(total - 1.0) <= 1e-9):
+            path = self.c.paths[aid]
+            self.fault(
+                "case-sum",
+                path,
+                f"activity {path!r}: case probabilities sum to {total} "
+                "at completion",
+            )
+        acc = 0.0
+        chosen_case = cases[-1]
+        for case, p in zip(cases, probs):
+            acc += p
+            if u <= acc:
+                chosen_case = case
+                break
+        chosen_case.function(view, rng)
+
+    def verify_branch(self, aid: int, ops, fns, label: str) -> bool:
+        """First completion of a compiled effect: fire through the
+        Python functions (bit-identical trajectory) and check the
+        declared ops reproduce exactly the writes they made.  Returns
+        whether they did; a mismatch goes to :meth:`quarantine_effect`.
+
+        ``changed`` is empty at completion time (the previous event
+        drained it), so after the functions run it holds precisely
+        this firing's writes, whatever happens to the effect.  A
+        sanitized run reports the findings instead, and hands the
+        functions a recording rng proxy that passes draws through, so
+        its stream stays the reference loop's.
+        """
+        values = self.values
+        checker = self.checker
+        pre = [values[slot] for slot, _a, _v, _d in ops]
+        view = self.c.views[aid]
+        effect_rng = _RNG_GUARD if checker is None else checker.effect_rng(self.rng)
+        for fn in fns:
+            fn(view, effect_rng)
+        predicted: dict[int, int] = {}
+        for (slot, is_add, amount, _dl), p0 in zip(ops, pre):
+            cur = predicted.get(slot, p0)
+            predicted[slot] = cur + amount if is_add else amount
+        undeclared = [s for s in self.changed if s not in predicted]
+        wrong = [s for s, v in predicted.items() if values[s] != v or v < 0]
+        if checker is not None:
+            checker.writes(aid, effect_rng, undeclared, wrong, predicted)
+        elif undeclared or wrong:
+            model = self.model
+            parts = []
+            if undeclared:
+                parts.append(
+                    "writes undeclared places "
+                    f"{sorted(_slot_place(model, s) for s in undeclared)}"
+                )
+            for s in sorted(wrong):
+                parts.append(
+                    f"{_slot_place(model, s)}: declared ops give "
+                    f"{predicted[s]}, function wrote {values[s]}"
+                )
+            self.quarantine_effect(
+                aid,
+                DeclarationError(
+                    f"activity {self.c.paths[aid]!r}: declared writes do not "
                     f"match {label} ({'; '.join(parts)})"
-                )
+                ),
+            )
+            return False
+        return True
 
-        def verify_kernel(aid: int) -> None:
-            _verify_branch(aid, kernels[aid], og_fns[aid], "its gate functions")
+    def verify_kernel(self, aid: int) -> bool:
+        """Verify ``aid``'s gate-write kernel against its gate functions
+        (which fire it); returns whether it is now verified."""
+        self.kern_ok[aid] = ok = self.verify_branch(
+            aid, self.plan.kernels[aid], self.c.og_fns[aid], "its gate functions"
+        )
+        return ok
 
-        def select_case_branch(aid: int):
-            """One completion of a case/guard-kernel activity.
+    def select_case_branch(self, aid: int):
+        """One completion of a case/guard-kernel activity.
 
-            Selects the branch exactly as the Python path would —
-            consuming one uniform through the shared case buffer for
-            probabilistic cases, evaluating the guard on the completion
-            marking for guarded writes — and returns the branch's
-            precomputed slot ops, or ``None`` when this selection
-            verified the branch through its Python functions (the
-            writes then sit in ``changed``, bit-identical).
-            """
-            nonlocal u_buf, u_pos
-            bounds, guard, branch_ops, branch_fns, labels = case_kern[aid]
-            if bounds is None:
-                slot, cmp_fn, gval = guard
-                idx = 0 if cmp_fn(values[slot], gval) else 1
+        Selects the branch exactly as the Python path would — consuming
+        one uniform (:meth:`draw_uniform`) for probabilistic cases,
+        evaluating the guard on the completion marking for guarded
+        writes — and returns the branch's precomputed slot ops, or
+        ``None`` when this selection verified the branch through its
+        Python functions (the writes then sit in ``changed``,
+        bit-identical).
+        """
+        bounds, guard, branch_ops, branch_fns, labels = self.plan.case_kern[aid]
+        if bounds is None:
+            slot, cmp_fn, gval = guard
+            idx = 0 if cmp_fn(self.values[slot], gval) else 1
+        else:
+            u = self.draw_uniform()
+            idx = len(bounds) - 1
+            for i, acc in enumerate(bounds):
+                if u <= acc:
+                    idx = i
+                    break
+        flags = self.case_ok[aid]
+        if flags[idx]:
+            return branch_ops[idx]
+        flags[idx] = self.verify_branch(
+            aid, branch_ops[idx], branch_fns[idx], labels[idx]
+        )
+        return None
+
+    def verify_countdown(self, aid: int) -> None:
+        """Count a completion of ``aid`` toward ``verify_every``; the
+        N-th demotes its verified kernels, so it re-verifies them."""
+        self.verify_left -= 1
+        if self.verify_left <= 0:
+            self.verify_left = self.verify_every
+            if self.kern_ok[aid]:
+                self.kern_ok[aid] = False
+                self.plan.live_kernels[aid] = None
+            cflags = self.case_ok[aid]
+            if cflags is not None:
+                cflags[:] = [False] * len(cflags)
+
+    def fire(self, aid: int) -> None:
+        """Complete activity ``aid``: gate functions and cases, or its
+        compiled effect; writes land in ``changed``.  Kernel activities
+        apply their precomputed slot ops (verified on first completion);
+        the reference engine sees an all-None kernel table and always
+        calls the Python gate functions."""
+        self.n_events += 1
+        if self.has_verify:
+            self.verify_countdown(aid)
+        ops = self.plan.kernels[aid]
+        if ops is None:
+            if self.plan.case_kern[aid] is not None:
+                # No ops: the selection verified its branch through the
+                # Python functions, whose writes sit in ``changed``.
+                ops = self.select_case_branch(aid)
+                if ops is not None:
+                    self.n_case_kernels += 1
             else:
-                if u_batch is None:
-                    u = rng_uniform()
-                else:
-                    if u_buf is None or u_pos >= u_batch:
-                        u_buf = rng.random(u_batch).tolist()
-                        u_pos = 0
-                    u = u_buf[u_pos]
-                    u_pos += 1
-                idx = len(bounds) - 1
-                for i, acc in enumerate(bounds):
-                    if u <= acc:
-                        idx = i
-                        break
-            flags = case_ok[aid]
-            if flags[idx]:
-                return branch_ops[idx]
-            _verify_branch(aid, branch_ops[idx], branch_fns[idx], labels[idx])
-            flags[idx] = True
-            return None
+                self.fire_python(aid)
+        elif self.kern_ok[aid]:
+            self.n_kernel_effects += 1
+        else:
+            ops = None
+            self.verify_kernel(aid)
+        if ops is not None:
+            values = self.values
+            changed = self.changed
+            for slot, is_add, amount, _dl in ops:
+                if is_add:
+                    v = values[slot] + amount
+                    if v < 0:
+                        _kernel_negative(self.model, aid, slot, v)
+                    values[slot] = v
+                    changed.add(slot)
+                elif values[slot] != amount:
+                    values[slot] = amount
+                    changed.add(slot)
+        watch = self.act_watch[aid]
+        if watch is not None:
+            self.observe_completion(aid, watch, self.now)
 
-        # NOTE: the compiled loop below inlines fire() for the completions
-        # it pops; keep the sites in sync.  Kernel activities apply
-        # their precomputed slot ops (verified on first completion); the
-        # reference engine sees an all-None kernel table and always calls
-        # the Python gate functions.
-        def fire(aid: int) -> None:
-            """Run gate functions and cases; writes land in ``changed``."""
-            nonlocal n_events, n_kernel_effects, n_case_kernels, verify_left
+    def drain_changed(self, dirty: list[int]) -> None:
+        """Walk the slots written since the last drain: refresh the
+        form-compiled rewards that read them, mark their tracked
+        observers touched and their dependents dirty (each at most once
+        per epoch), and clear the record."""
+        plan = self.plan
+        form_upd, rate_obs, btrace_obs = plan.form_upd, plan.rate_obs, plan.btrace_obs
+        epoch, obs_epoch, stamp = self.epoch, self.obs_epoch, self.stamp
+        rstamp, tstamp, touched_r, touched_t = (
+            self.rstamp, self.tstamp, self.touched_r, self.touched_t
+        )
+        dep_lists = self.p._dep_lists
+        changed = self.changed
+        for slot in changed:
+            if form_upd[slot] is not None:
+                self.apply_forms(slot)
+            rlist = rate_obs[slot]
+            if rlist is not None:
+                for i in rlist:
+                    if rstamp[i] != obs_epoch:
+                        rstamp[i] = obs_epoch
+                        touched_r.append(i)
+            tlist = btrace_obs[slot]
+            if tlist is not None:
+                for i in tlist:
+                    if tstamp[i] != obs_epoch:
+                        tstamp[i] = obs_epoch
+                        touched_t.append(i)
+            for d in dep_lists[slot]:
+                if stamp[d] != epoch:
+                    stamp[d] = epoch
+                    dirty.append(d)
+        changed.clear()
+
+    def settle(self, dirty: list[int]) -> None:
+        """Update timed enabling and run the instantaneous fixpoint.
+
+        ``dirty`` holds unique activity ids; they are processed in
+        ascending id order (the canonical deterministic order).
+        """
+        c, p = self.c, self.p
+        declared, preds, values = self.declared, self.preds, self.values
+        memo_slot, pviews, views, is_timed = c.memo_slot, c.pviews, c.views, c.is_timed
+        pred_memo, priorities = p._pred_memo, p._priorities
+        enabled_instant, inst_enabled = self.enabled_instant, self.inst_enabled
+        max_chain = self.sim.max_instant_chain
+        chain = 0
+        while True:
+            dirty.sort()
+            for aid in dirty:
+                if declared[aid]:
+                    ms = memo_slot[aid]
+                    if ms < 0:
+                        en = preds[aid](pviews[aid])
+                    else:
+                        mdict = pred_memo[aid]
+                        en = mdict.get(values[ms])
+                        if en is None:
+                            en = preds[aid](pviews[aid])
+                            mdict[values[ms]] = en
+                else:
+                    en = self.tracked(preds[aid], views[aid])
+                    if self.reads:
+                        self.discover(aid)
+                if is_timed[aid]:
+                    self.update_timed(aid, en)
+                elif en != enabled_instant[aid]:
+                    enabled_instant[aid] = en
+                    if en:
+                        inst_enabled.add(aid)
+                    else:
+                        inst_enabled.discard(aid)
+            del dirty[:]
+
+            if not inst_enabled:
+                return
+            # Highest priority first; ties broken by definition order
+            # (lowest id).  The explicit tie-break makes the choice
+            # independent of set iteration order — identical to the
+            # historical in-order scan over every instant.
+            best = -1
+            best_pri = 0
+            for iid in inst_enabled:
+                pri = priorities[iid]
+                if best < 0 or pri > best_pri or (pri == best_pri and iid < best):
+                    best = iid
+                    best_pri = pri
+            chain += 1
+            if chain > max_chain:
+                raise InstantaneousLoopError(
+                    f"more than {max_chain} instantaneous firings at "
+                    f"t={self.now}; last activity {c.paths[best]!r}"
+                )
+            self.fire(best)
+            self.epoch += 1
+            self.drain_changed(dirty)
+
+    # -- the run's parts -------------------------------------------------
+    def initialize(self, init_values: list[int] | None) -> None:
+        """Time 0: schedule the enabled timed activities, settle the
+        instants, evaluate every observer and start the wall-clock
+        budget."""
+        c = self.c
+        if init_values is None:
+            # The model's own initial marking: the initially enabled
+            # activities were pre-computed at compile time, so only the
+            # delay draws and the instantaneous fixpoint are per-run
+            # work.  Entries are heapified in one O(n) pass; the pop
+            # order, a pure function of the (time, seq) order, is that
+            # of pushing them.  The loop mirrors update_timed for a
+            # fresh (token 0, enabled) activity, horizon filter included.
+            heap, token, samplers = self.heap, self.token, c.samplers
+            rng, until = self.rng, self.until
+            seq = 0
+            for aid in c.init_timed:
+                token[aid] = 1
+                sampler = samplers[aid]
+                delay = sampler(rng) if sampler is not None else self.dyn_sample(aid)
+                if delay <= until:
+                    heap.append((delay, seq, aid, 1))
+                seq += 1
+            self.seq = seq
+            heapq.heapify(heap)
+            if c.init_instants:
+                for aid, en in c.init_instants:
+                    self.enabled_instant[aid] = en
+                    if en:
+                        self.inst_enabled.add(aid)
+                self.settle([])
+        else:
+            # Restart from a caller-supplied marking: every activity's
+            # enabling is re-derived through settle(), in the ascending
+            # id order (and so the draw order) the precomputed loop uses,
+            # followed by the instantaneous fixpoint.
+            self.settle(list(range(len(self.token))))
+        # Discard observer touches from the t=0 fixpoint: every observer
+        # is evaluated fresh below.  Bump the epoch so the stale stamps
+        # cannot suppress the first event's touches.
+        del self.touched_r[:]
+        del self.touched_t[:]
+        self.obs_epoch += 1
+
+        plan = self.plan
+        values = self.values
+        rate_values = self.rate_values
+        for i in range(len(rate_values)):
+            if self.rate_declared[i]:
+                # The filtered view records any read outside the
+                # declaration; a non-empty record means the declaration
+                # is wrong and the observer lists would miss updates.
+                fn_val = float(self.tracked(self.rate_fns[i], plan.rate_views[i]))
+                reads = self.reads
+                if reads:
+                    slot_names = sorted(
+                        path for path, s in self.model.paths.items() if s in reads
+                    )
+                    raise SimulationError(
+                        f"rate reward {plan.rate_rewards[i].name!r} reads "
+                        f"places outside its declared read set: {slot_names}"
+                    )
+            else:
+                fn_val = self.eval_rate(i)
+            if not plan.form_compiled[i]:
+                rate_values[i] = fn_val
+                continue
+            # Initialize the kernel's guard bookkeeping from the settled
+            # t=0 marking and verify the kernel value against the Python
+            # expression — the same first-evaluation contract as the
+            # gate/case kernels.  A mismatch means the declared form
+            # disagrees with the reward function, so the incremental
+            # updates would silently diverge.
+            guards = plan.form_guards[i]
+            gstate = plan.form_gstate[i]
+            for gj, (gcmp, gv, sa, sb) in enumerate(guards):
+                gstate[gj] = not gcmp(
+                    values[sa] if sb < 0 else values[sa] - values[sb], gv
+                )
+            self.form_viol[i] = sum(gstate)
+            kval = _form_value(values, guards, plan.form_base[i], plan.form_terms[i])
+            if kval != fn_val:
+                raise SimulationError(
+                    f"rate reward {plan.rate_rewards[i].name!r}: declared "
+                    f"form evaluates to {kval!r} at t=0 but the reward "
+                    f"function returned {fn_val!r}; the form does not "
+                    "match the expression"
+                )
+            rate_values[i] = kval
+        for i, tr in enumerate(self.binary_traces):
+            self.btrace_values[i] = self.eval_btrace(i)
+            tr.observe(0.0, self.btrace_values[i])
+        wall_s = self.sim.max_wall_s
+        self.deadline = None if wall_s is None else time.monotonic() + wall_s
+
+    def reference_loop(self) -> None:
+        """The general event loop: every feature, no inlining.  It is the
+        oracle the compiled loop is differentially tested against."""
+        heap, token, stamp, until = self.heap, self.token, self.stamp, self.until
+        has_budget = self.sim.max_events is not None or self.deadline is not None
+        has_rates = bool(self.rate_values)
+        touched_r = self.touched_r
+        # A sanitized run refreshes (and so checks) every rate reward.
+        check_all = range(len(self.rate_values)) if self.checker is not None else None
+        stop_predicate = self.stop_predicate
+        dirty: list[int] = []
+        while heap:
+            ftime, _s, aid, tok = heapq.heappop(heap)
+            if tok != token[aid]:
+                continue
+            if ftime > until:
+                break
+            if has_budget:
+                self.check_budget(self.n_events, self.now)
+            self.flush_probes(ftime)
+            if has_rates:
+                self.integrate(self.last_t, ftime)
+                self.last_t = ftime
+            self.now = ftime
+            token[aid] += 1
+            self.fire(aid)
+            self.epoch += 1
+            # the fired activity may re-enable itself
+            stamp[aid] = self.epoch
+            dirty.append(aid)
+            self.drain_changed(dirty)
+            self.settle(dirty)
+            if check_all is not None:
+                touched_r[:] = check_all
+            self.refresh_observers(ftime)
+            self.obs_epoch += 1
+            if stop_predicate is not None and stop_predicate(self.c.gview):
+                self.stopped_early = True
+                break
+
+    def compiled_loop(self) -> None:
+        """The compiled event loop, which every ``engine="auto"`` run
+        takes: the inlined hot loop plus constant-time inline checks for
+        rate/impulse rewards, traces, probes, instantaneous activities,
+        stop conditions and budgets, each one flag test when unused.
+        The sequence of marking writes, RNG draws and float operations
+        is the reference loop's, which reward_golden.json pins
+        bit-for-bit.
+
+        NOTE: the per-event body inlines fire(), the dirty pass of
+        settle() with update_timed(), and (in the op block)
+        apply_forms(); keep the sites in sync.
+
+        The most recent activation is held in ``pending`` instead of
+        being pushed immediately: the next loop iteration fetches
+        min(heap ∪ {pending}) with a single heappushpop sift, which is
+        what push-then-pop would return, at nearly half the cost.
+        """
+        # Everything the event loop touches is a local, unpacked once.
+        c, p, plan = self.c, self.p, self.plan
+        model, heap, token, stamp = self.model, self.heap, self.token, self.stamp
+        vector, values, changed = self.vector, self.values, self.changed
+        reads = self.reads
+        views, pviews, gview, plain1 = c.views, c.pviews, c.gview, c.plain1
+        samplers, batched_of, is_timed = c.samplers, c.batched_of, c.is_timed
+        memo_slot, reactivate = c.memo_slot, c.reactivate
+        pred_memo, dep_lists = p._pred_memo, p._dep_lists
+        preds, declared = self.preds, self.declared
+        kernels, has_case = plan.kernels, plan.has_case
+        live_kernels, slot_obs = plan.live_kernels, plan.slot_obs
+        form_gstate, inline_rates = plan.form_gstate, plan.inline_rates
+        enabled_instant, inst_enabled = self.enabled_instant, self.inst_enabled
+        act_watch, has_observers = self.act_watch, self.has_observers
+        rate_values, rate_integrals = self.rate_values, self.rate_integrals
+        rate_range, has_rates = range(len(rate_values)), bool(rate_values)
+        form_viol = self.form_viol
+        rstamp, tstamp, touched_r, touched_t = (
+            self.rstamp, self.tstamp, self.touched_r, self.touched_t
+        )
+        until, warmup, rng = self.until, self.warmup, self.rng
+        has_verify = self.has_verify
+        n_probes, probe_pos = len(self.probe_list), self.probe_pos
+        stop_predicate = self.stop_predicate
+        has_stop = stop_predicate is not None
+        has_budget = self.sim.max_events is not None or self.deadline is not None
+        # True iff some slot feeds a tracked observer (python-refresh
+        # reward or binary trace).  Read after the t=0 evaluations, so
+        # initial discovery is included; when False, the touched buffers
+        # can never fill mid-run (every drain site walks
+        # rate_obs/btrace_obs entries, all None) and the loop skips the
+        # per-event refresh check and epoch bump entirely.  The lists
+        # beyond the declared baseline are exactly the journaled
+        # discoveries.
+        has_tracked_obs = plan.tracked_baseline or bool(plan.obs_journal)
+        # The run's scalars, written back around settle() and at the end.
+        now = self.now
+        seq = self.seq
+        epoch = self.epoch
+        obs_epoch = self.obs_epoch
+        n_events = self.n_events
+        n_kernel_effects = self.n_kernel_effects
+        n_case_kernels = self.n_case_kernels
+        last_t = self.last_t
+        dirty: list[int] = []
+        reads_clear, changed_pop = reads.clear, changed.pop
+        dirty_clear, dirty_sort, dirty_append = dirty.clear, dirty.sort, dirty.append
+        heappush, heappop = heapq.heappush, heapq.heappop
+        heappushpop = heapq.heappushpop
+        pending: tuple[float, int, int, int] | None = None
+        # A completed event's token always mismatches (completion and
+        # deactivation both bump it), so the token check alone detects
+        # stale heap entries.
+        while True:
+            if pending is not None:
+                ftime, _s, aid, tok = heappushpop(heap, pending)
+                pending = None
+            elif heap:
+                ftime, _s, aid, tok = heappop(heap)
+            else:
+                break
+            if tok != token[aid]:
+                continue
+            if ftime > until:
+                break
+            if has_budget:
+                self.check_budget(n_events, now)
+            if probe_pos < n_probes:
+                probe_pos = self.flush_probes(ftime)
+            if inline_rates:
+                a = last_t if last_t > warmup else warmup
+                b = ftime if ftime < until else until
+                if b > a:
+                    span = b - a
+                    for i in rate_range:
+                        val = rate_values[i]
+                        if val != 0.0:
+                            rate_integrals[i] += val * span
+                last_t = ftime
+            elif has_rates:
+                self.integrate(last_t, ftime)
+                last_t = ftime
+            now = ftime
+            token[aid] = tok + 1
+
             n_events += 1
             if has_verify:
-                verify_left -= 1
-                if verify_left <= 0:
-                    verify_left = verify_every
-                    if kern_ok[aid]:
-                        kern_ok[aid] = False
-                        live_kernels[aid] = None
-                    cflags = case_ok[aid]
-                    if cflags is not None:
-                        for _bi in range(len(cflags)):
-                            cflags[_bi] = False
-            ops = kernels[aid]
-            if ops is None:
-                if case_kern[aid] is not None:
-                    # No ops: the selection verified its branch through
-                    # the Python functions, whose writes sit in ``changed``.
-                    try:
-                        ops = select_case_branch(aid)
-                    except DeclarationError as _exc:
-                        if not quarantine:
-                            raise
-                        quarantine_effect(aid, _exc)
-                    if ops is not None:
-                        n_case_kernels += 1
-                else:
-                    view = views[aid]
-                    for fn in ig_fns[aid]:
-                        fn(view, rng)
-                    ct = case_tab[aid]
-                    if ct is not None:
-                        fire_cases(aid, view, ct)
-                    for og in og_fns[aid]:
-                        og(view, rng)
-            elif kern_ok[aid]:
-                n_kernel_effects += 1
-            else:
-                ops = None
-                try:
-                    verify_kernel(aid)
-                    kern_ok[aid] = True
-                except DeclarationError as _exc:
-                    if not quarantine:
-                        raise
-                    quarantine_effect(aid, _exc)
+                self.verify_countdown(aid)
+            epoch += 1
+            stamp[aid] = epoch
+            dirty_append(aid)
+            # A compiled effect — a verified gate-write kernel, or the
+            # branch a case/guard kernel selects with the same uniform
+            # (or guard evaluation) the Python path uses — leaves its
+            # precomputed slot ops in ``ops`` for the op block below.
+            # Every other completion, including a kernel's or a
+            # branch's first, verifying one, runs the Python functions,
+            # whose writes the drain block below walks.
+            ops = live_kernels[aid]
             if ops is not None:
-                for slot, is_add, amount, _dl in ops:
+                n_kernel_effects += 1
+            elif has_case[aid]:
+                ops = self.select_case_branch(aid)
+                if ops is not None:
+                    n_case_kernels += 1
+            else:
+                kops = kernels[aid]
+                if kops is None:
+                    fn1 = plain1[aid]
+                    if fn1 is not None:
+                        fn1(views[aid], rng)
+                    else:
+                        self.fire_python(aid)
+                elif self.verify_kernel(aid):
+                    live_kernels[aid] = kops
+            if ops is not None:
+                # Op block: apply the slot ops and mark each written
+                # slot's observers and dependents directly — no
+                # gate-function call, no LocalView, no changed-set
+                # round-trip.  A set op that leaves the value
+                # unchanged marks nothing, exactly like
+                # LocalView.__setitem__.
+                for slot, is_add, amount, dl in ops:
                     if is_add:
                         v = values[slot] + amount
                         if v < 0:
                             _kernel_negative(model, aid, slot, v)
                         values[slot] = v
-                        changed.add(slot)
                     elif values[slot] != amount:
                         values[slot] = amount
-                        changed.add(slot)
-
-            if has_observers:
-                w = act_watch[aid]
-                if w is not None:
-                    imp, etr = w
-                    if imp is not None and now >= warmup:
-                        for res, static, fn, ilo, ihi in imp:
-                            if ilo <= now <= ihi:
-                                res.impulse_sum += (
-                                    static if fn is None else fn(gview)
-                                )
-                                res.count += 1
-                    if etr is not None:
-                        path = act_paths[aid]
-                        for tr in etr:
-                            tr.record(now, path, gview)
-
-        def update_timed(aid: int, en: bool) -> None:
-            """Apply an enabling-state change to a timed activity.
-
-            Activations whose completion falls beyond ``until`` are never
-            pushed: they could only be popped after the loop's horizon
-            check, so their absence cannot change the fired-event
-            sequence (lazy cancellation tolerates missing entries — a
-            later disable just bumps the token).  The stream and ``seq``
-            assignment are untouched, so trajectories are bit-identical;
-            the fleet models' heaps shrink by every idle-component
-            lifetime that exceeds the run (most of a petascale year's
-            4800 disk draws).
-            """
-            nonlocal seq
-            tok = token[aid]
-            if en:
-                if not tok & 1:
-                    tok += 1
-                elif reactivate[aid]:
-                    tok += 2
-                else:
-                    return
-                token[aid] = tok
-                sampler = samplers[aid]
-                delay = sampler(rng) if sampler is not None else dyn_sample(aid)
-                ft = now + delay
-                if ft <= until:
-                    heappush(heap, (ft, seq, aid, tok))
-                seq += 1
-            elif tok & 1:
-                token[aid] = tok + 1
-
-        def settle(dirty: list[int]) -> None:
-            """Update timed enabling and run the instantaneous fixpoint.
-
-            ``dirty`` holds unique activity ids; they are processed in
-            ascending id order (the canonical deterministic order).
-            """
-            nonlocal epoch
-            chain = 0
-            while True:
-                dirty.sort()
-                for aid in dirty:
-                    if declared[aid]:
-                        ms = memo_slot[aid]
-                        if ms < 0:
-                            en = preds[aid](pviews[aid])
-                        else:
-                            mdict = pred_memo[aid]
-                            en = mdict.get(values[ms])
-                            if en is None:
-                                en = preds[aid](pviews[aid])
-                                mdict[values[ms]] = en
                     else:
-                        vector.tracking = True
-                        if reads:
-                            reads.clear()
-                        try:
-                            en = preds[aid](views[aid])
-                        finally:
-                            vector.tracking = False
-                        if reads:
-                            known = act_deps[aid]
-                            for slot in reads:
-                                if slot not in known:
-                                    known.add(slot)
-                                    dep_lists[slot].append(aid)
-                                    dep_journal.append((aid, slot))
-                    if is_timed[aid]:
-                        update_timed(aid, en)
-                    elif en != enabled_instant[aid]:
-                        enabled_instant[aid] = en
-                        if en:
-                            inst_enabled.add(aid)
-                        else:
-                            inst_enabled.discard(aid)
-                del dirty[:]
-
-                if not inst_enabled:
-                    return
-                # Highest priority first; ties broken by definition order
-                # (lowest id).  The explicit tie-break makes the choice
-                # independent of set iteration order — identical to the
-                # historical in-order scan over every instant.
-                best = -1
-                best_pri = 0
-                for iid in inst_enabled:
-                    pri = priorities[iid]
-                    if (
-                        best < 0
-                        or pri > best_pri
-                        or (pri == best_pri and iid < best)
-                    ):
-                        best = iid
-                        best_pri = pri
-                chain += 1
-                if chain > max_chain:
-                    raise InstantaneousLoopError(
-                        f"more than {max_chain} instantaneous firings at "
-                        f"t={now}; last activity {act_paths[best]!r}"
-                    )
-                fire(best)
-                epoch += 1
-                for slot in changed:
-                    if form_upd[slot] is not None:
-                        apply_forms(slot)
-                    rlist = rate_obs[slot]
-                    if rlist is not None:
-                        for i in rlist:
-                            if rstamp[i] != obs_epoch:
-                                rstamp[i] = obs_epoch
-                                touched_r.append(i)
-                    tlist = btrace_obs[slot]
-                    if tlist is not None:
-                        for i in tlist:
-                            if tstamp[i] != obs_epoch:
-                                tstamp[i] = obs_epoch
-                                touched_t.append(i)
-                    for d in dep_lists[slot]:
-                        if stamp[d] != epoch:
-                            stamp[d] = epoch
-                            dirty.append(d)
-                changed.clear()
-
-        # Everything that can reject this call has passed: resolve the
-        # stream (see _next_stream) before the first draw.
-        rng = self._next_stream(seed, rng)
-        rng_uniform = rng.uniform
-
-        # -- initialization at t = 0 -----------------------------------
-        # The initially enabled activities were pre-computed at compile
-        # time (the initial marking is the same for every run); only the
-        # delay draws and the instantaneous fixpoint are per-run work.
-        # Entries are collected and heapified in one O(n) pass instead of
-        # pushed one by one: the heap's internal layout differs but the
-        # pop order — a pure function of the (time, seq) total order —
-        # is identical, so trajectories are unchanged.  The loop mirrors
-        # update_timed for a fresh (token 0, enabled) activity, horizon
-        # filter included.
-        if init_values is None:
-            for aid in c.init_timed:
-                token[aid] = 1
-                sampler = samplers[aid]
-                delay = sampler(rng) if sampler is not None else dyn_sample(aid)
-                if delay <= until:
-                    heap.append((delay, seq, aid, 1))
-                seq += 1
-            heapq.heapify(heap)
-            if has_instants:
-                for aid, en in c.init_instants:
-                    enabled_instant[aid] = en
-                    if en:
-                        inst_enabled.add(aid)
-                settle([])
-                # discard observer touches from the t=0 fixpoint: every
-                # observer is evaluated fresh below.  Bump the epoch so
-                # the stale stamps cannot suppress the first event's
-                # touches.
-                del touched_r[:]
-                del touched_t[:]
-                obs_epoch += 1
-        else:
-            # Restart from a caller-supplied marking: the compile-time
-            # tables describe the model's own initial marking only, so
-            # every activity's enabling is re-derived here through
-            # settle() — ascending-id predicate evaluation, the same
-            # draw order the precomputed loop uses, followed by the
-            # instantaneous fixpoint.  heappush instead of heapify only
-            # changes the heap's internal layout, never the pop order.
-            settle(list(range(n_acts)))
-            del touched_r[:]
-            del touched_t[:]
-            obs_epoch += 1
-
-        for i in range(n_rates):
-            fn_val = (
-                check_declared_rate(i) if rate_declared[i] else eval_rate(i)
-            )
-            if form_compiled[i]:
-                # Initialize the kernel's guard bookkeeping from the
-                # settled t=0 marking and verify the kernel value against
-                # the Python expression — the same first-evaluation
-                # contract as the gate/case kernels.  A mismatch means
-                # the declared form disagrees with the reward function,
-                # so the incremental updates would silently diverge.
-                gstate = form_gstate[i]
-                for gj, (gcmp, gv, sa, sb) in enumerate(form_guards[i]):
-                    gstate[gj] = not gcmp(
-                        values[sa] if sb < 0 else values[sa] - values[sb], gv
-                    )
-                form_viol[i] = sum(gstate)
-                kval = _form_value(
-                    values, form_guards[i], plan.form_base[i], plan.form_terms[i]
-                )
-                if kval != fn_val:
-                    raise SimulationError(
-                        f"rate reward {rate_rewards[i].name!r}: declared "
-                        f"form evaluates to {kval!r} at t=0 but the reward "
-                        f"function returned {fn_val!r}; the form does not "
-                        "match the expression"
-                    )
-                rate_values[i] = kval
-            else:
-                rate_values[i] = fn_val
-        for i, tr in enumerate(binary_traces):
-            btrace_values[i] = eval_btrace(i)
-            tr.observe(0.0, btrace_values[i])
-
-        last_t = 0.0
-        stopped_early = False
-        inline_rates = plan.inline_rates
-
-        # -- event loop --------------------------------------------------
-        # A completed event's token always mismatches (completion and
-        # deactivation both bump it), so the token check alone detects
-        # stale heap entries.
-        dirty: list[int] = []
-        has_stop = stop_predicate is not None
-        has_budget = self.max_events is not None or self.max_wall_s is not None
-        wall_deadline = (
-            time.monotonic() + self.max_wall_s
-            if self.max_wall_s is not None
-            else None
-        )
-
-        # True iff some slot feeds a tracked observer (python-refresh
-        # reward or binary trace).  Computed after the t=0 evaluations,
-        # so initial discovery is included; when False, the touched
-        # buffers can never fill mid-run (every drain site walks
-        # rate_obs/btrace_obs entries, all None) and the compiled loop
-        # skips the per-event drain checks and epoch bump entirely.  The
-        # lists beyond the declared baseline are exactly the journaled
-        # discoveries.
-        has_tracked_obs = plan.tracked_baseline or bool(plan.obs_journal)
-        self.last_loop = self.engine if reference else "observed"
-        if reference:
-            # General un-specialized loop: every feature, no inlining.
-            # This is the oracle the compiled loop below is
-            # differentially tested against.
-            while heap:
-                ftime, _s, aid, tok = heappop(heap)
-                if tok != token[aid]:
-                    continue
-                if ftime > until:
-                    break
-                if has_budget:
-                    _check_budget(
-                        self, wall_deadline, until, n_events, now, values,
-                        results, rate_results, rate_integrals, rate_values,
-                    )
-                while probe_pos < n_probes and probe_list[probe_pos][0] <= ftime:
-                    pt, pi = probe_list[probe_pos]
-                    rate_results[pi].instants.append((pt, rate_values[pi]))
-                    probe_pos += 1
-                if has_rates:
-                    integrate(last_t, ftime)
-                    last_t = ftime
-                now = ftime
-                token[aid] += 1
-
-                fire(aid)
-                epoch += 1
-                # the fired activity may re-enable itself
-                stamp[aid] = epoch
-                dirty.append(aid)
-                for slot in changed:
-                    rlist = rate_obs[slot]
-                    if rlist is not None:
-                        for i in rlist:
-                            if rstamp[i] != obs_epoch:
-                                rstamp[i] = obs_epoch
-                                touched_r.append(i)
-                    tlist = btrace_obs[slot]
-                    if tlist is not None:
-                        for i in tlist:
-                            if tstamp[i] != obs_epoch:
-                                tstamp[i] = obs_epoch
-                                touched_t.append(i)
-                    for d in dep_lists[slot]:
-                        if stamp[d] != epoch:
-                            stamp[d] = epoch
-                            dirty.append(d)
-                changed.clear()
-                settle(dirty)
-
-                # Refresh rate rewards / binary traces whose inputs
-                # changed; a sanitized run checks every rate reward.
-                if sanitize:
-                    touched_r[:] = rate_range
-                if touched_r:
-                    for i in touched_r:
-                        rate_values[i] = eval_rate(i)
-                    del touched_r[:]
-                if touched_t:
-                    for i in touched_t:
-                        val = eval_btrace(i)
-                        if val != btrace_values[i]:
-                            btrace_values[i] = val
-                            binary_traces[i].observe(now, val)
-                    del touched_t[:]
-                obs_epoch += 1
-
-                if has_stop and stop_predicate(gview):
-                    stopped_early = True
-                    break
-        else:
-            # The compiled loop: the inlined hot loop plus constant-time
-            # inline checks for rate/impulse rewards, traces, probes,
-            # instantaneous activities, stop conditions and budgets, each
-            # one flag test when unused.  Every auto-engine run, with or
-            # without observers, takes it; the sequence of marking
-            # writes, RNG draws and float operations is the reference
-            # loop's, which reward_golden.json pins bit-for-bit.
-            # NOTE: mirrors fire() + update_timed() + settle(); keep the
-            # sites in sync.
-            #
-            # The most recent activation is held in ``pending`` instead of
-            # being pushed immediately: the next loop iteration fetches
-            # min(heap ∪ {pending}) with a single heappushpop sift, which
-            # is what push-then-pop would return, at nearly half the cost.
-            reads_clear = reads.clear
-            changed_pop = changed.pop
-            dirty_clear = dirty.clear
-            dirty_sort = dirty.sort
-            dirty_append = dirty.append
-            heappushpop = heapq.heappushpop
-            pending: tuple[float, int, int, int] | None = None
-            while True:
-                if pending is not None:
-                    ftime, _s, aid, tok = heappushpop(heap, pending)
-                    pending = None
-                elif heap:
-                    ftime, _s, aid, tok = heappop(heap)
-                else:
-                    break
-                if tok != token[aid]:
-                    continue
-                if ftime > until:
-                    break
-                if has_budget:
-                    _check_budget(
-                        self, wall_deadline, until, n_events, now, values,
-                        results, rate_results, rate_integrals, rate_values,
-                    )
-                if probe_pos < n_probes:
-                    while probe_pos < n_probes and probe_list[probe_pos][0] <= ftime:
-                        pt, pi = probe_list[probe_pos]
-                        rate_results[pi].instants.append((pt, rate_values[pi]))
-                        probe_pos += 1
-                if inline_rates:
-                    a = last_t if last_t > warmup else warmup
-                    b = ftime if ftime < until else until
-                    if b > a:
-                        span = b - a
-                        for i in rate_range:
-                            val = rate_values[i]
-                            if val != 0.0:
-                                rate_integrals[i] += val * span
-                    last_t = ftime
-                elif has_rates:
-                    integrate(last_t, ftime)
-                    last_t = ftime
-                now = ftime
-                token[aid] = tok + 1
-
-                n_events += 1
-                if has_verify:
-                    verify_left -= 1
-                    if verify_left <= 0:
-                        verify_left = verify_every
-                        if kern_ok[aid]:
-                            kern_ok[aid] = False
-                            live_kernels[aid] = None
-                        cflags = case_ok[aid]
-                        if cflags is not None:
-                            for _bi in range(len(cflags)):
-                                cflags[_bi] = False
-                epoch += 1
-                stamp[aid] = epoch
-                dirty_append(aid)
-                # A compiled effect — a verified gate-write kernel, or the
-                # branch a case/guard kernel selects with the same uniform
-                # (or guard evaluation) the Python path uses — leaves its
-                # precomputed slot ops in ``ops`` for the op block below.
-                # Every other completion, including a kernel's or a
-                # branch's first, verifying one, runs the Python functions,
-                # whose writes the drain block below walks.
-                ops = live_kernels[aid]
-                if ops is not None:
-                    n_kernel_effects += 1
-                elif has_case[aid]:
-                    try:
-                        ops = select_case_branch(aid)
-                    except DeclarationError as _exc:
-                        if not quarantine:
-                            raise
-                        quarantine_effect(aid, _exc)
-                    if ops is not None:
-                        n_case_kernels += 1
-                else:
-                    kops = kernels[aid]
-                    if kops is None:
-                        view = views[aid]
-                        fn1 = plain1[aid]
-                        if fn1 is not None:
-                            fn1(view, rng)
-                        else:
-                            igs = ig_fns[aid]
-                            if igs:
-                                for fn in igs:
-                                    fn(view, rng)
-                            ct = case_tab[aid]
-                            if ct is not None:
-                                fire_cases(aid, view, ct)
-                            for og in og_fns[aid]:
-                                og(view, rng)
-                    else:
-                        try:
-                            verify_kernel(aid)
-                            kern_ok[aid] = True
-                            live_kernels[aid] = kops
-                        except DeclarationError as _exc:
-                            if not quarantine:
-                                raise
-                            # The verifier ran the Python functions, so
-                            # the true writes sit in ``changed``.
-                            quarantine_effect(aid, _exc)
-                if ops is not None:
-                    # Op block: apply the slot ops and mark each written
-                    # slot's observers and dependents directly — no
-                    # gate-function call, no LocalView, no changed-set
-                    # round-trip.  A set op that leaves the value
-                    # unchanged marks nothing, exactly like
-                    # LocalView.__setitem__.
-                    for slot, is_add, amount, dl in ops:
-                        if is_add:
-                            v = values[slot] + amount
-                            if v < 0:
-                                _kernel_negative(model, aid, slot, v)
-                            values[slot] = v
-                        elif values[slot] != amount:
-                            values[slot] = amount
-                        else:
-                            continue
-                        so = slot_obs[slot]
-                        if so is not None:
-                            ful, rlist, tlist = so
-                            if ful is not None:
-                                # Reward-form kernel, inlined (see
-                                # apply_forms): integer guard bookkeeping
-                                # + the canonical affine recompute replace
-                                # the deferred Python re-evaluation.
-                                for fi, gl, fbase, fterms in ful:
-                                    for gj, gcmp, gv, sa, sb in gl:
-                                        nv = not gcmp(
-                                            values[sa]
-                                            if sb < 0
-                                            else values[sa] - values[sb],
-                                            gv,
-                                        )
-                                        st = form_gstate[fi]
-                                        if st[gj] != nv:
-                                            st[gj] = nv
-                                            form_viol[fi] += 1 if nv else -1
-                                    if form_viol[fi]:
-                                        rate_values[fi] = 0.0
-                                    else:
-                                        facc = fbase
-                                        for ts_, tc, td in fterms:
-                                            facc += tc * values[ts_] / td
-                                        rate_values[fi] = facc
-                            if rlist is not None:
-                                for i in rlist:
-                                    if rstamp[i] != obs_epoch:
-                                        rstamp[i] = obs_epoch
-                                        touched_r.append(i)
-                            if tlist is not None:
-                                for i in tlist:
-                                    if tstamp[i] != obs_epoch:
-                                        tstamp[i] = obs_epoch
-                                        touched_t.append(i)
-                        if dl:
-                            for d in dl:
-                                if stamp[d] != epoch:
-                                    stamp[d] = epoch
-                                    dirty_append(d)
-                else:
-                    # Drain block: the Python functions' writes, inline
-                    # (every Python-effect completion passes here), with
-                    # the op block's fused per-slot observer lookup.
-                    while changed:
-                        slot = changed_pop()
-                        so = slot_obs[slot]
-                        if so is not None:
-                            ful, rlist, tlist = so
-                            if ful is not None:
-                                apply_forms(slot)
-                            if rlist is not None:
-                                for i in rlist:
-                                    if rstamp[i] != obs_epoch:
-                                        rstamp[i] = obs_epoch
-                                        touched_r.append(i)
-                            if tlist is not None:
-                                for i in tlist:
-                                    if tstamp[i] != obs_epoch:
-                                        tstamp[i] = obs_epoch
-                                        touched_t.append(i)
-                        for d in dep_lists[slot]:
+                        continue
+                    so = slot_obs[slot]
+                    if so is not None:
+                        ful, rlist, tlist = so
+                        if ful is not None:
+                            # Reward-form kernel, inlined (see
+                            # apply_forms): integer guard bookkeeping
+                            # + the canonical affine recompute replace
+                            # the deferred Python re-evaluation.
+                            for fi, gl, fbase, fterms in ful:
+                                for gj, gcmp, gv, sa, sb in gl:
+                                    nv = not gcmp(
+                                        values[sa]
+                                        if sb < 0
+                                        else values[sa] - values[sb],
+                                        gv,
+                                    )
+                                    st = form_gstate[fi]
+                                    if st[gj] != nv:
+                                        st[gj] = nv
+                                        form_viol[fi] += 1 if nv else -1
+                                if form_viol[fi]:
+                                    rate_values[fi] = 0.0
+                                else:
+                                    facc = fbase
+                                    for ts_, tc, td in fterms:
+                                        facc += tc * values[ts_] / td
+                                    rate_values[fi] = facc
+                        if rlist is not None:
+                            for i in rlist:
+                                if rstamp[i] != obs_epoch:
+                                    rstamp[i] = obs_epoch
+                                    touched_r.append(i)
+                        if tlist is not None:
+                            for i in tlist:
+                                if tstamp[i] != obs_epoch:
+                                    tstamp[i] = obs_epoch
+                                    touched_t.append(i)
+                    if dl:
+                        for d in dl:
                             if stamp[d] != epoch:
                                 stamp[d] = epoch
                                 dirty_append(d)
-                if has_observers:
-                    w = act_watch[aid]
-                    if w is not None:
-                        imp, etr = w
-                        if imp is not None and now >= warmup:
-                            for res, static, fn, ilo, ihi in imp:
-                                if ilo <= now <= ihi:
-                                    res.impulse_sum += (
-                                        static if fn is None else fn(gview)
-                                    )
-                                    res.count += 1
-                        if etr is not None:
-                            path = act_paths[aid]
-                            for tr in etr:
-                                tr.record(now, path, gview)
-                dirty_sort()
-                tracking_on = False
-                for aid2 in dirty:
-                    if declared[aid2]:
-                        ms = memo_slot[aid2]
-                        if ms < 0:
-                            en = preds[aid2](pviews[aid2])
-                        else:
-                            mdict = pred_memo[aid2]
-                            en = mdict.get(values[ms])
-                            if en is None:
-                                en = preds[aid2](pviews[aid2])
-                                mdict[values[ms]] = en
+            else:
+                # Drain block: the Python functions' writes, inline
+                # (every Python-effect completion passes here), with
+                # the op block's fused per-slot observer lookup.
+                while changed:
+                    slot = changed_pop()
+                    so = slot_obs[slot]
+                    if so is not None:
+                        ful, rlist, tlist = so
+                        if ful is not None:
+                            self.apply_forms(slot)
+                        if rlist is not None:
+                            for i in rlist:
+                                if rstamp[i] != obs_epoch:
+                                    rstamp[i] = obs_epoch
+                                    touched_r.append(i)
+                        if tlist is not None:
+                            for i in tlist:
+                                if tstamp[i] != obs_epoch:
+                                    tstamp[i] = obs_epoch
+                                    touched_t.append(i)
+                    for d in dep_lists[slot]:
+                        if stamp[d] != epoch:
+                            stamp[d] = epoch
+                            dirty_append(d)
+            if has_observers:
+                watch = act_watch[aid]
+                if watch is not None:
+                    self.observe_completion(aid, watch, now)
+            dirty_sort()
+            tracking_on = False
+            for aid2 in dirty:
+                if declared[aid2]:
+                    ms = memo_slot[aid2]
+                    if ms < 0:
+                        en = preds[aid2](pviews[aid2])
                     else:
-                        # The tracking toggle is set lazily on the first
-                        # undeclared activity: a fully declared dirty set
-                        # (the common case on annotated models) never
-                        # pays the attribute stores.
-                        if not tracking_on:
-                            vector.tracking = True
-                            tracking_on = True
-                        if reads:
-                            reads_clear()
-                        en = preds[aid2](views[aid2])
-                        if reads:
-                            known = act_deps[aid2]
-                            for slot in reads:
-                                if slot not in known:
-                                    known.add(slot)
-                                    dep_lists[slot].append(aid2)
-                                    dep_journal.append((aid2, slot))
-                    if not is_timed[aid2]:
-                        if en != enabled_instant[aid2]:
-                            enabled_instant[aid2] = en
-                            if en:
-                                inst_enabled.add(aid2)
-                            else:
-                                inst_enabled.discard(aid2)
+                        mdict = pred_memo[aid2]
+                        en = mdict.get(values[ms])
+                        if en is None:
+                            en = preds[aid2](pviews[aid2])
+                            mdict[values[ms]] = en
+                else:
+                    # The tracking toggle is set lazily on the first
+                    # undeclared activity: a fully declared dirty set
+                    # (the common case on annotated models) never
+                    # pays the attribute stores.
+                    if not tracking_on:
+                        vector.tracking = True
+                        tracking_on = True
+                    if reads:
+                        reads_clear()
+                    en = preds[aid2](views[aid2])
+                    if reads:
+                        self.discover(aid2)
+                if not is_timed[aid2]:
+                    if en != enabled_instant[aid2]:
+                        enabled_instant[aid2] = en
+                        if en:
+                            inst_enabled.add(aid2)
+                        else:
+                            inst_enabled.discard(aid2)
+                    continue
+                tok2 = token[aid2]
+                if en:
+                    if not tok2 & 1:
+                        tok2 += 1
+                    elif reactivate[aid2]:
+                        tok2 += 2
+                    else:
                         continue
-                    tok2 = token[aid2]
-                    if en:
-                        if not tok2 & 1:
-                            tok2 += 1
-                        elif reactivate[aid2]:
-                            tok2 += 2
+                    token[aid2] = tok2
+                    sm = samplers[aid2]
+                    if sm is not None:
+                        bs = batched_of[aid2]
+                        if bs is None:
+                            delay = sm(rng)
                         else:
-                            continue
-                        token[aid2] = tok2
-                        sm = samplers[aid2]
-                        if sm is not None:
-                            bs = batched_of[aid2]
-                            if bs is None:
+                            # inlined BatchedSampler.sample fast
+                            # path: identical pop; an empty or
+                            # exhausted buffer refills via the call
+                            bpos = bs._pos
+                            bbuf = bs._buffer
+                            if bbuf is not None and bpos < bs.batch_size:
+                                bs._pos = bpos + 1
+                                delay = bbuf[bpos]
+                            else:
                                 delay = sm(rng)
-                            else:
-                                # inlined BatchedSampler.sample fast
-                                # path: identical pop; an empty or
-                                # exhausted buffer refills via the call
-                                bpos = bs._pos
-                                bbuf = bs._buffer
-                                if bbuf is not None and bpos < bs.batch_size:
-                                    bs._pos = bpos + 1
-                                    delay = bbuf[bpos]
-                                else:
-                                    delay = sm(rng)
+                    else:
+                        if tracking_on:
+                            vector.tracking = False
+                            tracking_on = False
+                        delay = self.dyn_sample(aid2)
+                    ft = now + delay
+                    # beyond-horizon activations never enter the heap
+                    # (see update_timed: bit-identical trajectories)
+                    if ft <= until:
+                        if pending is None:
+                            pending = (ft, seq, aid2, tok2)
                         else:
-                            if tracking_on:
-                                vector.tracking = False
-                                tracking_on = False
-                            delay = dyn_sample(aid2)
-                        ft = now + delay
-                        # beyond-horizon activations never enter the heap
-                        # (see update_timed: bit-identical trajectories)
-                        if ft <= until:
-                            if pending is None:
-                                pending = (ft, seq, aid2, tok2)
-                            else:
-                                heappush(heap, pending)
-                                pending = (ft, seq, aid2, tok2)
-                        seq += 1
-                    elif tok2 & 1:
-                        token[aid2] = tok2 + 1
-                if tracking_on:
-                    vector.tracking = False
-                dirty_clear()
-                if inst_enabled:
-                    # Rare: an instantaneous activity became enabled.
-                    # Run the zero-time fixpoint through the shared
-                    # settle(): it fires highest-priority-first,
-                    # re-dirties, and re-settles until quiet, exactly as
-                    # the reference loop would inside its settle(dirty).
-                    settle(dirty)
+                            heappush(heap, pending)
+                            pending = (ft, seq, aid2, tok2)
+                    seq += 1
+                elif tok2 & 1:
+                    token[aid2] = tok2 + 1
+            if tracking_on:
+                vector.tracking = False
+            dirty_clear()
+            if inst_enabled:
+                # Rare: an instantaneous activity became enabled.  Run
+                # the zero-time fixpoint through the shared settle(): it
+                # fires highest-priority-first, re-dirties, and
+                # re-settles until quiet, exactly as the reference loop
+                # would inside its settle(dirty).  settle() reads and
+                # writes the run's scalars through the state.
+                self.now = now
+                self.seq = seq
+                self.epoch = epoch
+                self.obs_epoch = obs_epoch
+                self.n_events = n_events
+                self.n_kernel_effects = n_kernel_effects
+                self.n_case_kernels = n_case_kernels
+                self.settle(dirty)
+                seq = self.seq
+                epoch = self.epoch
+                n_events = self.n_events
+                n_kernel_effects = self.n_kernel_effects
+                n_case_kernels = self.n_case_kernels
 
-                if has_tracked_obs:
-                    if touched_r:
-                        # Declared rewards refresh with a direct call (no
-                        # tracked-discovery wrapper); value-identical to
-                        # eval_rate, which takes the same branch.  The
-                        # float() coercion is skipped when the function
-                        # already returned a float (the overwhelming case).
-                        for i in touched_r:
-                            if rate_declared[i]:
-                                v = rate_fns[i](rate_views[i])
-                                rate_values[i] = (
-                                    v if v.__class__ is float else float(v)
-                                )
-                            else:
-                                rate_values[i] = eval_rate(i)
-                        del touched_r[:]
-                    if touched_t:
-                        for i in touched_t:
-                            val = eval_btrace(i)
-                            if val != btrace_values[i]:
-                                btrace_values[i] = val
-                                binary_traces[i].observe(now, val)
-                        del touched_t[:]
-                    obs_epoch += 1
+            if has_tracked_obs:
+                if touched_r or touched_t:
+                    self.refresh_observers(now)
+                obs_epoch += 1
 
-                if has_stop and stop_predicate(gview):
-                    stopped_early = True
-                    break
+            if has_stop and stop_predicate(gview):
+                self.stopped_early = True
+                break
+        self.now = now
+        self.n_events = n_events
+        self.n_kernel_effects = n_kernel_effects
+        self.n_case_kernels = n_case_kernels
+        self.last_t = last_t
 
-        self.last_kernel_effects = n_kernel_effects
-        self.last_case_kernels = n_case_kernels
-        self.last_python_effects = n_events - n_kernel_effects - n_case_kernels
-        end_time = now if stopped_early else until
-        integrate(last_t, end_time)
-        # -- result assembly -------------------------------------------
+    def result(self) -> RunResult:
+        """Close the run: final integration, checks, result assembly."""
+        sim = self.sim
+        n_events = self.n_events
+        sim.last_kernel_effects = self.n_kernel_effects
+        sim.last_case_kernels = self.n_case_kernels
+        sim.last_python_effects = (
+            n_events - self.n_kernel_effects - self.n_case_kernels
+        )
+        until = self.until
+        warmup = self.warmup
+        stopped_early = self.stopped_early
+        end_time = self.now if stopped_early else until
+        self.integrate(self.last_t, end_time)
         # NaN/inf accumulation guard: a reward expression that produced a
         # non-finite value poisons every downstream statistic silently
         # (means, CIs, sweep tables), so fail the run loudly instead.
         # Once per run, not per event — free on the hot path.
-        for res, acc in zip(rate_results, rate_integrals):
+        rate_results = self.rate_results
+        results = self.results
+        for res, acc in zip(rate_results, self.rate_integrals):
             if not math.isfinite(acc):
-                fault(
+                self.fault(
                     "non-finite-reward",
                     res.name,
                     f"rate reward {res.name!r} accumulated a "
@@ -2949,7 +2948,7 @@ class Simulator:
         for res in results.values():
             res.duration = duration
             if res.kind == "impulse" and not math.isfinite(res.impulse_sum):
-                fault(
+                self.fault(
                     "non-finite-reward",
                     res.name,
                     f"impulse reward {res.name!r} accumulated a non-finite "
@@ -2957,20 +2956,20 @@ class Simulator:
                     "to NaN or inf during the run",
                 )
         report = None
-        if checker is not None:
-            report = checker.finish(n_events, end_time, self.strict)
+        if self.checker is not None:
+            report = self.checker.finish(n_events, end_time, sim.strict)
         if not stopped_early:
             # The marking is constant from the last event to ``until``,
             # so remaining probes read the current values.  After an
             # early stop the trajectory beyond ``end_time`` is undefined
             # and later probes stay unrecorded.
-            for pt, pi in probe_list[probe_pos:]:
-                rate_results[pi].instants.append((pt, rate_values[pi]))
+            self.flush_probes(math.inf)
         # Windowed rewards observe their effective window, not the run's.
-        for i, r in enumerate(rate_rewards):
+        plan = self.plan
+        for i, r in enumerate(plan.rate_rewards):
             if r.window is not None:
-                lo = rate_lo[i]
-                b = end_time if end_time < rate_hi[i] else rate_hi[i]
+                lo = self.rate_lo[i]
+                b = end_time if end_time < self.rate_hi[i] else self.rate_hi[i]
                 rate_results[i].duration = b - lo if b > lo else 0.0
         for r in plan.impulse_rewards:
             if r.window is not None:
@@ -2979,16 +2978,16 @@ class Simulator:
                 hi = until if until < w1 else w1
                 b = end_time if end_time < hi else hi
                 results[r.name].duration = b - lo if b > lo else 0.0
-        for tr in binary_traces:
+        for tr in self.binary_traces:
             tr.finish(end_time)
         return RunResult(
             final_time=end_time,
             duration=duration,
             n_events=n_events,
             rewards=results,
-            traces=trace_map,
+            traces=self.trace_map,
             stopped_early=stopped_early,
             sanitizer_report=report,
-            _final_values=list(values),
-            _paths=model.paths,
+            _final_values=list(self.values),
+            _paths=self.model.paths,
         )

@@ -654,9 +654,9 @@ def aggregate_tier_san(
 
     Each activity's laws are built once, one per count of failed disks
     at which it is enabled, and its distribution callable returns the
-    prebuilt law, so a run's sampler cache serves every later draw of
-    that law.  Under ``Simulator(batch_dynamic=True)`` a law's draws in
-    a run therefore come from one block instead of one block per draw.
+    prebuilt law, so no draw constructs one.  Under
+    ``Simulator(batch_dynamic=True)`` a run's sampler cache then serves
+    every later draw of a law, from one block instead of one per draw.
     """
     from ..core import SAN, Exponential, flatten
 

@@ -21,6 +21,7 @@ from repro.core import (
     Indicator,
     InstantaneousLoopError,
     RateReward,
+    SimulationBudgetError,
     SimulationError,
     Simulator,
     Uniform,
@@ -232,6 +233,31 @@ class TestMarkingDependentDistribution:
         res = sim.run(2000.0)
         # first 1000 h at rate 1, second 1000 h at rate 2 -> ~3000 ticks
         assert res.place("s/n") == pytest.approx(3000, rel=0.1)
+
+    @pytest.mark.parametrize("declared", [False, True])
+    @pytest.mark.parametrize("batch_dynamic", [False, True])
+    def test_callable_returning_a_non_distribution_names_the_activity(
+        self, batch_dynamic, declared
+    ):
+        # The law a callable returns is checked on every draw without
+        # batch_dynamic and on its first draw with it; either way the
+        # run fails before the first event with the same error.
+        san = SAN("s")
+        san.place("n", 0)
+        san.timed(
+            "tick",
+            lambda m: 2.5 if m["n"] == 0 else Exponential(1.0),
+            enabled=lambda m: True,
+            effect=lambda m, rng: m.__setitem__("n", m["n"] + 1),
+            reads=["n"] if declared else None,
+        )
+        sim = Simulator(flatten(san), batch_dynamic=batch_dynamic)
+        with pytest.raises(
+            SimulationError,
+            match=r"^activity 's/tick': distribution callable did not "
+            r"return a Distribution$",
+        ):
+            sim.run(10.0)
 
 
 class TestReactivation:
@@ -684,3 +710,155 @@ class TestRunPlanReuse:
         )
         assert_runs_identical(got, want)
 
+
+
+def _set(place, value):
+    return lambda m, rng: m.__setitem__(place, value)
+
+
+def _settle_tie_model():
+    """Instants fired inside the compiled loop's settle() activate timed
+    activities whose Deterministic delays tie with the loop's own
+    activations, so only ``seq`` (and then the activity id) orders them.
+
+    ``first`` and ``second`` complete together every hour, ``first``
+    first: the instant ``boot`` activates ``second`` after ``first`` at
+    t=0.  ``first``'s gate-write kernel raises ``go``, and the instant
+    ``fan`` (a gate-write kernel) then arms ``echo`` inside settle(),
+    due with the loop's re-activations of ``first`` (before settle) and
+    ``second`` (after it); the ids order second < echo < first.
+    ``second`` (a case kernel) bumps ``ticks`` or not and raises
+    ``toss``, and the instant ``coin`` (a case kernel) flips a coin
+    inside settle().  ``echo``, a Python effect, completes right after
+    ``fan``'s settle() and writes ``done``; ``watch`` reads ``armed``
+    (written inside settle) and ``done``.
+    """
+
+    def drain(m, rng):
+        m["armed"] = m["armed"] - 1
+        m["done"] = m["done"] + 1
+
+    def bump(place):
+        def effect(m, rng):
+            m["toss"] = 0
+            m[place] = m[place] + 1
+
+        return effect
+
+    def tick(m, rng):
+        m["toss"] = 1
+        m["ticks"] = m["ticks"] + 1
+
+    san = SAN("w")
+    for name in ("live", "go", "toss", "armed", "ticks", "heads", "tails", "done", "seen"):
+        san.place(name, 0)
+    san.timed(
+        "second",
+        Deterministic(1.0),
+        enabled=lambda m: m["live"] == 1,
+        reads=["live"],
+        cases=[
+            Case(0.5, tick, name="tick", writes=[("toss", "set", 1), ("ticks", "add", 1)]),
+            Case(0.5, _set("toss", 1), name="quiet", writes=[("toss", "set", 1)]),
+        ],
+    )
+    san.timed(
+        "echo",
+        Deterministic(1.0),
+        enabled=lambda m: m["armed"] > 0,
+        effect=drain,
+    )
+    san.timed(
+        "first",
+        Deterministic(1.0),
+        enabled=lambda m: True,
+        effect=_set("go", 1),
+        writes=[("go", "set", 1)],
+    )
+    san.timed(
+        "watch",
+        Deterministic(0.25),
+        enabled=lambda m: m["done"] % 2 == 1 and m["armed"] >= 0,
+        effect=lambda m, rng: m.__setitem__("seen", m["seen"] + 1),
+        reads=["done", "armed"],
+        writes=[("seen", "add", 1)],
+    )
+    san.instant(
+        "boot",
+        enabled=lambda m: m["live"] == 0,
+        effect=_set("live", 1),
+        reads=["live"],
+        writes=[("live", "set", 1)],
+    )
+    san.instant(
+        "fan",
+        enabled=lambda m: m["go"] == 1,
+        effect=lambda m, rng: (m.__setitem__("go", 0), m.__setitem__("armed", m["armed"] + 1)),
+        reads=["go"],
+        writes=[("go", "set", 0), ("armed", "add", 1)],
+    )
+    san.instant(
+        "coin",
+        enabled=lambda m: m["toss"] == 1,
+        reads=["toss"],
+        cases=[
+            Case(0.5, bump("heads"), name="heads", writes=[("toss", "set", 0), ("heads", "add", 1)]),
+            Case(0.5, bump("tails"), name="tails", writes=[("toss", "set", 0), ("tails", "add", 1)]),
+        ],
+    )
+    return flatten(san)
+
+
+def _settle_tie_observers():
+    return dict(
+        rewards=[ImpulseReward("fans", "w/fan", window=(3.0, 17.0))],
+        traces=[
+            EventTrace("events", "w/*"),
+            BinaryTrace("odd_heads", lambda m: m["w/heads"] % 2 == 1),
+        ],
+    )
+
+
+class TestSettleWriteBack:
+    """The compiled loop keeps the run's scalars in locals and hands them
+    to settle() through the run state: every scalar it writes back before
+    the call and reloads after it must reach the reference trajectory."""
+
+    def _run(self, engine, **kwargs):
+        sim = Simulator(
+            _settle_tie_model(), base_seed=5, engine=engine, verify_every=2, **kwargs
+        )
+        return sim, sim.run(40.0, **_settle_tie_observers())
+
+    def test_auto_matches_reference_event_for_event(self):
+        auto_sim, auto = self._run("auto")
+        _, ref = self._run("reference")
+        assert auto_sim.last_loop == "observed"
+        assert auto.trace("events").events == ref.trace("events").events
+        assert_runs_identical(auto, ref)
+        assert auto.place("w/heads") + auto.place("w/tails") == 40
+        assert auto["fans"].count == 15
+
+    def test_auto_completion_counters(self):
+        # Kernel and case-kernel completions happen on both sides of the
+        # settle() call, so a count lost either way changes the split.
+        sim, result = self._run("auto")
+        assert result.n_events == 257
+        assert (
+            sim.last_kernel_effects,
+            sim.last_case_kernels,
+            sim.last_python_effects,
+        ) == (67, 23, 167)
+
+    @pytest.mark.parametrize("max_events", [7, 58, 121])
+    def test_event_budget_trips_at_the_same_event(self, max_events):
+        errors = []
+        for engine in ("auto", "reference"):
+            with pytest.raises(SimulationBudgetError) as info:
+                self._run(engine, max_events=max_events)
+            errors.append(info.value)
+        auto, ref = errors
+        assert auto.n_events == ref.n_events >= max_events
+        assert auto.sim_time == ref.sim_time
+        assert auto.marking == ref.marking
+        assert auto.rewards == ref.rewards
