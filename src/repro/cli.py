@@ -20,16 +20,40 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import time
 from typing import Sequence
 
 __all__ = ["main", "build_parser"]
 
+#: A ``--splitting`` value that starts with a negative threshold.
+_NEGATIVE_LADDER = re.compile(r"-[0-9.]")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads ``--splitting -0.5,1,7`` as ``--splitting=-0.5,1,7``.
+
+    argparse takes a word that starts with ``-`` for an option unless it
+    is a plain negative number, so a threshold ladder that starts below
+    zero would end in "unrecognized arguments".  A word after
+    ``--splitting`` that starts with ``-`` and then a digit or ``.`` is
+    the ladder; any other word (``--seed``) keeps its meaning.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        i = 0
+        while i < len(args) - 1 and args[i] != "--":
+            if args[i] == "--splitting" and _NEGATIVE_LADDER.match(args[i + 1]):
+                args[i : i + 2] = [f"--splitting={args[i + 1]}"]
+            i += 1
+        return super().parse_known_args(args, namespace)
+
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description=(
             "Dependability analysis of petascale cluster file systems "

@@ -56,7 +56,9 @@ class MarkingVector:
 
     The vector also carries the bookkeeping shared by all views:
     ``changed`` (slots written since the simulator last drained it) and
-    ``reads`` (slots read while tracking is on).
+    ``reads`` (slots read while tracking is on).  ``values``,
+    ``changed`` and ``reads`` are created once and only ever mutated in
+    place, because the simulator's run plan holds them.
     """
 
     __slots__ = ("values", "changed", "reads", "tracking")
@@ -75,12 +77,6 @@ class MarkingVector:
         self.changed.clear()
         self.reads.clear()
         self.tracking = False
-
-    def drain_changed(self) -> set[int]:
-        """Return and clear the set of slots written since the last drain."""
-        changed = self.changed
-        self.changed = set()
-        return changed
 
     def begin_tracking(self) -> None:
         """Start recording read slots into ``reads``.

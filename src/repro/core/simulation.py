@@ -116,9 +116,13 @@ takes, with or without observers:
 A run is one ``_Run`` object: :meth:`Simulator.run` checks its
 arguments, finds the run plan, builds the run's state, resolves the
 stream, initializes t=0, dispatches to an event loop and assembles the
-result.  The state's methods are the one copy of each piece of event
-semantics.  ``Simulator(..., engine="reference")`` runs the general
-event loop, a short loop over those methods, for every model.  It is
+result.  The state holds only what is per run (event state, scalars,
+and observer state only when the plan has rewards or the call passes
+traces); the tables it never replaces it reads from the plan, whose
+compiled-loop tables unpack in one step.  The state's methods are the
+one copy of each piece of event semantics.  ``Simulator(...,
+engine="reference")`` runs the general event loop, a short loop over
+those methods, for every model.  It is
 the differential-testing oracle: ``tests/test_properties_rewards.py``
 asserts the compiled loop, which inlines the per-event body and calls
 the methods on its rare branches only, reproduces it bit-for-bit on
@@ -136,6 +140,7 @@ follows the reference trajectory bit for bit.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 import operator
@@ -177,6 +182,9 @@ _UNSET = object()
 
 #: The integer types run arguments accept (numpy integers included).
 _INTEGERS = (int, np.integer)
+#: The exact type of a start-marking entry that needs no conversion.
+_INT = frozenset((int,))
+_GENERATOR = np.random.Generator
 
 #: Compiled comparison functions for declared write guards
 #: (``OutputGate(..., when=(place, cmp, value))``).
@@ -300,48 +308,6 @@ def _check_number(value, name: str, integer=True, low=None, optional=False):
     raise SimulationError(f"{name} must be {what}, got {value!r}")
 
 
-def _check_run_args(
-    model, until, warmup, initial_marking, stop_predicate, rng
-) -> list[int] | None:
-    """Validate a run's horizon, start marking, stop predicate and rng.
-
-    Returns the start marking as ints, or ``None`` for the model's own.
-    """
-    until = _check_number(until, "until", integer=False)
-    if not 0.0 < until < math.inf:  # also rejects NaN
-        raise SimulationError(f"until must be finite and positive, got {until}")
-    warmup = _check_number(warmup, "warmup", integer=False)
-    if not 0.0 <= warmup < until:
-        raise SimulationError(
-            f"warmup must lie in [0, until), got warmup={warmup}, until={until}"
-        )
-    if stop_predicate is not None and not callable(stop_predicate):
-        raise SimulationError(
-            f"stop_predicate must be callable or None, got {stop_predicate!r}"
-        )
-    if rng is not None and not isinstance(rng, np.random.Generator):
-        raise SimulationError(
-            f"rng must be a numpy.random.Generator or None, got {rng!r}"
-        )
-    if initial_marking is None:
-        return None
-    # An entry's name is formatted only when the entry fails.
-    init_values = [
-        int(v)
-        if isinstance(v, _INTEGERS)
-        else _check_number(v, f"initial_marking[{i}]")
-        for i, v in enumerate(initial_marking)
-    ]
-    if len(init_values) != len(model.initial):
-        raise SimulationError(
-            f"initial_marking has {len(init_values)} entries, "
-            f"model has {len(model.initial)} places"
-        )
-    if init_values and min(init_values) < 0:
-        raise SimulationError("initial_marking entries must be >= 0")
-    return init_values
-
-
 def _form_slot(model: FlatModel, rname: str, place: str) -> int:
     """The one slot a reward form's ``place`` names."""
     slot = model.paths.get(place)
@@ -372,12 +338,16 @@ class _RunPlan:
     tracked discoveries roll back to the declared baseline, form guard
     state is re-initialized at t=0, and results, traces, bounds and loop
     state are built per run.
+
+    A run reads every table it never replaces from the plan (the
+    compiled loop's in one tuple, ``loop_tables``); they are the live
+    objects that promotion, demotion and quarantine update in place.
     """
 
     def __init__(self, program: CompiledProgram, engine: str, rewards: tuple):
         self.engine = engine
         self.rewards = rewards
-        model = program.model
+        self.model = model = program.model
         n_acts = program._n_acts
         rate_rewards: list[RateReward] = []
         impulse_rewards: list[ImpulseReward] = []
@@ -420,7 +390,7 @@ class _RunPlan:
                 imp.append(entry)
                 self.act_watch[aid] = (imp, None)
 
-        c = program.tables()
+        self.c = c = program.tables()
         # The reference engine runs every effect through its Python
         # functions; a sanitized run keeps the kernels to verify them,
         # against flags of its own.
@@ -573,6 +543,81 @@ class _RunPlan:
         self.slot_obs: list[tuple | None] = [None] * n_places
         for s in range(n_places):
             self.refresh_slot(s)
+
+        # What a run reads and never replaces: the program's tables, not
+        # the program, which keeps the plan (no reference cycle).
+        self.vector = vector = c.vector
+        self.values, self.changed = vector.values, vector.changed
+        self.reads = vector.reads
+        self.n_acts, self.act_ids, self.pviews = n_acts, range(n_acts), c.pviews
+        self.act_deps, self.dep_lists = program._act_deps, program._dep_lists
+        self.dep_journal, self.batched_resets = program._dep_journal, c.batched
+        self.pred_memo, self.priorities = program._pred_memo, program._priorities
+        self.u_batch = program.sample_batch
+        self.batch_dynamic = program.sample_batch is not None and program.batch_dynamic
+        # A sanitized run reports the undeclared reads others reject and
+        # always builds observer state.
+        self.sanitize = engine == "sanitize"
+        self.init_undeclared = [] if self.sanitize else c.init_undeclared
+        self.observed = bool(rewards) or self.sanitize
+        # The tables a sanitized run replaces, and its checker (checking()).
+        self.checker = None
+        self.preds, self.dyn_dists, self.declared = c.preds, c.dyn_dists, c.declared
+        self.dyn_verified, self.kern_ok = program._dyn_verified, program._kern_verified
+        self.case_ok = program._case_verified
+        # The exact law types whose instances _Run.dyn_sample accepted.
+        self.law_types: set[type] = set()
+        # The tables settle() reads, in its order.
+        self.settle_tables = (
+            self.declared, self.preds, self.values, self.reads, c.memo_slot,
+            c.pviews, c.views, c.is_timed, c.reactivate, c.samplers,
+            self.pred_memo, self.priorities, heapq.heappush,
+        )
+        # The compiled loop's tables in its prologue's order, ending with
+        # the observer locals of a run without observers.
+        self.loop_tables = (
+            model, vector, self.values, self.changed, self.reads, c.views, c.pviews,
+            c.gview, c.plain1, c.samplers, c.batched_of, c.is_timed, c.memo_slot,
+            c.reactivate, self.pred_memo, self.dep_lists, c.preds, c.declared,
+            self.kernels, self.has_case, self.live_kernels, self.slot_obs,
+            self.form_gstate, self.inline_rates, range(n_rates), bool(rate_rewards),
+            self.reads.clear, self.changed.pop, heapq.heappush, heapq.heappop,
+            heapq.heappushpop, self.act_watch, False, False, (), (), (), (), (), (), (),
+            0, 0, 0,
+        ) if auto else None
+
+    def checking(self, checker) -> _RunPlan:
+        """A copy of this plan for one sanitized run, with ``checker``'s
+        wrappers in place of the predicates, distribution callables and
+        rate rewards, and the declaration and verification flags of the
+        run's own; every other table is this plan's live object.  Every
+        activity evaluates on the tracked path (a wrapper reports and
+        drops a declared activity's undeclared reads), kernels verify on
+        every completion against the run's flags, and every reward
+        evaluates through its checking wrapper."""
+        plan = copy.copy(self)
+        plan.checker = checker
+        c, n_acts = self.c, self.n_acts
+        plan.preds = [checker.predicate(aid, fn) for aid, fn in enumerate(c.preds)]
+        plan.dyn_dists = [
+            fn if fn is None else checker.distribution(aid, fn)
+            for aid, fn in enumerate(c.dyn_dists)
+        ]
+        plan.declared = [False] * n_acts
+        plan.dyn_verified = [False] * n_acts
+        plan.kern_ok = [False] * n_acts
+        plan.case_ok = [f if f is None else [False] * len(f) for f in self.case_ok]
+        for aid, slots in c.init_undeclared:
+            checker.undeclared_reads(c.paths[aid], "enabling predicate", slots)
+        plan.rate_fns = [
+            checker.reward(
+                r, self.form_guards[i], self.form_base[i], self.form_terms[i]
+            )
+            for i, r in enumerate(self.rate_rewards)
+        ]
+        plan.rate_declared = [False] * len(self.rate_rewards)
+        plan.settle_tables = (plan.declared, plan.preds) + self.settle_tables[2:]
+        return plan
 
     def refresh_slot(self, slot: int) -> None:
         """Re-fuse ``slot``'s entry of ``slot_obs``."""
@@ -1476,21 +1521,6 @@ class Simulator:
         """
         self._run_counter = 0
 
-    def _next_stream(self, seed: int | None, rng) -> np.random.Generator:
-        """Resolve a run's generator and use up its stream index.
-
-        Called only once the run's arguments and observers are wired, so
-        a rejected call leaves the next run on the stream a fresh
-        simulator would use.
-        """
-        if rng is None:
-            if seed is None:
-                rng = make_generator(self.base_seed, "run", self._run_counter)
-            else:
-                rng = make_generator(seed)
-        self._run_counter += 1
-        return rng
-
     def _matching_ids(self, pattern: str | Callable[[str], bool]) -> list[int]:
         return self.program._matching_ids(pattern)
 
@@ -1567,27 +1597,71 @@ class Simulator:
             :mod:`repro.experiments.rare`).  Default ``None`` leaves the
             initialization path byte-identical to previous releases.
         """
-        init_values = _check_run_args(
-            self.model, until, warmup, initial_marking, stop_predicate, rng
-        )
+        # Check the arguments first; a float horizon and a list of ints
+        # skip the general checks.  ``init_values``: the start marking.
+        if type(until) is not float:
+            until = _check_number(until, "until", integer=False)
+        if not 0.0 < until < math.inf:  # also rejects NaN
+            raise SimulationError(f"until must be finite and positive, got {until}")
+        if type(warmup) is not float:
+            warmup = _check_number(warmup, "warmup", integer=False)
+        if not 0.0 <= warmup < until:
+            raise SimulationError(
+                f"warmup must lie in [0, until), got warmup={warmup}, until={until}"
+            )
+        if stop_predicate is not None and not callable(stop_predicate):
+            raise SimulationError(
+                f"stop_predicate must be callable or None, got {stop_predicate!r}"
+            )
+        if rng is not None and not isinstance(rng, _GENERATOR):
+            raise SimulationError(
+                f"rng must be a numpy.random.Generator or None, got {rng!r}"
+            )
+        init_values = initial_marking
+        if initial_marking is not None:
+            if type(initial_marking) is not list or not _INT.issuperset(
+                map(type, initial_marking)
+            ):
+                # An entry's name is formatted only when the entry fails.
+                init_values = [
+                    int(v)
+                    if isinstance(v, _INTEGERS)
+                    else _check_number(v, f"initial_marking[{i}]")
+                    for i, v in enumerate(initial_marking)
+                ]
+            if len(init_values) != len(self.model.initial):
+                raise SimulationError(
+                    f"initial_marking has {len(init_values)} entries, "
+                    f"model has {len(self.model.initial)} places"
+                )
+            if init_values and min(init_values) < 0:
+                raise SimulationError("initial_marking entries must be >= 0")
         if seed is not None:
             seed = _check_seed(seed, "seed")
-        p = self.program
         rewards = tuple(rewards)
-        plan = p._plan
-        if (
-            plan is None
-            or plan.engine != self.engine
-            or len(plan.rewards) != len(rewards)
-            or any(map(operator.is_not, plan.rewards, rewards))
+        plan = self.program._plan
+        if plan is None or plan.engine != self.engine or (
+            plan.rewards is not rewards
+            and (
+                len(plan.rewards) != len(rewards)
+                or any(map(operator.is_not, plan.rewards, rewards))
+            )
         ):
+            p = self.program
             plan = p._plan = _RunPlan(p, self.engine, rewards)
         if plan.obs_journal:
             plan.reset_observers()
         state = _Run(self, plan, until, warmup, traces, stop_predicate, init_values)
         # Everything that can reject this call has passed: resolve the
-        # stream (see _next_stream) before the first draw.
-        state.rng = self._next_stream(seed, rng)
+        # stream and use up its index, so a rejected call leaves the next
+        # run on the stream a fresh simulator would use.
+        if rng is None:
+            if seed is None:
+                rng = make_generator(self.base_seed, "run", self._run_counter)
+            else:
+                rng = make_generator(seed)
+        self._run_counter += 1
+        state.rng = rng
         state.initialize(init_values)
         if self.engine == "auto":
             self.last_loop = "observed"
@@ -1602,152 +1676,150 @@ class Simulator:
 # one run
 # ----------------------------------------------------------------------
 class _Run:
-    """The state of one :meth:`Simulator.run`, shared by its parts (see
-    the module docstring).  Building it checks the run's observers and
-    resets the program.
-
-    The run reads the compiled tables (``c``), the run plan and the
-    program directly, except the tables a sanitized run replaces with
-    checking copies, which are attributes.  The run's scalars (``now``,
-    ``seq``, ``epoch``, ``obs_epoch``, ``n_events`` and the effect
-    counters) are attributes too, read and written by the methods and
-    the reference loop; the compiled loop keeps them in locals and
-    writes them back around its :meth:`settle` call and at its end.
+    """The per-run state of one :meth:`Simulator.run`, shared by its
+    parts (see the module docstring); building it checks the run's
+    observers and resets the program.  The scalars (``now``, ``seq``,
+    ``epoch``, ``n_events``, the effect counters) are read and written by
+    the methods and the reference loop; the compiled loop keeps them in
+    locals and writes them back around its :meth:`settle` call and at its
+    end.  A run without observers (``observed`` false) leaves the
+    observer slots unset, and every part that reads them tests
+    ``observed`` first.  Everything else comes from the plan, which a
+    sanitized run replaces with a copy holding its checking tables.
     """
 
     __slots__ = (
-        "sim", "model", "p", "c", "plan", "until", "warmup",
-        "stop_predicate", "deadline", "rng", "checker",
-        # results, probes and traces
+        "sim", "plan", "until", "warmup", "stop_predicate", "deadline",
+        "rng", "act_watch", "observed",
+        # results, probes and traces (observed runs only)
         "results", "rate_results", "rate_values", "rate_integrals",
         "rate_lo", "rate_hi", "probe_list", "probe_pos",
         "binary_traces", "btrace_known", "btrace_views", "btrace_values",
-        "trace_map", "act_watch", "has_observers",
-        # the marking and the tables a sanitized run replaces
-        "vector", "values", "changed", "reads", "preds", "dyn_dists",
-        "declared", "kern_ok", "case_ok", "rate_fns", "rate_declared",
+        "trace_map", "has_observers", "rstamp", "tstamp", "touched_r",
+        "touched_t", "form_viol", "obs_epoch", "last_t",
         # event state
-        "token", "enabled_instant", "inst_enabled", "stamp", "heap",
-        "rstamp", "tstamp", "touched_r", "touched_t", "form_viol", "now",
-        "seq", "epoch", "obs_epoch", "n_events", "n_kernel_effects",
-        "n_case_kernels", "last_t", "stopped_early",
+        "token", "enabled_instant", "inst_enabled", "stamp", "heap", "now",
+        "seq", "epoch", "n_events", "n_kernel_effects", "n_case_kernels",
+        "stopped_early",
         # sampling and verification
-        "u_batch", "u_buf", "u_pos", "dyn_samplers", "verify_every",
-        "has_verify", "quarantine", "verify_left",
+        "u_buf", "u_pos", "dyn_samplers", "verify_left",
     )
 
     def __init__(
         self, sim, plan, until, warmup, traces, stop_predicate, init_values
     ) -> None:
-        model = sim.model
-        p = sim.program
-        c = p.tables()
         self.sim = sim
-        self.model = model
-        self.p = p
-        self.c = c
         self.plan = plan
         self.until = until
         self.warmup = warmup
         self.stop_predicate = stop_predicate
-        sanitize = sim.engine == "sanitize"
-        n_acts = p._n_acts
-
-        # -- this run's results, bounds, probes and traces -------------
-        # A rate reward integrates over its window intersected with
-        # [warmup, until]; probes merge across rewards in time order.
-        rate_rewards = plan.rate_rewards
-        n_rates = len(rate_rewards)
-        self.results = results = {}
-        self.rate_results = rate_results = []
-        self.rate_values = [0.0] * n_rates
-        self.rate_integrals = [0.0] * n_rates
-        self.rate_lo = rate_lo = [warmup] * n_rates
-        self.rate_hi = rate_hi = [until] * n_rates
-        self.probe_list = probe_list = []
-        for i, r in enumerate(rate_rewards):
-            rate_results.append(RewardResult(r.name, "rate"))
-            results[r.name] = rate_results[i]
-            if r.window is not None:
-                w0, w1 = r.window
-                rate_lo[i] = warmup if warmup > w0 else w0
-                rate_hi[i] = until if until < w1 else w1
-            for t in r.probe_times or ():
-                if t > until:
-                    raise SimulationError(
-                        f"rate reward {r.name!r}: probe time {t} "
-                        f"exceeds until={until}"
+        if plan.observed or traces:
+            self.observed = True
+            # A rate reward integrates over its window intersected with
+            # [warmup, until]; probes merge across rewards in time order.
+            rate_rewards = plan.rate_rewards
+            n_rates = len(rate_rewards)
+            self.results = results = {}
+            self.rate_results = rate_results = []
+            self.rate_values = [0.0] * n_rates
+            self.rate_integrals = [0.0] * n_rates
+            self.rate_lo = rate_lo = [warmup] * n_rates
+            self.rate_hi = rate_hi = [until] * n_rates
+            self.probe_list = probe_list = []
+            for i, r in enumerate(rate_rewards):
+                rate_results.append(RewardResult(r.name, "rate"))
+                results[r.name] = rate_results[i]
+                if r.window is not None:
+                    w0, w1 = r.window
+                    rate_lo[i] = warmup if warmup > w0 else w0
+                    rate_hi[i] = until if until < w1 else w1
+                for t in r.probe_times or ():
+                    if t > until:
+                        raise SimulationError(
+                            f"rate reward {r.name!r}: probe time {t} "
+                            f"exceeds until={until}"
+                        )
+                    probe_list.append((t, i))
+            probe_list.sort()
+            self.probe_pos = 0
+            for r, entry in zip(plan.impulse_rewards, plan.impulse_entries):
+                entry[0] = results[r.name] = RewardResult(r.name, "impulse")
+            # A binary trace discovers its reads through its own view,
+            # filtered by its known-slot set.
+            self.binary_traces = binary_traces = []
+            self.btrace_known = btrace_known = []
+            self.btrace_views = btrace_views = []
+            self.trace_map = trace_map = {}
+            event_traces: list[EventTrace] = []
+            for tr in traces:
+                if tr.name in trace_map:
+                    raise SimulationError(f"duplicate trace name {tr.name!r}")
+                trace_map[tr.name] = tr
+                tr.reset()
+                if isinstance(tr, BinaryTrace):
+                    binary_traces.append(tr)
+                    btrace_known.append(set())
+                    btrace_views.append(
+                        LocalView(plan.vector, plan.model.paths, btrace_known[-1])
                     )
-                probe_list.append((t, i))
-        probe_list.sort()
-        self.probe_pos = 0
-        for r, entry in zip(plan.impulse_rewards, plan.impulse_entries):
-            entry[0] = results[r.name] = RewardResult(r.name, "impulse")
-        # A binary trace discovers its reads through its own view,
-        # filtered by its known-slot set.
-        self.binary_traces = binary_traces = []
-        self.btrace_known = btrace_known = []
-        self.btrace_views = btrace_views = []
-        self.trace_map = trace_map = {}
-        event_traces: list[EventTrace] = []
-        for tr in traces:
-            if tr.name in trace_map:
-                raise SimulationError(f"duplicate trace name {tr.name!r}")
-            trace_map[tr.name] = tr
-            tr.reset()
-            if isinstance(tr, BinaryTrace):
-                binary_traces.append(tr)
-                btrace_known.append(set())
-                btrace_views.append(
-                    LocalView(c.vector, model.paths, btrace_known[-1])
-                )
-            elif isinstance(tr, EventTrace):
-                event_traces.append(tr)
-            else:
-                raise SimulationError(f"unsupported trace object: {tr!r}")
-        self.btrace_values = [False] * len(binary_traces)
-        # Completion observers per activity: (the plan's impulse entries,
-        # this run's event traces), or None for the (dominant) unobserved.
-        act_watch = plan.act_watch
-        if event_traces:
-            act_watch = list(act_watch)
-            for tr in event_traces:
-                ids = sim._matching_ids(tr.activity_pattern)
-                if not ids:
-                    raise SimulationError(
-                        f"event trace {tr.name!r} matches no activity "
-                        f"(pattern {tr.activity_pattern!r})"
-                    )
-                for aid in ids:
-                    imp, etr = act_watch[aid] or (None, ())
-                    act_watch[aid] = (imp, [*(etr or ()), tr])
-        self.act_watch = act_watch
-        self.has_observers = bool(plan.impulse_rewards or event_traces)
-        sim.last_reward_kernels = list(plan.reward_kernels)
-        sim.last_python_refresh_rewards = list(plan.python_refresh)
+                elif isinstance(tr, EventTrace):
+                    event_traces.append(tr)
+                else:
+                    raise SimulationError(f"unsupported trace object: {tr!r}")
+            self.btrace_values = [False] * len(binary_traces)
+            # Completion observers per activity: (the plan's impulse entries,
+            # this run's event traces), or None for the (dominant) unobserved.
+            act_watch = plan.act_watch
+            if event_traces:
+                act_watch = list(act_watch)
+                for tr in event_traces:
+                    ids = sim._matching_ids(tr.activity_pattern)
+                    if not ids:
+                        raise SimulationError(
+                            f"event trace {tr.name!r} matches no activity "
+                            f"(pattern {tr.activity_pattern!r})"
+                        )
+                    for aid in ids:
+                        imp, etr = act_watch[aid] or (None, ())
+                        act_watch[aid] = (imp, [*(etr or ()), tr])
+            self.act_watch = act_watch
+            self.has_observers = bool(plan.impulse_rewards or event_traces)
+            sim.last_reward_kernels = list(plan.reward_kernels)
+            sim.last_python_refresh_rewards = list(plan.python_refresh)
+            # Epoch-stamped touched buffers (same scheme as the dirty list):
+            # an observer index is appended at most once per observation epoch.
+            self.rstamp = [0] * n_rates
+            self.tstamp = [0] * len(binary_traces)
+            self.touched_r = []
+            self.touched_t = []
+            self.form_viol = [0] * n_rates
+            self.obs_epoch = 1
+            self.last_t = 0.0
+        else:
+            self.observed = False
+            self.act_watch = plan.act_watch
+            sim.last_reward_kernels = []
+            sim.last_python_refresh_rewards = []
 
-        if c.init_undeclared and not sanitize:
-            aid, slots = c.init_undeclared[0]
-            act = model.activities[aid]
+        if plan.init_undeclared:
+            aid, slots = plan.init_undeclared[0]
+            act = plan.model.activities[aid]
             names = sorted(n for n, s in act.index.items() if s in slots)
             raise SimulationError(
                 f"activity {act.path!r} reads places outside its "
                 f"declared read set: {names}"
             )
-        if p._dep_journal:
-            p._reset_discovered_deps()
-        self.vector = vector = c.vector
-        vector.reset(model.initial if init_values is None else init_values)
-        for reset_sampler in c.batched:
+        if plan.dep_journal:
+            sim.program._reset_discovered_deps()
+        plan.vector.reset(plan.model.initial if init_values is None else init_values)
+        for reset_sampler in plan.batched_resets:
             reset_sampler()
-        self.values = vector.values
-        self.changed = vector.changed
-        self.reads = vector.reads
 
         # -- event state -----------------------------------------------
         # token parity encodes liveness: odd = activity has a live event.
         # Completion and deactivation both bump the token, so a heap
         # entry's token mismatching the current one marks it stale.
+        n_acts = plan.n_acts
         self.token = [0] * n_acts
         self.enabled_instant = [False] * n_acts
         # Currently-enabled instantaneous activities, kept as a set so
@@ -1757,17 +1829,9 @@ class _Run:
         self.inst_enabled = set()
         self.stamp = [0] * n_acts  # epoch marks for dirty-list dedup
         self.heap = []  # (time, seq, aid, token)
-        # Epoch-stamped touched buffers (same scheme as the dirty list):
-        # an observer index is appended at most once per observation epoch.
-        self.rstamp = [0] * n_rates
-        self.tstamp = [0] * len(binary_traces)
-        self.touched_r = []
-        self.touched_t = []
-        self.form_viol = [0] * n_rates
         self.now = 0.0
         self.seq = 0
         self.epoch = 0
-        self.obs_epoch = 1
         self.n_events = 0
         # Only compiled completions are counted per event (free for
         # models without kernels); python-effect completions are derived
@@ -1776,83 +1840,38 @@ class _Run:
         # as python effects).
         self.n_kernel_effects = 0
         self.n_case_kernels = 0
-        self.last_t = 0.0
         self.stopped_early = False
 
         # -- sampling and verification ---------------------------------
         # Uniform block for case selection (batched mode only; kept as a
-        # plain list so selections compare Python floats, not np scalars).
-        self.u_batch = u_batch = p.sample_batch
+        # plain list so selections compare Python floats, not np scalars),
+        # filled by the first draw_uniform.
         self.u_buf = None
-        self.u_pos = 0
         # With batch_dynamic, a law a distribution callable returns is
         # drawn through a sampler cached by its id (the entry holds a
         # strong reference), its own block when batchable; rebuilt every
         # run, as a warm simulator must follow a fresh one's trajectory.
-        # Without batch_dynamic a law is drawn directly.
-        self.dyn_samplers = {} if u_batch is not None and p.batch_dynamic else None
-        # Periodic kernel re-verification (``Simulator(verify_every=N)``):
-        # every N-th completion demotes the firing activity's verified
-        # state, so that completion re-runs the first-completion
-        # verification (Python functions, bit-identical writes, declared
-        # ops cross-checked).  A re-verification failure quarantines the
-        # compiled effect: the activity permanently drops to the Python
-        # path, the run continues — the verifier has already applied the
-        # true writes, so the marking is consistent — and one
-        # RuntimeWarning records the demotion.  ``strict=True`` re-raises
-        # the DeclarationError instead.  A sanitized run re-verifies every
-        # completion and reports its findings (see verify_branch), so it
-        # never raises and never quarantines.
-        self.verify_every = verify_every = 1 if sanitize else sim.verify_every
-        self.has_verify = verify_every is not None
-        self.quarantine = self.has_verify and not sim.strict
-        self.verify_left = verify_every if self.has_verify else 0
-
-        # Declared activities' distribution callables are verified
-        # against the declaration on their first evaluation; kernels
-        # against their gate functions on their first completion.  Both
-        # flags persist across runs (see CompiledProgram): verification
-        # is observation-only, so skipping it on warm programs cannot
-        # change a trajectory.
-        self.preds = c.preds
-        self.dyn_dists = c.dyn_dists
-        self.declared = c.declared
-        self.kern_ok = p._kern_verified
-        self.case_ok = p._case_verified
-        self.rate_fns = plan.rate_fns
-        self.rate_declared = plan.rate_declared
-        self.checker = None
-        if not sanitize:
+        if plan.batch_dynamic:
+            self.dyn_samplers = {}
+        # Periodic kernel re-verification (``Simulator(verify_every=N)``;
+        # ``None``: off): every N-th completion demotes the firing
+        # activity's verified state, so that completion re-runs the
+        # first-completion verification.  A failure quarantines the
+        # compiled effect: the activity drops to the Python path for good
+        # (the verifier already applied the true writes) with one
+        # RuntimeWarning, or ``strict=True`` re-raises it.  A sanitized
+        # run re-verifies every completion and reports, never raises.
+        self.verify_left = sim.verify_every
+        if not plan.sanitize:
             return
-        # A sanitized run swaps the sanitizer's checking wrappers into
-        # these tables.  Every activity then evaluates on the tracked
-        # path; a wrapper reports the reads a declared activity's
-        # filtered view records and drops them, so they never join the
-        # dependency map.  Kernels are verified on every completion
-        # against flags of the run's own: a sanitized run leaves the
-        # program's verification state as it found it.  Every reward
-        # evaluates on the tracked path through its checking wrapper
-        # (read, form and finiteness checks).
+        # A sanitized run reads a copy of the plan with the sanitizer's
+        # checking wrappers swapped in (_RunPlan.checking).
         from .sanitizer import DeclarationChecker
 
-        checker = self.checker = DeclarationChecker(model, vector, self.clock)
-        self.preds = [checker.predicate(aid, fn) for aid, fn in enumerate(c.preds)]
-        self.dyn_dists = [
-            fn if fn is None else checker.distribution(aid, fn)
-            for aid, fn in enumerate(c.dyn_dists)
-        ]
-        self.declared = [False] * n_acts
-        self.kern_ok = [False] * n_acts
-        self.case_ok = [f if f is None else [False] * len(f) for f in self.case_ok]
-        for aid, slots in c.init_undeclared:
-            checker.undeclared_reads(c.paths[aid], "enabling predicate", slots)
-        self.rate_fns = [
-            checker.reward(
-                r, plan.form_guards[i], plan.form_base[i], plan.form_terms[i]
-            )
-            for i, r in enumerate(rate_rewards)
-        ]
-        self.rate_declared = [False] * n_rates
+        self.plan = plan.checking(
+            DeclarationChecker(plan.model, plan.vector, self.clock)
+        )
+        self.verify_left = 1
 
     # -- faults and budgets ----------------------------------------------
     def clock(self) -> tuple[int, float]:
@@ -1863,9 +1882,9 @@ class _Run:
     def fault(self, kind: str, subject: str, message: str) -> None:
         """A model fault found mid-run: raised, or reported when
         sanitizing."""
-        if self.checker is None:
+        if self.plan.checker is None:
             raise SimulationError(message)
-        self.checker.violate(kind, subject, None, message)
+        self.plan.checker.violate(kind, subject, None, message)
 
     def check_budget(self, n_events: int, now: float) -> None:
         """Raise :class:`SimulationBudgetError` once the run has used up
@@ -1884,19 +1903,19 @@ class _Run:
             kind, limit = "max_wall_s", sim.max_wall_s
         else:
             return
-        partial: dict[str, dict] = {
-            res.name: {"kind": "rate", "integral": acc, "value": val}
+        partial: dict[str, dict] = {}
+        if self.observed:
             for res, acc, val in zip(
                 self.rate_results, self.rate_integrals, self.rate_values
-            )
-        }
-        for res in self.results.values():
-            if res.kind == "impulse":
-                partial[res.name] = {
-                    "kind": "impulse",
-                    "impulse_sum": res.impulse_sum,
-                    "count": res.count,
-                }
+            ):
+                partial[res.name] = {"kind": "rate", "integral": acc, "value": val}
+            for res in self.results.values():
+                if res.kind == "impulse":
+                    partial[res.name] = {
+                        "kind": "impulse",
+                        "impulse_sum": res.impulse_sum,
+                        "count": res.count,
+                    }
         raise SimulationBudgetError(
             f"simulation exceeded {kind}={limit!r} after {n_events} "
             f"events at t={now:.6g} (until={self.until:g})",
@@ -1904,7 +1923,7 @@ class _Run:
             limit=limit,
             n_events=n_events,
             sim_time=now,
-            marking={p: self.values[s] for p, s in self.model.paths.items()},
+            marking={p: self.plan.values[s] for p, s in self.plan.model.paths.items()},
             rewards=partial,
         )
 
@@ -1913,17 +1932,17 @@ class _Run:
         raise ``exc`` unless the run quarantines, else drop the activity
         to the Python path for good, with a warning.  The verifier ran
         the Python functions, so the true writes sit in ``changed``."""
-        if not self.quarantine:
+        if self.verify_left is None or self.sim.strict:
             raise exc
         plan = self.plan
         plan.kernels[aid] = None
         plan.live_kernels[aid] = None
-        self.kern_ok[aid] = False
+        plan.kern_ok[aid] = False
         plan.case_kern[aid] = None
         plan.has_case[aid] = False
         warnings.warn(
             f"quarantined compiled effect of activity "
-            f"{self.c.paths[aid]!r}; continuing on the Python path "
+            f"{plan.c.paths[aid]!r}; continuing on the Python path "
             f"({exc})",
             RuntimeWarning,
             stacklevel=6,
@@ -1951,7 +1970,7 @@ class _Run:
         event leaves exactly the value the Python expression would
         return.
         """
-        values = self.values
+        values = self.plan.values
         form_gstate = self.plan.form_gstate
         form_viol = self.form_viol
         rate_values = self.rate_values
@@ -1972,8 +1991,8 @@ class _Run:
 
     def tracked(self, fn: Callable, view: LocalView):
         """``fn(view)`` with read tracking on; the slots it read that
-        ``view`` did not know yet are left in ``self.reads``."""
-        vector = self.vector
+        ``view`` did not know yet are left in the plan's ``reads``."""
+        vector = self.plan.vector
         vector.begin_tracking()
         try:
             return fn(view)
@@ -1984,20 +2003,20 @@ class _Run:
         """Rate reward ``i``'s value.  An undeclared reward evaluates
         tracked, and the slots it newly read join its observer lists."""
         plan = self.plan
-        if self.rate_declared[i]:
-            return float(self.rate_fns[i](plan.rate_views[i]))
-        val = float(self.tracked(self.rate_fns[i], plan.rate_views[i]))
-        if self.reads:
-            plan.observe_reads(plan.rate_known[i], plan.rate_obs, i, self.reads)
+        if plan.rate_declared[i]:
+            return float(plan.rate_fns[i](plan.rate_views[i]))
+        val = float(self.tracked(plan.rate_fns[i], plan.rate_views[i]))
+        if plan.reads:
+            plan.observe_reads(plan.rate_known[i], plan.rate_obs, i, plan.reads)
         return val
 
     def eval_btrace(self, i: int) -> bool:
         """Binary trace ``i``'s value, evaluated tracked; the slots it
         newly read join its observer lists."""
         val = bool(self.tracked(self.binary_traces[i].function, self.btrace_views[i]))
-        if self.reads:
-            plan = self.plan
-            plan.observe_reads(self.btrace_known[i], plan.btrace_obs, i, self.reads)
+        plan = self.plan
+        if plan.reads:
+            plan.observe_reads(self.btrace_known[i], plan.btrace_obs, i, plan.reads)
         return val
 
     def refresh_observers(self, now: float) -> None:
@@ -2023,14 +2042,15 @@ class _Run:
         """Impulse rewards and event traces of a completion of ``aid``
         (``watch``: its non-empty ``act_watch`` entry)."""
         imp, etr = watch
-        gview = self.c.gview
+        c = self.plan.c
+        gview = c.gview
         if imp is not None and now >= self.warmup:
             for res, static, fn, ilo, ihi in imp:
                 if ilo <= now <= ihi:
                     res.impulse_sum += static if fn is None else fn(gview)
                     res.count += 1
         if etr is not None:
-            path = self.c.paths[aid]
+            path = c.paths[aid]
             for tr in etr:
                 tr.record(now, path, gview)
 
@@ -2051,113 +2071,94 @@ class _Run:
         """Wire the slots activity ``aid``'s tracked evaluation newly read
         into the dependency map, journaled so that the next run starts
         from the compile-time map again."""
-        p = self.p
-        known = p._act_deps[aid]
-        for slot in self.reads:
+        plan = self.plan
+        known = plan.act_deps[aid]
+        for slot in plan.reads:
             if slot not in known:
                 known.add(slot)
-                p._dep_lists[slot].append(aid)
-                p._dep_journal.append((aid, slot))
+                plan.dep_lists[slot].append(aid)
+                plan.dep_journal.append((aid, slot))
 
     def dyn_sample(self, aid: int) -> float:
         """A delay from activity ``aid``'s marking-dependent distribution:
         the callable evaluates under tracking (or, for declared-reads
         activities, with tracking skipped after a verified first
         evaluation), and the law it returns is drawn from."""
-        c = self.c
-        if not self.declared[aid]:
-            dist = self.tracked(self.dyn_dists[aid], c.views[aid])
-            if self.reads:
+        plan = self.plan
+        # Only declared activities verify (a sanitized run's flags are off).
+        if plan.dyn_verified[aid]:
+            dist = plan.dyn_dists[aid](plan.pviews[aid])
+        elif not plan.declared[aid]:
+            dist = self.tracked(plan.dyn_dists[aid], plan.c.views[aid])
+            if plan.reads:
                 self.discover(aid)
-        elif self.p._dyn_verified[aid]:
-            dist = self.dyn_dists[aid](c.pviews[aid])
         else:
             # First activation on this program: evaluate tracked through
             # the declaration-filtered view, so anything recorded is an
             # undeclared read — the dependency map would miss its updates
             # (same check as the predicates at compile time and declared
             # rate rewards at t=0).
-            dist = self.tracked(self.dyn_dists[aid], c.views[aid])
-            reads = self.reads
+            dist = self.tracked(plan.dyn_dists[aid], plan.c.views[aid])
+            reads = plan.reads
             if reads:
-                index = self.model.activities[aid].index
+                index = plan.model.activities[aid].index
                 names = sorted(n for n, s in index.items() if s in reads)
                 raise SimulationError(
-                    f"activity {c.paths[aid]!r}: distribution callable "
+                    f"activity {plan.c.paths[aid]!r}: distribution callable "
                     f"reads places outside the declared read set: {names}"
                 )
             # only a verified evaluation may skip future checks
-            self.p._dyn_verified[aid] = True
-        cache = self.dyn_samplers
-        sample = None if cache is None else cache.get(id(dist))
-        if sample is None:
-            if not isinstance(dist, Distribution):
-                raise SimulationError(
-                    f"activity {c.paths[aid]!r}: "
-                    "distribution callable did not return a Distribution"
-                )
-            sample = dist.sample
-            if cache is not None:
+            plan.dyn_verified[aid] = True
+        if not plan.batch_dynamic:
+            if type(dist) not in plan.law_types:
+                self.check_law(aid, dist)
+            delay = dist.sample(self.rng)
+        else:
+            cache = self.dyn_samplers
+            sample = cache.get(id(dist))
+            if sample is None:
+                if type(dist) not in plan.law_types:
+                    self.check_law(aid, dist)
+                sample = dist.sample
                 if dist.batchable:
-                    sample = BatchedSampler(dist, self.u_batch).sample
+                    sample = BatchedSampler(dist, plan.u_batch).sample
                 cache[id(dist)] = sample
-        delay = sample(self.rng)
+            delay = sample(self.rng)
         if not delay >= 0.0:  # also catches NaN
             raise SimulationError(
-                f"activity {c.paths[aid]!r} sampled invalid delay {delay!r}"
+                f"activity {plan.c.paths[aid]!r} sampled invalid delay {delay!r}"
             )
         return delay
 
-    def update_timed(self, aid: int, en: bool) -> None:
-        """Apply an enabling-state change to a timed activity.
-
-        Activations whose completion falls beyond ``until`` are never
-        pushed: they could only be popped after the loop's horizon
-        check, so their absence cannot change the fired-event sequence
-        (lazy cancellation tolerates missing entries — a later disable
-        just bumps the token).  The stream and ``seq`` assignment are
-        untouched, so trajectories are bit-identical; the fleet models'
-        heaps shrink by every idle-component lifetime that exceeds the
-        run (most of a petascale year's 4800 disk draws).
-        """
-        token = self.token
-        tok = token[aid]
-        if en:
-            if not tok & 1:
-                tok += 1
-            elif self.c.reactivate[aid]:
-                tok += 2
-            else:
-                return
-            token[aid] = tok
-            sampler = self.c.samplers[aid]
-            delay = sampler(self.rng) if sampler is not None else self.dyn_sample(aid)
-            ft = self.now + delay
-            if ft <= self.until:
-                heapq.heappush(self.heap, (ft, self.seq, aid, tok))
-            self.seq += 1
-        elif tok & 1:
-            token[aid] = tok + 1
+    def check_law(self, aid: int, dist) -> None:
+        """Admit ``dist``'s exact type to ``law_types`` if it is a Distribution."""
+        if not isinstance(dist, Distribution):
+            raise SimulationError(
+                f"activity {self.plan.c.paths[aid]!r}: "
+                "distribution callable did not return a Distribution"
+            )
+        self.plan.law_types.add(type(dist))
 
     # -- event execution -------------------------------------------------
     def draw_uniform(self) -> float:
         """One case-selection uniform: a direct draw per selection, or
         the next entry of the run's uniform block."""
-        u_batch = self.u_batch
+        u_batch = self.plan.u_batch
         if u_batch is None:
             return self.rng.uniform()
         buf = self.u_buf
-        pos = self.u_pos
-        if buf is None or pos >= u_batch:
+        # u_pos is set with the first block
+        if buf is None or self.u_pos >= u_batch:
             buf = self.u_buf = self.rng.random(u_batch).tolist()
-            pos = 0
+            self.u_pos = 0
+        pos = self.u_pos
         self.u_pos = pos + 1
         return buf[pos]
 
     def fire_python(self, aid: int) -> None:
         """Complete ``aid`` through its Python functions: input gates,
         the selected case, output gates."""
-        c = self.c
+        c = self.plan.c
         view = c.views[aid]
         rng = self.rng
         for fn in c.ig_fns[aid]:
@@ -2170,8 +2171,8 @@ class _Run:
 
     def fire_cases(self, aid: int, view: LocalView, ct) -> None:
         """Select and execute one case (consumes exactly one uniform)."""
-        if self.checker is not None:
-            self.checker.checks["case_selections"] += 1
+        if self.plan.checker is not None:
+            self.plan.checker.checks["case_selections"] += 1
         u = self.draw_uniform()
         rng = self.rng
         bounds, cases = ct
@@ -2186,7 +2187,7 @@ class _Run:
         probs = [case.probability_in(view) for case in cases]
         total = sum(probs)
         if not (abs(total - 1.0) <= 1e-9):
-            path = self.c.paths[aid]
+            path = self.plan.c.paths[aid]
             self.fault(
                 "case-sum",
                 path,
@@ -2215,10 +2216,11 @@ class _Run:
         functions a recording rng proxy that passes draws through, so
         its stream stays the reference loop's.
         """
-        values = self.values
-        checker = self.checker
+        plan = self.plan
+        values = plan.values
+        checker = plan.checker
         pre = [values[slot] for slot, _a, _v, _d in ops]
-        view = self.c.views[aid]
+        view = plan.c.views[aid]
         effect_rng = _RNG_GUARD if checker is None else checker.effect_rng(self.rng)
         for fn in fns:
             fn(view, effect_rng)
@@ -2226,12 +2228,12 @@ class _Run:
         for (slot, is_add, amount, _dl), p0 in zip(ops, pre):
             cur = predicted.get(slot, p0)
             predicted[slot] = cur + amount if is_add else amount
-        undeclared = [s for s in self.changed if s not in predicted]
+        undeclared = [s for s in plan.changed if s not in predicted]
         wrong = [s for s, v in predicted.items() if values[s] != v or v < 0]
         if checker is not None:
             checker.writes(aid, effect_rng, undeclared, wrong, predicted)
         elif undeclared or wrong:
-            model = self.model
+            model = plan.model
             parts = []
             if undeclared:
                 parts.append(
@@ -2246,7 +2248,7 @@ class _Run:
             self.quarantine_effect(
                 aid,
                 DeclarationError(
-                    f"activity {self.c.paths[aid]!r}: declared writes do not "
+                    f"activity {plan.c.paths[aid]!r}: declared writes do not "
                     f"match {label} ({'; '.join(parts)})"
                 ),
             )
@@ -2256,8 +2258,9 @@ class _Run:
     def verify_kernel(self, aid: int) -> bool:
         """Verify ``aid``'s gate-write kernel against its gate functions
         (which fire it); returns whether it is now verified."""
-        self.kern_ok[aid] = ok = self.verify_branch(
-            aid, self.plan.kernels[aid], self.c.og_fns[aid], "its gate functions"
+        plan = self.plan
+        plan.kern_ok[aid] = ok = self.verify_branch(
+            aid, plan.kernels[aid], plan.c.og_fns[aid], "its gate functions"
         )
         return ok
 
@@ -2272,10 +2275,11 @@ class _Run:
         Python functions (the writes then sit in ``changed``,
         bit-identical).
         """
-        bounds, guard, branch_ops, branch_fns, labels = self.plan.case_kern[aid]
+        plan = self.plan
+        bounds, guard, branch_ops, branch_fns, labels = plan.case_kern[aid]
         if bounds is None:
             slot, cmp_fn, gval = guard
-            idx = 0 if cmp_fn(self.values[slot], gval) else 1
+            idx = 0 if cmp_fn(plan.values[slot], gval) else 1
         else:
             u = self.draw_uniform()
             idx = len(bounds) - 1
@@ -2283,7 +2287,7 @@ class _Run:
                 if u <= acc:
                     idx = i
                     break
-        flags = self.case_ok[aid]
+        flags = plan.case_ok[aid]
         if flags[idx]:
             return branch_ops[idx]
         flags[idx] = self.verify_branch(
@@ -2296,11 +2300,12 @@ class _Run:
         N-th demotes its verified kernels, so it re-verifies them."""
         self.verify_left -= 1
         if self.verify_left <= 0:
-            self.verify_left = self.verify_every
-            if self.kern_ok[aid]:
-                self.kern_ok[aid] = False
-                self.plan.live_kernels[aid] = None
-            cflags = self.case_ok[aid]
+            plan = self.plan
+            self.verify_left = 1 if plan.checker is not None else self.sim.verify_every
+            if plan.kern_ok[aid]:
+                plan.kern_ok[aid] = False
+                plan.live_kernels[aid] = None
+            cflags = plan.case_ok[aid]
             if cflags is not None:
                 cflags[:] = [False] * len(cflags)
 
@@ -2311,11 +2316,12 @@ class _Run:
         the reference engine sees an all-None kernel table and always
         calls the Python gate functions."""
         self.n_events += 1
-        if self.has_verify:
+        if self.verify_left is not None:
             self.verify_countdown(aid)
-        ops = self.plan.kernels[aid]
+        plan = self.plan
+        ops = plan.kernels[aid]
         if ops is None:
-            if self.plan.case_kern[aid] is not None:
+            if plan.case_kern[aid] is not None:
                 # No ops: the selection verified its branch through the
                 # Python functions, whose writes sit in ``changed``.
                 ops = self.select_case_branch(aid)
@@ -2323,19 +2329,19 @@ class _Run:
                     self.n_case_kernels += 1
             else:
                 self.fire_python(aid)
-        elif self.kern_ok[aid]:
+        elif plan.kern_ok[aid]:
             self.n_kernel_effects += 1
         else:
             ops = None
             self.verify_kernel(aid)
         if ops is not None:
-            values = self.values
-            changed = self.changed
+            values = plan.values
+            changed = plan.changed
             for slot, is_add, amount, _dl in ops:
                 if is_add:
                     v = values[slot] + amount
                     if v < 0:
-                        _kernel_negative(self.model, aid, slot, v)
+                        _kernel_negative(plan.model, aid, slot, v)
                     values[slot] = v
                     changed.add(slot)
                 elif values[slot] != amount:
@@ -2352,45 +2358,49 @@ class _Run:
         per epoch), and clear the record."""
         plan = self.plan
         form_upd, rate_obs, btrace_obs = plan.form_upd, plan.rate_obs, plan.btrace_obs
-        epoch, obs_epoch, stamp = self.epoch, self.obs_epoch, self.stamp
-        rstamp, tstamp, touched_r, touched_t = (
-            self.rstamp, self.tstamp, self.touched_r, self.touched_t
-        )
-        dep_lists = self.p._dep_lists
-        changed = self.changed
+        epoch, stamp = self.epoch, self.stamp
+        dep_lists = plan.dep_lists
+        changed = plan.changed
         for slot in changed:
             if form_upd[slot] is not None:
                 self.apply_forms(slot)
             rlist = rate_obs[slot]
             if rlist is not None:
-                for i in rlist:
-                    if rstamp[i] != obs_epoch:
-                        rstamp[i] = obs_epoch
-                        touched_r.append(i)
+                self.touch(rlist, self.rstamp, self.touched_r)
             tlist = btrace_obs[slot]
             if tlist is not None:
-                for i in tlist:
-                    if tstamp[i] != obs_epoch:
-                        tstamp[i] = obs_epoch
-                        touched_t.append(i)
+                self.touch(tlist, self.tstamp, self.touched_t)
             for d in dep_lists[slot]:
                 if stamp[d] != epoch:
                     stamp[d] = epoch
                     dirty.append(d)
         changed.clear()
 
+    def touch(self, observers: list[int], stamps: list[int], touched: list[int]):
+        """Append each of ``observers`` to ``touched`` once per epoch."""
+        obs_epoch = self.obs_epoch
+        for i in observers:
+            if stamps[i] != obs_epoch:
+                stamps[i] = obs_epoch
+                touched.append(i)
+
     def settle(self, dirty: list[int]) -> None:
         """Update timed enabling and run the instantaneous fixpoint.
 
         ``dirty`` holds unique activity ids; they are processed in
         ascending id order (the canonical deterministic order).
+
+        Activations due beyond ``until`` are never pushed (they could only
+        pop after the horizon check, and lazy cancellation tolerates the
+        gap); the stream and ``seq`` are untouched, so this is exact.
         """
-        c, p = self.c, self.p
-        declared, preds, values = self.declared, self.preds, self.values
-        memo_slot, pviews, views, is_timed = c.memo_slot, c.pviews, c.views, c.is_timed
-        pred_memo, priorities = p._pred_memo, p._priorities
+        (
+            declared, preds, values, reads, memo_slot, pviews, views,
+            is_timed, reactivate, samplers, pred_memo, priorities, heappush,
+        ) = self.plan.settle_tables
         enabled_instant, inst_enabled = self.enabled_instant, self.inst_enabled
-        max_chain = self.sim.max_instant_chain
+        token, heap, seq = self.token, self.heap, self.seq
+        rng, now, until = self.rng, self.now, self.until
         chain = 0
         while True:
             dirty.sort()
@@ -2407,19 +2417,37 @@ class _Run:
                             mdict[values[ms]] = en
                 else:
                     en = self.tracked(preds[aid], views[aid])
-                    if self.reads:
+                    if reads:
                         self.discover(aid)
-                if is_timed[aid]:
-                    self.update_timed(aid, en)
-                elif en != enabled_instant[aid]:
-                    enabled_instant[aid] = en
-                    if en:
-                        inst_enabled.add(aid)
+                if not is_timed[aid]:
+                    if en != enabled_instant[aid]:
+                        enabled_instant[aid] = en
+                        if en:
+                            inst_enabled.add(aid)
+                        else:
+                            inst_enabled.discard(aid)
+                    continue
+                tok = token[aid]
+                if en:
+                    if not tok & 1:
+                        tok += 1
+                    elif reactivate[aid]:
+                        tok += 2
                     else:
-                        inst_enabled.discard(aid)
+                        continue
+                    token[aid] = tok
+                    sm = samplers[aid]
+                    delay = sm(rng) if sm is not None else self.dyn_sample(aid)
+                    ft = now + delay
+                    if ft <= until:
+                        heappush(heap, (ft, seq, aid, tok))
+                    seq += 1
+                elif tok & 1:
+                    token[aid] = tok + 1
             del dirty[:]
 
             if not inst_enabled:
+                self.seq = seq
                 return
             # Highest priority first; ties broken by definition order
             # (lowest id).  The explicit tie-break makes the choice
@@ -2433,10 +2461,11 @@ class _Run:
                     best = iid
                     best_pri = pri
             chain += 1
-            if chain > max_chain:
+            if chain > self.sim.max_instant_chain:
                 raise InstantaneousLoopError(
-                    f"more than {max_chain} instantaneous firings at "
-                    f"t={self.now}; last activity {c.paths[best]!r}"
+                    f"more than {self.sim.max_instant_chain} instantaneous "
+                    f"firings at t={now}; last activity "
+                    f"{self.plan.c.paths[best]!r}"
                 )
             self.fire(best)
             self.epoch += 1
@@ -2447,15 +2476,16 @@ class _Run:
         """Time 0: schedule the enabled timed activities, settle the
         instants, evaluate every observer and start the wall-clock
         budget."""
-        c = self.c
         if init_values is None:
             # The model's own initial marking: the initially enabled
             # activities were pre-computed at compile time, so only the
             # delay draws and the instantaneous fixpoint are per-run
             # work.  Entries are heapified in one O(n) pass; the pop
             # order, a pure function of the (time, seq) order, is that
-            # of pushing them.  The loop mirrors update_timed for a
-            # fresh (token 0, enabled) activity, horizon filter included.
+            # of pushing them.  The loop mirrors settle's timed update
+            # for a fresh (token 0, enabled) activity, horizon filter
+            # included.
+            c = self.plan.c
             heap, token, samplers = self.heap, self.token, c.samplers
             rng, until = self.rng, self.until
             seq = 0
@@ -2479,75 +2509,79 @@ class _Run:
             # enabling is re-derived through settle(), in the ascending
             # id order (and so the draw order) the precomputed loop uses,
             # followed by the instantaneous fixpoint.
-            self.settle(list(range(len(self.token))))
-        # Discard observer touches from the t=0 fixpoint: every observer
-        # is evaluated fresh below.  Bump the epoch so the stale stamps
-        # cannot suppress the first event's touches.
-        del self.touched_r[:]
-        del self.touched_t[:]
-        self.obs_epoch += 1
-
-        plan = self.plan
-        values = self.values
-        rate_values = self.rate_values
-        for i in range(len(rate_values)):
-            if self.rate_declared[i]:
-                # The filtered view records any read outside the
-                # declaration; a non-empty record means the declaration
-                # is wrong and the observer lists would miss updates.
-                fn_val = float(self.tracked(self.rate_fns[i], plan.rate_views[i]))
-                reads = self.reads
-                if reads:
-                    slot_names = sorted(
-                        path for path, s in self.model.paths.items() if s in reads
+            self.settle(list(self.plan.act_ids))
+        if self.observed:
+            # Evaluate every observer on the settled t=0 marking; the epoch
+            # bump voids the stamps of the discarded t=0 touches.
+            del self.touched_r[:]
+            del self.touched_t[:]
+            self.obs_epoch += 1
+            plan = self.plan
+            values = plan.values
+            rate_values = self.rate_values
+            for i in range(len(rate_values)):
+                if plan.rate_declared[i]:
+                    # The filtered view records any read outside the
+                    # declaration; a non-empty record means the declaration
+                    # is wrong and the observer lists would miss updates.
+                    fn_val = float(self.tracked(plan.rate_fns[i], plan.rate_views[i]))
+                    reads = plan.reads
+                    if reads:
+                        slot_names = sorted(
+                            path for path, s in plan.model.paths.items() if s in reads
+                        )
+                        raise SimulationError(
+                            f"rate reward {plan.rate_rewards[i].name!r} reads "
+                            f"places outside its declared read set: {slot_names}"
+                        )
+                else:
+                    fn_val = self.eval_rate(i)
+                if not plan.form_compiled[i]:
+                    rate_values[i] = fn_val
+                    continue
+                # Initialize the kernel's guard bookkeeping from the settled
+                # t=0 marking and verify the kernel value against the Python
+                # expression — the same first-evaluation contract as the
+                # gate/case kernels.  A mismatch means the declared form
+                # disagrees with the reward function, so the incremental
+                # updates would silently diverge.
+                guards = plan.form_guards[i]
+                gstate = plan.form_gstate[i]
+                for gj, (gcmp, gv, sa, sb) in enumerate(guards):
+                    gstate[gj] = not gcmp(
+                        values[sa] if sb < 0 else values[sa] - values[sb], gv
                     )
+                self.form_viol[i] = sum(gstate)
+                kval = _form_value(
+                    values, guards, plan.form_base[i], plan.form_terms[i]
+                )
+                if kval != fn_val:
                     raise SimulationError(
-                        f"rate reward {plan.rate_rewards[i].name!r} reads "
-                        f"places outside its declared read set: {slot_names}"
+                        f"rate reward {plan.rate_rewards[i].name!r}: declared "
+                        f"form evaluates to {kval!r} at t=0 but the reward "
+                        f"function returned {fn_val!r}; the form does not "
+                        "match the expression"
                     )
-            else:
-                fn_val = self.eval_rate(i)
-            if not plan.form_compiled[i]:
-                rate_values[i] = fn_val
-                continue
-            # Initialize the kernel's guard bookkeeping from the settled
-            # t=0 marking and verify the kernel value against the Python
-            # expression — the same first-evaluation contract as the
-            # gate/case kernels.  A mismatch means the declared form
-            # disagrees with the reward function, so the incremental
-            # updates would silently diverge.
-            guards = plan.form_guards[i]
-            gstate = plan.form_gstate[i]
-            for gj, (gcmp, gv, sa, sb) in enumerate(guards):
-                gstate[gj] = not gcmp(
-                    values[sa] if sb < 0 else values[sa] - values[sb], gv
-                )
-            self.form_viol[i] = sum(gstate)
-            kval = _form_value(values, guards, plan.form_base[i], plan.form_terms[i])
-            if kval != fn_val:
-                raise SimulationError(
-                    f"rate reward {plan.rate_rewards[i].name!r}: declared "
-                    f"form evaluates to {kval!r} at t=0 but the reward "
-                    f"function returned {fn_val!r}; the form does not "
-                    "match the expression"
-                )
-            rate_values[i] = kval
-        for i, tr in enumerate(self.binary_traces):
-            self.btrace_values[i] = self.eval_btrace(i)
-            tr.observe(0.0, self.btrace_values[i])
-        wall_s = self.sim.max_wall_s
-        self.deadline = None if wall_s is None else time.monotonic() + wall_s
+                rate_values[i] = kval
+            for i, tr in enumerate(self.binary_traces):
+                self.btrace_values[i] = self.eval_btrace(i)
+                tr.observe(0.0, self.btrace_values[i])
+        if self.sim.max_wall_s is None:
+            self.deadline = None
+        else:
+            self.deadline = time.monotonic() + self.sim.max_wall_s
 
     def reference_loop(self) -> None:
         """The general event loop: every feature, no inlining.  It is the
         oracle the compiled loop is differentially tested against."""
         heap, token, stamp, until = self.heap, self.token, self.stamp, self.until
         has_budget = self.sim.max_events is not None or self.deadline is not None
-        has_rates = bool(self.rate_values)
-        touched_r = self.touched_r
+        observed = self.observed
+        has_rates = observed and bool(self.rate_values)
         # A sanitized run refreshes (and so checks) every rate reward.
-        check_all = range(len(self.rate_values)) if self.checker is not None else None
+        check_all = None if self.plan.checker is None else range(len(self.rate_values))
         stop_predicate = self.stop_predicate
+        gview = self.plan.c.gview
         dirty: list[int] = []
         while heap:
             ftime, _s, aid, tok = heapq.heappop(heap)
@@ -2557,7 +2591,8 @@ class _Run:
                 break
             if has_budget:
                 self.check_budget(self.n_events, self.now)
-            self.flush_probes(ftime)
+            if observed:
+                self.flush_probes(ftime)
             if has_rates:
                 self.integrate(self.last_t, ftime)
                 self.last_t = ftime
@@ -2570,11 +2605,12 @@ class _Run:
             dirty.append(aid)
             self.drain_changed(dirty)
             self.settle(dirty)
-            if check_all is not None:
-                touched_r[:] = check_all
-            self.refresh_observers(ftime)
-            self.obs_epoch += 1
-            if stop_predicate is not None and stop_predicate(self.c.gview):
+            if observed:
+                if check_all is not None:
+                    self.touched_r[:] = check_all
+                self.refresh_observers(ftime)
+                self.obs_epoch += 1
+            if stop_predicate is not None and stop_predicate(gview):
                 self.stopped_early = True
                 break
 
@@ -2588,7 +2624,7 @@ class _Run:
         bit-for-bit.
 
         NOTE: the per-event body inlines fire(), the dirty pass of
-        settle() with update_timed(), and (in the op block)
+        settle() with its timed update, and (in the op block)
         apply_forms(); keep the sites in sync.
 
         The most recent activation is held in ``pending`` instead of
@@ -2596,56 +2632,50 @@ class _Run:
         min(heap ∪ {pending}) with a single heappushpop sift, which is
         what push-then-pop would return, at nearly half the cost.
         """
-        # Everything the event loop touches is a local, unpacked once.
-        c, p, plan = self.c, self.p, self.plan
-        model, heap, token, stamp = self.model, self.heap, self.token, self.stamp
-        vector, values, changed = self.vector, self.values, self.changed
-        reads = self.reads
-        views, pviews, gview, plain1 = c.views, c.pviews, c.gview, c.plain1
-        samplers, batched_of, is_timed = c.samplers, c.batched_of, c.is_timed
-        memo_slot, reactivate = c.memo_slot, c.reactivate
-        pred_memo, dep_lists = p._pred_memo, p._dep_lists
-        preds, declared = self.preds, self.declared
-        kernels, has_case = plan.kernels, plan.has_case
-        live_kernels, slot_obs = plan.live_kernels, plan.slot_obs
-        form_gstate, inline_rates = plan.form_gstate, plan.inline_rates
+        # Everything the event loop touches is a local, unpacked once:
+        # the plan's tables in one step (a run without observers keeps
+        # their empty observer locals), then the run's state.
+        (
+            model, vector, values, changed, reads, views, pviews, gview, plain1,
+            samplers, batched_of, is_timed, memo_slot, reactivate, pred_memo, dep_lists,
+            preds, declared, kernels, has_case, live_kernels, slot_obs, form_gstate,
+            inline_rates, rate_range, has_rates, reads_clear, changed_pop, heappush,
+            heappop, heappushpop, act_watch, has_observers, has_tracked_obs,
+            rate_values, rate_integrals, form_viol, rstamp, tstamp, touched_r,
+            touched_t, n_probes, probe_pos, obs_epoch,
+        ) = self.plan.loop_tables
+        heap, token, stamp = self.heap, self.token, self.stamp
         enabled_instant, inst_enabled = self.enabled_instant, self.inst_enabled
-        act_watch, has_observers = self.act_watch, self.has_observers
-        rate_values, rate_integrals = self.rate_values, self.rate_integrals
-        rate_range, has_rates = range(len(rate_values)), bool(rate_values)
-        form_viol = self.form_viol
-        rstamp, tstamp, touched_r, touched_t = (
-            self.rstamp, self.tstamp, self.touched_r, self.touched_t
-        )
+        if self.observed:
+            act_watch, has_observers = self.act_watch, self.has_observers
+            rate_values, rate_integrals = self.rate_values, self.rate_integrals
+            form_viol = self.form_viol
+            rstamp, tstamp, touched_r, touched_t = (
+                self.rstamp, self.tstamp, self.touched_r, self.touched_t
+            )
+            n_probes, probe_pos = len(self.probe_list), self.probe_pos
+            obs_epoch = self.obs_epoch
+            # True iff some slot feeds a tracked observer (python-refresh
+            # reward or binary trace), t=0 discoveries included; when
+            # False the touched buffers never fill, and the loop skips the
+            # per-event refresh check and epoch bump.
+            plan = self.plan
+            has_tracked_obs = plan.tracked_baseline or bool(plan.obs_journal)
         until, warmup, rng = self.until, self.warmup, self.rng
-        has_verify = self.has_verify
-        n_probes, probe_pos = len(self.probe_list), self.probe_pos
+        has_verify = self.verify_left is not None
         stop_predicate = self.stop_predicate
         has_stop = stop_predicate is not None
         has_budget = self.sim.max_events is not None or self.deadline is not None
-        # True iff some slot feeds a tracked observer (python-refresh
-        # reward or binary trace).  Read after the t=0 evaluations, so
-        # initial discovery is included; when False, the touched buffers
-        # can never fill mid-run (every drain site walks
-        # rate_obs/btrace_obs entries, all None) and the loop skips the
-        # per-event refresh check and epoch bump entirely.  The lists
-        # beyond the declared baseline are exactly the journaled
-        # discoveries.
-        has_tracked_obs = plan.tracked_baseline or bool(plan.obs_journal)
         # The run's scalars, written back around settle() and at the end.
-        now = self.now
+        # t=0 settles at now = 0.0 and integrates nothing.
+        now = last_t = 0.0
         seq = self.seq
         epoch = self.epoch
-        obs_epoch = self.obs_epoch
         n_events = self.n_events
         n_kernel_effects = self.n_kernel_effects
         n_case_kernels = self.n_case_kernels
-        last_t = self.last_t
         dirty: list[int] = []
-        reads_clear, changed_pop = reads.clear, changed.pop
         dirty_clear, dirty_sort, dirty_append = dirty.clear, dirty.sort, dirty.append
-        heappush, heappop = heapq.heappush, heapq.heappop
-        heappushpop = heapq.heappushpop
         pending: tuple[float, int, int, int] | None = None
         # A completed event's token always mismatches (completion and
         # deactivation both bump it), so the token check alone detects
@@ -2866,7 +2896,7 @@ class _Run:
                         delay = self.dyn_sample(aid2)
                     ft = now + delay
                     # beyond-horizon activations never enter the heap
-                    # (see update_timed: bit-identical trajectories)
+                    # (see settle: bit-identical trajectories)
                     if ft <= until:
                         if pending is None:
                             pending = (ft, seq, aid2, tok2)
@@ -2916,24 +2946,38 @@ class _Run:
 
     def result(self) -> RunResult:
         """Close the run: final integration, checks, result assembly."""
-        sim = self.sim
-        n_events = self.n_events
-        sim.last_kernel_effects = self.n_kernel_effects
-        sim.last_case_kernels = self.n_case_kernels
-        sim.last_python_effects = (
-            n_events - self.n_kernel_effects - self.n_case_kernels
-        )
-        until = self.until
-        warmup = self.warmup
+        sim, n_events = self.sim, self.n_events
+        sim.last_kernel_effects = n_kernel = self.n_kernel_effects
+        sim.last_case_kernels = n_case = self.n_case_kernels
+        sim.last_python_effects = n_events - n_kernel - n_case
         stopped_early = self.stopped_early
-        end_time = self.now if stopped_early else until
+        end_time = self.now if stopped_early else self.until
+        duration = max(end_time - self.warmup, 0.0)
+        if self.observed:
+            rewards, traces, report = self.close(end_time, duration)
+        else:
+            rewards, traces, report = {}, {}, None
+        plan = self.plan
+        return RunResult(
+            final_time=end_time,
+            duration=duration,
+            n_events=n_events,
+            rewards=rewards,
+            traces=traces,
+            stopped_early=stopped_early,
+            sanitizer_report=report,
+            _final_values=list(plan.values),
+            _paths=plan.model.paths,
+        )
+
+    def close(self, end_time: float, duration: float) -> tuple[dict, dict, object]:
+        """Close an observed run: ``(rewards, traces, sanitizer report)``."""
         self.integrate(self.last_t, end_time)
         # NaN/inf accumulation guard: a reward expression that produced a
         # non-finite value poisons every downstream statistic silently
         # (means, CIs, sweep tables), so fail the run loudly instead.
         # Once per run, not per event — free on the hot path.
-        rate_results = self.rate_results
-        results = self.results
+        rate_results, results = self.rate_results, self.results
         for res, acc in zip(rate_results, self.rate_integrals):
             if not math.isfinite(acc):
                 self.fault(
@@ -2944,7 +2988,6 @@ class _Run:
                     "produced NaN or inf during the run",
                 )
             res.integral = acc
-        duration = max(end_time - warmup, 0.0)
         for res in results.values():
             res.duration = duration
             if res.kind == "impulse" and not math.isfinite(res.impulse_sum):
@@ -2956,16 +2999,17 @@ class _Run:
                     "to NaN or inf during the run",
                 )
         report = None
-        if self.checker is not None:
-            report = self.checker.finish(n_events, end_time, sim.strict)
-        if not stopped_early:
+        checker = self.plan.checker
+        if checker is not None:
+            report = checker.finish(self.n_events, end_time, self.sim.strict)
+        if not self.stopped_early:
             # The marking is constant from the last event to ``until``,
             # so remaining probes read the current values.  After an
             # early stop the trajectory beyond ``end_time`` is undefined
             # and later probes stay unrecorded.
             self.flush_probes(math.inf)
         # Windowed rewards observe their effective window, not the run's.
-        plan = self.plan
+        plan, until, warmup = self.plan, self.until, self.warmup
         for i, r in enumerate(plan.rate_rewards):
             if r.window is not None:
                 lo = self.rate_lo[i]
@@ -2980,14 +3024,4 @@ class _Run:
                 results[r.name].duration = b - lo if b > lo else 0.0
         for tr in self.binary_traces:
             tr.finish(end_time)
-        return RunResult(
-            final_time=end_time,
-            duration=duration,
-            n_events=n_events,
-            rewards=results,
-            traces=self.trace_map,
-            stopped_early=stopped_early,
-            sanitizer_report=report,
-            _final_values=list(self.values),
-            _paths=self.model.paths,
-        )
+        return results, self.trace_map, report

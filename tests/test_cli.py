@@ -142,6 +142,19 @@ class TestFriendlyValidation:
             2.0,
             3.0,
         )
+        # A ladder that starts below zero, space-separated, parses as the
+        # '=' form does; a following option is not taken for a ladder.
+        for ladder in ("-0.5,1,7", "-.5,1,7", "-1"):
+            spaced = parser.parse_args(["rare", "--splitting", ladder])
+            joined = parser.parse_args(["rare", f"--splitting={ladder}"])
+            assert spaced.splitting == joined.splitting
+        assert parser.parse_args(["rare", "--splitting", "-0.5,1,7"]).splitting == (
+            -0.5,
+            1.0,
+            7.0,
+        )
+        args = parser.parse_args(["rare", "--splitting", "--seed", "3"])
+        assert args.splitting is True and args.seed == 3
 
     @pytest.mark.parametrize(
         "argv, needle",

@@ -53,12 +53,14 @@ class TestMarkingVector:
         with pytest.raises(SimulationError):
             v.reset([1, 2])
 
-    def test_drain_changed(self):
+    def test_view_write_lands_in_changed(self):
         v = MarkingVector([0, 0])
+        changed = v.changed
         view = LocalView(v, {"a": 0, "b": 1})
         view["a"] = 5
-        assert v.drain_changed() == {0}
-        assert v.drain_changed() == set()
+        assert v.changed == {0}
+        # The set is the vector's one live object, which a run holds.
+        assert v.changed is changed
 
 
 class TestLocalView:

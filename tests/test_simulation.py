@@ -862,3 +862,337 @@ class TestSettleWriteBack:
         assert auto.sim_time == ref.sim_time
         assert auto.marking == ref.marking
         assert auto.rewards == ref.rewards
+
+
+# ----------------------------------------------------------------------
+# restart runs: one run state, with and without observers
+# ----------------------------------------------------------------------
+def _add(place, delta):
+    return lambda m, rng: m.__setitem__(place, m[place] + delta)
+
+
+def _restart_tier_model():
+    """The aggregate tier: marking-dependent laws with declared reads, and
+    the loss instant, which a restart marking at the loss level enables
+    at t=0."""
+    from repro.experiments.rare import aggregate_tier_san
+
+    return aggregate_tier_san(6, 2, 0.05, 0.5)
+
+
+def _restart_kernel_model():
+    """Gate-write, case and guard kernels and an instant (``spill``) that
+    a restart marking with ``b >= 2`` enables at t=0.  The declarations
+    of ``leak`` and of ``drain``'s second case omit a write that always
+    changes the marking, so a verification quarantines each of them."""
+
+    def spill(m, rng):
+        m["b"] = 0
+        m["c"] = m["c"] + 1
+        m["d"] = 0
+
+    def guarded(m, rng):
+        if m["b"] >= 1:
+            m["d"] = m["d"] + 1
+
+    def leak(m, rng):
+        m["c"] = m["c"] - 1
+        m["a"] = m["a"] + 1
+
+    def spend(m, rng):
+        m["a"] = m["a"] - 1
+        m["d"] = m["d"] + 1
+
+    san = SAN("k")
+    for name in ("a", "b", "c", "d"):
+        san.place(name, 0)
+    san.timed(
+        "fill", Exponential(1.0), enabled=lambda m: m["a"] < 4, reads=["a"],
+        effect=_add("a", 1), writes=[("a", "add", 1)],
+    )
+    san.timed(
+        "drain", Exponential(0.8), enabled=lambda m: m["a"] > 0, reads=["a"],
+        cases=[
+            Case(0.4, lambda m, rng: (_add("a", -1)(m, rng), _add("b", 1)(m, rng)),
+                 writes=[("a", "add", -1), ("b", "add", 1)]),
+            Case(0.6, spend, writes=[("a", "add", -1)]),
+        ],
+    )
+    san.timed(
+        "guard", Exponential(0.5), enabled=lambda m: m["d"] < 3, reads=["d"],
+        effect=guarded, writes=[("d", "add", 1)], when=("b", ">=", 1),
+    )
+    san.instant(
+        "spill", enabled=lambda m: m["b"] >= 2, reads=["b"],
+        effect=spill, writes=[("b", "set", 0), ("c", "add", 1), ("d", "set", 0)],
+    )
+    san.timed(
+        "leak", Exponential(0.3), enabled=lambda m: m["c"] > 0, reads=["c"],
+        effect=leak, writes=[("c", "add", -1)],
+    )
+    return flatten(san)
+
+
+def _restart_discovery_model():
+    """An undeclared predicate that reads ``y`` only when ``x > 0``, an
+    undeclared marking-dependent law and two batched static laws."""
+    laws = {k: Exponential(0.5 + k) for k in range(6)}
+
+    def feed(m, rng):
+        m["x"] = m["x"] + 1
+        m["z"] = max(0, m["z"] - 2)
+
+    san = SAN("d")
+    for name in ("x", "y", "z"):
+        san.place(name, 0)
+    san.timed(
+        "pump", Exponential(0.6),
+        enabled=lambda m: m["x"] > 0 and m["y"] < 3,
+        effect=lambda m, rng: (_add("x", -1)(m, rng), _add("y", 1)(m, rng)),
+    )
+    san.timed(
+        "push", lambda m: laws[min(m["y"], 5)],
+        enabled=lambda m: m["y"] > 0,
+        effect=lambda m, rng: (_add("y", -1)(m, rng), _add("z", 1)(m, rng)),
+    )
+    san.timed(
+        "feed", Uniform(0.5, 1.5),
+        enabled=lambda m: m["z"] < 5 or m["x"] == 0,
+        effect=feed,
+    )
+    return flatten(san)
+
+
+#: name -> (model, restart marking bounds per slot, stop predicate,
+#: rewards, traces factory, simulator options).
+_RESTART_MODELS = {
+    "tier": (
+        _restart_tier_model,
+        [(0, 3), (0, 1)],
+        lambda m: m["tier/failed"] >= 3,
+        (
+            RateReward(
+                "failed", lambda m: float(m["tier/failed"]),
+                window=(1.0, 15.0), probe_times=[0.5, 5.0, 12.0],
+            ),
+            ImpulseReward("fails", "tier/fail", window=(2.0, 18.0)),
+        ),
+        lambda: (
+            BinaryTrace("degraded", lambda m: m["tier/failed"] > 0),
+            EventTrace("events", "tier/*"),
+        ),
+        {},
+    ),
+    "kernels": (
+        _restart_kernel_model,
+        [(0, 4), (0, 3), (0, 2), (0, 3)],
+        lambda m: m["k/c"] >= 2,
+        (
+            RateReward(
+                "a", lambda m: float(m["k/a"]) + 0.5 * m["k/d"],
+                window=(2.0, 16.0), probe_times=[1.0, 9.0],
+            ),
+            ImpulseReward("spills", "k/spill", window=(0.0, 12.0)),
+        ),
+        lambda: (
+            BinaryTrace("full", lambda m: m["k/a"] >= 3),
+            EventTrace("events", "k/*"),
+        ),
+        {"verify_every": 2},
+    ),
+    "discovery": (
+        _restart_discovery_model,
+        [(0, 3), (0, 4), (0, 5)],
+        lambda m: m["d/z"] >= 4,
+        (
+            RateReward(
+                "y", lambda m: float(m["d/y"]) if m["d/x"] else 0.25,
+                window=(0.5, 10.0), probe_times=[1.0, 3.0, 19.0],
+            ),
+            ImpulseReward("pushes", "d/push", window=(1.0, 19.0)),
+        ),
+        lambda: (
+            BinaryTrace("busy", lambda m: m["d/x"] > 0 and m["d/y"] > 1),
+            EventTrace("events", "d/*"),
+        ),
+        {},
+    ),
+}
+
+
+class TestRestartDifferential:
+    """Restart runs that alternate between no observers, rewards (rate
+    and impulse, with probes and windows) and traces (binary and event),
+    from random restart markings or the model's own, with or without a
+    stop predicate.  A run builds observer state only when it has
+    observers and reads the rest from the run plan, so each run must
+    match the reference engine and a fresh simulator on the same stream:
+    a skipped set-up may leave nothing behind for the next run."""
+
+    @pytest.mark.parametrize("name", sorted(_RESTART_MODELS))
+    def test_restart_runs_match_reference_and_fresh(self, name):
+        build, bounds, stop, rewards, traces, options = _RESTART_MODELS[name]
+        model = build()
+        sims = {
+            engine: Simulator(model, engine=engine, **options)
+            for engine in ("auto", "reference")
+        }
+        gen = np.random.default_rng(26)
+        kinds = {"none": 0, "rewards": 0, "traces": 0}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for k in range(60):
+                kind = ("none", "rewards", "traces")[int(gen.integers(3))]
+                kinds[kind] += 1
+                marking = (
+                    None
+                    if gen.random() < 0.2
+                    else [int(gen.integers(lo, hi + 1)) for lo, hi in bounds]
+                )
+                pred = stop if gen.random() < 0.5 else None
+                runs = {}
+                for label, sim in (
+                    ("auto", sims["auto"]),
+                    ("reference", sims["reference"]),
+                    ("fresh", Simulator(model, **options)),
+                ):
+                    observers = (
+                        {"rewards": rewards} if kind == "rewards"
+                        else {"traces": traces()} if kind == "traces"
+                        else {}
+                    )
+                    rng = np.random.default_rng([2008, k])
+                    result = sim.run(
+                        20.0, rng=rng, stop_predicate=pred,
+                        initial_marking=marking, **observers,
+                    )
+                    runs[label] = (result, rng.bit_generator.state)
+                auto, auto_state = runs["auto"]
+                assert set(auto.rewards) == (
+                    {r.name for r in rewards} if kind == "rewards" else set()
+                )
+                assert set(auto.traces) == (
+                    {t.name for t in traces()} if kind == "traces" else set()
+                )
+                if kind == "traces":
+                    # The event trace matches every activity.
+                    assert len(auto.trace("events").events) == auto.n_events
+                for label in ("reference", "fresh"):
+                    other, state = runs[label]
+                    assert_runs_identical(auto, other)
+                    for tname, tr in auto.traces.items():
+                        if isinstance(tr, EventTrace):
+                            assert tr.events == other.trace(tname).events
+                    assert state == auto_state, (k, label)
+        assert min(kinds.values()) > 0
+        quarantined = [w for w in caught if "quarantined" in str(w.message)]
+        assert bool(quarantined) == (name == "kernels")
+
+    @pytest.mark.parametrize("engine", ["auto", "reference"])
+    @pytest.mark.parametrize("batch_dynamic", [False, True])
+    def test_law_check_rejects_after_another_law_type(self, engine, batch_dynamic):
+        # The first draw checks an Exponential and admits its type; a
+        # callable that returns something else must still be rejected.
+        san = SAN("L")
+        san.place("p", 0)
+        san.timed(
+            "good", lambda m: Exponential(1.0),
+            enabled=lambda m: m["p"] == 0, effect=_set("p", 1),
+        )
+        san.timed(
+            "bad", lambda m: 2.5,
+            enabled=lambda m: m["p"] == 1, effect=_set("p", 0),
+        )
+        sim = Simulator(flatten(san), engine=engine, batch_dynamic=batch_dynamic)
+        with pytest.raises(SimulationError, match="L/bad.*did not return a Distribution"):
+            sim.run(100.0, seed=1)
+        # A warm program still rejects it, from its first draw on.
+        with pytest.raises(SimulationError, match="did not return a Distribution"):
+            sim.run(100.0, seed=2)
+
+    def test_law_check_accepts_a_virtual_subclass(self):
+        class Virtual:
+            batchable = False
+
+            def sample(self, rng):
+                return 0.5
+
+        from repro.core.distributions import Distribution
+
+        Distribution.register(Virtual)
+        san = SAN("V")
+        san.place("n", 0)
+        san.timed(
+            "tick", lambda m: Virtual(),
+            enabled=lambda m: m["n"] < 3, effect=_add("n", 1),
+        )
+        result = Simulator(flatten(san)).run(10.0, seed=0)
+        assert result.n_events == 3 and result.final_time == 10.0
+
+
+class TestRestartCallCount:
+    """A RESTART segment pays the engine's fixed per-call work, so it is
+    counted: after a warm-up run, a one-event and a zero-event restart
+    run with ``bench_restart_run``'s set-up (benchmarks/bench_rare.py)
+    make at most this many calls into ``core/simulation.py`` —
+    ``Simulator.run``, ``_Run.__init__``, ``initialize``, ``settle``,
+    ``compiled_loop`` and ``result`` once each, and ``dyn_sample`` once
+    per draw (two at t=0, two after the event) — and no
+    ``abc.__instancecheck__`` call."""
+
+    LIMITS = {1: 10, 0: 8}
+
+    def _setup(self):
+        from bisect import bisect_right
+
+        from repro.experiments.rare import (
+            _make_stop_predicate,
+            aggregate_tier_san,
+            tier_splitting_policy,
+        )
+
+        tier = (480, 6, 1e-5, 0.02)
+        sim = Simulator(aggregate_tier_san(*tier), base_seed=2008)
+        policy = tier_splitting_policy(*tier)
+        level_fn = policy.level.resolve(sim.model)
+        thresholds = policy.thresholds
+        bracket = bisect_right(thresholds, level_fn([2, 0]))
+        stop = _make_stop_predicate(
+            level_fn, thresholds[bracket], thresholds[bracket - 1]
+        )
+        return sim, stop
+
+    @pytest.mark.parametrize("events", [1, 0])
+    def test_restart_run_calls(self, events):
+        import sys
+
+        from repro.core import simulation
+        from repro.core.rng import make_generator
+
+        sim, stop = self._setup()
+        until = 8760.0 if events else 1e-6
+        rngs = [make_generator(2008, "restart", i) for i in range(2)]
+        sim.run(until, rng=rngs[0], stop_predicate=stop, initial_marking=[2, 0])
+        calls: dict[str, int] = {}
+
+        def profile(frame, event, arg):
+            if event != "call":
+                return
+            code = frame.f_code
+            if code.co_filename == simulation.__file__:
+                calls[code.co_name] = calls.get(code.co_name, 0) + 1
+            elif code.co_name == "__instancecheck__":
+                calls["abc"] = calls.get("abc", 0) + 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            result = sim.run(
+                until, rng=rngs[1], stop_predicate=stop, initial_marking=[2, 0]
+            )
+        finally:
+            sys.setprofile(previous)
+        assert result.n_events == events
+        assert "abc" not in calls, calls
+        assert sum(calls.values()) <= self.LIMITS[events], calls
+        assert calls["dyn_sample"] == 2 + 2 * events
