@@ -17,19 +17,17 @@ reward measures read (see :mod:`repro.cfs.measures`).
 The single-place enabling predicates declare their dependency sets
 (``timed(..., reads=[...])``), so the compiled engine skips read tracking
 for them — this matters most for the leaf-switch transients, which are
-~97 % of all events in a petascale year.  Their effects additionally
-declare their marking writes (``writes=[...]``), so those completions
-run as compiled gate-write kernels — precomputed slot deltas instead of
-Python gate functions (see ``docs/performance.md`` Layer 5).  Both
-annotations are bit-identical to the unannotated model (pinned by
-``tests/test_engine_golden.py``).
+~97 % of all events in a petascale year.  Every effect is a constant
+marking update, declared once as its writes (``writes=[...]``): the
+compiled engine applies the slot deltas as a gate-write kernel (see
+``docs/performance.md`` Layer 5), and the reference engine runs the
+function built from the same ops.
 """
 
 from __future__ import annotations
 
 from ..core.composition import Node, join, leaf, rename, replicate
 from ..core.distributions import Exponential, Uniform
-from ..core.places import LocalView
 from ..core.san import SAN
 from ..raid.controller import build_failover_pair_node
 from ..raid.ddn import DDNUnitSpec, build_ddn_fleet_node
@@ -69,20 +67,10 @@ def build_oss_software_san(params: CFSParameters, name: str = "lustre") -> SAN:
     san.place("oss_sw_down", 0)
     san.place("oss_sw_outages_total", 0)
 
-    def fails(m: LocalView, rng) -> None:
-        m["sw_down"] = 1
-        m["oss_sw_down"] += 1
-        m["oss_sw_outages_total"] += 1
-
-    def repaired(m: LocalView, rng) -> None:
-        m["sw_down"] = 0
-        m["oss_sw_down"] -= 1
-
     san.timed(
         "sw_fail",
         _per_720h(params.oss_sw_failures_per_720h),
         enabled=lambda m: m["sw_down"] == 0,
-        effect=fails,
         reads=["sw_down"],
         writes=[
             ("sw_down", "set", 1),
@@ -94,7 +82,6 @@ def build_oss_software_san(params: CFSParameters, name: str = "lustre") -> SAN:
         "fsck",
         _uniform(params.oss_sw_repair_hours),
         enabled=lambda m: m["sw_down"] == 1,
-        effect=repaired,
         reads=["sw_down"],
         writes=[("sw_down", "set", 0), ("oss_sw_down", "add", -1)],
     )
@@ -186,15 +173,10 @@ def build_san_fabric_san(params: CFSParameters, name: str = "san_fabric") -> SAN
     san.place("fabric_down", 0)
     san.place("fabric_outages_total", 0)
 
-    def fails(m: LocalView, rng) -> None:
-        m["fabric_down"] = 1
-        m["fabric_outages_total"] += 1
-
     san.timed(
         "hw_fail",
         _per_720h(params.san_fabric_failures_per_720h),
         enabled=lambda m: m["fabric_down"] == 0,
-        effect=fails,
         reads=["fabric_down"],
         writes=[("fabric_down", "set", 1), ("fabric_outages_total", "add", 1)],
     )
@@ -202,7 +184,6 @@ def build_san_fabric_san(params: CFSParameters, name: str = "san_fabric") -> SAN
         "hw_repair",
         _uniform(params.san_fabric_repair_hours),
         enabled=lambda m: m["fabric_down"] == 1,
-        effect=lambda m, rng: m.__setitem__("fabric_down", 0),
         reads=["fabric_down"],
         writes=[("fabric_down", "set", 0)],
     )
@@ -225,20 +206,10 @@ def build_leaf_switch_san(params: CFSParameters, name: str = "switch") -> SAN:
     san.place("switch_transients_total", 0)
     lo, hi = params.switch_transient_minutes
 
-    def transient(m: LocalView, rng) -> None:
-        m["sw_up"] = 0
-        m["switches_down"] += 1
-        m["switch_transients_total"] += 1
-
-    def recovered(m: LocalView, rng) -> None:
-        m["sw_up"] = 1
-        m["switches_down"] -= 1
-
     san.timed(
         "transient",
         _per_720h(params.switch_transient_per_720h),
         enabled=lambda m: m["sw_up"] == 1,
-        effect=transient,
         reads=["sw_up"],
         writes=[
             ("sw_up", "set", 0),
@@ -250,7 +221,6 @@ def build_leaf_switch_san(params: CFSParameters, name: str = "switch") -> SAN:
         "recover",
         Uniform(lo / 60.0, hi / 60.0),
         enabled=lambda m: m["sw_up"] == 0,
-        effect=recovered,
         reads=["sw_up"],
         writes=[("sw_up", "set", 1), ("switches_down", "add", -1)],
     )
@@ -268,15 +238,10 @@ def build_spine_san(params: CFSParameters, name: str = "spine") -> SAN:
     san.place("spine_transients_total", 0)
     lo, hi = params.spine_transient_minutes
 
-    def transient(m: LocalView, rng) -> None:
-        m["spine_up"] = 0
-        m["spine_transients_total"] += 1
-
     san.timed(
         "transient",
         _per_720h(params.spine_transient_per_720h),
         enabled=lambda m: m["spine_up"] == 1,
-        effect=transient,
         reads=["spine_up"],
         writes=[("spine_up", "set", 0), ("spine_transients_total", "add", 1)],
     )
@@ -284,7 +249,6 @@ def build_spine_san(params: CFSParameters, name: str = "spine") -> SAN:
         "recover",
         Uniform(lo / 60.0, hi / 60.0),
         enabled=lambda m: m["spine_up"] == 0,
-        effect=lambda m, rng: m.__setitem__("spine_up", 1),
         reads=["spine_up"],
         writes=[("spine_up", "set", 1)],
     )

@@ -93,18 +93,8 @@ def _cfs_up_paths(model: FlatModel) -> tuple[str, str, str, str, str, str, str |
 def storage_availability_reward(model: FlatModel) -> RateReward:
     """1 while every RAID tier holds data and every DDN controller pair is up."""
     tiers, ctrl = _storage_paths(model)
-    ts, cs = model.paths[tiers], model.paths[ctrl]
-
-    # Declared reads let the simulator wire per-slot observer lists at
-    # compile time; raw slot reads then skip name lookup and tracking.
-    def up(m) -> float:
-        raw = m.raw
-        return 1.0 if raw[ts] == 0 and raw[cs] == 0 else 0.0
-
     return RateReward(
         "storage_availability",
-        up,
-        reads=(tiers, ctrl),
         form=Indicator(guards=[(tiers, "==", 0), (ctrl, "==", 0)]),
     )
 
@@ -115,80 +105,27 @@ def cfs_up_predicate(model: FlatModel) -> Callable:
     Requires: storage up, every OSS pair up (hardware and software), the
     OSS↔DDN network up, and the shared SAN fabric up.
 
-    This variant reads places *by path* so the simulator's tracked
-    discovery sees every read — use it for traces, stop predicates and
-    ad-hoc probing.  The reward built by :func:`cfs_availability_reward`
-    uses the slot-resolved fast variant with a declared read set instead.
+    It evaluates the form of :func:`cfs_availability_reward` through
+    the function that reward is built with, which reads places *by
+    path*, so the simulator's tracked discovery sees every read — use it
+    for traces, stop predicates and ad-hoc probing.
     """
-    return _cfs_up_predicate(_cfs_up_paths(model))
+    return _up_predicate(cfs_availability_reward(model))
 
 
-def _cfs_up_predicate(paths: tuple) -> Callable:
-    tiers, ctrl, oss, oss_sw, nw, fabric, covered = paths
+def _up_predicate(reward: RateReward) -> Callable:
+    value = reward.function
 
     def up(m) -> bool:
-        oss_effective = m[oss] - (m[covered] if covered is not None else 0)
-        return (
-            m[tiers] == 0
-            and m[ctrl] == 0
-            and oss_effective <= 0
-            and m[oss_sw] == 0
-            and m[nw] == 0
-            and m[fabric] == 0
-        )
+        return value(m) != 0.0
 
     return up
 
 
-def _cfs_up_fast(
-    model: FlatModel, paths: tuple
-) -> tuple[Callable, Callable, tuple[str, ...]]:
-    """Slot-resolved CFS-up checks plus the read declaration covering them.
-
-    ``paths`` is :func:`_cfs_up_paths` of ``model``.  Returns ``(up,
-    up_raw, reads)``: ``up`` takes the view, ``up_raw`` takes the raw
-    values list directly (for callers that already hold it).
-    """
-    tiers, ctrl, oss, oss_sw, nw, fabric, covered = paths
-    idx = model.paths
-    ts, cs, os_, osw, ns, fs = (
-        idx[tiers], idx[ctrl], idx[oss], idx[oss_sw], idx[nw], idx[fabric]
-    )
-    cov = idx[covered] if covered is not None else None
-
-    if cov is None:
-
-        def up_raw(raw) -> bool:
-            return (
-                raw[ts] == 0
-                and raw[cs] == 0
-                and raw[os_] <= 0
-                and raw[osw] == 0
-                and raw[ns] == 0
-                and raw[fs] == 0
-            )
-
-    else:
-
-        def up_raw(raw) -> bool:
-            return (
-                raw[ts] == 0
-                and raw[cs] == 0
-                and raw[os_] - raw[cov] <= 0
-                and raw[osw] == 0
-                and raw[ns] == 0
-                and raw[fs] == 0
-            )
-
-    def up(m) -> bool:
-        return up_raw(m.raw)
-
-    return up, up_raw, tuple(p for p in paths if p is not None)
-
-
 def _cfs_up_guards(paths: tuple) -> tuple:
-    """The CFS-up condition as reward-form guards (same semantics as
-    :func:`_cfs_up_fast`, declaratively)."""
+    """The CFS-up condition as reward-form guards, the one place it is
+    written: with a standby-spare pool the OSS layer is up while its
+    down pairs are all covered."""
     tiers, ctrl, oss, oss_sw, nw, fabric, covered = paths
     oss_guard = (
         (oss, "<=", 0) if covered is None else ((oss, covered), "<=", 0)
@@ -212,19 +149,14 @@ def cfs_availability_reward(
     probability the CFS is up at time ``t``, once averaged over
     replications).
     """
-    return _cfs_availability_reward(model, _cfs_up_paths(model), probe_times)
+    return _cfs_availability_reward(_cfs_up_paths(model), probe_times)
 
 
-def _cfs_availability_reward(
-    model: FlatModel, paths: tuple, probe_times
-) -> RateReward:
-    _, up_raw, reads = _cfs_up_fast(model, paths)
+def _cfs_availability_reward(paths: tuple, probe_times) -> RateReward:
     return RateReward(
         "cfs_availability",
-        lambda m: 1.0 if up_raw(m.raw) else 0.0,
-        reads=reads,
-        probe_times=probe_times,
         form=Indicator(guards=_cfs_up_guards(paths)),
+        probe_times=probe_times,
     )
 
 
@@ -242,68 +174,19 @@ def perceived_availability_reward(
 def _perceived_availability_reward(
     model: FlatModel, params: CFSParameters, paths: tuple
 ) -> RateReward:
-    _, _, up_reads = _cfs_up_fast(model, paths)
     switches_down = resolve_slot_path(model, "*/client/switches_down")
     spine_up = resolve_slot_path(model, "*/spine_up")
-    sw, sp = model.paths[switches_down], model.paths[spine_up]
-    n_switches = float(params.n_switches)
-
-    # Fused CFS-up + client-view check: this reward re-evaluates on every
-    # leaf-switch transient (~97 % of petascale events), so the up check
-    # is inlined rather than calling up_raw — identical short-circuit
-    # logic and float arithmetic, one call fewer per refresh.
-    idx = model.paths
-    ts, cs, os_, osw, ns, fs = (idx[p] for p in paths[:6])
-    cov = idx[paths[6]] if paths[6] is not None else None
-
-    if cov is None:
-
-        def perceived(m) -> float:
-            raw = m.raw
-            if (
-                raw[ts] == 0
-                and raw[cs] == 0
-                and raw[os_] <= 0
-                and raw[osw] == 0
-                and raw[ns] == 0
-                and raw[fs] == 0
-                and raw[sp] != 0
-            ):
-                return 1.0 - raw[sw] / n_switches
-            return 0.0
-
-    else:
-
-        def perceived(m) -> float:
-            raw = m.raw
-            if (
-                raw[ts] == 0
-                and raw[cs] == 0
-                and raw[os_] - raw[cov] <= 0
-                and raw[osw] == 0
-                and raw[ns] == 0
-                and raw[fs] == 0
-                and raw[sp] != 0
-            ):
-                return 1.0 - raw[sw] / n_switches
-            return 0.0
-
-    # The declared form compiles to an incremental update kernel, so the
-    # leaf-switch transients that dominate the petascale event stream
-    # refresh this value with one guard check + one affine recompute
-    # instead of re-calling the closure above.  The form's canonical
-    # arithmetic ``1.0 + (-1.0 · switches_down) / n_switches`` is
-    # bit-identical to the closure's ``1.0 - switches_down / n_switches``
-    # (exact sign flip, sign-symmetric IEEE division), which the
-    # simulator verifies against the closure at t=0 and the golden /
-    # differential suites pin over full trajectories.
+    # The share of leaf switches up, ``1.0 + (-1.0 · switches_down) /
+    # n_switches`` in the form's canonical arithmetic, is bit-identical
+    # to ``1.0 - switches_down / n_switches`` (exact sign flip,
+    # sign-symmetric IEEE division).  The compiled form kernel refreshes
+    # it with one guard check and one affine recompute on each
+    # leaf-switch transient (~97 % of petascale events).
     return RateReward(
         "perceived_availability",
-        perceived,
-        reads=up_reads + (switches_down, spine_up),
         form=Affine(
             1.0,
-            terms=[(switches_down, -1.0, n_switches)],
+            terms=[(switches_down, -1.0, float(params.n_switches))],
             guards=_cfs_up_guards(paths) + ((spine_up, "!=", 0),),
         ),
     )
@@ -355,13 +238,14 @@ def build_measures(
     availability at the given times (hours).
     """
     paths = _cfs_up_paths(model)
+    cfs = _cfs_availability_reward(paths, availability_probes)
     rewards = (
         storage_availability_reward(model),
-        _cfs_availability_reward(model, paths, availability_probes),
+        cfs,
         _perceived_availability_reward(model, params, paths),
         disk_replacement_reward(),
     )
-    up = _cfs_up_predicate(paths)
+    up = _up_predicate(cfs)
 
     def traces_factory() -> tuple:
         return (BinaryTrace("cfs_up", up),)

@@ -22,7 +22,6 @@ serving when it is either up or covered (``pairs_down − covered_pairs``).
 from __future__ import annotations
 
 from ..core.distributions import Deterministic
-from ..core.places import LocalView
 from ..core.san import SAN
 from .parameters import CFSParameters
 
@@ -43,32 +42,29 @@ def build_spare_dock_san(params: CFSParameters, name: str = "spare_dock") -> SAN
     san.place("spare_free", params.n_spare_oss)
     san.place("spare_swaps_total", 0)
 
-    def swap_in(m: LocalView, rng) -> None:
-        m["spare_free"] -= 1
-        m["covered"] = 1
-        m["covered_pairs"] += 1
-        m["spare_swaps_total"] += 1
-
     san.timed(
         "spare_swap",
         Deterministic(params.spare_swap_hours),
         enabled=lambda m: (
             m["pair_down"] == 1 and m["covered"] == 0 and m["spare_free"] > 0
         ),
-        effect=swap_in,
+        writes=[
+            ("spare_free", "add", -1),
+            ("covered", "set", 1),
+            ("covered_pairs", "add", 1),
+            ("spare_swaps_total", "add", 1),
+        ],
     )
-
-    def release(m: LocalView, rng) -> None:
-        m["covered"] = 0
-        m["covered_pairs"] -= 1
-        m["spare_free"] += 1
-
     # The pair's own restore logic clears pair_down when a member repairs;
     # at that moment the spare returns to the pool.
     san.instant(
         "spare_release",
         enabled=lambda m: m["covered"] == 1 and m["pair_down"] == 0,
-        effect=release,
+        writes=[
+            ("covered", "set", 0),
+            ("covered_pairs", "add", -1),
+            ("spare_free", "add", 1),
+        ],
         priority=3,
     )
     return san

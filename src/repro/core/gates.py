@@ -19,7 +19,8 @@ coin with probability *p*), and predicates receive the view alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -54,7 +55,12 @@ WriteGuard = tuple[str, str, int]
 
 _WRITE_KINDS = ("add", "set")
 
-_GUARD_CMPS = ("<", "<=", "==", "!=", ">=", ">")
+#: Every declared guard's comparison by spelling: write and reward-form
+#: guards, their built functions and the engine's kernels.
+GUARD_OPS = {
+    "<": operator.lt, "<=": operator.le, "==": operator.eq,
+    "!=": operator.ne, ">=": operator.ge, ">": operator.gt,
+}
 
 
 def validate_guard(when: WriteGuard, owner: str) -> WriteGuard:
@@ -69,9 +75,9 @@ def validate_guard(when: WriteGuard, owner: str) -> WriteGuard:
         raise ModelError(
             f"{owner}: when place must be a non-empty name, got {place!r}"
         )
-    if cmp not in _GUARD_CMPS:
+    if cmp not in GUARD_OPS:
         raise ModelError(
-            f"{owner}: when comparison must be one of {_GUARD_CMPS}, "
+            f"{owner}: when comparison must be one of {tuple(GUARD_OPS)}, "
             f"got {cmp!r}"
         )
     try:
@@ -142,6 +148,29 @@ def _noop(m: LocalView, rng: np.random.Generator) -> None:
     return None
 
 
+def _writes_function(writes: tuple[WriteOp, ...], when=None) -> GateFunction:
+    """The function a declaration states: the validated ``writes``
+    applied in declared order through the view, only while ``when``
+    holds if it is given."""
+    if not writes:
+        return _noop
+    ops = tuple((place, kind == "add", amount) for place, kind, amount in writes)
+
+    def apply(m: LocalView, rng) -> None:
+        for place, is_add, amount in ops:
+            m[place] = m[place] + amount if is_add else amount
+
+    if when is None:
+        return apply
+    gplace, holds, gvalue = when[0], GUARD_OPS[when[1]], when[2]
+
+    def guarded(m: LocalView, rng) -> None:
+        if holds(m[gplace], gvalue):
+            apply(m, rng)
+
+    return guarded
+
+
 @dataclass(frozen=True)
 class InputGate:
     """Enabling predicate plus optional completion function.
@@ -172,36 +201,38 @@ class InputGate:
 class OutputGate:
     """Marking transformation executed when the activity completes.
 
-    ``writes`` optionally *declares* the transformation as a fixed
-    sequence of :data:`WriteOp` slot operations — the gate-write
-    analogue of declared activity/reward ``reads``.  The contract: in
-    **every** marking, running ``function`` performs exactly the
-    declared writes (same places, same constant deltas / set values, in
-    any order) and never touches the rng.  The compiled engine then
-    applies the precomputed slot deltas instead of calling the Python
-    function (see ``docs/performance.md`` Layer 5); the declaration is
-    verified against the function on the activity's first completion of
-    each run, and a mismatch raises
-    :class:`~repro.core.errors.SimulationError`.  Marking-dependent
-    amounts and rng-consuming functions cannot be declared.
+    ``writes`` *declares* the transformation as a fixed sequence of
+    :data:`WriteOp` slot operations — the gate-write analogue of
+    declared activity/reward ``reads`` — which the compiled engine
+    applies as precomputed slot deltas (``docs/performance.md`` Layer
+    5).  Without ``function`` the gate's function is built from the
+    ops.  A ``function`` passed as well is a twin that must, in
+    **every** marking, perform exactly the declared writes (in any
+    order) and never touch the rng: it is verified on the activity's
+    first completion of each run, and a mismatch raises
+    :class:`~repro.core.errors.DeclarationError` (or, under
+    ``Simulator(verify_every=...)``, quarantines the kernel).
+    Marking-dependent amounts and rng-consuming functions cannot be
+    declared.
 
     ``when`` extends the declaration to the one conditional shape the
     paper models need (the tier-restore effect): a :data:`WriteGuard`
     ``(place, cmp, value)`` stating that in every marking where the
-    guard holds the function performs exactly the declared writes, and
-    in every other marking it performs **no** writes.  The compiled
+    guard holds the gate performs exactly the declared writes, and in
+    every other marking it performs **no** writes.  The compiled
     engine evaluates the guard on the completion marking and applies
     the ops (or nothing); each guard branch is verified on its first
     occurrence.  ``when`` requires ``writes``.
     """
 
-    function: GateFunction
+    function: GateFunction | None = None
     name: str = ""
     writes: tuple[WriteOp, ...] | None = None
     when: WriteGuard | None = None
 
     def __post_init__(self) -> None:
-        if not callable(self.function):
+        fn = self.function
+        if not callable(fn) and (fn is not None or self.writes is None):
             raise ModelError("output gate function must be callable")
         if self.writes is not None:
             object.__setattr__(
@@ -225,6 +256,9 @@ class OutputGate:
                     self.when, f"output gate {self.name or '<anonymous>'!r}"
                 ),
             )
+        if fn is None:
+            built = _writes_function(self.writes, self.when)
+            object.__setattr__(self, "function", built)
 
 
 @dataclass(frozen=True)
@@ -235,26 +269,27 @@ class Case:
     ``f(m) -> float`` (Möbius allows marking-dependent case probabilities;
     the paper's propagation probability *p* is a constant case weight).
 
-    ``writes`` optionally *declares* the case function's effect as a
-    fixed :data:`WriteOp` sequence, with the same contract as
-    :class:`OutputGate` writes (same places, same constant deltas in
-    every marking, no rng use) — the explicit empty tuple ``()``
-    declares a no-op branch.  When every case of an activity declares
-    its writes (and its probabilities are constants, its gates hold no
-    other Python functions), the compiled engine selects the branch
-    with the same single uniform draw and applies the precomputed slot
-    deltas — a **case kernel** — instead of calling the case function;
-    each branch is verified against its function on its first
-    selection.  See ``docs/performance.md`` Layer 6.
+    ``writes`` *declares* the case's effect as a fixed :data:`WriteOp`
+    sequence, with the same contract as :class:`OutputGate` writes:
+    without a ``function`` the case's function is built from the ops,
+    and a ``function`` passed as well must match them — the explicit
+    empty tuple ``()`` declares a no-op branch, and so does a case with
+    neither.  When every case of an activity declares its writes (and
+    its probabilities are constants, its gates hold no other Python
+    functions), the compiled engine selects the branch with the same
+    single uniform draw and applies the precomputed slot deltas — a
+    **case kernel** — instead of calling the case function; each branch
+    is verified against its function on its first selection.  See
+    ``docs/performance.md`` Layer 6.
     """
 
     probability: CaseProbability
-    function: GateFunction = _noop
+    function: GateFunction | None = None
     name: str = ""
     writes: tuple[WriteOp, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not callable(self.function):
+        if self.function is not None and not callable(self.function):
             raise ModelError("case function must be callable")
         if not callable(self.probability):
             p = float(self.probability)
@@ -270,6 +305,8 @@ class Case:
                     allow_empty=True,
                 ),
             )
+        if self.function is None:
+            object.__setattr__(self, "function", _writes_function(self.writes or ()))
 
     def probability_in(self, m: LocalView) -> float:
         """Evaluate the case probability in marking ``m``."""

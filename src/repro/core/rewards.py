@@ -47,6 +47,7 @@ from .patterns import path_match
 from typing import Callable, Sequence
 
 from .errors import ModelError
+from .gates import GUARD_OPS
 from .places import LocalView
 
 __all__ = [
@@ -56,9 +57,6 @@ __all__ = [
     "ImpulseReward",
     "RewardResult",
 ]
-
-#: Comparison operators accepted in reward-form guards.
-GUARD_OPS = ("<", "<=", "==", "!=", ">=", ">")
 
 
 def _validate_guards(owner: str, guards) -> tuple:
@@ -93,7 +91,7 @@ def _validate_guards(owner: str, guards) -> tuple:
             )
         if cmp not in GUARD_OPS:
             raise ModelError(
-                f"{owner}: guard comparison must be one of {GUARD_OPS}, "
+                f"{owner}: guard comparison must be one of {tuple(GUARD_OPS)}, "
                 f"got {cmp!r}"
             )
         out.append((place, cmp, float(value) if value % 1 else int(value)))
@@ -203,17 +201,10 @@ def _synthesize_form_function(form: Affine) -> Callable:
     canonical guard/affine arithmetic the compiled kernel uses —
     bit-identical by construction.
     """
-    guards = form.guards
     base = form.base
     terms = form.terms
-    import operator as _op
-
-    cmp_fns = {
-        "<": _op.lt, "<=": _op.le, "==": _op.eq,
-        "!=": _op.ne, ">=": _op.ge, ">": _op.gt,
-    }
     compiled_guards = tuple(
-        (place, cmp_fns[cmp], value) for place, cmp, value in guards
+        (place, GUARD_OPS[cmp], value) for place, cmp, value in form.guards
     )
 
     def evaluate(m) -> float:
@@ -271,9 +262,8 @@ class RateReward:
         against the declaration and raises on undeclared *name-addressed*
         reads (``m["path"]``).  Raw slot reads (``m.raw[slot]``) are
         invisible to that check, so a function using them must keep its
-        declaration complete by construction — pin it with a test that
-        compares against a tracked path-based twin (see
-        ``tests/test_properties_rewards.py::test_cluster_measure_declarations_cover_tracked_reads``).
+        declaration complete by construction.  No shipped measure reads
+        ``m.raw``: each declares a ``form`` and takes its reads from it.
     window:
         Optional ``(start, end)`` interval-of-time window; accumulation
         is restricted to the window intersected with ``[warmup, until]``.

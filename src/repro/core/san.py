@@ -15,13 +15,13 @@ deterministic repair::
         "fail",
         distribution=Exponential(rate=1 / 720.0),
         enabled=lambda m: m["up"] == 1,
-        effect=lambda m, rng: m.__setitem__("up", 0),
+        writes=[("up", "set", 0)],
     )
     san.timed(
         "repair",
         distribution=Deterministic(24.0),
         enabled=lambda m: m["up"] == 0,
-        effect=lambda m, rng: m.__setitem__("up", 1),
+        writes=[("up", "set", 1)],
     )
 """
 
@@ -180,13 +180,13 @@ class SAN:
         predicate/function into an input/output gate; they combine with any
         explicitly supplied gates (convenience gates run first).
 
-        ``writes`` optionally declares ``effect``'s marking writes as a
-        fixed op sequence (``("place", "add", k)`` / ``("place", "set",
-        v)``), letting the compiled engine apply them as precomputed
-        slot deltas instead of calling the Python function — see
-        :class:`~repro.core.gates.OutputGate`.  It requires ``effect``
-        (annotate explicit gates by constructing
-        ``OutputGate(fn, writes=[...])`` directly).  ``when`` optionally
+        ``writes`` declares the effect's marking writes as a fixed op
+        sequence (``("place", "add", k)`` / ``("place", "set", v)``),
+        letting the compiled engine apply them as precomputed slot
+        deltas instead of calling a Python function — see
+        :class:`~repro.core.gates.OutputGate`.  Without ``effect`` the
+        declaration alone is the effect; with it, ``effect`` is a twin
+        the declaration is verified against.  ``when`` optionally
         guards the declared writes with a ``(place, cmp, value)``
         condition for conditional effects ("write exactly this iff the
         guard holds, nothing otherwise"); it requires ``writes``.
@@ -234,13 +234,8 @@ class SAN:
         writes: Iterable[tuple[str, str, int]] | None,
         when: tuple[str, str, int] | None = None,
     ) -> list[OutputGate]:
-        """Wrap the ``effect`` convenience into its output gate."""
-        if effect is None:
-            if writes is not None:
-                raise ModelError(
-                    f"SAN {self.name!r}: activity {name!r} declares writes "
-                    "without an effect function"
-                )
+        """Wrap the ``effect`` / ``writes`` convenience into its output gate."""
+        if effect is None and writes is None:
             if when is not None:
                 raise ModelError(
                     f"SAN {self.name!r}: activity {name!r} declares a write "

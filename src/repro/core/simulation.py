@@ -52,9 +52,9 @@ Hot-path design (see ``docs/performance.md`` for measurements):
   returned by marking-dependent distribution callables (off by default
   because it changes the default-mode stream consumption);
 * activities whose complete firing effect is *declared*
-  (``OutputGate(..., writes=[...])`` / ``SAN.timed(..., effect=...,
-  writes=[...])`` — no input-gate functions, no cases, every output
-  gate declared) are compiled into **gate-write kernels**: the inlined
+  (``OutputGate(writes=[...])`` / ``SAN.timed(..., writes=[...])`` —
+  no input-gate functions, no cases, every output gate declared) are
+  compiled into **gate-write kernels**: the inlined
   loops apply the precomputed slot deltas (and mark the dependent
   activities/observers of each written slot directly) instead of
   calling the Python gate functions through ``LocalView``.  The
@@ -164,11 +164,11 @@ from .errors import (
     SimulationBudgetError,
     SimulationError,
 )
-from .gates import _noop
+from .gates import GUARD_OPS, _noop
 from .places import FrozenView, LocalView
 from .rewards import ImpulseReward, RateReward, RewardResult
 from .rng import SeedTree, make_generator
-from .san import INSTANT, TIMED, ActivityDef
+from .san import TIMED, ActivityDef
 from .trace import BinaryTrace, EventTrace
 
 __all__ = ["CompiledProgram", "Simulator", "RunResult"]
@@ -185,18 +185,6 @@ _INTEGERS = (int, np.integer)
 #: The exact type of a start-marking entry that needs no conversion.
 _INT = frozenset((int,))
 _GENERATOR = np.random.Generator
-
-#: Compiled comparison functions for declared write guards
-#: (``OutputGate(..., when=(place, cmp, value))``).
-_GUARD_FNS = {
-    "<": operator.lt,
-    "<=": operator.le,
-    "==": operator.eq,
-    "!=": operator.ne,
-    ">=": operator.ge,
-    ">": operator.gt,
-}
-
 
 class _RngGuard:
     """Placeholder rng for gate-write kernel verification.
@@ -217,6 +205,21 @@ class _RngGuard:
 
 
 _RNG_GUARD = _RngGuard()
+
+
+class _AssignView(LocalView):
+    """A view that records every slot assigned through it, changed or
+    not: what a compiled effect's verification checks its ops against."""
+
+    __slots__ = ("assigned",)
+
+    def __init__(self, vector, index) -> None:
+        super().__init__(vector, index)
+        self.assigned: set[int] = set()
+
+    def __setitem__(self, name: str, value: int) -> None:
+        LocalView.__setitem__(self, name, value)
+        self.assigned.add(self._index[name])
 
 
 @dataclass
@@ -473,7 +476,7 @@ class _RunPlan:
                 else:
                     sa = _form_slot(model, r.name, place)
                     sb = -1
-                guards.append((_GUARD_FNS[cmp], gval, sa, sb))
+                guards.append((GUARD_OPS[cmp], gval, sa, sb))
             self.form_guards[i] = tuple(guards)
             self.form_base[i] = f.base
             self.form_terms[i] = terms
@@ -834,7 +837,7 @@ class _ActivityPlan:
             pname, cmp, gval = og.when
             self.guard = (
                 pname,
-                _GUARD_FNS[cmp],
+                GUARD_OPS[cmp],
                 gval,
                 _write_plan(og.writes),
                 (
@@ -979,8 +982,6 @@ class CompiledProgram:
 
         acts = model.activities
         self._n_acts = len(acts)
-        self._timed_ids = [a.ident for a in acts if a.definition.kind == TIMED]
-        self._instant_ids = [a.ident for a in acts if a.definition.kind == INSTANT]
         self._priorities = [a.definition.priority for a in acts]
         # place slot -> activity ids whose enabling may depend on it
         # (flat list-of-lists; each inner list is deduplicated because ids
@@ -2209,18 +2210,17 @@ class _Run:
         declared ops reproduce exactly the writes they made.  Returns
         whether they did; a mismatch goes to :meth:`quarantine_effect`.
 
-        ``changed`` is empty at completion time (the previous event
-        drained it), so after the functions run it holds precisely
-        this firing's writes, whatever happens to the effect.  A
-        sanitized run reports the findings instead, and hands the
-        functions a recording rng proxy that passes draws through, so
-        its stream stays the reference loop's.
+        The functions write through a view, built for this call, that
+        records every slot they assign, so even a write that leaves its
+        value alone is checked.  A sanitized run reports the findings
+        instead, and hands the functions a recording rng proxy that
+        passes draws through, so its stream stays the reference loop's.
         """
         plan = self.plan
         values = plan.values
         checker = plan.checker
         pre = [values[slot] for slot, _a, _v, _d in ops]
-        view = plan.c.views[aid]
+        view = _AssignView(plan.vector, plan.model.activities[aid].index)
         effect_rng = _RNG_GUARD if checker is None else checker.effect_rng(self.rng)
         for fn in fns:
             fn(view, effect_rng)
@@ -2228,7 +2228,7 @@ class _Run:
         for (slot, is_add, amount, _dl), p0 in zip(ops, pre):
             cur = predicted.get(slot, p0)
             predicted[slot] = cur + amount if is_add else amount
-        undeclared = [s for s in plan.changed if s not in predicted]
+        undeclared = [s for s in view.assigned if s not in predicted]
         wrong = [s for s, v in predicted.items() if values[s] != v or v < 0]
         if checker is not None:
             checker.writes(aid, effect_rng, undeclared, wrong, predicted)

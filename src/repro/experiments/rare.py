@@ -672,7 +672,7 @@ def aggregate_tier_san(
         "fail",
         lambda m: fail_laws[m["failed"]],
         enabled=lambda m: m["failed"] <= f and m["lost"] == 0,
-        effect=lambda m, rng: m.__setitem__("failed", m["failed"] + 1),
+        writes=[("failed", "add", 1)],
         reads=["failed", "lost"],
         reactivate=True,
     )
@@ -680,14 +680,14 @@ def aggregate_tier_san(
         "repair",
         lambda m: repair_laws[m["failed"]],
         enabled=lambda m: 1 <= m["failed"] <= f and m["lost"] == 0,
-        effect=lambda m, rng: m.__setitem__("failed", m["failed"] - 1),
+        writes=[("failed", "add", -1)],
         reads=["failed", "lost"],
         reactivate=True,
     )
     san.instant(
         "lose",
         enabled=lambda m: m["failed"] == f + 1 and m["lost"] == 0,
-        effect=lambda m, rng: m.__setitem__("lost", 1),
+        writes=[("lost", "set", 1)],
         reads=["failed", "lost"],
     )
     return flatten(san)
@@ -776,14 +776,22 @@ def _stage_odds(
     """Unrounded splitting factors: ``1 / p_up`` for each stage ``j`` in
     ``1..f``, where ``p_up`` is the probability of a (j+1)-th failure
     before a repair (see :func:`suggested_splits`).  A stage spanning
-    several failures splits by the product of their odds."""
+    several failures splits by the product of their odds.  Rates whose
+    stage rates or odds overflow raise a :class:`SimulationError`
+    naming both."""
     n, f, lam, mu = _tier_args(
         n_disks, fault_tolerance, disk_failure_rate, disk_repair_rate
     )
     odds = []
     for j in range(1, f + 1):
         up = (n - j) * lam
-        odds.append(1.0 / (up / (up + j * mu)))
+        p_up = up / (up + j * mu)  # NaN or 0 when a stage rate overflows
+        if not 0.0 < p_up or 1.0 / p_up == math.inf:
+            raise SimulationError(
+                f"disk_failure_rate {lam!r} and disk_repair_rate {mu!r} "
+                f"give no finite splitting odds at {j} of {n} disks failed"
+            )
+        odds.append(1.0 / p_up)
     return tuple(odds)
 
 

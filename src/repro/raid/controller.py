@@ -24,7 +24,6 @@ from __future__ import annotations
 from ..core.composition import Node, join, replicate
 from ..core.distributions import Distribution, Exponential
 from ..core.gates import Case
-from ..core.places import LocalView
 from ..core.san import SAN
 
 __all__ = ["build_failover_member_san", "build_pair_control_san", "build_failover_pair_node"]
@@ -47,15 +46,6 @@ def build_failover_member_san(
     san.place("down_count", 0)
     san.place("kill", 0)
 
-    def fail_isolated(m: LocalView, rng) -> None:
-        m["up"] = 0
-        m["down_count"] += 1
-
-    def fail_propagating(m: LocalView, rng) -> None:
-        m["up"] = 0
-        m["down_count"] += 1
-        m["kill"] = 1
-
     p = float(propagation_probability)
     # Declared case writes compile the propagation coin into a case
     # kernel (one uniform, precomputed slot deltas per branch).
@@ -66,13 +56,11 @@ def build_failover_member_san(
         cases=[
             Case(
                 1.0 - p,
-                fail_isolated,
                 name="isolated",
                 writes=[("up", "set", 0), ("down_count", "add", 1)],
             ),
             Case(
                 p,
-                fail_propagating,
                 name="propagating",
                 writes=[
                     ("up", "set", 0),
@@ -82,30 +70,17 @@ def build_failover_member_san(
             ),
         ],
     )
-
-    def killed(m: LocalView, rng) -> None:
-        m["up"] = 0
-        m["down_count"] += 1
-        m["kill"] = 0
-
     # The partner absorbs a propagated fault instantly.
     san.instant(
         "absorb_kill",
         enabled=lambda m: m["kill"] == 1 and m["up"] == 1,
-        effect=killed,
         writes=[("up", "set", 0), ("down_count", "add", 1), ("kill", "set", 0)],
         priority=10,
     )
-
-    def repaired(m: LocalView, rng) -> None:
-        m["up"] = 1
-        m["down_count"] -= 1
-
     san.timed(
         "repair",
         repair,
         enabled=lambda m: m["up"] == 0,
-        effect=repaired,
         writes=[("up", "set", 1), ("down_count", "add", -1)],
     )
     return san
@@ -125,19 +100,9 @@ def build_pair_control_san(name: str = "pairctl") -> SAN:
     san.place("pairs_down", 0)
     san.place("pair_outages_total", 0)
 
-    def pair_fails(m: LocalView, rng) -> None:
-        m["pair_down"] = 1
-        m["pairs_down"] += 1
-        m["pair_outages_total"] += 1
-
-    def pair_restores(m: LocalView, rng) -> None:
-        m["pair_down"] = 0
-        m["pairs_down"] -= 1
-
     san.instant(
         "pair_fail",
         enabled=lambda m: m["down_count"] >= 2 and m["pair_down"] == 0,
-        effect=pair_fails,
         writes=[
             ("pair_down", "set", 1),
             ("pairs_down", "add", 1),
@@ -148,7 +113,6 @@ def build_pair_control_san(name: str = "pairctl") -> SAN:
     san.instant(
         "pair_restore",
         enabled=lambda m: m["down_count"] < 2 and m["pair_down"] == 1,
-        effect=pair_restores,
         writes=[("pair_down", "set", 0), ("pairs_down", "add", -1)],
         priority=5,
     )
@@ -157,7 +121,6 @@ def build_pair_control_san(name: str = "pairctl") -> SAN:
     san.instant(
         "clear_kill",
         enabled=lambda m: m["kill"] == 1 and m["down_count"] >= 2,
-        effect=lambda m, rng: m.__setitem__("kill", 0),
         writes=[("kill", "set", 0)],
         priority=1,
     )

@@ -75,15 +75,6 @@ def build_disk_san(
     def fail_distribution(m: LocalView) -> Distribution:
         return lifetime if m["fresh"] == 1 else equilibrium
 
-    def fail_isolated(m: LocalView, rng) -> None:
-        m["up"] = 0
-        m["failed_count"] += 1
-
-    def fail_propagating(m: LocalView, rng) -> None:
-        m["up"] = 0
-        m["failed_count"] += 1
-        m["disk_kill"] += 1
-
     p = float(propagation_p)
     # The declared read set covers both the enabling predicate ("up") and
     # the marking-dependent distribution callable ("fresh"), so the
@@ -91,8 +82,7 @@ def build_disk_san(
     # equilibrium-residual or Weibull lifetime per disk — with read
     # tracking skipped entirely.  The declared case writes compile the
     # propagation coin into a case kernel: the fast loops pick a branch
-    # with the same single uniform and apply its slot deltas without
-    # entering the Python case functions.
+    # with the same single uniform and apply its slot deltas.
     san.timed(
         "fail",
         fail_distribution,
@@ -100,13 +90,11 @@ def build_disk_san(
         cases=[
             Case(
                 1.0 - p,
-                fail_isolated,
                 name="isolated",
                 writes=[("up", "set", 0), ("failed_count", "add", 1)],
             ),
             Case(
                 p,
-                fail_propagating,
                 name="propagating",
                 writes=[
                     ("up", "set", 0),
@@ -118,24 +106,15 @@ def build_disk_san(
         reads=["up", "fresh"],
     )
 
-    def absorb_stop(m: LocalView, rng) -> None:
-        m["up"] = 0
-        m["failed_count"] += 1
-        m["disk_kill"] -= 1
-
-    def absorb_chain(m: LocalView, rng) -> None:
-        m["up"] = 0
-        m["failed_count"] += 1
-        # Token stays: the fault chains to yet another disk.
-
-    # A propagated fault strikes some healthy disk of the tier.
+    # A propagated fault strikes some healthy disk of the tier; the
+    # token stays on the "chain" branch, so the fault strikes yet
+    # another disk.
     san.instant(
         "absorb_kill",
         enabled=lambda m: m["disk_kill"] > 0 and m["up"] == 1,
         cases=[
             Case(
                 1.0 - p,
-                absorb_stop,
                 name="stop",
                 writes=[
                     ("up", "set", 0),
@@ -145,25 +124,16 @@ def build_disk_san(
             ),
             Case(
                 p,
-                absorb_chain,
                 name="chain",
                 writes=[("up", "set", 0), ("failed_count", "add", 1)],
             ),
         ],
         priority=8,
     )
-
-    def on_replace(m: LocalView, rng) -> None:
-        m["up"] = 1
-        m["fresh"] = 1
-        m["failed_count"] -= 1
-        m["disks_replaced"] += 1
-
     san.timed(
         "replace",
         Deterministic(replacement_hours),
         enabled=lambda m: m["up"] == 0,
-        effect=on_replace,
         writes=[
             ("up", "set", 1),
             ("fresh", "set", 1),

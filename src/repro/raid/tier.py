@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from ..core.composition import Node, join, replicate
 from ..core.distributions import Deterministic, Weibull
-from ..core.places import LocalView
 from ..core.san import SAN
 from .config import RAIDConfig
 from .disk import build_disk_san
@@ -35,25 +34,9 @@ def build_tier_control_san(config: RAIDConfig, name: str = "tierctl") -> SAN:
     san.place("data_loss_total", 0)
     threshold = config.fault_tolerance + 1
 
-    def on_data_loss(m: LocalView, rng) -> None:
-        m["tier_down"] = 1
-        m["tiers_down"] += 1
-        m["data_loss_total"] += 1
-
-    def on_restore(m: LocalView, rng) -> None:
-        # If replacements have not caught up, the tier stays down and the
-        # restore activity re-fires (it remains enabled).  The conditional
-        # is declared below as a guarded write (writes= + when=), so the
-        # compiled engine evaluates the guard and applies the slot deltas
-        # without calling this function.
-        if m["failed_count"] <= config.fault_tolerance:
-            m["tier_down"] = 0
-            m["tiers_down"] -= 1
-
     san.instant(
         "data_loss",
         enabled=lambda m: m["failed_count"] >= threshold and m["tier_down"] == 0,
-        effect=on_data_loss,
         writes=[
             ("tier_down", "set", 1),
             ("tiers_down", "add", 1),
@@ -61,11 +44,12 @@ def build_tier_control_san(config: RAIDConfig, name: str = "tierctl") -> SAN:
         ],
         priority=5,
     )
+    # If replacements have not caught up, the guard fails: the tier
+    # stays down and the restore activity re-fires (it remains enabled).
     san.timed(
         "restore",
         Deterministic(config.tier_restore_hours),
         enabled=lambda m: m["tier_down"] == 1,
-        effect=on_restore,
         writes=[("tier_down", "set", 0), ("tiers_down", "add", -1)],
         when=("failed_count", "<=", config.fault_tolerance),
     )
@@ -74,7 +58,6 @@ def build_tier_control_san(config: RAIDConfig, name: str = "tierctl") -> SAN:
     san.instant(
         "void_kill",
         enabled=lambda m: m["disk_kill"] > 0 and m["failed_count"] >= config.tier_size,
-        effect=lambda m, rng: m.__setitem__("disk_kill", 0),
         writes=[("disk_kill", "set", 0)],
         priority=1,
     )

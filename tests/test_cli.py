@@ -226,6 +226,37 @@ class TestFriendlyValidation:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "rates, named",
+        [
+            (["--fail-rate", "1e308"], "1e+308 and disk_repair_rate 0.02"),
+            (["--repair-rate", "1e308"], "1e-05 and disk_repair_rate 1e+308"),
+            (
+                ["--fail-rate", "1e-300", "--repair-rate", "1e300"],
+                "1e-300 and disk_repair_rate 1e+300",
+            ),
+            (["--fail-rate", "1e-320"], "1e-320 and disk_repair_rate 0.02"),
+        ],
+    )
+    def test_overflowing_rare_rates_exit_2(self, rates, named, monkeypatch, capsys):
+        """Finite positive rates whose splitting odds overflow end in one
+        line naming both rates, before any root runs."""
+        import repro.experiments
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a root ran before the rate check")
+
+        monkeypatch.setattr(repro.experiments, "splitting_probability", refuse)
+        monkeypatch.setattr(repro.experiments, "brute_force_probability", refuse)
+        for extra in ([], ["--splitting"]):
+            assert main(["rare", *rates, *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"repro: disk_failure_rate {named} give no finite splitting "
+                "odds at 1 of 480 disks failed\n"
+            )
+            assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "argv, flag",
         [
             (["logs", "DIR"], "output_dir"),

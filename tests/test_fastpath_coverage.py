@@ -5,7 +5,8 @@ gate drops its activity back to Python gate functions, a distribution
 change drops its draws back to per-draw sampling, an accidental observer
 pushes a run onto the reference loop.  None of that is a correctness
 bug, so without these assertions it would regress performance quietly.
-This suite pins, for the ABE and petascale cluster models:
+This suite pins, for the ABE and petascale cluster models (and, for the
+first point, for every shipped model):
 
 * which event loop a measured run dispatches to (``Simulator.last_loop``),
 * that **every** activity carries a compiled kernel — gate-write or
@@ -27,6 +28,9 @@ from __future__ import annotations
 import pytest
 
 from repro.cfs import ClusterModel, abe_parameters, petascale_parameters
+from repro.cfs.cluster import StorageModel
+from repro.core import Simulator
+from repro.experiments.rare import aggregate_tier_san
 
 #: Template-level activity names expected on the case/guard-kernel path
 #: (probabilistic propagation coins + the guarded tier restore); every
@@ -48,6 +52,47 @@ def cluster(request):
         abe_parameters() if request.param == "abe" else petascale_parameters()
     )
     return ClusterModel(params, base_seed=2008)
+
+
+#: The shipped models besides the two cluster presets of the fixture
+#: below, each with its expected case-kernel set.
+OTHER_SHIPPED = {
+    "petascale-spare": (
+        lambda: ClusterModel(petascale_parameters().with_spare_oss(1)).simulator,
+        EXPECTED_CASE_KERNELS,
+    ),
+    "abe-storage": (
+        lambda: StorageModel(abe_parameters()).simulator,
+        EXPECTED_CASE_KERNELS,
+    ),
+    "petascale-storage": (
+        lambda: StorageModel(petascale_parameters()).simulator,
+        EXPECTED_CASE_KERNELS,
+    ),
+    # The deep-tail workload's aggregate 480-disk tier: plain gate-write
+    # kernels only.
+    "deep-tail-tier": (
+        lambda: Simulator(aggregate_tier_san(480, 6, 1e-5, 0.02)),
+        set(),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_SHIPPED))
+def test_every_shipped_effect_is_compiled(name):
+    """The spare dock's and the aggregate tier's effects are declared
+    too, so no shipped model completes through a Python effect."""
+    make, expected_cases = OTHER_SHIPPED[name]
+    report = make().fastpath_report()
+    assert report["python_effect_activities"] == [], (
+        f"activities fell off the compiled kernel paths: "
+        f"{sorted(_residue_names(report))}"
+    )
+    assert len(report["kernel_activities"]) > 0
+    case_names = {
+        path.rsplit("/", 1)[-1] for path in report["case_kernel_activities"]
+    }
+    assert case_names == expected_cases
 
 
 class TestCompiledCoverage:

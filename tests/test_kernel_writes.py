@@ -24,7 +24,12 @@ from hypothesis import strategies as st
 
 from repro.core import (
     SAN,
+    Case,
+    DeclarationError,
+    EventTrace,
     Exponential,
+    LocalView,
+    MarkingVector,
     ModelError,
     OutputGate,
     RateReward,
@@ -37,9 +42,10 @@ from repro.core import (
 pytestmark = pytest.mark.slow
 
 
-def _pair_fleet(n_units, fail_rate, repair_rate, annotate):
+def _pair_fleet(n_units, fail_rate, repair_rate, annotate, functions=True):
     """Replicated fail/repair units over a shared counter, optionally
-    declaring every effect's writes."""
+    declaring every effect's writes (without ``functions``, the
+    declarations alone are the effects)."""
     san = SAN("unit")
     san.place("up", 1)
     san.place("down_count", 0)
@@ -66,14 +72,14 @@ def _pair_fleet(n_units, fail_rate, repair_rate, annotate):
         "fail",
         Exponential(fail_rate),
         enabled=lambda m: m["up"] == 1,
-        effect=fail,
+        effect=fail if functions else None,
         writes=fail_writes,
     )
     san.timed(
         "repair",
         Exponential(repair_rate),
         enabled=lambda m: m["up"] == 0,
-        effect=repair,
+        effect=repair if functions else None,
         writes=repair_writes,
     )
     return flatten(replicate("fleet", san, n_units, shared=["down_count", "fails_total"]))
@@ -236,17 +242,183 @@ class TestVerification:
         assert res.n_events >= 1
 
 
+class TestWritesOnly:
+    """An effect declared by ``writes=`` (and ``when=``) alone: its
+    function is built from the ops, and the engine verifies and fires
+    it like any other declared effect."""
+
+    @staticmethod
+    def _view(**marking):
+        vector = MarkingVector(list(marking.values()))
+        return vector, LocalView(vector, {p: i for i, p in enumerate(marking)})
+
+    def test_ops_apply_in_declared_order(self):
+        for writes, expected in (
+            ([("a", "set", 1), ("a", "add", 2), ("b", "add", -1)], [3, 4]),
+            ([("a", "add", 2), ("a", "set", 1), ("b", "set", 0)], [1, 0]),
+        ):
+            vector, view = self._view(a=7, b=5)
+            OutputGate(writes=writes).function(view, None)
+            assert vector.values == expected
+
+    def test_when_guards_every_op(self):
+        gate = OutputGate(
+            writes=[("a", "set", 0), ("n", "add", -1)], when=("k", "<=", 2)
+        )
+        vector, view = self._view(a=1, n=3, k=2)
+        gate.function(view, None)
+        assert vector.values == [0, 2, 2]
+        vector, view = self._view(a=1, n=3, k=3)
+        gate.function(view, None)
+        assert vector.values == [1, 3, 3]
+        assert not vector.changed
+
+    def test_empty_case_writes_is_a_no_op(self):
+        for case in (Case(0.5, writes=()), Case(0.5)):
+            vector, view = self._view(a=1)
+            case.function(view, None)
+            assert vector.values == [1] and not vector.changed
+
+    @pytest.mark.parametrize("engine", ["reference", "auto"])
+    def test_negative_result_names_the_place(self, engine):
+        """The first completion drains the pool; the second would drive
+        it negative, through the built function on the reference path
+        and through the verified kernel on the compiled one."""
+        san = SAN("s")
+        san.place("tick", 0)
+        san.place("pool", 1)
+        san.timed(
+            "drain",
+            Exponential(1.0),
+            enabled=lambda m: m["tick"] < 5,
+            writes=[("tick", "add", 1), ("pool", "add", -1)],
+        )
+        sim = Simulator(flatten(san), base_seed=1, engine=engine)
+        with pytest.raises(SimulationError, match="place 's?/?pool'.*negative"):
+            sim.run(1000.0)
+        assert sim.last_kernel_effects == 0
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_reference_matches_auto(self, seed):
+        only = _pair_fleet(12, 0.01, 0.1, annotate=True, functions=False)
+        plain = _pair_fleet(12, 0.01, 0.1, annotate=False)
+        fast, sim = _run(only, seed, 256)
+        ref, _ = _run(only, seed, 256, engine="reference")
+        twin, _ = _run(plain, seed, 256)
+        for other in (ref, twin):
+            assert fast.n_events == other.n_events
+            assert fast._final_values == other._final_values
+            assert fast["frac"].integral.hex() == other["frac"].integral.hex()
+        assert sim.fastpath_report()["python_effect_activities"] == []
+        assert sim.last_kernel_effects > 0
+
+
+def _leak_model():
+    """``leak`` also sets ``d = 0`` but declares only its ``a`` write:
+    at its first completion ``d`` is still 0, so the omitted write
+    leaves the marking unchanged there and matters only later."""
+    san = SAN("leaky")
+    san.place("a", 0)
+    san.place("d", 0)
+
+    def leak(m, rng):
+        m["a"] += 1
+        m["d"] = 0
+
+    san.timed(
+        "leak",
+        Exponential(1.0),
+        enabled=lambda m: True,
+        effect=leak,
+        writes=[("a", "add", 1)],
+    )
+    san.timed(
+        "raise_d",
+        Exponential(1.0),
+        enabled=lambda m: m["d"] == 0,
+        writes=[("d", "set", 1)],
+    )
+    san.timed(
+        "sink",
+        Exponential(1.0),
+        enabled=lambda m: m["d"] == 1 and m["a"] > 0,
+        writes=[("a", "add", -1)],
+    )
+    return flatten(san)
+
+
+class TestUnchangedWrites:
+    """Verification compares the declared ops with every slot the
+    functions assign, not only the slots whose value changed.  At seed
+    10 ``leak`` completes first in both sampling modes, while ``d`` is
+    still 0."""
+
+    SEED = 10
+
+    def _first_leak(self, **kwargs):
+        trace = EventTrace("leaks", "*")
+        Simulator(
+            _leak_model(), base_seed=self.SEED, engine="reference", **kwargs
+        ).run(200.0, traces=[trace])
+        first = trace.events[0]
+        assert first.activity == "leaky/leak"
+        return first.time
+
+    def test_quarantine_follows_the_reference(self):
+        ref = Simulator(_leak_model(), base_seed=self.SEED, engine="reference")
+        ref_res = ref.run(200.0)
+        sim = Simulator(_leak_model(), base_seed=self.SEED, verify_every=50)
+        with pytest.warns(RuntimeWarning, match="quarantined.*leaky/d") as rec:
+            res = sim.run(200.0)
+        assert len([w for w in rec if "quarantined" in str(w.message)]) == 1
+        assert res.n_events == ref_res.n_events
+        assert res._final_values == ref_res._final_values
+
+    def test_strict_raises_at_the_first_completion(self):
+        t1 = self._first_leak()
+        for kwargs in ({}, {"verify_every": 50, "strict": True}):
+            Simulator(_leak_model(), base_seed=self.SEED, **kwargs).run(t1 * 0.999)
+            sim = Simulator(_leak_model(), base_seed=self.SEED, **kwargs)
+            with pytest.raises(DeclarationError, match="undeclared places"):
+                sim.run(t1 * 1.001)
+
+    def test_sanitizer_reports_the_first_completion(self):
+        # A sanitized run follows the per-draw reference trajectory.
+        t1 = self._first_leak(sample_batch=None)
+        sim = Simulator(_leak_model(), base_seed=self.SEED, engine="sanitize")
+        with pytest.warns(RuntimeWarning, match="sanitizer violations"):
+            res = sim.run(200.0)
+        v = res.sanitizer_report.violations[0]
+        assert (v.kind, v.subject, v.place) == (
+            "undeclared-write", "leaky/leak", "leaky/d"
+        )
+        assert v.sim_time == t1
+
+
 class TestDeclarationAPI:
-    def test_writes_require_effect(self):
+    def test_writes_alone_declare_the_effect(self):
+        """``writes=`` without ``effect=`` is the effect; ``when=``
+        still needs ``writes=``."""
         san = SAN("s")
         san.place("a", 1)
-        with pytest.raises(ModelError, match="without an effect"):
+        san.place("n", 0)
+        san.timed(
+            "t",
+            Exponential(1.0),
+            enabled=lambda m: m["a"] == 1,
+            writes=[("a", "set", 0), ("n", "add", 1)],
+        )
+        with pytest.raises(ModelError, match="guard without an effect"):
             san.timed(
-                "t",
-                Exponential(1.0),
-                enabled=lambda m: True,
-                writes=[("a", "set", 0)],
+                "u", Exponential(1.0), enabled=lambda m: True, when=("a", "==", 0)
             )
+        with pytest.raises(ModelError, match="requires writes"):
+            OutputGate(lambda m, rng: None, when=("a", "==", 0))
+        with pytest.raises(ModelError, match="function must be callable"):
+            OutputGate()
+        res = Simulator(flatten(san), base_seed=1).run(100.0)
+        assert res.n_events == 1
+        assert res.place("s/a") == 0 and res.place("s/n") == 1
 
     @pytest.mark.parametrize(
         "writes",

@@ -352,12 +352,11 @@ def test_bad_engine_name_raises():
 
 @pytest.mark.parametrize("spares", [0, 2])
 def test_cluster_measure_declarations_cover_tracked_reads(spares):
-    """The slot-resolved cluster measures read via ``m.raw``, which the
-    simulator's declared-reads verification cannot see.  This test makes
-    the declaration guarantee real: the tracked read set of the
-    path-based ``cfs_up_predicate`` twin must be covered by every
-    declared read set built from ``_cfs_up_fast`` — a place added to one
-    variant but not the other fails here."""
+    """The CFS-up condition is written once, as the form's guards: the
+    path-based ``cfs_up_predicate`` evaluates that form, so its tracked
+    reads on the all-up marking (no short-circuit) are exactly the
+    places of the ``cfs_availability`` form, and the perceived form
+    reads those plus the client-network places."""
     from repro.cfs import abe_parameters
     from repro.cfs import measures as M
     from repro.cfs.cluster import build_cluster_node
@@ -367,28 +366,22 @@ def test_cluster_measure_declarations_cover_tracked_reads(spares):
     model = flatten(build_cluster_node(params))
     vec = model.new_marking()
     view = model.global_view(vec)
-    up = M.cfs_up_predicate(model)
     vec.begin_tracking()
-    up(view)  # all-up initial marking: no short-circuit, full read set
+    assert M.cfs_up_predicate(model)(view) is True
     tracked = set(vec.end_tracking())
 
-    declared_up = {
-        model.paths[p] for p in M._cfs_up_fast(model, M._cfs_up_paths(model))[2]
-    }
-    assert tracked <= declared_up
+    def slots(reward):
+        assert reward.reads == reward.form.places()
+        return {model.paths[p] for p in reward.form.places()}
 
-    perceived = M.perceived_availability_reward(model, params)
-    declared_perceived = {model.paths[p] for p in perceived.reads}
-    assert tracked <= declared_perceived
-    extra = {
+    assert tracked == slots(M.cfs_availability_reward(model))
+    client = {
         model.paths[M.resolve_slot_path(model, "*/client/switches_down")],
         model.paths[M.resolve_slot_path(model, "*/spine_up")],
     }
-    assert extra <= declared_perceived
-
-    storage = M.storage_availability_reward(model)
-    declared_storage = {model.paths[p] for p in storage.reads}
-    assert {model.paths[p] for p in M._storage_paths(model)} <= declared_storage
+    perceived = M.perceived_availability_reward(model, params)
+    assert slots(perceived) == tracked | client
+    assert len(tracked) == (7 if spares else 6)
 
 
 @pytest.mark.parametrize("seed", [0, 9])

@@ -21,9 +21,12 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     Exponential,
+    ModelError,
     RateReward,
     SimulationError,
     Simulator,
@@ -296,6 +299,39 @@ class TestValidation:
             with pytest.raises(SimulationError) as exc_info:
                 call()
             assert needle in str(exc_info.value)
+
+    @pytest.mark.parametrize(
+        "lam, mu",
+        [(1e308, 0.02), (1e-5, 1e308), (1e-300, 1e300), (1e-320, 0.02)],
+    )
+    def test_overflowing_stage_odds_name_both_rates(self, lam, mu):
+        """Finite positive rates whose stage rates or odds overflow:
+        NaN, zero-division and infinite odds become one error."""
+        for call in (suggested_splits, tier_splitting_policy):
+            with pytest.raises(SimulationError) as exc_info:
+                call(480, 6, lam, mu)
+            assert str(exc_info.value) == (
+                f"disk_failure_rate {lam!r} and disk_repair_rate {mu!r} "
+                "give no finite splitting odds at 1 of 480 disks failed"
+            )
+
+    @given(
+        n=st.integers(2, 10**4),
+        f_frac=st.floats(0.0, 1.0),
+        lam=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        mu=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tier_helpers_return_or_raise_repro_errors(self, n, f_frac, lam, mu):
+        """Over the whole positive float range, the tier helpers either
+        return or raise a structured error: never NaN arithmetic, a
+        division by zero or an overflow."""
+        f = 1 + min(n - 2, int(f_frac * (n - 1)))
+        for call in (suggested_splits, tier_splitting_policy, aggregate_tier_san):
+            try:
+                call(n, f, lam, mu)
+            except (SimulationError, ModelError):
+                pass
 
     def test_tier_laws_are_prebuilt_per_count(self):
         n, f, lam, mu = 480, 6, 1e-5, 0.02

@@ -180,6 +180,32 @@ class TestBitIdentity:
         assert got.marking == want.marking
         assert got.rewards == want.rewards
 
+    def test_aggregate_tier_restart_segments(self):
+        """The deep-tail workload's aggregate tier, restarted from marked
+        states as RESTART segments are (up to the next level, or at the
+        loss level, where ``lose`` fires at t=0): every completion is a
+        verified kernel, the report is clean and the trajectory is the
+        per-draw reference's."""
+        from repro.experiments.rare import aggregate_tier_san
+
+        model = aggregate_tier_san(480, 6, 1e-3, 0.02)
+        slot = model.paths["tier/failed"]
+        for seed, k in ((1, 0), (2, 3), (3, 6), (4, 7)):
+            marking = list(model.initial)
+            marking[slot] = k
+            kw = dict(
+                initial_marking=marking,
+                stop_predicate=lambda m, k=k: m["tier/failed"] > max(k, 6),
+                rewards=(RateReward("lost", lambda m: float(m["tier/lost"])),),
+            )
+            got = _sanitize_sim(model, seed).run(400.0, **kw)
+            want = _reference_sim(model, seed).run(400.0, **kw)
+            assert_runs_identical(got, want)
+            report = got.sanitizer_report
+            assert report.ok, report.format()
+            assert got.n_events > 0
+            assert report.checks["write_checks"] == got.n_events
+
     @pytest.mark.slow
     def test_abe_cluster_differential(self):
         cluster = ClusterModel(abe_parameters())
