@@ -246,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         metavar="MODEL",
         help="models to lint: abe, petascale, petascale-spare, "
-        "abe-storage, petascale-storage (default: all)",
+        "abe-storage, petascale-storage, tier (the 480-disk, f=6 tier of "
+        "repro rare; default: all)",
     )
     return parser
 
@@ -433,8 +434,16 @@ def _cmd_rare(args: argparse.Namespace) -> int:
     from .markov.raid_markov import RAIDTierMarkov
 
     t0 = time.time()
-    # Checks the tier's arguments before any root starts.
+    # Checks the tier's arguments, and computes the closed form (which
+    # rejects a series too long to sum), before any root starts.
     odds = _stage_odds(args.disks, args.tolerance, args.fail_rate, args.repair_rate)
+    chain = RAIDTierMarkov(
+        n_disks=args.disks,
+        fault_tolerance=args.tolerance,
+        disk_failure_rate=args.fail_rate,
+        disk_repair_rate=args.repair_rate,
+    ).absorbing_chain()
+    exact = chain.transient(0, args.hours)[args.tolerance + 1]
     spec = tier_replication_spec(
         args.disks, args.tolerance, args.fail_rate, args.repair_rate,
         args.seed,
@@ -477,13 +486,6 @@ def _cmd_rare(args: argparse.Namespace) -> int:
             float(args.tolerance + 1),
             n_replications=args.roots, stopping=stopping, n_jobs=args.jobs,
         )
-    chain = RAIDTierMarkov(
-        n_disks=args.disks,
-        fault_tolerance=args.tolerance,
-        disk_failure_rate=args.fail_rate,
-        disk_repair_rate=args.repair_rate,
-    ).absorbing_chain()
-    exact = chain.transient(0, args.hours)[args.tolerance + 1]
     print(
         f"P(data loss within {args.hours:g} h), {args.disks} disks, "
         f"tolerance {args.tolerance}:"
@@ -532,6 +534,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         petascale_parameters,
     )
     from .core import lint_model
+    from .experiments.rare import aggregate_tier_san
 
     builders = {
         "abe": lambda: ClusterModel(abe_parameters()),
@@ -541,6 +544,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         ),
         "abe-storage": lambda: StorageModel(abe_parameters()),
         "petascale-storage": lambda: StorageModel(petascale_parameters()),
+        "tier": lambda: aggregate_tier_san(480, 6, 1e-5, 0.02),
     }
     names = args.models or list(builders)
     for name in names:

@@ -50,7 +50,6 @@ from .errors import (
     AnalysisError,
     ChaosError,
     CompositionError,
-    DeclarationError,
     FitError,
     InstantaneousLoopError,
     ModelError,
@@ -166,7 +165,6 @@ __all__ = [
     "CompositionError",
     "SimulationError",
     "SimulationBudgetError",
-    "DeclarationError",
     "InstantaneousLoopError",
     "SanitizerError",
     "ChaosError",

@@ -2,7 +2,9 @@
 
 All exceptions raised deliberately by this library derive from
 :class:`ReproError`, so callers can catch library failures without
-masking programming errors such as :class:`TypeError`.
+masking programming errors such as :class:`TypeError`.  A model's
+declarations are checked where they are built (:class:`ModelError`);
+faults that only a run can reveal raise :class:`SimulationError`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ __all__ = [
     "CompositionError",
     "SimulationError",
     "SimulationBudgetError",
-    "DeclarationError",
     "InstantaneousLoopError",
     "SanitizerError",
     "ChaosError",
@@ -31,7 +32,12 @@ class ReproError(Exception):
 
 
 class ModelError(ReproError):
-    """A stochastic activity network definition is malformed."""
+    """A stochastic activity network definition is malformed.
+
+    This includes an effect or a reward defined twice: a function passed
+    beside the ``writes=`` of a gate, case or activity, or a function or
+    ``reads=`` beside a rate reward's ``form=``.
+    """
 
 
 class CompositionError(ModelError):
@@ -45,20 +51,6 @@ class CompositionError(ModelError):
 
 class SimulationError(ReproError):
     """The discrete-event simulator reached an invalid state."""
-
-
-class DeclarationError(SimulationError):
-    """A declared dependency (``reads=``/``writes=``/``Case`` writes) was
-    contradicted by the activity's actual behavior.
-
-    Raised when kernel verification observes an effect, gate, or case
-    branch touching the marking differently from its declaration.  The
-    check runs after the Python fallback has already applied the true
-    writes, so the marking is consistent when this propagates; under
-    ``Simulator(verify_every=..., strict=False)`` the simulator catches
-    it, quarantines the offending activity's compiled kernel, and
-    continues on the Python path with a single :class:`RuntimeWarning`.
-    """
 
 
 class InstantaneousLoopError(SimulationError):

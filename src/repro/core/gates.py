@@ -12,8 +12,14 @@ In a stochastic activity network (Movaghar & Meyer; Möbius), an activity's
   is executed (between the input-gate and output-gate functions).
 
 Functions receive ``(marking_view, rng)`` so that modeling code can draw
-auxiliary random numbers (e.g. the paper's correlated-failure propagation
-coin with probability *p*), and predicates receive the view alone.
+auxiliary random numbers, and predicates receive the view alone.
+
+An output gate's or a case's effect that is a fixed marking update is
+*declared* instead, as ``writes=`` ops (an output gate's optionally
+guarded by ``when=``).  The declaration is the effect's only definition:
+the gate's or case's function is built from the ops, and the compiled
+engine applies the same ops as a kernel, so a function passed beside
+``writes=`` is rejected at construction.
 """
 
 from __future__ import annotations
@@ -201,28 +207,22 @@ class InputGate:
 class OutputGate:
     """Marking transformation executed when the activity completes.
 
-    ``writes`` *declares* the transformation as a fixed sequence of
+    Either a ``function`` or ``writes``, never both.  ``writes``
+    *declares* the transformation as a fixed sequence of
     :data:`WriteOp` slot operations — the gate-write analogue of
-    declared activity/reward ``reads`` — which the compiled engine
-    applies as precomputed slot deltas (``docs/performance.md`` Layer
-    5).  Without ``function`` the gate's function is built from the
-    ops.  A ``function`` passed as well is a twin that must, in
-    **every** marking, perform exactly the declared writes (in any
-    order) and never touch the rng: it is verified on the activity's
-    first completion of each run, and a mismatch raises
-    :class:`~repro.core.errors.DeclarationError` (or, under
-    ``Simulator(verify_every=...)``, quarantines the kernel).
-    Marking-dependent amounts and rng-consuming functions cannot be
-    declared.
+    declared activity/reward ``reads`` — and is the gate's only
+    definition: the gate's function is built from the ops, and the
+    compiled engine applies them as precomputed slot deltas
+    (``docs/performance.md`` Layer 5).  An effect with
+    marking-dependent amounts or rng draws stays a Python
+    ``function``.
 
     ``when`` extends the declaration to the one conditional shape the
     paper models need (the tier-restore effect): a :data:`WriteGuard`
-    ``(place, cmp, value)`` stating that in every marking where the
-    guard holds the gate performs exactly the declared writes, and in
-    every other marking it performs **no** writes.  The compiled
-    engine evaluates the guard on the completion marking and applies
-    the ops (or nothing); each guard branch is verified on its first
-    occurrence.  ``when`` requires ``writes``.
+    ``(place, cmp, value)`` under which the declared writes apply, with
+    **no** writes in every other marking.  The compiled engine
+    evaluates the guard on the completion marking and applies the ops
+    (or nothing).  ``when`` requires ``writes``.
     """
 
     function: GateFunction | None = None
@@ -231,34 +231,26 @@ class OutputGate:
     when: WriteGuard | None = None
 
     def __post_init__(self) -> None:
-        fn = self.function
-        if not callable(fn) and (fn is not None or self.writes is None):
-            raise ModelError("output gate function must be callable")
-        if self.writes is not None:
-            object.__setattr__(
-                self,
-                "writes",
-                validate_writes(
-                    tuple(self.writes), f"output gate {self.name or '<anonymous>'!r}"
-                ),
-            )
-        if self.when is not None:
-            if self.writes is None:
+        owner = f"output gate {self.name or '<anonymous>'!r}"
+        if self.writes is None:
+            if not callable(self.function):
+                raise ModelError("output gate function must be callable")
+            if self.when is not None:
                 raise ModelError(
-                    f"output gate {self.name or '<anonymous>'!r}: when "
-                    "requires writes (a guard over undeclared writes is "
-                    "meaningless)"
+                    f"{owner}: when requires writes (a guard over undeclared "
+                    "writes is meaningless)"
                 )
-            object.__setattr__(
-                self,
-                "when",
-                validate_guard(
-                    self.when, f"output gate {self.name or '<anonymous>'!r}"
-                ),
+            return
+        if self.function is not None:
+            raise ModelError(
+                f"{owner}: pass a function or writes, not both (the writes "
+                "are the effect)"
             )
-        if fn is None:
-            built = _writes_function(self.writes, self.when)
-            object.__setattr__(self, "function", built)
+        writes = validate_writes(tuple(self.writes), owner)
+        object.__setattr__(self, "writes", writes)
+        if self.when is not None:
+            object.__setattr__(self, "when", validate_guard(self.when, owner))
+        object.__setattr__(self, "function", _writes_function(writes, self.when))
 
 
 @dataclass(frozen=True)
@@ -270,16 +262,15 @@ class Case:
     the paper's propagation probability *p* is a constant case weight).
 
     ``writes`` *declares* the case's effect as a fixed :data:`WriteOp`
-    sequence, with the same contract as :class:`OutputGate` writes:
-    without a ``function`` the case's function is built from the ops,
-    and a ``function`` passed as well must match them — the explicit
-    empty tuple ``()`` declares a no-op branch, and so does a case with
-    neither.  When every case of an activity declares its writes (and
-    its probabilities are constants, its gates hold no other Python
+    sequence, with the same contract as :class:`OutputGate` writes: a
+    case takes a ``function`` or ``writes``, never both, and its
+    function is built from the ops — the explicit empty tuple ``()``
+    declares a no-op branch, and so does a case with neither.  When
+    every case of an activity declares its writes (and its
+    probabilities are constants, its gates hold no other Python
     functions), the compiled engine selects the branch with the same
     single uniform draw and applies the precomputed slot deltas — a
-    **case kernel** — instead of calling the case function; each branch
-    is verified against its function on its first selection.  See
+    **case kernel** — instead of calling the case function.  See
     ``docs/performance.md`` Layer 6.
     """
 
@@ -289,23 +280,26 @@ class Case:
     writes: tuple[WriteOp, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.function is not None and not callable(self.function):
-            raise ModelError("case function must be callable")
+        owner = f"case {self.name or '<anonymous>'!r}"
+        if self.function is not None:
+            if not callable(self.function):
+                raise ModelError("case function must be callable")
+            if self.writes is not None:
+                raise ModelError(
+                    f"{owner}: pass a function or writes, not both (the "
+                    "writes are the effect)"
+                )
         if not callable(self.probability):
             p = float(self.probability)
             if not (0.0 <= p <= 1.0):
                 raise ModelError(f"case probability must be in [0, 1], got {p}")
-        if self.writes is not None:
-            object.__setattr__(
-                self,
-                "writes",
-                validate_writes(
-                    tuple(self.writes),
-                    f"case {self.name or '<anonymous>'!r}",
-                    allow_empty=True,
-                ),
-            )
         if self.function is None:
+            if self.writes is not None:
+                object.__setattr__(
+                    self,
+                    "writes",
+                    validate_writes(tuple(self.writes), owner, allow_empty=True),
+                )
             object.__setattr__(self, "function", _writes_function(self.writes or ()))
 
     def probability_in(self, m: LocalView) -> float:

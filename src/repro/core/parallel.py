@@ -35,7 +35,7 @@ once per process (compile-once/replicate-many, see
 ``docs/performance.md`` Layer 6).  Reuse is bit-identical to fresh
 construction: a cache hit resets the simulator's stream counter
 (:meth:`~repro.core.simulation.Simulator.reset_streams`), and every
-other carry-over (verification flags, predicate memos, discovered
+other carry-over (declared-read checks, predicate memos, discovered
 dependencies) is trajectory-neutral by the engine's contracts.
 
 Use via :func:`repro.core.experiment.replicate_runs` with ``n_jobs``.

@@ -34,9 +34,9 @@ other Möbius variable shapes:
   incremental update kernel — when an event writes a relevant place, the
   kernel refreshes the reward's value inline (integer guard bookkeeping
   plus a short affine recompute) instead of re-calling the Python
-  expression.  The kernel is verified against the Python function on the
-  first evaluation of every run, and ``engine="reference"`` never uses
-  it (the differential-testing contract of the gate/case kernels).
+  expression.  The form is the reward's only definition (its function is
+  synthesized from it), and ``engine="reference"`` never uses the kernel
+  (the differential-testing contract of the gate/case kernels).
 """
 
 from __future__ import annotations
@@ -273,16 +273,15 @@ class RateReward:
         :attr:`RewardResult.instants`.  The recorded value is the left
         limit: the reward value just before any event at that instant.
     form:
-        Optional declared :class:`Indicator` / :class:`Affine` form.  A
-        declared form is compiled by the simulator into an incremental
-        update kernel: events that write one of the form's places refresh
-        the reward inline (exact integer guard bookkeeping plus the
-        canonical affine arithmetic) instead of re-calling ``function``.
-        The kernel value is verified against ``function`` on the first
-        evaluation of every run and must match bit-for-bit — pass
-        ``function=None`` to have the function synthesized from the form,
-        which guarantees it.  When ``reads`` is omitted, it is derived
-        from the form's places.  ``engine="reference"`` ignores forms.
+        Optional declared :class:`Indicator` / :class:`Affine` form, the
+        reward's only definition: ``function`` is synthesized from it
+        and ``reads`` derived from its places, so neither may be passed
+        beside it.  The simulator compiles a declared form into an
+        incremental update kernel: events that write one of the form's
+        places refresh the reward inline (exact integer guard
+        bookkeeping plus the canonical affine arithmetic, the same the
+        synthesized function computes) instead of re-calling
+        ``function``.  ``engine="reference"`` ignores forms.
     """
 
     kind = "rate"
@@ -302,23 +301,27 @@ class RateReward:
                 f"rate reward {name!r}: form must be an Indicator or "
                 f"Affine, got {form!r}"
             )
-        if function is None:
-            if form is None:
+        if form is not None:
+            if function is not None or reads is not None:
                 raise ModelError(
-                    f"rate reward {name!r}: function must be callable "
-                    "(or a form declared to synthesize it from)"
+                    f"rate reward {name!r}: a form is the reward's only "
+                    "definition; pass no function or reads beside it"
                 )
             function = _synthesize_form_function(form)
+            # A degenerate constant form (no guards, no terms) reads
+            # nothing: leave reads undeclared — the value never needs a
+            # refresh after t=0.
+            reads = form.places() or None
+        elif function is None:
+            raise ModelError(
+                f"rate reward {name!r}: function must be callable "
+                "(or a form declared to synthesize it from)"
+            )
         elif not callable(function):
             raise ModelError(f"rate reward {name!r}: function must be callable")
         self.name = name
         self.function = function
         self.form = form
-        if reads is None and form is not None:
-            # A degenerate constant form (no guards, no terms) reads
-            # nothing: leave reads undeclared — the value never needs a
-            # refresh after t=0.
-            reads = form.places() or None
         self.reads = None if reads is None else tuple(reads)
         if self.reads is not None and not self.reads:
             raise ModelError(f"rate reward {name!r}: reads must not be empty")

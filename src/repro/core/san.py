@@ -184,12 +184,12 @@ class SAN:
         sequence (``("place", "add", k)`` / ``("place", "set", v)``),
         letting the compiled engine apply them as precomputed slot
         deltas instead of calling a Python function — see
-        :class:`~repro.core.gates.OutputGate`.  Without ``effect`` the
-        declaration alone is the effect; with it, ``effect`` is a twin
-        the declaration is verified against.  ``when`` optionally
-        guards the declared writes with a ``(place, cmp, value)``
-        condition for conditional effects ("write exactly this iff the
-        guard holds, nothing otherwise"); it requires ``writes``.
+        :class:`~repro.core.gates.OutputGate`.  The declaration is the
+        effect, so ``effect`` and ``writes`` exclude each other.
+        ``when`` optionally guards the declared writes with a
+        ``(place, cmp, value)`` condition for conditional effects
+        ("write exactly this iff the guard holds, nothing otherwise");
+        it requires ``writes``.
 
         ``reads`` optionally declares the dependency set: the local place
         names that the enabling predicates — and, for marking-dependent
@@ -242,6 +242,11 @@ class SAN:
                     "guard without an effect function"
                 )
             return []
+        if effect is not None and writes is not None:
+            raise ModelError(
+                f"SAN {self.name!r}: activity {name!r} passes effect and "
+                "writes; pass one (the writes are the effect)"
+            )
         return [
             OutputGate(
                 effect,

@@ -1,23 +1,26 @@
 """Model-integrity sanitizer: declaration cross-checking and model lint.
 
-The compiled engine's speedups all rest on *declared* activity reads and
-writes, case branches and reward forms being truthful, but declarations
-are only verified on an activity's first completion — a declaration that
-is wrong on a later path silently produces wrong numbers.  This module
-is the TSan/ASan analogue for that contract:
+The compiled engine's speedups rest on *declared* activity and reward
+reads being complete, but the engine checks a declaration only on an
+evaluation's first run through it — a read that happens only on a later
+path (a short-circuit predicate) silently leaves the dependency map
+short and produces wrong numbers.  Declared writes and reward forms need
+no such check: each is its effect's or reward's only definition, and the
+function the Python path runs is built from it.  This module is the
+TSan/ASan analogue for the reads contract:
 
 * ``Simulator(sanitize=True)`` / ``engine="sanitize"`` runs the
   engine's reference loop on the compiled program with the checks of a
   :class:`DeclarationChecker` swapped into its local tables.  Every
   predicate, distribution callable and rate reward evaluates on the
   tracked path and is checked against its declared reads (and a reward
-  against its declared form and finiteness) on **every** evaluation;
-  every compiled gate, case and guard kernel is re-verified against its
-  Python functions on **every** completion, not just the first.
-  Violations are collected with full provenance (activity, place path,
-  event index, simulated time) into a :class:`SanitizerReport` attached
-  to the :class:`~repro.core.simulation.RunResult`.  The checks only
-  observe, so a sanitized run consumes the RNG stream exactly like
+  for finiteness) on **every** evaluation, and every effect fires
+  through its Python function with no kernels, as on
+  ``engine="reference"``.  Violations are collected with full
+  provenance (activity, place path, event index, simulated time) into a
+  :class:`SanitizerReport` attached to the
+  :class:`~repro.core.simulation.RunResult`.  The checks only observe,
+  so a sanitized run consumes the RNG stream exactly like
   ``engine="reference"`` on the same program: with ``sample_batch=None``
   (the sanitize default) a clean model's trajectory and results are
   bit-identical to the per-draw reference run, the differential
@@ -52,7 +55,6 @@ from .errors import SanitizerError, SimulationError
 from .gates import _noop
 from .places import LocalView
 from .san import SAN, TIMED
-from .simulation import _form_value
 
 __all__ = [
     "SanitizerViolation",
@@ -66,7 +68,6 @@ __all__ = [
 _CHECK_KINDS = (
     "predicate_evals",
     "distribution_evals",
-    "write_checks",
     "case_selections",
     "reward_evals",
 )
@@ -82,9 +83,8 @@ class SanitizerViolation:
     Attributes
     ----------
     kind:
-        Violation class: ``"undeclared-read"``, ``"undeclared-write"``,
-        ``"write-mismatch"``, ``"rng-in-declared-effect"``,
-        ``"case-sum"``, ``"form-mismatch"``, ``"non-finite-reward"``.
+        Violation class: ``"undeclared-read"``, ``"case-sum"`` or
+        ``"non-finite-reward"``.
     subject:
         Activity path or reward name the violation belongs to.
     place:
@@ -149,27 +149,6 @@ class SanitizerReport:
         return "\n".join(lines)
 
 
-class _RecordingRng:
-    """Delegating rng proxy that flags any use.
-
-    Declared-writes effects must never touch the rng (the compiled
-    kernels do not).  A sanitized kernel verification hands the Python
-    functions this proxy where the engine's would raise: every attribute
-    access is recorded but delegated, which keeps the draw stream
-    identical to the reference loop's while still detecting the breach.
-    """
-
-    __slots__ = ("_rng", "used")
-
-    def __init__(self, rng) -> None:
-        self._rng = rng
-        self.used = False
-
-    def __getattr__(self, name: str):
-        object.__setattr__(self, "used", True)
-        return getattr(object.__getattribute__(self, "_rng"), name)
-
-
 # ----------------------------------------------------------------------
 # run-time checks
 # ----------------------------------------------------------------------
@@ -181,9 +160,8 @@ class DeclarationChecker:
     loop's local tables: :meth:`predicate`, :meth:`distribution` and
     :meth:`reward` evaluate the model's functions on the tracked path
     and check what they read and return.  The engine hands the rest to
-    it instead of raising: each kernel verification's findings
-    (:meth:`writes`), mid-run faults (:meth:`violate`) and the run's
-    end (:meth:`finish`).  Every wrapper returns what the wrapped
+    it instead of raising: mid-run faults (:meth:`violate`) and the
+    run's end (:meth:`finish`).  Every wrapper returns what the wrapped
     function returns, so the trajectory is the reference loop's.
 
     ``clock`` returns the run's ``(events executed, simulated time)``,
@@ -200,10 +178,6 @@ class DeclarationChecker:
         self._declared = [
             act.definition.reads is not None for act in model.activities
         ]
-        self._has_cases = [
-            bool(act.definition.cases) for act in model.activities
-        ]
-        self._values = vector.values
         self._reads = vector.reads
         self._clock = clock
         self._seen: set[tuple[str, str, str | None]] = set()
@@ -267,32 +241,19 @@ class DeclarationChecker:
             aid, fn, "distribution_evals", "distribution callable"
         )
 
-    def reward(self, r, guards, base, terms) -> Callable:
-        """Rate reward ``r``'s function with its read, form and
-        finiteness checks; ``guards``, ``base`` and ``terms`` are its
-        declared form as the engine resolved it."""
+    def reward(self, r) -> Callable:
+        """Rate reward ``r``'s function with its read and finiteness
+        checks."""
         checks = self.checks
         name = r.name
         fn = r.function
         declared = r.reads is not None
-        has_form = r.form is not None
-        values = self._values
 
         def checked(view) -> float:
             checks["reward_evals"] += 1
             val = float(fn(view))
             if declared:
                 self._drop_reads(name, "reward function")
-            if has_form:
-                kval = _form_value(values, guards, base, terms)
-                if kval != val:
-                    self.violate(
-                        "form-mismatch",
-                        name,
-                        None,
-                        f"declared form evaluates to {kval!r} but the reward "
-                        f"function returned {val!r}",
-                    )
             if not math.isfinite(val):
                 self.violate(
                     "non-finite-reward",
@@ -303,44 +264,6 @@ class DeclarationChecker:
             return val
 
         return checked
-
-    def effect_rng(self, rng) -> _RecordingRng:
-        """The rng a kernel verification hands the Python functions."""
-        return _RecordingRng(rng)
-
-    def writes(self, aid: int, rng, undeclared, wrong, predicted) -> None:
-        """Report one kernel verification of activity ``aid``: the
-        ``undeclared`` slots its functions wrote, the ``wrong`` slots
-        where they disagree with the declared ops' ``predicted`` values,
-        and any use of ``rng`` (from :meth:`effect_rng`)."""
-        checks = self.checks
-        checks["write_checks"] += 1
-        if self._has_cases[aid]:
-            checks["case_selections"] += 1
-        path = self._paths[aid]
-        for slot in undeclared:
-            self.violate(
-                "undeclared-write",
-                path,
-                self._canonical[slot],
-                "effect wrote a place missing from the declared write ops",
-            )
-        for slot in wrong:
-            self.violate(
-                "write-mismatch",
-                path,
-                self._canonical[slot],
-                f"declared ops give {predicted[slot]}, the effect function "
-                f"wrote {self._values[slot]}",
-            )
-        if rng.used:
-            self.violate(
-                "rng-in-declared-effect",
-                path,
-                None,
-                "an effect with fully declared writes used the rng; the "
-                "compiled kernel would not",
-            )
 
     def finish(
         self, n_events: int, end_time: float, strict: bool
@@ -646,16 +569,19 @@ def lint_model(model) -> LintReport:
                 returned = dist(view)
             except Exception as exc:
                 returned = None
-                findings.append(
-                    LintFinding(
-                        "bad-distribution",
-                        "error",
-                        act.path,
-                        f"distribution callable raised "
-                        f"{type(exc).__name__} on the initial marking: "
-                        f"{exc}",
+                # The engine evaluates a law only when its activity is
+                # enabled, so a raise matters only where it is.
+                if en:
+                    findings.append(
+                        LintFinding(
+                            "bad-distribution",
+                            "error",
+                            act.path,
+                            f"distribution callable raised "
+                            f"{type(exc).__name__} on the initial marking: "
+                            f"{exc}",
+                        )
                     )
-                )
             finally:
                 vector.end_tracking()
             if d.reads is not None and reads_resolved:

@@ -58,9 +58,9 @@ Hot-path design (see ``docs/performance.md`` for measurements):
   loops apply the precomputed slot deltas (and mark the dependent
   activities/observers of each written slot directly) instead of
   calling the Python gate functions through ``LocalView``.  The
-  declaration is verified against the gate functions on the activity's
-  first completion each run; kernels are bit-identical to the function
-  path in both sampling modes (pinned by the goldens and the
+  declared ops are the effect's only definition (its gate function is
+  built from them), so kernels are bit-identical to the function path
+  in both sampling modes (pinned by the goldens and the
   ``engine="reference"`` differential, which never uses kernels);
 * *case-bearing* activities whose every case declares its writes
   (``Case(..., writes=[...])``, constant probabilities, no other
@@ -70,18 +70,17 @@ Hot-path design (see ``docs/performance.md`` for measurements):
   apply that branch's precomputed slot deltas.  Conditional effects of
   the one declared shape (``OutputGate(..., writes=[...],
   when=(place, cmp, value))``) compile into two-branch **guard
-  kernels** selected by the marking instead of a uniform.  Every
-  branch is verified against its Python function on its first
-  selection (same undeclared-write / rng-use checks as gate-write
-  kernels), so the cluster models' propagation coins (disk/member
-  ``fail``, ``absorb_kill``) and the conditional tier ``restore`` run
-  with zero Python-effect activities (see ``fastpath_report``).
+  kernels** selected by the marking instead of a uniform, so the
+  cluster models' propagation coins (disk/member ``fail``,
+  ``absorb_kill``) and the conditional tier ``restore`` run with zero
+  Python-effect activities (see ``fastpath_report``).  Kernels are live
+  from compile: every completion of a kernel activity applies its ops.
 
 The compile artifacts live in a :class:`CompiledProgram` — immutable
 model structure (tables, dependency maps, kernels, sampler plans) plus
 the per-run mutable state (marking vector, discovered-dependency
-journal, one-shot verification flags), reset in O(marking) at the start
-of every run.  The program also keeps the *run plan* (``_RunPlan``):
+journal), reset in O(marking) at the start of every run.  The program
+also keeps the *run plan* (``_RunPlan``):
 what a run derives from the program, the engine and the reward objects
 (the rate/impulse split, the kernel tables the loops fire through,
 reward views, observer lists, form kernels), built by the first run
@@ -131,11 +130,11 @@ pins it against fixtures recorded before the specialization existed.
 ``engine="sanitize"`` runs the reference loop with the declaration
 checks of :mod:`repro.core.sanitizer` swapped into the run's tables:
 predicates, distribution callables and rate rewards evaluate through
-checking wrappers, every kernel is re-verified on every completion by
-the ``verify_every`` machinery, and the faults the other engines raise
-mid-run (a case sum other than 1, a non-finite reward, a wrong kernel)
-are reported instead.  The checks only observe, so a sanitized run
-follows the reference trajectory bit for bit.
+checking wrappers, every effect fires through its Python function as on
+the reference engine, and the faults the other engines raise mid-run (a
+case sum other than 1, a non-finite reward) are reported instead.  The
+checks only observe, so a sanitized run follows the reference
+trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -145,7 +144,6 @@ import heapq
 import math
 import operator
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -159,7 +157,6 @@ from .distributions import (
     Exponential,
 )
 from .errors import (
-    DeclarationError,
     InstantaneousLoopError,
     SimulationBudgetError,
     SimulationError,
@@ -185,42 +182,6 @@ _INTEGERS = (int, np.integer)
 #: The exact type of a start-marking entry that needs no conversion.
 _INT = frozenset((int,))
 _GENERATOR = np.random.Generator
-
-class _RngGuard:
-    """Placeholder rng for gate-write kernel verification.
-
-    A gate function with declared writes must be a pure, deterministic
-    marking transformation; any rng use would make the kernel (which
-    never touches the rng) diverge from the function path, so touching
-    this object raises instead.
-    """
-
-    __slots__ = ()
-
-    def __getattr__(self, name: str):
-        raise SimulationError(
-            "output gate with declared writes must not use the rng "
-            f"(attempted rng.{name})"
-        )
-
-
-_RNG_GUARD = _RngGuard()
-
-
-class _AssignView(LocalView):
-    """A view that records every slot assigned through it, changed or
-    not: what a compiled effect's verification checks its ops against."""
-
-    __slots__ = ("assigned",)
-
-    def __init__(self, vector, index) -> None:
-        super().__init__(vector, index)
-        self.assigned: set[int] = set()
-
-    def __setitem__(self, name: str, value: int) -> None:
-        LocalView.__setitem__(self, name, value)
-        self.assigned.add(self._index[name])
-
 
 @dataclass
 class RunResult:
@@ -312,17 +273,15 @@ def _check_number(value, name: str, integer=True, low=None, optional=False):
 
 
 def _form_slot(model: FlatModel, rname: str, place: str) -> int:
-    """The one slot a reward form's ``place`` names."""
+    """The slot a reward form's ``place`` path names.  A form names each
+    place by its path, as the reward's synthesized function reads it."""
     slot = model.paths.get(place)
-    if slot is not None:
-        return slot
-    matches = model.match(place)
-    if len(matches) != 1:
+    if slot is None:
         raise SimulationError(
             f"rate reward {rname!r}: form place {place!r} resolved "
-            f"to {len(matches)} places; expected exactly one"
+            f"to {len(model.match(place))} places; expected exactly one path"
         )
-    return next(iter(matches.values()))
+    return slot
 
 
 class _RunPlan:
@@ -333,18 +292,15 @@ class _RunPlan:
     every run with the same engine and the same reward objects (by
     identity, in order) and rebuilt by any other.  It holds the rewards
     (so their identities cannot be recycled), checked before the run
-    uses up a stream; the kernel tables the engine fires through, which
-    promotion, demotion and quarantine update in place for every
-    simulator sharing the program; the reward views, observer lists and
-    form kernels; and the completion observers, whose impulse entries
-    each run binds to its fresh results.  A run resets what it mutates:
-    tracked discoveries roll back to the declared baseline, form guard
-    state is re-initialized at t=0, and results, traces, bounds and loop
-    state are built per run.
+    uses up a stream; the kernel tables the engine fires through; the
+    reward views, observer lists and form kernels; and the completion
+    observers, whose impulse entries each run binds to its fresh
+    results.  A run resets what it mutates: tracked discoveries roll
+    back to the declared baseline, form guard state is re-initialized at
+    t=0, and results, traces, bounds and loop state are built per run.
 
     A run reads every table it never replaces from the plan (the
-    compiled loop's in one tuple, ``loop_tables``); they are the live
-    objects that promotion, demotion and quarantine update in place.
+    compiled loop's in one tuple, ``loop_tables``).
     """
 
     def __init__(self, program: CompiledProgram, engine: str, rewards: tuple):
@@ -394,24 +350,15 @@ class _RunPlan:
                 self.act_watch[aid] = (imp, None)
 
         self.c = c = program.tables()
-        # The reference engine runs every effect through its Python
-        # functions; a sanitized run keeps the kernels to verify them,
-        # against flags of its own.
+        # Only the compiled loop fires kernels; the reference and
+        # sanitized runs fire every effect through its Python functions.
         auto = engine == "auto"
-        if engine == "reference":
-            self.kernels = [None] * n_acts
-            self.case_kern = [None] * n_acts
-        else:
+        if auto:
             self.kernels = c.kernels
             self.case_kern = c.case_kern
-        # Verified-kernel ops, fused with the verification flag: the
-        # compiled loop tests one entry instead of two (kernels[aid] +
-        # kern_ok).  A kernel's first completion verifies through the
-        # Python gate functions and promotes its ops here.
-        self.live_kernels = [
-            ops if auto and ok else None
-            for ops, ok in zip(self.kernels, program._kern_verified)
-        ]
+        else:
+            self.kernels = [None] * n_acts
+            self.case_kern = [None] * n_acts
         # Per-activity "has a case/guard kernel" flags: compile makes
         # plain kernels and case kernels mutually exclusive, so the hot
         # dispatch needs one boolean load, not a second table probe.
@@ -444,8 +391,8 @@ class _RunPlan:
         # bookkeeping + the canonical affine arithmetic) instead of
         # re-calling the Python expression after settlement.  The
         # reference engine never compiles forms — it keeps the tracked
-        # observer path, which is the differential oracle for this layer.
-        # A sanitized run resolves the forms but only to check them.
+        # observer path, which is the differential oracle for this layer,
+        # and so does a sanitized run.
         self.form_compiled = form_compiled = [
             r.form is not None and auto for r in rate_rewards
         ]
@@ -462,7 +409,7 @@ class _RunPlan:
         self.form_base: list[float] = [0.0] * n_rates
         self.form_terms: list[tuple | None] = [None] * n_rates
         for i, r in enumerate(rate_rewards):
-            if r.form is None or engine == "reference":
+            if not form_compiled[i]:
                 continue
             f = r.form
             terms = tuple(
@@ -480,8 +427,6 @@ class _RunPlan:
             self.form_guards[i] = tuple(guards)
             self.form_base[i] = f.base
             self.form_terms[i] = terms
-            if not form_compiled[i]:
-                continue
             self.form_gstate[i] = [False] * len(guards)
             relevant: dict[int, None] = {}
             for _cmp_fn, _gv, sa, sb in guards:
@@ -566,8 +511,7 @@ class _RunPlan:
         # The tables a sanitized run replaces, and its checker (checking()).
         self.checker = None
         self.preds, self.dyn_dists, self.declared = c.preds, c.dyn_dists, c.declared
-        self.dyn_verified, self.kern_ok = program._dyn_verified, program._kern_verified
-        self.case_ok = program._case_verified
+        self.dyn_verified = program._dyn_verified
         # The exact law types whose instances _Run.dyn_sample accepted.
         self.law_types: set[type] = set()
         # The tables settle() reads, in its order.
@@ -582,9 +526,8 @@ class _RunPlan:
             model, vector, self.values, self.changed, self.reads, c.views, c.pviews,
             c.gview, c.plain1, c.samplers, c.batched_of, c.is_timed, c.memo_slot,
             c.reactivate, self.pred_memo, self.dep_lists, c.preds, c.declared,
-            self.kernels, self.has_case, self.live_kernels, self.slot_obs,
-            self.form_gstate, self.inline_rates, range(n_rates), bool(rate_rewards),
-            self.reads.clear, self.changed.pop, heapq.heappush, heapq.heappop,
+            self.kernels, self.has_case, self.slot_obs, self.form_gstate,
+            self.inline_rates, range(n_rates), bool(rate_rewards), self.reads.clear, self.changed.pop, heapq.heappush, heapq.heappop,
             heapq.heappushpop, self.act_watch, False, False, (), (), (), (), (), (), (),
             0, 0, 0,
         ) if auto else None
@@ -592,12 +535,11 @@ class _RunPlan:
     def checking(self, checker) -> _RunPlan:
         """A copy of this plan for one sanitized run, with ``checker``'s
         wrappers in place of the predicates, distribution callables and
-        rate rewards, and the declaration and verification flags of the
-        run's own; every other table is this plan's live object.  Every
-        activity evaluates on the tracked path (a wrapper reports and
-        drops a declared activity's undeclared reads), kernels verify on
-        every completion against the run's flags, and every reward
-        evaluates through its checking wrapper."""
+        rate rewards, and the declaration flags of the run's own; every
+        other table is this plan's live object.  Every activity
+        evaluates on the tracked path (a wrapper reports and drops a
+        declared activity's undeclared reads) and every reward evaluates
+        through its checking wrapper."""
         plan = copy.copy(self)
         plan.checker = checker
         c, n_acts = self.c, self.n_acts
@@ -608,16 +550,9 @@ class _RunPlan:
         ]
         plan.declared = [False] * n_acts
         plan.dyn_verified = [False] * n_acts
-        plan.kern_ok = [False] * n_acts
-        plan.case_ok = [f if f is None else [False] * len(f) for f in self.case_ok]
         for aid, slots in c.init_undeclared:
             checker.undeclared_reads(c.paths[aid], "enabling predicate", slots)
-        plan.rate_fns = [
-            checker.reward(
-                r, self.form_guards[i], self.form_base[i], self.form_terms[i]
-            )
-            for i, r in enumerate(self.rate_rewards)
-        ]
+        plan.rate_fns = [checker.reward(r) for r in self.rate_rewards]
         plan.rate_declared = [False] * len(self.rate_rewards)
         plan.settle_tables = (plan.declared, plan.preds) + self.settle_tables[2:]
         return plan
@@ -673,20 +608,6 @@ def _kernel_negative(model: FlatModel, aid: int, slot: int, value: int):
         f"activity {model.activities[aid].path!r}: declared write drives "
         f"place {_slot_place(model, slot)!r} to negative value {value}"
     )
-
-
-def _form_value(values, guards, base, terms) -> float:
-    """A declared reward form on the marking ``values``: 0 when one of
-    its resolved ``guards`` fails, else ``base`` plus the affine
-    ``terms`` in declaration order — the arithmetic of the engine's form
-    kernels."""
-    for gcmp, gv, sa, sb in guards:
-        if not gcmp(values[sa] if sb < 0 else values[sa] - values[sb], gv):
-            return 0.0
-    acc = base
-    for ts_, tc, td in terms:
-        acc += tc * values[ts_] / td
-    return acc
 
 
 class _Compiled:
@@ -822,7 +743,7 @@ class _ActivityPlan:
                 op for og in d.output_gates for op in _write_plan(og.writes)
             )
         # kernel: the gate-write kernel's ops; guard: (place, cmp_fn,
-        # value, ops, labels) of a guard kernel.  Mutually exclusive.
+        # value, ops) of a guard kernel.  Mutually exclusive.
         self.kernel = None
         self.guard = None
         if plain and d.output_gates and og_writes is not None:
@@ -835,22 +756,13 @@ class _ActivityPlan:
         ):
             og = d.output_gates[0]
             pname, cmp, gval = og.when
-            self.guard = (
-                pname,
-                GUARD_OPS[cmp],
-                gval,
-                _write_plan(og.writes),
-                (
-                    f"guarded writes ({pname} {cmp} {gval} holds)",
-                    f"guarded writes ({pname} {cmp} {gval} fails)",
-                ),
-            )
+            self.guard = (pname, GUARD_OPS[cmp], gval, _write_plan(og.writes))
 
         # case_tab: None (no cases), (bounds, None) for static
         # probabilities, or (None, cases) for marking-dependent ones.
         # case_sum: the offending total when static probabilities do not
         # sum to 1.  case_kern: (thresholds, output-gate write plan,
-        # per-case write plans, branch functions, branch labels).
+        # per-case write plans).
         self.case_tab = None
         self.case_sum = None
         self.case_kern = None
@@ -884,10 +796,6 @@ class _ActivityPlan:
                         tuple(acc for acc, _fn in bounds),
                         og_writes,
                         tuple(_write_plan(case.writes) for case in d.cases),
-                        tuple((case.function,) + self.og_fns for case in d.cases),
-                        tuple(
-                            f"case {case.name or i}" for i, case in enumerate(d.cases)
-                        ),
                     )
 
         # sampler: shared per distribution object for the const,
@@ -944,7 +852,7 @@ class CompiledProgram:
     per-run: the compiled per-activity tables (:class:`_Compiled`), the
     slot → activity dependency map, the gate-write / case kernels and
     sampler plans, plus the trajectory-neutral warm state (one-shot
-    declaration-verification flags, predicate memos, pattern caches).
+    declared-read checks, predicate memos, pattern caches).
     Per-run mutable state — the marking vector, batched-sampler blocks
     and post-compile dependency discoveries — is rolled back in
     O(marking) at the start of every run, so a run's trajectory is a
@@ -1006,18 +914,12 @@ class CompiledProgram:
         self._pattern_cache: dict[str, list[int]] = {}
         self._callable_pattern_cache: dict[int, tuple[object, list[int]]] = {}
         self._compiled: _Compiled | None = None
-        # One-shot declaration checks, persistent across runs: a verified
-        # evaluation is bit-identical to an unverified one (verification
-        # only *observes* — the gate functions / distribution callables
-        # run exactly as they otherwise would, and tracking never touches
-        # values or the rng), so warm and fresh simulators follow the
-        # same trajectories whether or not verification already happened.
-        self._kern_verified = [False] * self._n_acts
+        # One-shot declared-read checks of the distribution callables,
+        # persistent across runs: a checked evaluation is bit-identical to
+        # an unchecked one (tracking never touches values or the rng), so
+        # warm and fresh simulators follow the same trajectories whether
+        # or not the check already happened.
         self._dyn_verified = [False] * self._n_acts
-        # Per-branch verification flags for case/guard kernels (None when
-        # the activity compiled no case kernel): flags[i] marks branch i
-        # verified.  Same persistence contract as _kern_verified.
-        self._case_verified: list[list[bool] | None] = [None] * self._n_acts
         # Enabling memo for declared single-read activities: the declared
         # contract makes such a predicate a pure function of one slot's
         # value, so its results are cached per value and the hot loops
@@ -1111,13 +1013,12 @@ class CompiledProgram:
         # dependents without re-indexing.
         c.kernels = [None] * n
         # case_kern[aid]: compiled branch-selecting kernel — (bounds,
-        # guard, branch_ops, branch_fns, branch_labels).  Probabilistic
-        # mode (bounds: cumulative case thresholds, identical to the
-        # case_tab partial sums; guard None) selects a branch with one
-        # uniform; guard mode (bounds None; guard (slot, cmp_fn, value))
-        # selects branch 0/1 from the completion marking.  branch_ops[i]
-        # is the branch's precomputed slot-op tuple, branch_fns[i] the
-        # Python functions it is verified against on first selection.
+        # guard, branch_ops).  Probabilistic mode (bounds: cumulative
+        # case thresholds, identical to the case_tab partial sums; guard
+        # None) selects a branch with one uniform; guard mode (bounds
+        # None; guard (slot, cmp_fn, value)) selects branch 0/1 from the
+        # completion marking.  branch_ops[i] is the branch's precomputed
+        # slot-op tuple.
         c.case_kern = [None] * n
         c.samplers = [None] * n
         # samp_kind[aid]: how the delay draw is served ("const",
@@ -1177,8 +1078,8 @@ class CompiledProgram:
             elif plan.guard is not None:
                 # Guard kernel: one declared conditional effect.  Branch 0
                 # = guard holds (declared ops), branch 1 = it does not (no
-                # writes); both run the same function at verification.
-                pname, cmp_fn, gval, writes, labels = plan.guard
+                # writes).
+                pname, cmp_fn, gval, writes = plan.guard
                 slot = act.index.get(pname)
                 if slot is None:
                     raise _unknown_place(act, "write guard place", pname)
@@ -1186,10 +1087,7 @@ class CompiledProgram:
                     None,
                     (slot, cmp_fn, gval),
                     (_bind_writes(act, writes, dep_lists), ()),
-                    (plan.og_fns, plan.og_fns),
-                    labels,
                 )
-                self._case_verified[aid] = [False, False]
 
             if plan.case_sum is not None:
                 raise SimulationError(
@@ -1198,7 +1096,7 @@ class CompiledProgram:
                 )
             c.case_tab[aid] = plan.case_tab
             if plan.case_kern is not None:
-                bounds, og_writes, case_writes, branch_fns, labels = plan.case_kern
+                bounds, og_writes, case_writes = plan.case_kern
                 og_ops = _bind_writes(act, og_writes, dep_lists)
                 c.case_kern[aid] = (
                     bounds,
@@ -1207,10 +1105,7 @@ class CompiledProgram:
                         _bind_writes(act, writes, dep_lists) + og_ops
                         for writes in case_writes
                     ),
-                    branch_fns,
-                    labels,
                 )
-                self._case_verified[aid] = [False] * len(bounds)
 
             c.samp_kind[aid] = plan.samp_kind
             if plan.sampler is not None:
@@ -1393,6 +1288,12 @@ class Simulator:
         passing it as ``model``).  Must have been compiled for the same
         model object, and any explicitly passed ``sample_batch`` /
         ``batch_dynamic`` must agree with the program's configuration.
+    sanitize:
+        Shorthand for ``engine="sanitize"``.
+    strict:
+        Make a sanitized run raise
+        :class:`~repro.core.errors.SanitizerError` at its end when it
+        recorded violations, instead of warning.
     """
 
     def __init__(
@@ -1407,7 +1308,6 @@ class Simulator:
         max_events: int | None = None,
         max_wall_s: float | None = None,
         sanitize: bool = False,
-        verify_every: int | None = None,
         strict: bool = False,
     ) -> None:
         if sanitize:
@@ -1478,9 +1378,6 @@ class Simulator:
                 f"max_wall_s must be positive or None, got {max_wall_s}"
             )
         self.max_wall_s = None if max_wall_s is None else float(max_wall_s)
-        self.verify_every = _check_number(
-            verify_every, "verify_every", low=1, optional=True
-        )
         self.engine = engine
         self.strict = bool(strict)
         self._run_counter = 0
@@ -1514,7 +1411,7 @@ class Simulator:
 
         Everything else a run could observe is already reset at run
         entry (marking, discovered dependencies, sampler blocks) or is
-        trajectory-neutral warm state (verification flags, predicate
+        trajectory-neutral warm state (declared-read checks, predicate
         memos), so after ``reset_streams()`` a reused simulator or
         program replays exactly the runs a freshly constructed one
         would — the reuse-equals-fresh contract of
@@ -1702,8 +1599,8 @@ class _Run:
         "token", "enabled_instant", "inst_enabled", "stamp", "heap", "now",
         "seq", "epoch", "n_events", "n_kernel_effects", "n_case_kernels",
         "stopped_early",
-        # sampling and verification
-        "u_buf", "u_pos", "dyn_samplers", "verify_left",
+        # sampling
+        "u_buf", "u_pos", "dyn_samplers",
     )
 
     def __init__(
@@ -1836,14 +1733,12 @@ class _Run:
         self.n_events = 0
         # Only compiled completions are counted per event (free for
         # models without kernels); python-effect completions are derived
-        # at run end as n_events - n_kernel_effects - n_case_kernels
-        # (verification firings run the Python functions, so they count
-        # as python effects).
+        # at run end as n_events - n_kernel_effects - n_case_kernels.
         self.n_kernel_effects = 0
         self.n_case_kernels = 0
         self.stopped_early = False
 
-        # -- sampling and verification ---------------------------------
+        # -- sampling --------------------------------------------------
         # Uniform block for case selection (batched mode only; kept as a
         # plain list so selections compare Python floats, not np scalars),
         # filled by the first draw_uniform.
@@ -1854,25 +1749,14 @@ class _Run:
         # run, as a warm simulator must follow a fresh one's trajectory.
         if plan.batch_dynamic:
             self.dyn_samplers = {}
-        # Periodic kernel re-verification (``Simulator(verify_every=N)``;
-        # ``None``: off): every N-th completion demotes the firing
-        # activity's verified state, so that completion re-runs the
-        # first-completion verification.  A failure quarantines the
-        # compiled effect: the activity drops to the Python path for good
-        # (the verifier already applied the true writes) with one
-        # RuntimeWarning, or ``strict=True`` re-raises it.  A sanitized
-        # run re-verifies every completion and reports, never raises.
-        self.verify_left = sim.verify_every
-        if not plan.sanitize:
-            return
-        # A sanitized run reads a copy of the plan with the sanitizer's
-        # checking wrappers swapped in (_RunPlan.checking).
-        from .sanitizer import DeclarationChecker
+        if plan.sanitize:
+            # A sanitized run reads a copy of the plan with the
+            # sanitizer's checking wrappers swapped in (_RunPlan.checking).
+            from .sanitizer import DeclarationChecker
 
-        self.plan = plan.checking(
-            DeclarationChecker(plan.model, plan.vector, self.clock)
-        )
-        self.verify_left = 1
+            self.plan = plan.checking(
+                DeclarationChecker(plan.model, plan.vector, self.clock)
+            )
 
     # -- faults and budgets ----------------------------------------------
     def clock(self) -> tuple[int, float]:
@@ -1926,27 +1810,6 @@ class _Run:
             sim_time=now,
             marking={p: self.plan.values[s] for p, s in self.plan.model.paths.items()},
             rewards=partial,
-        )
-
-    def quarantine_effect(self, aid: int, exc: DeclarationError) -> None:
-        """Handle a failed verification of ``aid``'s compiled effect:
-        raise ``exc`` unless the run quarantines, else drop the activity
-        to the Python path for good, with a warning.  The verifier ran
-        the Python functions, so the true writes sit in ``changed``."""
-        if self.verify_left is None or self.sim.strict:
-            raise exc
-        plan = self.plan
-        plan.kernels[aid] = None
-        plan.live_kernels[aid] = None
-        plan.kern_ok[aid] = False
-        plan.case_kern[aid] = None
-        plan.has_case[aid] = False
-        warnings.warn(
-            f"quarantined compiled effect of activity "
-            f"{plan.c.paths[aid]!r}; continuing on the Python path "
-            f"({exc})",
-            RuntimeWarning,
-            stacklevel=6,
         )
 
     # -- observers -------------------------------------------------------
@@ -2204,136 +2067,39 @@ class _Run:
                 break
         chosen_case.function(view, rng)
 
-    def verify_branch(self, aid: int, ops, fns, label: str) -> bool:
-        """First completion of a compiled effect: fire through the
-        Python functions (bit-identical trajectory) and check the
-        declared ops reproduce exactly the writes they made.  Returns
-        whether they did; a mismatch goes to :meth:`quarantine_effect`.
-
-        The functions write through a view, built for this call, that
-        records every slot they assign, so even a write that leaves its
-        value alone is checked.  A sanitized run reports the findings
-        instead, and hands the functions a recording rng proxy that
-        passes draws through, so its stream stays the reference loop's.
-        """
+    def select_case_branch(self, aid: int) -> tuple:
+        """The slot ops of the branch a completion of case/guard-kernel
+        activity ``aid`` selects, exactly as the Python path would:
+        consuming one uniform (:meth:`draw_uniform`) for probabilistic
+        cases, evaluating the guard on the completion marking for
+        guarded writes."""
         plan = self.plan
-        values = plan.values
-        checker = plan.checker
-        pre = [values[slot] for slot, _a, _v, _d in ops]
-        view = _AssignView(plan.vector, plan.model.activities[aid].index)
-        effect_rng = _RNG_GUARD if checker is None else checker.effect_rng(self.rng)
-        for fn in fns:
-            fn(view, effect_rng)
-        predicted: dict[int, int] = {}
-        for (slot, is_add, amount, _dl), p0 in zip(ops, pre):
-            cur = predicted.get(slot, p0)
-            predicted[slot] = cur + amount if is_add else amount
-        undeclared = [s for s in view.assigned if s not in predicted]
-        wrong = [s for s, v in predicted.items() if values[s] != v or v < 0]
-        if checker is not None:
-            checker.writes(aid, effect_rng, undeclared, wrong, predicted)
-        elif undeclared or wrong:
-            model = plan.model
-            parts = []
-            if undeclared:
-                parts.append(
-                    "writes undeclared places "
-                    f"{sorted(_slot_place(model, s) for s in undeclared)}"
-                )
-            for s in sorted(wrong):
-                parts.append(
-                    f"{_slot_place(model, s)}: declared ops give "
-                    f"{predicted[s]}, function wrote {values[s]}"
-                )
-            self.quarantine_effect(
-                aid,
-                DeclarationError(
-                    f"activity {plan.c.paths[aid]!r}: declared writes do not "
-                    f"match {label} ({'; '.join(parts)})"
-                ),
-            )
-            return False
-        return True
-
-    def verify_kernel(self, aid: int) -> bool:
-        """Verify ``aid``'s gate-write kernel against its gate functions
-        (which fire it); returns whether it is now verified."""
-        plan = self.plan
-        plan.kern_ok[aid] = ok = self.verify_branch(
-            aid, plan.kernels[aid], plan.c.og_fns[aid], "its gate functions"
-        )
-        return ok
-
-    def select_case_branch(self, aid: int):
-        """One completion of a case/guard-kernel activity.
-
-        Selects the branch exactly as the Python path would — consuming
-        one uniform (:meth:`draw_uniform`) for probabilistic cases,
-        evaluating the guard on the completion marking for guarded
-        writes — and returns the branch's precomputed slot ops, or
-        ``None`` when this selection verified the branch through its
-        Python functions (the writes then sit in ``changed``,
-        bit-identical).
-        """
-        plan = self.plan
-        bounds, guard, branch_ops, branch_fns, labels = plan.case_kern[aid]
+        bounds, guard, branch_ops = plan.case_kern[aid]
         if bounds is None:
             slot, cmp_fn, gval = guard
-            idx = 0 if cmp_fn(plan.values[slot], gval) else 1
-        else:
-            u = self.draw_uniform()
-            idx = len(bounds) - 1
-            for i, acc in enumerate(bounds):
-                if u <= acc:
-                    idx = i
-                    break
-        flags = plan.case_ok[aid]
-        if flags[idx]:
-            return branch_ops[idx]
-        flags[idx] = self.verify_branch(
-            aid, branch_ops[idx], branch_fns[idx], labels[idx]
-        )
-        return None
-
-    def verify_countdown(self, aid: int) -> None:
-        """Count a completion of ``aid`` toward ``verify_every``; the
-        N-th demotes its verified kernels, so it re-verifies them."""
-        self.verify_left -= 1
-        if self.verify_left <= 0:
-            plan = self.plan
-            self.verify_left = 1 if plan.checker is not None else self.sim.verify_every
-            if plan.kern_ok[aid]:
-                plan.kern_ok[aid] = False
-                plan.live_kernels[aid] = None
-            cflags = plan.case_ok[aid]
-            if cflags is not None:
-                cflags[:] = [False] * len(cflags)
+            return branch_ops[0 if cmp_fn(plan.values[slot], gval) else 1]
+        u = self.draw_uniform()
+        for i, acc in enumerate(bounds):
+            if u <= acc:
+                return branch_ops[i]
+        return branch_ops[-1]
 
     def fire(self, aid: int) -> None:
-        """Complete activity ``aid``: gate functions and cases, or its
-        compiled effect; writes land in ``changed``.  Kernel activities
-        apply their precomputed slot ops (verified on first completion);
-        the reference engine sees an all-None kernel table and always
-        calls the Python gate functions."""
+        """Complete activity ``aid``: its compiled effect, or its gate
+        functions and cases; writes land in ``changed``.  Kernel
+        activities apply their precomputed slot ops; the reference and
+        sanitized runs see all-None kernel tables and always call the
+        Python gate functions."""
         self.n_events += 1
-        if self.verify_left is not None:
-            self.verify_countdown(aid)
         plan = self.plan
         ops = plan.kernels[aid]
-        if ops is None:
-            if plan.case_kern[aid] is not None:
-                # No ops: the selection verified its branch through the
-                # Python functions, whose writes sit in ``changed``.
-                ops = self.select_case_branch(aid)
-                if ops is not None:
-                    self.n_case_kernels += 1
-            else:
-                self.fire_python(aid)
-        elif plan.kern_ok[aid]:
+        if ops is not None:
             self.n_kernel_effects += 1
+        elif plan.has_case[aid]:
+            ops = self.select_case_branch(aid)
+            self.n_case_kernels += 1
         else:
-            ops = None
-            self.verify_kernel(aid)
+            self.fire_python(aid)
         if ops is not None:
             values = plan.values
             changed = plan.changed
@@ -2520,11 +2286,27 @@ class _Run:
             values = plan.values
             rate_values = self.rate_values
             for i in range(len(rate_values)):
-                if plan.rate_declared[i]:
+                if plan.form_compiled[i]:
+                    # The kernel's guard bookkeeping starts from the settled
+                    # t=0 marking; its value is the form's arithmetic, the
+                    # one the reward's synthesized function computes.
+                    gstate = plan.form_gstate[i]
+                    for gj, (gcmp, gv, sa, sb) in enumerate(plan.form_guards[i]):
+                        gstate[gj] = not gcmp(
+                            values[sa] if sb < 0 else values[sa] - values[sb], gv
+                        )
+                    self.form_viol[i] = viol = sum(gstate)
+                    acc = plan.form_base[i]
+                    for ts_, tc, td in plan.form_terms[i]:
+                        acc += tc * values[ts_] / td
+                    rate_values[i] = 0.0 if viol else acc
+                elif plan.rate_declared[i]:
                     # The filtered view records any read outside the
                     # declaration; a non-empty record means the declaration
                     # is wrong and the observer lists would miss updates.
-                    fn_val = float(self.tracked(plan.rate_fns[i], plan.rate_views[i]))
+                    rate_values[i] = float(
+                        self.tracked(plan.rate_fns[i], plan.rate_views[i])
+                    )
                     reads = plan.reads
                     if reads:
                         slot_names = sorted(
@@ -2535,34 +2317,7 @@ class _Run:
                             f"places outside its declared read set: {slot_names}"
                         )
                 else:
-                    fn_val = self.eval_rate(i)
-                if not plan.form_compiled[i]:
-                    rate_values[i] = fn_val
-                    continue
-                # Initialize the kernel's guard bookkeeping from the settled
-                # t=0 marking and verify the kernel value against the Python
-                # expression — the same first-evaluation contract as the
-                # gate/case kernels.  A mismatch means the declared form
-                # disagrees with the reward function, so the incremental
-                # updates would silently diverge.
-                guards = plan.form_guards[i]
-                gstate = plan.form_gstate[i]
-                for gj, (gcmp, gv, sa, sb) in enumerate(guards):
-                    gstate[gj] = not gcmp(
-                        values[sa] if sb < 0 else values[sa] - values[sb], gv
-                    )
-                self.form_viol[i] = sum(gstate)
-                kval = _form_value(
-                    values, guards, plan.form_base[i], plan.form_terms[i]
-                )
-                if kval != fn_val:
-                    raise SimulationError(
-                        f"rate reward {plan.rate_rewards[i].name!r}: declared "
-                        f"form evaluates to {kval!r} at t=0 but the reward "
-                        f"function returned {fn_val!r}; the form does not "
-                        "match the expression"
-                    )
-                rate_values[i] = kval
+                    rate_values[i] = self.eval_rate(i)
             for i, tr in enumerate(self.binary_traces):
                 self.btrace_values[i] = self.eval_btrace(i)
                 tr.observe(0.0, self.btrace_values[i])
@@ -2638,11 +2393,11 @@ class _Run:
         (
             model, vector, values, changed, reads, views, pviews, gview, plain1,
             samplers, batched_of, is_timed, memo_slot, reactivate, pred_memo, dep_lists,
-            preds, declared, kernels, has_case, live_kernels, slot_obs, form_gstate,
-            inline_rates, rate_range, has_rates, reads_clear, changed_pop, heappush,
-            heappop, heappushpop, act_watch, has_observers, has_tracked_obs,
-            rate_values, rate_integrals, form_viol, rstamp, tstamp, touched_r,
-            touched_t, n_probes, probe_pos, obs_epoch,
+            preds, declared, kernels, has_case, slot_obs, form_gstate, inline_rates,
+            rate_range, has_rates, reads_clear, changed_pop, heappush, heappop,
+            heappushpop, act_watch, has_observers, has_tracked_obs, rate_values,
+            rate_integrals, form_viol, rstamp, tstamp, touched_r, touched_t,
+            n_probes, probe_pos, obs_epoch,
         ) = self.plan.loop_tables
         heap, token, stamp = self.heap, self.token, self.stamp
         enabled_instant, inst_enabled = self.enabled_instant, self.inst_enabled
@@ -2662,7 +2417,6 @@ class _Run:
             plan = self.plan
             has_tracked_obs = plan.tracked_baseline or bool(plan.obs_journal)
         until, warmup, rng = self.until, self.warmup, self.rng
-        has_verify = self.verify_left is not None
         stop_predicate = self.stop_predicate
         has_stop = stop_predicate is not None
         has_budget = self.sim.max_events is not None or self.deadline is not None
@@ -2713,35 +2467,27 @@ class _Run:
             token[aid] = tok + 1
 
             n_events += 1
-            if has_verify:
-                self.verify_countdown(aid)
             epoch += 1
             stamp[aid] = epoch
             dirty_append(aid)
-            # A compiled effect — a verified gate-write kernel, or the
-            # branch a case/guard kernel selects with the same uniform
-            # (or guard evaluation) the Python path uses — leaves its
-            # precomputed slot ops in ``ops`` for the op block below.
-            # Every other completion, including a kernel's or a
-            # branch's first, verifying one, runs the Python functions,
-            # whose writes the drain block below walks.
-            ops = live_kernels[aid]
+            # A compiled effect — a gate-write kernel, or the branch a
+            # case/guard kernel selects with the same uniform (or guard
+            # evaluation) the Python path uses — leaves its precomputed
+            # slot ops in ``ops`` for the op block below.  Every other
+            # completion runs the Python functions, whose writes the
+            # drain block below walks.
+            ops = kernels[aid]
             if ops is not None:
                 n_kernel_effects += 1
             elif has_case[aid]:
                 ops = self.select_case_branch(aid)
-                if ops is not None:
-                    n_case_kernels += 1
+                n_case_kernels += 1
             else:
-                kops = kernels[aid]
-                if kops is None:
-                    fn1 = plain1[aid]
-                    if fn1 is not None:
-                        fn1(views[aid], rng)
-                    else:
-                        self.fire_python(aid)
-                elif self.verify_kernel(aid):
-                    live_kernels[aid] = kops
+                fn1 = plain1[aid]
+                if fn1 is not None:
+                    fn1(views[aid], rng)
+                else:
+                    self.fire_python(aid)
             if ops is not None:
                 # Op block: apply the slot ops and mark each written
                 # slot's observers and dependents directly — no

@@ -24,6 +24,12 @@ from ..core.errors import ModelError
 
 __all__ = ["CTMC"]
 
+#: The most Poisson terms a uniformization series may sum.  The largest
+#: ``Λt`` the package's tests use is 9,000 (an interval reward over
+#: 10,000 h at Λ = 0.9, ~10,200 terms), and ``repro rare``'s default
+#: tier has Λt = 350.6.
+MAX_UNIFORMIZATION_TERMS = 10**7
+
 
 class CTMC:
     """A finite CTMC built incrementally from transition rates.
@@ -121,11 +127,8 @@ class CTMC:
         p0 = self._as_distribution(initial)
         if t == 0.0:
             return p0
-        q = self.generator()
-        lam = float(max(-np.diag(q).min(), 1e-300))
-        p_matrix = np.eye(self.n) + q / lam
+        p_matrix, _lam, mean, max_k = self._uniformized(t)
         # Poisson series over k.
-        mean = lam * t
         result = np.zeros(self.n)
         term_vec = p0.copy()
         log_weight = -mean  # log Poisson(mean; 0)
@@ -133,7 +136,6 @@ class CTMC:
         cumulative = weight
         result += weight * term_vec
         k = 0
-        max_k = int(mean + 12.0 * math.sqrt(mean) + 50)
         while cumulative < 1.0 - tol and k < max_k:
             k += 1
             term_vec = term_vec @ p_matrix
@@ -178,12 +180,8 @@ class CTMC:
         if r.shape != (self.n,):
             raise ModelError(f"reward vector must have length {self.n}")
         p0 = self._as_distribution(initial)
-        q = self.generator()
-        lam = float(max(-np.diag(q).min(), 1e-300))
-        p_matrix = np.eye(self.n) + q / lam
-        mean = lam * t
+        p_matrix, lam, mean, max_k = self._uniformized(t)
         # survivor function of the Poisson: P(N > k)
-        max_k = int(mean + 12.0 * math.sqrt(mean) + 50)
         integral = 0.0
         vec = p0.copy()
         log_pmf = -mean
@@ -253,6 +251,25 @@ class CTMC:
         return result
 
     # ------------------------------------------------------------------
+    def _uniformized(self, t: float) -> tuple[np.ndarray, float, float, int]:
+        """The uniformization of this chain over ``[0, t]``: the jump
+        matrix ``P = I + Q/Λ``, the rate ``Λ``, the Poisson mean ``Λt``
+        and the last term the series may need.  A series that cannot
+        finish — ``Λt`` not finite, or more than
+        :data:`MAX_UNIFORMIZATION_TERMS` terms — raises a
+        :class:`ModelError` naming ``Λ``, ``t`` and the term count."""
+        q = self.generator()
+        lam = float(max(-np.diag(q).min(), 1e-300))
+        mean = lam * t
+        terms = mean + 12.0 * math.sqrt(mean) + 50
+        if not terms <= MAX_UNIFORMIZATION_TERMS:  # also NaN and inf
+            raise ModelError(
+                f"uniformization over t={t:g} at rate Λ={lam:g} (Λt={mean:g}) "
+                f"needs {terms:.4g} Poisson terms, more than the "
+                f"{MAX_UNIFORMIZATION_TERMS:,} allowed"
+            )
+        return np.eye(self.n) + q / lam, lam, mean, int(terms)
+
     def _as_distribution(self, initial: Sequence[float] | int) -> np.ndarray:
         if isinstance(initial, (int, np.integer)):
             if not 0 <= int(initial) < self.n:

@@ -4,12 +4,15 @@ Each :class:`Mutant` is a pair of models built from the same factory:
 ``build(False)`` is the clean twin, ``build(True)`` injects exactly one
 declaration defect.  ``channel`` names the detector that must flag the
 mutated model (``"sanitize"`` — the instrumented ``engine="sanitize"``
-run — or ``"lint"`` — the static :func:`repro.core.lint_model` pass) and
-``expect`` is the :class:`SanitizerViolation` kind / :class:`LintFinding`
-code it must produce.  Clean twins must come back spotless on *both*
-channels; mutants flagged only at runtime (short-circuit reads, mid-run
-case sums) additionally assert the lint pass stays clean, pinning down
-which layer owns the catch.
+run — ``"lint"`` — the static :func:`repro.core.lint_model` pass — or
+``"construction"`` — the model build itself, which rejects a function
+passed beside a declared effect or reward form) and ``expect`` is the
+:class:`SanitizerViolation` kind / :class:`LintFinding` code it must
+produce, or the owner its ``ModelError`` must name.  Clean twins must
+come back spotless on both the lint and the sanitize channel; mutants
+flagged only at runtime (short-circuit reads, mid-run case sums)
+additionally assert the lint pass stays clean, pinning down which layer
+owns the catch.
 
 ``tests/test_mutants.py`` sweeps the whole corpus; the CI ``sanitize``
 job runs it as the blocking mutation suite.
@@ -38,8 +41,8 @@ class Mutant:
     """One corrupted-declaration scenario plus its clean twin."""
 
     name: str
-    channel: str  # "sanitize" | "lint"
-    expect: str  # SanitizerViolation.kind or LintFinding.code
+    channel: str  # "sanitize" | "lint" | "construction"
+    expect: str  # SanitizerViolation.kind, LintFinding.code or owner named
     build: Callable[[bool], tuple]  # mutate -> (san, rewards)
     hours: float = 400.0
     #: Defects only an instrumented run can see (short-circuit reads,
@@ -72,10 +75,6 @@ def _machine(fail_kw: dict | None = None, repair_kw: dict | None = None) -> SAN:
     s.place("count", 0)
     fk = dict(
         enabled=lambda m: m["up"] == 1,
-        effect=lambda m, rng: (
-            m.__setitem__("up", 0),
-            m.__setitem__("down", 1),
-        ),
         reads=["up"],
         writes=[("up", "set", 0), ("down", "set", 1)],
     )
@@ -83,11 +82,6 @@ def _machine(fail_kw: dict | None = None, repair_kw: dict | None = None) -> SAN:
     s.timed("fail", Exponential(0.1), **fk)
     rk = dict(
         enabled=lambda m: m["down"] == 1,
-        effect=lambda m, rng: (
-            m.__setitem__("down", 0),
-            m.__setitem__("up", 1),
-            m.__setitem__("count", m["count"] + 1),
-        ),
         reads=["down"],
         writes=[("down", "set", 0), ("up", "set", 1), ("count", "add", 1)],
     )
@@ -97,7 +91,7 @@ def _machine(fail_kw: dict | None = None, repair_kw: dict | None = None) -> SAN:
 
 
 def _coin(case_a: Case, case_b: Case) -> SAN:
-    """Two-outcome spinner used by the case-kernel mutants."""
+    """Two-outcome spinner used by the case mutants."""
     s = SAN("coin")
     s.place("heads", 0)
     s.place("tails", 0)
@@ -114,120 +108,6 @@ def _coin(case_a: Case, case_b: Case) -> SAN:
 # ---------------------------------------------------------------------------
 # Sanitize-channel mutants: instrumented execution catches the defect
 # ---------------------------------------------------------------------------
-
-
-def _m_wrong_add_amount(mutate: bool):
-    step = 2 if mutate else 1
-    san = _machine(
-        repair_kw=dict(
-            effect=lambda m, rng: (
-                m.__setitem__("down", 0),
-                m.__setitem__("up", 1),
-                m.__setitem__("count", m["count"] + step),
-            ),
-        )
-    )
-    return san, ()
-
-
-def _m_extra_undeclared_write(mutate: bool):
-    def effect(m, rng):
-        m["up"] = 0
-        m["down"] = 1
-        if mutate:
-            m["count"] = m["count"] + 1
-
-    san = _machine(fail_kw=dict(effect=effect))
-    return san, ()
-
-
-def _m_wrong_set_value(mutate: bool):
-    tokens = 2 if mutate else 1
-    san = _machine(
-        fail_kw=dict(
-            effect=lambda m, rng: (
-                m.__setitem__("up", 0),
-                m.__setitem__("down", tokens),
-            ),
-        )
-    )
-    return san, ()
-
-
-def _m_declared_write_skipped(mutate: bool):
-    def effect(m, rng):
-        m["down"] = 0
-        m["up"] = 1
-        if not mutate:
-            m["count"] = m["count"] + 1
-
-    san = _machine(repair_kw=dict(effect=effect))
-    return san, ()
-
-
-def _m_guard_comparison(mutate: bool):
-    cap = 2 if mutate else 3
-    s = SAN("g")
-    s.place("tokens", 0)
-    s.timed(
-        "tick",
-        Exponential(1.0),
-        enabled=lambda m: m["tokens"] >= 0,
-        effect=lambda m, rng: (
-            m.__setitem__("tokens", m["tokens"] + 1) if m["tokens"] < cap else None
-        ),
-        reads=["tokens"],
-        writes=[("tokens", "add", 1)],
-        when=("tokens", "<", 3),
-    )
-    return s, ()
-
-
-def _m_case_branch0(mutate: bool):
-    step = 2 if mutate else 1
-
-    def heads(m, rng):
-        m["heads"] = m["heads"] + step
-
-    def tails(m, rng):
-        m["tails"] = m["tails"] + 1
-
-    san = _coin(
-        Case(0.7, heads, name="heads", writes=[("heads", "add", 1)]),
-        Case(0.3, tails, name="tails", writes=[("tails", "add", 1)]),
-    )
-    return san, ()
-
-
-def _m_case_branch1(mutate: bool):
-    step = 2 if mutate else 1
-
-    def heads(m, rng):
-        m["heads"] = m["heads"] + 1
-
-    def tails(m, rng):
-        m["tails"] = m["tails"] + step
-
-    san = _coin(
-        Case(0.7, heads, name="heads", writes=[("heads", "add", 1)]),
-        Case(0.3, tails, name="tails", writes=[("tails", "add", 1)]),
-    )
-    return san, ()
-
-
-def _m_noop_case_writes(mutate: bool):
-    def skip(m, rng):
-        if mutate:
-            m["heads"] = m["heads"] + 1
-
-    def tails(m, rng):
-        m["tails"] = m["tails"] + 1
-
-    san = _coin(
-        Case(0.5, skip, name="skip", writes=()),
-        Case(0.5, tails, name="tails", writes=[("tails", "add", 1)]),
-    )
-    return san, ()
 
 
 def _m_initial_undeclared_read(mutate: bool):
@@ -265,10 +145,6 @@ def _m_distribution_read(mutate: bool):
         "fail",
         Exponential(0.1),
         enabled=lambda m: m["up"] == 1,
-        effect=lambda m, rng: (
-            m.__setitem__("up", 0),
-            m.__setitem__("down", 1),
-        ),
         reads=["up"],
         writes=[("up", "set", 0), ("down", "set", 1)],
     )
@@ -276,27 +152,10 @@ def _m_distribution_read(mutate: bool):
         "repair",
         lambda m: Exponential(1.0 + 0.01 * m["count"]),
         enabled=lambda m: m["down"] == 1,
-        effect=lambda m, rng: (
-            m.__setitem__("down", 0),
-            m.__setitem__("up", 1),
-            m.__setitem__("count", m["count"] + 1),
-        ),
         reads=reads,
         writes=[("down", "set", 0), ("up", "set", 1), ("count", "add", 1)],
     )
     return s, ()
-
-
-def _m_rng_in_declared_effect(mutate: bool):
-    def effect(m, rng):
-        if mutate:
-            rng.uniform()  # entropy a compiled kernel would never draw
-        m["down"] = 0
-        m["up"] = 1
-        m["count"] = m["count"] + 1
-
-    san = _machine(repair_kw=dict(effect=effect))
-    return san, ()
 
 
 def _m_reward_short_circuit(mutate: bool):
@@ -307,30 +166,6 @@ def _m_reward_short_circuit(mutate: bool):
 
     reads = ["m/down", "m/up"] if mutate else ["m/down", "m/up", "m/count"]
     reward = RateReward("probe", value, reads=reads)
-    return _machine(), (reward,)
-
-
-def _m_indicator_mismatch(mutate: bool):
-    high = 0.5 if mutate else 1.0
-
-    def value(m):
-        return high if m["m/up"] >= 1 else 0.0
-
-    reward = RateReward(
-        "avail", value, form=Indicator([("m/up", ">=", 1)], value=1.0)
-    )
-    return _machine(), (reward,)
-
-
-def _m_affine_mismatch(mutate: bool):
-    coef = 2.0 if mutate else 1.0
-
-    def value(m):
-        return coef * m["m/count"]
-
-    reward = RateReward(
-        "repairs", value, form=Affine(0.0, terms=[("m/count", 1.0)])
-    )
     return _machine(), (reward,)
 
 
@@ -391,9 +226,6 @@ def _m_unresolved_guard(mutate: bool):
         "tick",
         Exponential(1.0),
         enabled=lambda m: m["tokens"] >= 0,
-        effect=lambda m, rng: (
-            m.__setitem__("tokens", m["tokens"] + 1) if m["tokens"] < 3 else None
-        ),
         reads=["tokens"],
         writes=[("tokens", "add", 1)],
         when=(place, "<", 3),
@@ -414,10 +246,6 @@ def _m_nan_dist_param(mutate: bool):
         "fail",
         dist,
         enabled=lambda m: m["up"] == 1,
-        effect=lambda m, rng: (
-            m.__setitem__("up", 0),
-            m.__setitem__("down", 1),
-        ),
         reads=["up"],
         writes=[("up", "set", 0), ("down", "set", 1)],
     )
@@ -425,10 +253,6 @@ def _m_nan_dist_param(mutate: bool):
         "repair",
         Exponential(1.0),
         enabled=lambda m: m["down"] == 1,
-        effect=lambda m, rng: (
-            m.__setitem__("down", 0),
-            m.__setitem__("up", 1),
-        ),
         reads=["down"],
         writes=[("down", "set", 0), ("up", "set", 1)],
     )
@@ -446,7 +270,6 @@ def _m_non_distribution_callable(mutate: bool):
         "tick",
         draw,
         enabled=lambda m: m["tokens"] >= 0,
-        effect=lambda m, rng: m.__setitem__("tokens", m["tokens"] + 1),
         reads=["tokens"],
         writes=[("tokens", "add", 1)],
     )
@@ -477,7 +300,6 @@ def _m_unreachable_activity(mutate: bool):
             "ghost",
             Exponential(1.0),
             enabled=lambda m: m["never"] >= 1,
-            effect=lambda m, rng: m.__setitem__("count", m["count"] + 1),
             reads=["never"],
             writes=[("count", "add", 1)],
         )
@@ -499,10 +321,6 @@ def _m_instant_cycle(mutate: bool):
     s.instant(
         "ping",
         enabled=lambda m: m["a"] >= 1,
-        effect=lambda m, rng: (
-            m.__setitem__("a", m["a"] - 1),
-            m.__setitem__("b", m["b"] + 1),
-        ),
         reads=["a"],
         writes=[("a", "add", -1), ("b", "add", 1)],
     )
@@ -511,10 +329,6 @@ def _m_instant_cycle(mutate: bool):
         s.instant(
             "pong",
             enabled=lambda m: m["b"] >= 1,
-            effect=lambda m, rng: (
-                m.__setitem__("b", m["b"] - 1),
-                m.__setitem__("a", m["a"] + 1),
-            ),
             reads=["b"],
             writes=[("b", "add", -1), ("a", "add", 1)],
         )
@@ -522,10 +336,6 @@ def _m_instant_cycle(mutate: bool):
         s.instant(
             "pong",
             enabled=lambda m: m["b"] >= 1,
-            effect=lambda m, rng: (
-                m.__setitem__("b", m["b"] - 1),
-                m.__setitem__("sink", m["sink"] + 1),
-            ),
             reads=["b"],
             writes=[("b", "add", -1), ("sink", "add", 1)],
         )
@@ -541,16 +351,143 @@ def _m_bad_predicate(mutate: bool):
     return san, ()
 
 
+# ---------------------------------------------------------------------------
+# Construction-channel mutants: the model build rejects the defect
+# ---------------------------------------------------------------------------
+#
+# Each passes, beside a declared effect or reward form, a function that
+# disagrees with it.  The declaration is the only definition, so no run
+# can follow the function: building the pair raises ``ModelError``
+# naming its owner.  The clean twin is the declaration alone.
+
+
+def _beside(mutate: bool, effect) -> dict:
+    """``effect=`` passed beside an activity's declared writes when mutating."""
+    return dict(effect=effect) if mutate else {}
+
+
+def _m_wrong_add_amount(mutate: bool):
+    def effect(m, rng):
+        m["down"] = 0
+        m["up"] = 1
+        m["count"] = m["count"] + 2
+
+    return _machine(repair_kw=_beside(mutate, effect)), ()
+
+
+def _m_extra_undeclared_write(mutate: bool):
+    def effect(m, rng):
+        m["up"] = 0
+        m["down"] = 1
+        m["count"] = m["count"] + 1
+
+    return _machine(fail_kw=_beside(mutate, effect)), ()
+
+
+def _m_wrong_set_value(mutate: bool):
+    def effect(m, rng):
+        m["up"] = 0
+        m["down"] = 2
+
+    return _machine(fail_kw=_beside(mutate, effect)), ()
+
+
+def _m_declared_write_skipped(mutate: bool):
+    def effect(m, rng):
+        m["down"] = 0
+        m["up"] = 1
+
+    return _machine(repair_kw=_beside(mutate, effect)), ()
+
+
+def _m_guard_comparison(mutate: bool):
+    def effect(m, rng):
+        if m["tokens"] < 2:
+            m["tokens"] = m["tokens"] + 1
+
+    s = SAN("g")
+    s.place("tokens", 0)
+    s.timed(
+        "tick",
+        Exponential(1.0),
+        enabled=lambda m: m["tokens"] >= 0,
+        reads=["tokens"],
+        writes=[("tokens", "add", 1)],
+        when=("tokens", "<", 3),
+        **_beside(mutate, effect),
+    )
+    return s, ()
+
+
+def _m_case_branch0(mutate: bool):
+    def heads(m, rng):
+        m["heads"] = m["heads"] + 2
+
+    san = _coin(
+        Case(0.7, heads if mutate else None, name="heads", writes=[("heads", "add", 1)]),
+        Case(0.3, name="tails", writes=[("tails", "add", 1)]),
+    )
+    return san, ()
+
+
+def _m_case_branch1(mutate: bool):
+    def tails(m, rng):
+        m["tails"] = m["tails"] + 2
+
+    san = _coin(
+        Case(0.7, name="heads", writes=[("heads", "add", 1)]),
+        Case(0.3, tails if mutate else None, name="tails", writes=[("tails", "add", 1)]),
+    )
+    return san, ()
+
+
+def _m_noop_case_writes(mutate: bool):
+    def skip(m, rng):
+        m["heads"] = m["heads"] + 1
+
+    san = _coin(
+        Case(0.5, skip if mutate else None, name="skip", writes=()),
+        Case(0.5, name="tails", writes=[("tails", "add", 1)]),
+    )
+    return san, ()
+
+
+def _m_rng_in_declared_effect(mutate: bool):
+    def effect(m, rng):
+        rng.uniform()  # entropy a compiled kernel would never draw
+        m["down"] = 0
+        m["up"] = 1
+        m["count"] = m["count"] + 1
+
+    return _machine(repair_kw=_beside(mutate, effect)), ()
+
+
+def _m_indicator_mismatch(mutate: bool):
+    def value(m):
+        return 0.5 if m["m/up"] >= 1 else 0.0
+
+    reward = RateReward(
+        "avail",
+        value if mutate else None,
+        form=Indicator([("m/up", ">=", 1)], value=1.0),
+    )
+    return _machine(), (reward,)
+
+
+def _m_affine_mismatch(mutate: bool):
+    def value(m):
+        return 2.0 * m["m/count"]
+
+    reward = RateReward(
+        "repairs",
+        value if mutate else None,
+        form=Affine(0.0, terms=[("m/count", 1.0)]),
+    )
+    return _machine(), (reward,)
+
+
 MUTANTS: tuple[Mutant, ...] = (
     # instrumented-run channel
-    Mutant("wrong-add-amount", "sanitize", "write-mismatch", _m_wrong_add_amount),
-    Mutant("extra-undeclared-write", "sanitize", "undeclared-write", _m_extra_undeclared_write),
-    Mutant("wrong-set-value", "sanitize", "write-mismatch", _m_wrong_set_value),
-    Mutant("declared-write-skipped", "sanitize", "write-mismatch", _m_declared_write_skipped),
-    Mutant("guard-comparison", "sanitize", "write-mismatch", _m_guard_comparison),
-    Mutant("case-branch0-mismatch", "sanitize", "write-mismatch", _m_case_branch0),
-    Mutant("case-branch1-mismatch", "sanitize", "write-mismatch", _m_case_branch1),
-    Mutant("noop-case-writes", "sanitize", "undeclared-write", _m_noop_case_writes),
     Mutant("initial-undeclared-read", "sanitize", "undeclared-read", _m_initial_undeclared_read),
     Mutant(
         "short-circuit-read",
@@ -560,7 +497,6 @@ MUTANTS: tuple[Mutant, ...] = (
         lint_clean_when_mutated=True,
     ),
     Mutant("distribution-read", "sanitize", "undeclared-read", _m_distribution_read),
-    Mutant("rng-in-declared-effect", "sanitize", "rng-in-declared-effect", _m_rng_in_declared_effect),
     Mutant(
         "reward-short-circuit",
         "sanitize",
@@ -568,8 +504,6 @@ MUTANTS: tuple[Mutant, ...] = (
         _m_reward_short_circuit,
         lint_clean_when_mutated=True,
     ),
-    Mutant("indicator-mismatch", "sanitize", "form-mismatch", _m_indicator_mismatch),
-    Mutant("affine-mismatch", "sanitize", "form-mismatch", _m_affine_mismatch),
     Mutant(
         "midrun-case-sum",
         "sanitize",
@@ -595,4 +529,16 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("dead-place", "lint", "dead-place", _m_dead_place),
     Mutant("instant-cycle", "lint", "instant-cycle", _m_instant_cycle),
     Mutant("bad-predicate", "lint", "bad-predicate", _m_bad_predicate),
+    # construction channel: expect is the owner the ModelError names
+    Mutant("wrong-add-amount", "construction", "activity 'repair'", _m_wrong_add_amount),
+    Mutant("extra-undeclared-write", "construction", "activity 'fail'", _m_extra_undeclared_write),
+    Mutant("wrong-set-value", "construction", "activity 'fail'", _m_wrong_set_value),
+    Mutant("declared-write-skipped", "construction", "activity 'repair'", _m_declared_write_skipped),
+    Mutant("guard-comparison", "construction", "activity 'tick'", _m_guard_comparison),
+    Mutant("case-branch0-mismatch", "construction", "case 'heads'", _m_case_branch0),
+    Mutant("case-branch1-mismatch", "construction", "case 'tails'", _m_case_branch1),
+    Mutant("noop-case-writes", "construction", "case 'skip'", _m_noop_case_writes),
+    Mutant("rng-in-declared-effect", "construction", "activity 'repair'", _m_rng_in_declared_effect),
+    Mutant("indicator-mismatch", "construction", "rate reward 'avail'", _m_indicator_mismatch),
+    Mutant("affine-mismatch", "construction", "rate reward 'repairs'", _m_affine_mismatch),
 )

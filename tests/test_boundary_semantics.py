@@ -45,14 +45,12 @@ def _clock_model():
         "fail",
         Deterministic(2.0),
         enabled=lambda m: m["up"] == 1,
-        effect=lambda m, rng: m.__setitem__("up", 0),
         writes=[("up", "set", 0)],
     )
     san.timed(
         "repair",
         Deterministic(1.0),
         enabled=lambda m: m["up"] == 0,
-        effect=lambda m, rng: m.__setitem__("up", 1),
         writes=[("up", "set", 1)],
     )
     return flatten(san)

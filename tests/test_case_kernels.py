@@ -1,4 +1,4 @@
-"""Compiled case/guard kernels: declaration API, bit-identity, verification.
+"""Compiled case/guard kernels: declaration API, bit-identity.
 
 ``Case(..., writes=[...])`` declares a case branch's effect as a fixed
 sequence of slot ops; when every case of an activity declares its writes
@@ -9,14 +9,14 @@ consumes and applies precomputed slot deltas — a **case kernel**.
 one conditional-effect shape as a two-branch **guard kernel** selected
 by the completion marking.  The contracts pinned here:
 
-* annotated models follow **bit-identical** trajectories to their
-  unannotated twins, in per-draw and batched mode, against both the
-  specialized loops and the ``engine="reference"`` oracle (which never
-  uses kernels) — including instantaneous case activities, which fire
-  through the settle fixpoint;
-* misdeclarations — wrong amounts, undeclared writes, rng use in a case
-  function, a wrong guard branch, unknown places — raise loudly on the
-  branch's first selection (or at compile time);
+* declared models follow **bit-identical** trajectories to the same
+  models written with Python case and effect functions, in per-draw and
+  batched mode, against both the specialized loops and the
+  ``engine="reference"`` oracle (which never uses kernels) — including
+  instantaneous case activities, which fire through the settle
+  fixpoint;
+* malformed declarations and unknown places are rejected when the
+  model is built (or compiled);
 * the declared ops enforce the same non-negative marking invariant as
   ``LocalView.__setitem__``.
 """
@@ -46,7 +46,8 @@ pytestmark = pytest.mark.slow
 def _case_fleet(n_units, fail_rate, repair_rate, p1, p2, annotate):
     """Replicated units whose failure draws a three-way propagation coin
     (timed cases), absorbed by an instant two-way coin — the shapes the
-    cluster models use — optionally declaring every case's writes."""
+    cluster models use — whose cases declare their writes
+    (``annotate``) or run the same Python functions."""
     san = SAN("unit")
     san.place("up", 1)
     san.place("down_count", 0)
@@ -70,32 +71,29 @@ def _case_fleet(n_units, fail_rate, repair_rate, p1, p2, annotate):
 
     p3 = 1.0 - p1 - p2
 
-    def w(ops):
-        return ops if annotate else None
+    def case(p, fn, name, writes):
+        if annotate:
+            return Case(p, name=name, writes=writes)
+        return Case(p, fn, name=name)
 
     san.timed(
         "fail",
         Exponential(fail_rate),
         enabled=lambda m: m["up"] == 1,
         cases=[
-            Case(
+            case(
                 p1,
                 fail_a,
-                name="a",
-                writes=w([("up", "set", 0), ("down_count", "add", 1), ("a_total", "add", 1)]),
+                "a",
+                [("up", "set", 0), ("down_count", "add", 1), ("a_total", "add", 1)],
             ),
-            Case(
+            case(
                 p2,
                 fail_b,
-                name="b",
-                writes=w([("up", "set", 0), ("down_count", "add", 1), ("b_total", "add", 1)]),
+                "b",
+                [("up", "set", 0), ("down_count", "add", 1), ("b_total", "add", 1)],
             ),
-            Case(
-                p3,
-                fail_quiet,
-                name="quiet",
-                writes=w([("up", "set", 0), ("down_count", "add", 1)]),
-            ),
+            case(p3, fail_quiet, "quiet", [("up", "set", 0), ("down_count", "add", 1)]),
         ],
     )
     san.timed(
@@ -121,8 +119,8 @@ def _case_fleet(n_units, fail_rate, repair_rate, p1, p2, annotate):
         "react",
         enabled=lambda m: m["down_count"] >= 2 and m["reacted"] == 0,
         cases=[
-            Case(0.25, react_hard, name="hard", writes=w([("reacted", "set", 1), ("a_total", "add", 1)])),
-            Case(0.75, react_soft, name="soft", writes=w([("reacted", "set", 1)])),
+            case(0.25, react_hard, "hard", [("reacted", "set", 1), ("a_total", "add", 1)]),
+            case(0.75, react_soft, "soft", [("reacted", "set", 1)]),
         ],
         priority=5,
     )
@@ -170,7 +168,7 @@ def _guard_fleet(n_units, annotate):
         "check",
         Exponential(0.2),
         enabled=lambda m: m["alarm"] == 1,
-        effect=check,
+        effect=None if annotate else check,
         writes=[("alarm", "set", 0), ("cleared_total", "add", 1)] if annotate else None,
         when=("busy", "<=", 1) if annotate else None,
     )
@@ -285,111 +283,44 @@ def _one_coin(cases, places=("a", "b")):
 
 
 class TestVerification:
-    def test_wrong_amount_raises(self):
-        cases = [
-            Case(1.0, lambda m, rng: m.__setitem__("n", m["n"] + 1),
-                 writes=[("n", "add", 2)]),
-        ]
-        with pytest.raises(SimulationError, match="declared writes do not match"):
-            Simulator(_one_coin(cases), base_seed=1).run(100.0)
-
-    def test_undeclared_write_raises(self):
-        def eff(m, rng):
-            m["n"] += 1
-            m["a"] = 0  # not declared
-
-        cases = [Case(1.0, eff, writes=[("n", "add", 1)])]
-        with pytest.raises(SimulationError, match="undeclared"):
-            Simulator(_one_coin(cases), base_seed=1).run(100.0)
-
-    def test_rng_use_in_case_raises(self):
-        def eff(m, rng):
-            m["n"] += 1 if rng.uniform() < 2.0 else 2
-
-        cases = [Case(1.0, eff, writes=[("n", "add", 1)])]
-        with pytest.raises(SimulationError, match="must not use the rng"):
-            Simulator(_one_coin(cases), base_seed=1).run(100.0)
-
-    def test_noop_branch_that_writes_raises(self):
-        """An explicitly-empty declaration catches a branch that does
-        write (every selected branch is eventually verified)."""
-        cases = [
-            Case(0.5, lambda m, rng: m.__setitem__("n", m["n"] + 1),
-                 name="bump", writes=[("n", "add", 1)]),
-            Case(0.5, lambda m, rng: m.__setitem__("a", 0),
-                 name="liar", writes=()),
-        ]
-        with pytest.raises(SimulationError, match="undeclared"):
-            Simulator(_one_coin(cases), base_seed=1).run(200.0)
-
-    def test_guard_branch_mismatch_raises(self):
-        """The false guard branch declares 'no writes'; a function that
-        writes anyway is caught when that branch first occurs."""
-        san = SAN("s")
-        san.place("gate", 0)
-        san.place("n", 0)
-
-        def eff(m, rng):
-            # disagrees with the declared guard (writes when gate == 0)
-            m["n"] += 1
-
-        san.timed(
-            "tick",
-            Exponential(1.0),
-            enabled=lambda m: m["n"] < 5,
-            effect=eff,
-            writes=[("n", "add", 1)],
-            when=("gate", ">=", 1),
-        )
-        model = flatten(replicate("r", san, 1))
-        with pytest.raises(SimulationError, match="guarded writes"):
-            Simulator(model, base_seed=1).run(100.0)
-
     def test_negative_drive_raises(self):
-        cases = [
-            Case(1.0, lambda m, rng: (
-                m.__setitem__("n", m["n"] + 1),
-                m.__setitem__("a", m["a"] - 1),
-            ), writes=[("n", "add", 1), ("a", "add", -1)]),
-        ]
+        cases = [Case(1.0, writes=[("n", "add", 1), ("a", "add", -1)])]
         with pytest.raises(SimulationError, match="negative"):
             Simulator(_one_coin(cases), base_seed=1).run(1000.0)
 
-    def test_failed_verification_is_not_sticky(self):
-        cases = [
-            Case(1.0, lambda m, rng: m.__setitem__("n", m["n"] + 1),
-                 writes=[("n", "add", 2)]),
-        ]
-        model = _one_coin(cases)
+    def test_failed_run_is_not_sticky(self):
+        """A run a case kernel aborts (its second selection would drive
+        ``a`` negative) leaves nothing behind: the retried run aborts the
+        same way, and a run from a marking that lets all fifty
+        selections through equals a fresh simulator's."""
+        model = _one_coin([Case(1.0, writes=[("n", "add", 1), ("a", "add", -1)])])
         sim = Simulator(model, base_seed=1)
-        with pytest.raises(SimulationError, match="declared writes"):
-            sim.run(100.0)
-        with pytest.raises(SimulationError, match="declared writes"):
-            sim.run(100.0)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(SimulationError, match="negative") as info:
+                sim.run(1000.0, seed=3)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        full = [50, 1, 0]  # r/s[0]/a, r/s[0]/b, r/s[0]/n
+        got = sim.run(1000.0, seed=4, initial_marking=full)
+        want = Simulator(model, base_seed=1).run(
+            1000.0, seed=4, initial_marking=full
+        )
+        assert got.n_events == want.n_events == 50
+        assert got._final_values == want._final_values == [0, 1, 50]
+        assert sim.last_case_kernels == 50
 
     def test_unknown_place_rejected_at_compile(self):
-        cases = [Case(1.0, lambda m, rng: None, writes=[("nope", "add", 1)])]
+        cases = [Case(1.0, writes=[("nope", "add", 1)])]
         with pytest.raises(SimulationError, match="not a place"):
             Simulator(_one_coin(cases), base_seed=1).run(100.0)
-
-    def test_reference_engine_ignores_declarations(self):
-        """The oracle calls the functions, so even a misdeclared case
-        runs (its python path defines the correct trajectory)."""
-        cases = [
-            Case(1.0, lambda m, rng: m.__setitem__("n", m["n"] + 1),
-                 writes=[("n", "add", 2)]),
-        ]
-        res = Simulator(
-            _one_coin(cases), base_seed=1, engine="reference"
-        ).run(100.0)
-        assert res.n_events >= 1
 
 
 class TestDeclarationAPI:
     def test_case_writes_normalized(self):
-        c = Case(0.5, lambda m, rng: None, writes=(("a", "add", 2),))
+        c = Case(0.5, writes=(("a", "add", 2),))
         assert c.writes == (("a", "add", 2),)
-        assert Case(0.5, lambda m, rng: None, writes=()).writes == ()
+        assert Case(0.5, writes=()).writes == ()
 
     @pytest.mark.parametrize(
         "writes",
@@ -405,8 +336,8 @@ class TestDeclarationAPI:
         ],
     )
     def test_invalid_case_writes_rejected(self, writes):
-        with pytest.raises(ModelError):
-            Case(0.5, lambda m, rng: None, writes=writes)
+        with pytest.raises(ModelError, match="case 'c'"):
+            Case(0.5, name="c", writes=writes)
 
     def test_when_requires_writes(self):
         with pytest.raises(ModelError, match="requires writes"):
@@ -424,10 +355,8 @@ class TestDeclarationAPI:
         ],
     )
     def test_invalid_guard_rejected(self, when):
-        with pytest.raises(ModelError):
-            OutputGate(
-                lambda m, rng: None, writes=[("a", "set", 0)], when=when
-            )
+        with pytest.raises(ModelError, match="output gate 'g'"):
+            OutputGate(name="g", writes=[("a", "set", 0)], when=when)
 
     def test_when_requires_effect_in_san_sugar(self):
         san = SAN("s")
@@ -444,8 +373,7 @@ class TestDeclarationAPI:
         """One undeclared case keeps the whole activity on the Python
         path — no partial kernels."""
         cases = [
-            Case(0.5, lambda m, rng: m.__setitem__("n", m["n"] + 1),
-                 writes=[("n", "add", 1)]),
+            Case(0.5, writes=[("n", "add", 1)]),
             Case(0.5, lambda m, rng: None),
         ]
         sim = Simulator(_one_coin(cases), base_seed=2)
@@ -455,9 +383,8 @@ class TestDeclarationAPI:
     def test_dynamic_probabilities_stay_python(self):
         """Marking-dependent case probabilities cannot be compiled."""
         cases = [
-            Case(lambda m: 0.5, lambda m, rng: m.__setitem__("n", m["n"] + 1),
-                 writes=[("n", "add", 1)]),
-            Case(lambda m: 0.5, lambda m, rng: None, writes=()),
+            Case(lambda m: 0.5, writes=[("n", "add", 1)]),
+            Case(lambda m: 0.5, writes=()),
         ]
         sim = Simulator(_one_coin(cases), base_seed=2)
         sim.run(100.0)

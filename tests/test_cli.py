@@ -257,6 +257,38 @@ class TestFriendlyValidation:
             assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["--fail-rate", "1e300"], "t=8760 at rate Λ=4.8e+302"),
+            (
+                ["--disks", "2", "--tolerance", "1", "--hours", "1e308"],
+                "t=1e+308 at rate Λ=0.02001",
+            ),
+        ],
+        ids=["fail-rate-1e300", "hours-1e308"],
+    )
+    def test_unfinishable_closed_form_exits_2(self, args, named, monkeypatch, capsys):
+        """A closed form whose uniformization series could not finish
+        ends in one line naming Λ, t and the term count, before any root
+        runs."""
+        import repro.experiments
+
+        def refuse(*a, **kw):
+            raise AssertionError("a root ran before the closed form")
+
+        monkeypatch.setattr(repro.experiments, "splitting_probability", refuse)
+        monkeypatch.setattr(repro.experiments, "brute_force_probability", refuse)
+        for extra in ([], ["--splitting"]):
+            assert main(["rare", *args, *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"repro: uniformization over {named} ")
+            assert captured.err.endswith(
+                "Poisson terms, more than the 10,000,000 allowed\n"
+            )
+            assert captured.err.count("\n") == 1
+            assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "argv, flag",
         [
             (["logs", "DIR"], "output_dir"),
@@ -360,6 +392,10 @@ class TestSanitizerCommands:
         assert main(["lint", "abe"]) == 0
         out = capsys.readouterr().out
         assert "abe" in out and "clean" in out
+
+    def test_lint_deep_tail_tier(self, capsys):
+        assert main(["lint", "tier"]) == 0
+        assert capsys.readouterr().out.split() == ["tier", "clean"]
 
     def test_lint_unknown_model(self, capsys):
         assert main(["lint", "warp-drive"]) == 2

@@ -140,10 +140,6 @@ def _fleet(n: int = 3):
         "fail",
         Exponential(0.5),
         enabled=lambda m: m["up"] == 1,
-        effect=lambda m, rng: (
-            m.__setitem__("up", 0),
-            m.__setitem__("down", m["down"] + 1),
-        ),
         writes=[("up", "set", 0), ("down", "add", 1)],
         reads=["up"],
     )
@@ -152,15 +148,8 @@ def _fleet(n: int = 3):
         Deterministic(2.0),
         enabled=lambda m: m["up"] == 0,
         cases=[
-            Case(0.25, lambda m, rng: None, writes=()),
-            Case(
-                0.75,
-                lambda m, rng: (
-                    m.__setitem__("up", 1),
-                    m.__setitem__("down", m["down"] - 1),
-                ),
-                writes=[("up", "set", 1), ("down", "add", -1)],
-            ),
+            Case(0.25, writes=()),
+            Case(0.75, writes=[("up", "set", 1), ("down", "add", -1)]),
         ],
     )
     return flatten(replicate("fleet", unit, n, shared=["down"]))
@@ -188,9 +177,8 @@ def test_instances_share_the_template_plan_and_bind_their_own_slots():
         ]
     for i, aid in enumerate(repairs):
         up = model.paths[f"fleet/unit[{i}]/up"]
-        bounds, guard, branch_ops, _fns, labels = c.case_kern[aid]
+        bounds, guard, branch_ops = c.case_kern[aid]
         assert bounds == (0.25, 1.0) and guard is None
-        assert labels == ("case 0", "case 1")
         assert [[s for s, *_ in ops] for ops in branch_ops] == [[], [up, down]]
         assert c.case_tab[aid] is c.case_tab[repairs[0]]
 
@@ -218,13 +206,7 @@ def test_checked_sampler_names_its_own_instance():
 def _one_template_fleet(**kwargs):
     unit = SAN("unit")
     unit.place("up", 1)
-    unit.timed(
-        "fail",
-        Exponential(1.0),
-        enabled=lambda m: m["up"] == 1,
-        effect=lambda m, rng: m.__setitem__("up", 0),
-        **kwargs,
-    )
+    unit.timed("fail", Exponential(1.0), enabled=lambda m: m["up"] == 1, **kwargs)
     return flatten(replicate("fleet", unit, 2))
 
 
@@ -279,7 +261,6 @@ def _bad_write_model():
         "fail",
         Exponential(1.0),
         enabled=lambda m: m["up"] == 1,
-        effect=lambda m, rng: m.__setitem__("up", 0),
         writes=[("missing", "set", 0)],
     )
     return flatten(san)

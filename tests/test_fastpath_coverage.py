@@ -13,7 +13,8 @@ first point, for every shipped model):
   case/guard — i.e. ``python_effect_activities`` is empty (since PR 5's
   case kernels closed the last residue: the propagation coins and the
   conditional tier restore),
-* the runtime kernel / case-kernel / python completion counters,
+* the runtime kernel / case-kernel / python completion counters: no
+  completion of any run of a shipped model calls a Python effect,
 * the sampling mode of every timed activity,
 * that **every** rate reward of a measured run declares a compiled form
   — ``python_refresh_rewards`` is empty (since PR 7's reward kernels) —
@@ -81,9 +82,11 @@ OTHER_SHIPPED = {
 @pytest.mark.parametrize("name", sorted(OTHER_SHIPPED))
 def test_every_shipped_effect_is_compiled(name):
     """The spare dock's and the aggregate tier's effects are declared
-    too, so no shipped model completes through a Python effect."""
+    too, so no shipped model completes through a Python effect, on its
+    first run or any later one."""
     make, expected_cases = OTHER_SHIPPED[name]
-    report = make().fastpath_report()
+    sim = make()
+    report = sim.fastpath_report()
     assert report["python_effect_activities"] == [], (
         f"activities fell off the compiled kernel paths: "
         f"{sorted(_residue_names(report))}"
@@ -93,6 +96,10 @@ def test_every_shipped_effect_is_compiled(name):
         path.rsplit("/", 1)[-1] for path in report["case_kernel_activities"]
     }
     assert case_names == expected_cases
+    for seed in (1, 2):
+        result = sim.run(20000.0, seed=seed)
+        assert result.n_events > 0
+        assert sim.last_python_effects == 0
 
 
 class TestCompiledCoverage:
@@ -153,16 +160,11 @@ class TestCompiledCoverage:
             + sim.last_python_effects
             == res.n_events
         )
-        # kernels carry the bulk of completions on the paper workloads;
-        # the only python effects left are one-shot verification firings
-        # (per activity instance / case branch, persistent across runs)
-        first_python = sim.last_python_effects
-        assert sim.last_kernel_effects > first_python
-        # on the warm program, only first-ever completions still verify:
-        # the python-effect count burns down run over run instead of
-        # repaying the full verification cost
+        # every completion is compiled, the first run's included
+        assert sim.last_python_effects == 0
+        assert sim.last_kernel_effects > 0
         res2 = sim.run(700.0, rewards=cluster.measures.rewards)
-        assert sim.last_python_effects < first_python
+        assert sim.last_python_effects == 0
         assert (
             sim.last_kernel_effects
             + sim.last_case_kernels

@@ -1,16 +1,17 @@
-"""Compiled gate-write kernels: declaration API, bit-identity, verification.
+"""Compiled gate-write kernels: declaration API, bit-identity.
 
-``OutputGate(..., writes=[...])`` / ``SAN.timed(..., effect=...,
-writes=[...])`` declares an effect as a fixed sequence of slot ops; the
-compiled engine then applies precomputed deltas instead of calling the
-Python gate functions.  The contracts pinned here:
+``OutputGate(writes=[...])`` / ``SAN.timed(..., writes=[...])`` declares
+an effect as a fixed sequence of slot ops, the effect's only definition:
+the gate's function is built from the ops, and the compiled engine
+applies them as precomputed deltas instead of calling it.  The contracts
+pinned here:
 
-* annotated models follow **bit-identical** trajectories to their
-  unannotated twins, in per-draw and batched mode, against both the
-  specialized loops and the ``engine="reference"`` oracle (which never
-  uses kernels);
-* misdeclarations — wrong amounts, undeclared writes, rng use, unknown
-  places — raise loudly on the first completion (or at compile time);
+* declared models follow **bit-identical** trajectories to the same
+  models written with Python effect functions, in per-draw and batched
+  mode, against both the specialized loops and the
+  ``engine="reference"`` oracle (which never uses kernels);
+* a function passed beside a declaration, and unknown places, are
+  rejected when the model is built (or compiled);
 * the declared ops enforce the same non-negative marking invariant as
   ``LocalView.__setitem__``.
 """
@@ -25,9 +26,8 @@ from hypothesis import strategies as st
 from repro.core import (
     SAN,
     Case,
-    DeclarationError,
-    EventTrace,
     Exponential,
+    Indicator,
     LocalView,
     MarkingVector,
     ModelError,
@@ -42,10 +42,9 @@ from repro.core import (
 pytestmark = pytest.mark.slow
 
 
-def _pair_fleet(n_units, fail_rate, repair_rate, annotate, functions=True):
-    """Replicated fail/repair units over a shared counter, optionally
-    declaring every effect's writes (without ``functions``, the
-    declarations alone are the effects)."""
+def _pair_fleet(n_units, fail_rate, repair_rate, annotate):
+    """Replicated fail/repair units over a shared counter, whose effects
+    are declared writes (``annotate``) or the same Python functions."""
     san = SAN("unit")
     san.place("up", 1)
     san.place("down_count", 0)
@@ -72,14 +71,14 @@ def _pair_fleet(n_units, fail_rate, repair_rate, annotate, functions=True):
         "fail",
         Exponential(fail_rate),
         enabled=lambda m: m["up"] == 1,
-        effect=fail if functions else None,
+        effect=None if annotate else fail,
         writes=fail_writes,
     )
     san.timed(
         "repair",
         Exponential(repair_rate),
         enabled=lambda m: m["up"] == 0,
-        effect=repair if functions else None,
+        effect=None if annotate else repair,
         writes=repair_writes,
     )
     return flatten(replicate("fleet", san, n_units, shared=["down_count", "fails_total"]))
@@ -148,8 +147,12 @@ class TestKernelBitIdentity:
         assert first._final_values == again._final_values
 
 
-def _one_shot(effect, writes, places=("a", "b")):
-    """Single activity firing once; effect/writes under test."""
+def _zero_a(m, rng):
+    m["a"] = 0
+
+
+def _one_shot(writes, places=("a", "b")):
+    """Single activity firing once, declaring ``writes``."""
     san = SAN("s")
     for p in places:
         san.place(p, 1)
@@ -157,95 +160,58 @@ def _one_shot(effect, writes, places=("a", "b")):
         "act",
         Exponential(1.0),
         enabled=lambda m: m[places[0]] == 1,
-        effect=effect,
         writes=writes,
     )
     return flatten(replicate("r", san, 1))
 
 
+def _drain_model():
+    """``drain`` fires while ``tick < 5``; from ``pool = 1`` its second
+    completion would drive ``pool`` negative."""
+    san = SAN("s")
+    san.place("tick", 0)
+    san.place("pool", 1)
+    san.timed(
+        "drain",
+        Exponential(1.0),
+        enabled=lambda m: m["tick"] < 5,
+        writes=[("tick", "add", 1), ("pool", "add", -1)],
+    )
+    return flatten(san)
+
+
 class TestVerification:
-    def test_wrong_amount_raises(self):
-        model = _one_shot(
-            lambda m, rng: m.__setitem__("a", 0),
-            [("a", "set", 0), ("b", "add", 5)],
-        )
-        with pytest.raises(SimulationError, match="declared writes do not match"):
-            Simulator(model, base_seed=1).run(100.0)
-
-    def test_undeclared_write_raises(self):
-        def effect(m, rng):
-            m["a"] = 0
-            m["b"] = 0  # not declared
-
-        model = _one_shot(effect, [("a", "set", 0)])
-        with pytest.raises(SimulationError, match="undeclared"):
-            Simulator(model, base_seed=1).run(100.0)
-
-    def test_rng_use_raises(self):
-        def effect(m, rng):
-            m["a"] = 0 if rng.uniform() < 2.0 else 1
-
-        model = _one_shot(effect, [("a", "set", 0)])
-        with pytest.raises(SimulationError, match="must not use the rng"):
-            Simulator(model, base_seed=1).run(100.0)
-
-    def test_negative_drive_raises(self):
-        # declaration and function agree, but the second firing would
-        # push the count negative — same loud failure as __setitem__.
-        san = SAN("s")
-        san.place("tick", 0)
-        san.place("pool", 1)
-
-        def effect(m, rng):
-            m["tick"] += 1
-            m["pool"] -= 1
-
-        san.timed(
-            "drain",
-            Exponential(1.0),
-            enabled=lambda m: m["tick"] < 5,
-            effect=effect,
-            writes=[("tick", "add", 1), ("pool", "add", -1)],
-        )
-        model = flatten(replicate("r", san, 1))
-        with pytest.raises(SimulationError, match="negative"):
-            Simulator(model, base_seed=1).run(1000.0)
-
-    def test_failed_verification_is_not_sticky(self):
-        """A misdeclared kernel keeps raising on retried runs — the
-        verified flag must only be set after verification succeeds."""
-        model = _one_shot(
-            lambda m, rng: m.__setitem__("a", 0),
-            [("a", "set", 0), ("b", "add", 5)],
-        )
-        sim = Simulator(model, base_seed=1)
-        with pytest.raises(SimulationError, match="declared writes"):
-            sim.run(100.0)
-        with pytest.raises(SimulationError, match="declared writes"):
-            sim.run(100.0)
-
     def test_unknown_place_rejected_at_compile(self):
-        model = _one_shot(
-            lambda m, rng: m.__setitem__("a", 0), [("nope", "set", 0)]
-        )
+        model = _one_shot([("nope", "set", 0)])
         with pytest.raises(SimulationError, match="not a place"):
             Simulator(model, base_seed=1).run(100.0)
 
-    def test_reference_engine_ignores_declarations(self):
-        """The oracle calls the functions, so even a misdeclared gate
-        runs (and its python path defines the correct trajectory)."""
-        model = _one_shot(
-            lambda m, rng: m.__setitem__("a", 0),
-            [("a", "set", 0), ("b", "add", 5)],
+    def test_failed_run_is_not_sticky(self):
+        """A run a kernel aborts leaves nothing behind: the retried run
+        aborts the same way, and a run from a marking that lets every
+        completion through equals a fresh simulator's."""
+        model = _drain_model()
+        sim = Simulator(model, base_seed=1)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(SimulationError, match="negative") as info:
+                sim.run(1000.0, seed=3)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        full = [0, 5]  # s/tick, s/pool
+        got = sim.run(1000.0, seed=4, initial_marking=full)
+        want = Simulator(model, base_seed=1).run(
+            1000.0, seed=4, initial_marking=full
         )
-        res = Simulator(model, base_seed=1, engine="reference").run(100.0)
-        assert res.n_events >= 1
+        assert got.n_events == want.n_events == 5
+        assert got._final_values == want._final_values == [5, 0]
+        assert sim.last_kernel_effects == 5
 
 
 class TestWritesOnly:
-    """An effect declared by ``writes=`` (and ``when=``) alone: its
-    function is built from the ops, and the engine verifies and fires
-    it like any other declared effect."""
+    """An effect declared by ``writes=`` (and ``when=``): its function
+    is built from the ops, and the compiled engine fires the same ops as
+    a kernel."""
 
     @staticmethod
     def _view(**marking):
@@ -283,24 +249,15 @@ class TestWritesOnly:
     def test_negative_result_names_the_place(self, engine):
         """The first completion drains the pool; the second would drive
         it negative, through the built function on the reference path
-        and through the verified kernel on the compiled one."""
-        san = SAN("s")
-        san.place("tick", 0)
-        san.place("pool", 1)
-        san.timed(
-            "drain",
-            Exponential(1.0),
-            enabled=lambda m: m["tick"] < 5,
-            writes=[("tick", "add", 1), ("pool", "add", -1)],
-        )
-        sim = Simulator(flatten(san), base_seed=1, engine=engine)
+        and through the kernel on the compiled one."""
+        sim = Simulator(_drain_model(), base_seed=1, engine=engine)
         with pytest.raises(SimulationError, match="place 's?/?pool'.*negative"):
             sim.run(1000.0)
         assert sim.last_kernel_effects == 0
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_reference_matches_auto(self, seed):
-        only = _pair_fleet(12, 0.01, 0.1, annotate=True, functions=False)
+        only = _pair_fleet(12, 0.01, 0.1, annotate=True)
         plain = _pair_fleet(12, 0.01, 0.1, annotate=False)
         fast, sim = _run(only, seed, 256)
         ref, _ = _run(only, seed, 256, engine="reference")
@@ -311,88 +268,6 @@ class TestWritesOnly:
             assert fast["frac"].integral.hex() == other["frac"].integral.hex()
         assert sim.fastpath_report()["python_effect_activities"] == []
         assert sim.last_kernel_effects > 0
-
-
-def _leak_model():
-    """``leak`` also sets ``d = 0`` but declares only its ``a`` write:
-    at its first completion ``d`` is still 0, so the omitted write
-    leaves the marking unchanged there and matters only later."""
-    san = SAN("leaky")
-    san.place("a", 0)
-    san.place("d", 0)
-
-    def leak(m, rng):
-        m["a"] += 1
-        m["d"] = 0
-
-    san.timed(
-        "leak",
-        Exponential(1.0),
-        enabled=lambda m: True,
-        effect=leak,
-        writes=[("a", "add", 1)],
-    )
-    san.timed(
-        "raise_d",
-        Exponential(1.0),
-        enabled=lambda m: m["d"] == 0,
-        writes=[("d", "set", 1)],
-    )
-    san.timed(
-        "sink",
-        Exponential(1.0),
-        enabled=lambda m: m["d"] == 1 and m["a"] > 0,
-        writes=[("a", "add", -1)],
-    )
-    return flatten(san)
-
-
-class TestUnchangedWrites:
-    """Verification compares the declared ops with every slot the
-    functions assign, not only the slots whose value changed.  At seed
-    10 ``leak`` completes first in both sampling modes, while ``d`` is
-    still 0."""
-
-    SEED = 10
-
-    def _first_leak(self, **kwargs):
-        trace = EventTrace("leaks", "*")
-        Simulator(
-            _leak_model(), base_seed=self.SEED, engine="reference", **kwargs
-        ).run(200.0, traces=[trace])
-        first = trace.events[0]
-        assert first.activity == "leaky/leak"
-        return first.time
-
-    def test_quarantine_follows_the_reference(self):
-        ref = Simulator(_leak_model(), base_seed=self.SEED, engine="reference")
-        ref_res = ref.run(200.0)
-        sim = Simulator(_leak_model(), base_seed=self.SEED, verify_every=50)
-        with pytest.warns(RuntimeWarning, match="quarantined.*leaky/d") as rec:
-            res = sim.run(200.0)
-        assert len([w for w in rec if "quarantined" in str(w.message)]) == 1
-        assert res.n_events == ref_res.n_events
-        assert res._final_values == ref_res._final_values
-
-    def test_strict_raises_at_the_first_completion(self):
-        t1 = self._first_leak()
-        for kwargs in ({}, {"verify_every": 50, "strict": True}):
-            Simulator(_leak_model(), base_seed=self.SEED, **kwargs).run(t1 * 0.999)
-            sim = Simulator(_leak_model(), base_seed=self.SEED, **kwargs)
-            with pytest.raises(DeclarationError, match="undeclared places"):
-                sim.run(t1 * 1.001)
-
-    def test_sanitizer_reports_the_first_completion(self):
-        # A sanitized run follows the per-draw reference trajectory.
-        t1 = self._first_leak(sample_batch=None)
-        sim = Simulator(_leak_model(), base_seed=self.SEED, engine="sanitize")
-        with pytest.warns(RuntimeWarning, match="sanitizer violations"):
-            res = sim.run(200.0)
-        v = res.sanitizer_report.violations[0]
-        assert (v.kind, v.subject, v.place) == (
-            "undeclared-write", "leaky/leak", "leaky/d"
-        )
-        assert v.sim_time == t1
 
 
 class TestDeclarationAPI:
@@ -433,14 +308,48 @@ class TestDeclarationAPI:
         ],
     )
     def test_invalid_write_ops_rejected(self, writes):
-        with pytest.raises(ModelError):
-            OutputGate(lambda m, rng: None, name="g", writes=writes)
+        with pytest.raises(ModelError, match="output gate 'g'"):
+            OutputGate(name="g", writes=writes)
 
     def test_output_gate_normalizes_writes(self):
-        og = OutputGate(
-            lambda m, rng: None, writes=(("a", "add", 2), ("b", "set", 0))
-        )
+        og = OutputGate(writes=(("a", "add", 2), ("b", "set", 0)))
         assert og.writes == (("a", "add", 2), ("b", "set", 0))
+
+    @pytest.mark.parametrize(
+        "build, owner",
+        [
+            (lambda: OutputGate(_zero_a, name="g", writes=[("a", "set", 0)]),
+             "output gate 'g'"),
+            (lambda: OutputGate(
+                _zero_a, name="g", writes=[("a", "set", 0)], when=("a", "<=", 1)
+            ), "output gate 'g'"),
+            (lambda: Case(0.5, _zero_a, name="c", writes=[("a", "set", 0)]),
+             "case 'c'"),
+            (lambda: SAN("s").timed(
+                "t", Exponential(1.0), enabled=lambda m: True, effect=_zero_a,
+                writes=[("a", "set", 0)],
+            ), "activity 't'"),
+            (lambda: SAN("s").instant(
+                "i", enabled=lambda m: True, effect=_zero_a, writes=[("a", "set", 0)]
+            ), "activity 'i'"),
+            (lambda: RateReward(
+                "r", lambda m: 1.0, form=Indicator([("s/a", "==", 0)])
+            ), "rate reward 'r'"),
+            (lambda: RateReward(
+                "r", form=Indicator([("s/a", "==", 0)]), reads=["s/a"]
+            ), "rate reward 'r'"),
+        ],
+        ids=[
+            "gate", "guarded-gate", "case", "timed", "instant",
+            "reward-function", "reward-reads",
+        ],
+    )
+    def test_twin_rejected(self, build, owner):
+        """Declared writes and reward forms are their effect's or
+        reward's only definition: a function (or, beside a form, reads)
+        passed as well is rejected when built, naming the owner."""
+        with pytest.raises(ModelError, match=owner):
+            build()
 
     def test_explicit_output_gates_compile(self):
         """Annotating an explicit OutputGate (not the effect convenience)
@@ -448,18 +357,11 @@ class TestDeclarationAPI:
         san = SAN("s")
         san.place("a", 1)
         san.place("n", 0)
-
-        def bump(m, rng):
-            m["a"] = 0
-            m["n"] += 1
-
         san.timed(
             "t",
             Exponential(1.0),
             enabled=lambda m: m["a"] == 1,
-            output_gates=[
-                OutputGate(bump, writes=[("a", "set", 0), ("n", "add", 1)])
-            ],
+            output_gates=[OutputGate(writes=[("a", "set", 0), ("n", "add", 1)])],
         )
         san.timed(
             "back",

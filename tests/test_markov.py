@@ -105,6 +105,49 @@ class TestTransient:
         assert v == pytest.approx(0.5, abs=1e-6)
 
 
+class TestUniformizationBound:
+    """A series that could not finish is refused up front, by both the
+    transient distribution and the interval reward, naming Λ, t and the
+    number of Poisson terms it would take."""
+
+    @staticmethod
+    def _solvers(chain):
+        return {
+            "transient": lambda t: chain.transient(0, t),
+            "interval": lambda t: chain.interval_reward(0, t, [1.0, 0.0]),
+        }
+
+    @pytest.mark.parametrize("solver", ["transient", "interval"])
+    @pytest.mark.parametrize(
+        "rate, t, needle",
+        [
+            (1e300, 8760.0, "Λ=1e+300 (Λt=8.76e+303) needs 8.76e+303"),
+            (1.0, 1e308, "Λ=1 (Λt=1e+308) needs 1e+308"),
+            (1e300, 1e300, "Λ=1e+300 (Λt=inf) needs inf"),
+            (1.0, math.inf, "Λ=1 (Λt=inf) needs inf"),
+            (1.0, math.nan, "Λ=1 (Λt=nan) needs nan"),
+            (1.0, 1e7, "Λ=1 (Λt=1e+07) needs 1.004e+07"),
+        ],
+        ids=["huge-rate", "huge-t", "overflow", "inf-t", "nan-t", "just-over"],
+    )
+    def test_unfinishable_series_raises(self, solver, rate, t, needle):
+        chain = CTMC(2).add_rate(0, 1, rate).add_rate(1, 0, 1.0)
+        with pytest.raises(ModelError, match="uniformization over t=") as info:
+            self._solvers(chain)[solver](t)
+        assert needle in str(info.value)
+        assert str(info.value).endswith("Poisson terms, more than the 10,000,000 allowed")
+
+    def test_series_just_below_the_bound_is_accepted(self):
+        # Λt = 9.9e6 needs 9,937,807 terms: the prologue lets it through
+        # (summing them would take minutes, so only the prologue runs).
+        from repro.markov.ctmc import MAX_UNIFORMIZATION_TERMS
+
+        chain = CTMC(2).add_rate(0, 1, 1.0).add_rate(1, 0, 1.0)
+        _p, lam, mean, max_k = chain._uniformized(9.9e6)
+        assert (lam, mean) == (1.0, 9.9e6)
+        assert max_k == 9_937_807 <= MAX_UNIFORMIZATION_TERMS
+
+
 class TestAbsorption:
     def test_exponential_mtta(self):
         c = CTMC(2).add_rate(0, 1, 0.5)

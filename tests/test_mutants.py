@@ -5,8 +5,10 @@ slips through) with *specificity* (a correct model never trips it).
 This suite pins both sides over the ``tests/_mutants.py`` corpus:
 
 * every mutant is detected by its owning channel with the expected
-  violation kind / lint code;
-* every clean twin comes back spotless on **both** channels;
+  violation kind / lint code, or (a function passed beside a declared
+  effect or reward form) rejected when built, naming its owner;
+* every clean twin comes back spotless on **both** the lint and the
+  sanitize channel;
 * runtime-only defects (short-circuit reads, mid-run case sums,
   marking-dependent NaN rewards) stay invisible to the static pass —
   documenting why the instrumented engine exists at all.
@@ -14,21 +16,36 @@ This suite pins both sides over the ``tests/_mutants.py`` corpus:
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
-from repro.core import lint_model
+from repro.core import ModelError, lint_model
 
 from _mutants import MUTANTS, Mutant, run_sanitize
 
 SANITIZE = [m for m in MUTANTS if m.channel == "sanitize"]
 LINT = [m for m in MUTANTS if m.channel == "lint"]
+CONSTRUCTION = [m for m in MUTANTS if m.channel == "construction"]
 _IDS = [m.name for m in MUTANTS]
 
 
 def test_corpus_size_floor():
-    """ISSUE 10 demands at least twenty corrupted-declaration scenarios."""
+    """At least twenty corrupted-declaration scenarios with unique names,
+    among them one for every violation kind a sanitized run reports and
+    one for every owner a declaration has (activity, case, reward)."""
     assert len(MUTANTS) >= 20
     assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+    assert {m.expect for m in SANITIZE} == {
+        "undeclared-read",
+        "case-sum",
+        "non-finite-reward",
+    }
+    assert {m.expect.rsplit(" ", 1)[0] for m in CONSTRUCTION} == {
+        "activity",
+        "case",
+        "rate reward",
+    }
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=_IDS)
@@ -65,6 +82,16 @@ def test_lint_channel_flags_mutant(mutant: Mutant):
 
 
 @pytest.mark.parametrize(
+    "mutant", CONSTRUCTION, ids=[m.name for m in CONSTRUCTION]
+)
+def test_construction_channel_flags_mutant(mutant: Mutant):
+    """A function beside a declaration never reaches a run: whatever it
+    would have done differently, the build rejects the pair."""
+    with pytest.raises(ModelError, match=re.escape(mutant.expect)):
+        mutant.build(True)
+
+
+@pytest.mark.parametrize(
     "mutant",
     [m for m in MUTANTS if m.lint_clean_when_mutated],
     ids=[m.name for m in MUTANTS if m.lint_clean_when_mutated],
@@ -79,6 +106,14 @@ def test_runtime_only_defects_evade_static_lint(mutant: Mutant):
 @pytest.mark.parametrize("mutant", MUTANTS, ids=_IDS)
 def test_violations_carry_provenance(mutant: Mutant):
     """Every detection names its subject; runtime ones localize the event."""
+    if mutant.channel == "construction":
+        with pytest.raises(ModelError) as info:
+            mutant.build(True)
+        message = str(info.value)
+        # The owner and the declaration the function collides with.
+        assert mutant.expect in message
+        assert "writes" in message or "form" in message
+        return
     san, rewards = mutant.build(True)
     if mutant.channel == "sanitize":
         report = run_sanitize(san, rewards, hours=mutant.hours)

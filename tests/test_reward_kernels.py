@@ -1,4 +1,4 @@
-"""Compiled reward-form kernels: declaration API, bit-identity, verification.
+"""Compiled reward-form kernels: declaration API, bit-identity.
 
 ``RateReward(form=Indicator(...) / Affine(...))`` declares a reward's
 value as a guarded slot-affine expression; the simulator compiles it into
@@ -11,9 +11,8 @@ here:
   of the same reward, across gate-kernel, case-kernel, python-effect and
   instantaneous-fixpoint write paths — including Hypothesis-random
   guarded forms;
-* a form that disagrees with its reward function raises on the first
-  evaluation (t=0 verification), like the gate/case kernels;
-* malformed forms raise at construction;
+* malformed forms raise at construction (a function or reads passed
+  beside a form is rejected there too: ``test_kernel_writes.py``);
 * ``SimulationBudgetError`` interrupting a kernel-reward run carries the
   same partial reward snapshot the reference loop produces, and the
   simulator remains reusable afterwards (reuse-equals-fresh).
@@ -44,8 +43,9 @@ GUARD_OPS = ("<", "<=", "==", "!=", ">=", ">")
 
 
 def _fleet(n_units=6, annotate=True, with_instant=False):
-    """Fail/repair units over shared counters, optionally annotated
-    (gate-write kernels) and with an instantaneous alarm activity."""
+    """Fail/repair units over shared counters, whose effects are declared
+    writes (``annotate``: gate-write kernels) or the same Python
+    functions, optionally with an instantaneous alarm activity."""
     san = SAN("unit")
     san.place("up", 1)
     san.place("down_count", 0)
@@ -64,14 +64,14 @@ def _fleet(n_units=6, annotate=True, with_instant=False):
         "fail",
         Exponential(0.2),
         enabled=lambda m: m["up"] == 1,
-        effect=fail,
+        effect=None if annotate else fail,
         writes=[("up", "set", 0), ("down_count", "add", 1)] if annotate else None,
     )
     san.timed(
         "repair",
         Exponential(1.0),
         enabled=lambda m: m["up"] == 0,
-        effect=repair,
+        effect=None if annotate else repair,
         writes=(
             [("up", "set", 1), ("down_count", "add", -1), ("repairs", "add", 1)]
             if annotate
@@ -292,29 +292,6 @@ class TestRandomFormsDifferential:
 
 
 class TestFormVerificationAndValidation:
-    def test_mismatched_form_raises_at_t0(self):
-        bad = RateReward(
-            "bad",
-            lambda m: float(m[DOWN]),  # disagrees with the form below
-            reads=[DOWN],
-            form=Indicator(guards=[(DOWN, "<=", 0)]),
-        )
-        with pytest.raises(SimulationError, match="does not match"):
-            Simulator(_fleet(), base_seed=1).run(10.0, rewards=[bad])
-
-    def test_mismatched_form_accepted_by_reference_engine(self):
-        """The reference engine ignores forms, so only the function runs."""
-        bad = RateReward(
-            "bad",
-            lambda m: float(m[DOWN]),
-            reads=[DOWN],
-            form=Indicator(guards=[(DOWN, "<=", 0)]),
-        )
-        res = Simulator(_fleet(), base_seed=1, engine="reference").run(
-            10.0, rewards=[bad]
-        )
-        assert res["bad"].integral >= 0.0
-
     def test_ambiguous_form_place_raises(self):
         r = RateReward("amb", form=Indicator(guards=[("*/up", "==", 1)]))
         with pytest.raises(SimulationError, match="resolved to"):

@@ -1,6 +1,6 @@
-"""Model-integrity sanitizer: bit-identity, quarantine, lint, hardening.
+"""Model-integrity sanitizer: bit-identity, reports, lint, hardening.
 
-The contract under test, in four layers:
+The contract under test, in three layers:
 
 * ``engine="sanitize"`` is the per-draw reference engine with shadow
   declaration checking bolted on: its trajectories, rewards, traces and
@@ -9,11 +9,6 @@ The contract under test, in four layers:
   paper's shipped cluster/storage models;
 * ``strict`` escalates recorded violations to :class:`SanitizerError`
   carrying the full report;
-* ``Simulator(verify_every=N)`` periodically re-verifies compiled
-  kernels on the fast path; a failed re-verification quarantines the
-  kernel to the Python path with exactly one :class:`RuntimeWarning`
-  (``strict=True`` raises instead), and a clean model's trajectory is
-  unchanged by any ``verify_every``;
 * the fast path refuses to report a non-finite reward accumulation as
   a result.
 
@@ -33,10 +28,10 @@ from repro.cfs.parameters import abe_parameters, petascale_parameters
 from repro.core import (
     BinaryTrace,
     CompiledProgram,
-    DeclarationError,
     EventTrace,
     Exponential,
     ImpulseReward,
+    LocalView,
     RateReward,
     SAN,
     SanitizerError,
@@ -49,8 +44,8 @@ from repro.core import (
 
 from _mutants import (
     _m_initial_undeclared_read,
+    _m_short_circuit_read,
     _m_unresolved_read,
-    _m_wrong_add_amount,
     _machine,
     run_sanitize,
 )
@@ -101,11 +96,9 @@ class TestBitIdentity:
             assert_runs_identical(got, want)
             assert got.sanitizer_report is not None
             assert got.sanitizer_report.ok
-            # Both activities are gate-write kernels: every completion is
-            # verified, and each reward is checked at t=0 and after every
-            # event, not only after the events that change its places.
+            # Each reward is checked at t=0 and after every event, not
+            # only after the events that change its places.
             checks = got.sanitizer_report.checks
-            assert checks["write_checks"] == got.n_events
             assert checks["reward_evals"] == 2 * (got.n_events + 1)
 
     def test_warmup_stop_and_restart(self):
@@ -183,9 +176,8 @@ class TestBitIdentity:
     def test_aggregate_tier_restart_segments(self):
         """The deep-tail workload's aggregate tier, restarted from marked
         states as RESTART segments are (up to the next level, or at the
-        loss level, where ``lose`` fires at t=0): every completion is a
-        verified kernel, the report is clean and the trajectory is the
-        per-draw reference's."""
+        loss level, where ``lose`` fires at t=0): the report is clean and
+        the trajectory is the per-draw reference's."""
         from repro.experiments.rare import aggregate_tier_san
 
         model = aggregate_tier_san(480, 6, 1e-3, 0.02)
@@ -204,7 +196,6 @@ class TestBitIdentity:
             report = got.sanitizer_report
             assert report.ok, report.format()
             assert got.n_events > 0
-            assert report.checks["write_checks"] == got.n_events
 
     @pytest.mark.slow
     def test_abe_cluster_differential(self):
@@ -221,8 +212,8 @@ class TestBitIdentity:
         assert got.sanitizer_report.ok, got.sanitizer_report.format()
         # The shadow checker actually exercised every checker family.
         checks = got.sanitizer_report.checks
-        assert checks["write_checks"] > 0
         assert checks["predicate_evals"] > 0
+        assert checks["case_selections"] > 0
         assert checks["reward_evals"] > 0
 
     @pytest.mark.slow
@@ -235,7 +226,7 @@ class TestBitIdentity:
 
 class TestSharedProgram:
     """A sanitized run leaves a shared CompiledProgram as it found it:
-    its checks use local verification flags and never touch the
+    its checks use local declaration flags and never touch the
     program's kernels, memos or dependency map."""
 
     @staticmethod
@@ -257,16 +248,6 @@ class TestSharedProgram:
             3000.0, rewards=(reward,)
         )
         assert_runs_identical(got, want)
-
-    def test_wrong_kernel_stays_unverified_and_unquarantined(self):
-        san, _ = _m_wrong_add_amount(True)
-        shared = CompiledProgram(flatten(san))
-        before = shared.fastpath_report()
-        report = self._sanitize(shared)
-        assert "write-mismatch" in {v.kind for v in report.violations}
-        assert shared.fastpath_report() == before
-        with pytest.raises(DeclarationError, match="m/repair"):
-            Simulator(shared, base_seed=7).run(400.0)
 
     def test_initial_undeclared_read_raises_at_auto_run_entry(self):
         san, _ = _m_initial_undeclared_read(True)
@@ -303,30 +284,30 @@ class TestReportAndStrict:
         assert res.sanitizer_report is None
 
     def test_violation_provenance(self):
-        san, _ = _m_wrong_add_amount(True)
+        san, _ = _m_short_circuit_read(True)
         report = run_sanitize(san, hours=400.0)
         assert not report.ok
         v = report.violations[0]
-        assert v.kind == "write-mismatch"
+        assert v.kind == "undeclared-read"
         assert v.subject == "m/repair"
         assert v.place == "m/count"
-        assert v.event_index is not None and v.event_index >= 0
+        assert v.event_index is not None and v.event_index > 0
         assert v.sim_time is not None and v.sim_time > 0.0
-        assert "declared ops give" in v.message
+        assert "outside the declared read set" in v.message
         # and the report self-describes
         text = report.format()
-        assert "write-mismatch" in text and "m/count" in text
+        assert "undeclared-read" in text and "m/count" in text
 
     def test_dedup_one_violation_per_site(self):
         # The machine fails/repairs dozens of times; the same defect is
         # reported once, with first-occurrence provenance.
-        san, _ = _m_wrong_add_amount(True)
+        san, _ = _m_short_circuit_read(True)
         report = run_sanitize(san, hours=2000.0)
-        mismatches = [v for v in report.violations if v.kind == "write-mismatch"]
-        assert len(mismatches) == 1
+        reads = [v for v in report.violations if v.kind == "undeclared-read"]
+        assert len(reads) == 1
 
     def test_default_warns_strict_raises(self):
-        san, _ = _m_wrong_add_amount(True)
+        san, _ = _m_short_circuit_read(True)
         model = flatten(san)
         with pytest.warns(RuntimeWarning, match="sanitizer violations"):
             res = _sanitize_sim(model).run(400.0)
@@ -344,65 +325,8 @@ class TestReportAndStrict:
         model = flatten(_machine())
         with pytest.raises(SimulationError, match="conflicts"):
             Simulator(model, sanitize=True, engine="reference")
-        with pytest.raises(SimulationError, match="verify_every"):
-            Simulator(model, verify_every=0)
         sim = Simulator(model, sanitize=True)
         assert sim.engine == "sanitize"
-
-
-class TestVerifyEveryQuarantine:
-    def test_clean_model_identical_under_reverification(self):
-        model = flatten(_machine())
-        reward = RateReward("avail", lambda m: float(m["m/up"]))
-        want = Simulator(model, base_seed=7).run(3000.0, rewards=(reward,))
-        for every in (1, 3, 100):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                got = Simulator(model, base_seed=7, verify_every=every).run(
-                    3000.0, rewards=(reward,)
-                )
-            assert_runs_identical(got, want)
-
-    def test_bad_declaration_raises_without_verify_every(self):
-        san, _ = _m_wrong_add_amount(True)
-        with pytest.raises(DeclarationError):
-            Simulator(flatten(san), base_seed=7).run(400.0)
-
-    def test_quarantine_warns_once_and_matches_reference(self):
-        san, _ = _m_wrong_add_amount(True)
-        model = flatten(san)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = Simulator(
-                model, base_seed=7, sample_batch=None, verify_every=1
-            ).run(2000.0)
-        quarantines = [
-            w for w in caught if "quarantined" in str(w.message)
-        ]
-        assert len(quarantines) == 1
-        assert issubclass(quarantines[0].category, RuntimeWarning)
-        assert "m/repair" in str(quarantines[0].message)
-        # Quarantined = the Python effect stays authoritative, so the run
-        # equals the reference engine executing the same (buggy) effect.
-        want = _reference_sim(model, seed=7).run(2000.0)
-        assert_runs_identical(got, want)
-
-    def test_quarantine_strict_raises(self):
-        san, _ = _m_wrong_add_amount(True)
-        with pytest.raises(DeclarationError):
-            Simulator(
-                flatten(san), base_seed=7, verify_every=1, strict=True
-            ).run(2000.0)
-
-    def test_quarantine_persists_across_runs(self):
-        san, _ = _m_wrong_add_amount(True)
-        sim = Simulator(flatten(san), base_seed=7, sample_batch=None, verify_every=1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sim.run(2000.0)
-            sim.run(2000.0)
-        quarantines = [w for w in caught if "quarantined" in str(w.message)]
-        assert len(quarantines) == 1
 
 
 class TestNonFiniteRewardGuard:
@@ -446,6 +370,22 @@ class TestShippedModelsLintClean:
     def test_petascale(self):
         report = lint_model(ClusterModel(petascale_parameters()))
         assert report.ok, report.format()
+
+    def test_deep_tail_tier(self):
+        """The tier's repair law raises with no disk failed, where repair
+        is disabled and the engine never asks for it: not a finding."""
+        from repro.experiments.rare import aggregate_tier_san
+
+        model = aggregate_tier_san(480, 6, 1e-5, 0.02)
+        report = lint_model(model)
+        assert report.ok, report.format()
+        assert report.coverage["declared_effects"] == 3
+        repair = model.activities[1]
+        assert repair.path == "tier/repair"
+        view = LocalView(model.new_marking(), repair.index)
+        assert not repair.definition.is_enabled(view)
+        with pytest.raises(KeyError):
+            repair.definition.distribution(view)
 
     def test_lint_accepts_san_node_flat_and_facade(self):
         san = _machine()

@@ -451,14 +451,14 @@ _REJECTED_ARGS = [
     ("max_events", 1.5),
     ("max_events", math.nan),
     ("max_events", "x"),
-    ("verify_every", 2.5),
-    ("verify_every", math.nan),
     ("sample_batch", 2.5),
     ("sample_batch", math.nan),
+    ("sample_batch", 0),
     ("max_instant_chain", 0.5),
     ("max_instant_chain", -1),
     ("max_instant_chain", None),
     ("max_wall_s", "x"),
+    ("max_wall_s", math.nan),
 ]
 
 
@@ -527,7 +527,7 @@ class TestRunEntryValidation:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_numpy_integer_arguments_pass(self, two_state_model, engine):
-        kw = dict(max_events=10**6, verify_every=3, max_instant_chain=50)
+        kw = dict(max_events=10**6, max_instant_chain=50)
         want = Simulator(two_state_model, base_seed=3, engine=engine, **kw)
         np_kw = {k: np.int64(v) for k, v in kw.items()}
         got = Simulator(two_state_model, base_seed=3, engine=engine, **np_kw)
@@ -690,26 +690,28 @@ class TestRunPlanReuse:
         for name, res in first.rewards.items():
             assert second[name] is not res
 
-    @pytest.mark.parametrize("mutant", [_m_wrong_add_amount, _m_case_branch0])
-    def test_quarantine_reaches_a_simulator_sharing_the_program(self, mutant):
-        san, _ = mutant(True)
+    @pytest.mark.parametrize("other_engine", ENGINES)
+    @pytest.mark.parametrize("build", [_m_wrong_add_amount, _m_case_branch0])
+    def test_simulator_sharing_the_program_keeps_its_kernels(
+        self, build, other_engine
+    ):
+        """The program holds one plan, built here by a simulator sharing
+        it on another engine (whose kernel tables are empty on the
+        reference and sanitize engines): the ``auto`` run after it fires
+        every effect through its kernels, on the reference trajectory."""
+        san, _ = build(False)
         model = flatten(san)
         program = CompiledProgram(model, sample_batch=None)
-        a = Simulator(program, verify_every=1)
+        a = Simulator(program, engine=other_engine)
         b = Simulator(program)
-        # B's plan exists before the quarantine: a run too short for the
-        # mutated activity to complete.
-        assert b.run(1e-6, seed=1).n_events == 0
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            a.run(2000.0, seed=2)
-        assert any("quarantined" in str(w.message) for w in caught)
+        a.run(2000.0, seed=2)
         got = b.run(2000.0, seed=3)
         want = Simulator(model, sample_batch=None, engine="reference").run(
             2000.0, seed=3
         )
         assert_runs_identical(got, want)
-
+        assert b.last_python_effects == 0
+        assert b.last_kernel_effects + b.last_case_kernels == got.n_events
 
 
 def _set(place, value):
@@ -738,17 +740,6 @@ def _settle_tie_model():
         m["armed"] = m["armed"] - 1
         m["done"] = m["done"] + 1
 
-    def bump(place):
-        def effect(m, rng):
-            m["toss"] = 0
-            m[place] = m[place] + 1
-
-        return effect
-
-    def tick(m, rng):
-        m["toss"] = 1
-        m["ticks"] = m["ticks"] + 1
-
     san = SAN("w")
     for name in ("live", "go", "toss", "armed", "ticks", "heads", "tails", "done", "seen"):
         san.place(name, 0)
@@ -758,8 +749,8 @@ def _settle_tie_model():
         enabled=lambda m: m["live"] == 1,
         reads=["live"],
         cases=[
-            Case(0.5, tick, name="tick", writes=[("toss", "set", 1), ("ticks", "add", 1)]),
-            Case(0.5, _set("toss", 1), name="quiet", writes=[("toss", "set", 1)]),
+            Case(0.5, name="tick", writes=[("toss", "set", 1), ("ticks", "add", 1)]),
+            Case(0.5, name="quiet", writes=[("toss", "set", 1)]),
         ],
     )
     san.timed(
@@ -772,28 +763,24 @@ def _settle_tie_model():
         "first",
         Deterministic(1.0),
         enabled=lambda m: True,
-        effect=_set("go", 1),
         writes=[("go", "set", 1)],
     )
     san.timed(
         "watch",
         Deterministic(0.25),
         enabled=lambda m: m["done"] % 2 == 1 and m["armed"] >= 0,
-        effect=lambda m, rng: m.__setitem__("seen", m["seen"] + 1),
         reads=["done", "armed"],
         writes=[("seen", "add", 1)],
     )
     san.instant(
         "boot",
         enabled=lambda m: m["live"] == 0,
-        effect=_set("live", 1),
         reads=["live"],
         writes=[("live", "set", 1)],
     )
     san.instant(
         "fan",
         enabled=lambda m: m["go"] == 1,
-        effect=lambda m, rng: (m.__setitem__("go", 0), m.__setitem__("armed", m["armed"] + 1)),
         reads=["go"],
         writes=[("go", "set", 0), ("armed", "add", 1)],
     )
@@ -802,8 +789,8 @@ def _settle_tie_model():
         enabled=lambda m: m["toss"] == 1,
         reads=["toss"],
         cases=[
-            Case(0.5, bump("heads"), name="heads", writes=[("toss", "set", 0), ("heads", "add", 1)]),
-            Case(0.5, bump("tails"), name="tails", writes=[("toss", "set", 0), ("tails", "add", 1)]),
+            Case(0.5, name="heads", writes=[("toss", "set", 0), ("heads", "add", 1)]),
+            Case(0.5, name="tails", writes=[("toss", "set", 0), ("tails", "add", 1)]),
         ],
     )
     return flatten(san)
@@ -825,9 +812,7 @@ class TestSettleWriteBack:
     the call and reloads after it must reach the reference trajectory."""
 
     def _run(self, engine, **kwargs):
-        sim = Simulator(
-            _settle_tie_model(), base_seed=5, engine=engine, verify_every=2, **kwargs
-        )
+        sim = Simulator(_settle_tie_model(), base_seed=5, engine=engine, **kwargs)
         return sim, sim.run(40.0, **_settle_tie_observers())
 
     def test_auto_matches_reference_event_for_event(self):
@@ -841,14 +826,16 @@ class TestSettleWriteBack:
 
     def test_auto_completion_counters(self):
         # Kernel and case-kernel completions happen on both sides of the
-        # settle() call, so a count lost either way changes the split.
+        # settle() call, so a count lost either way changes the split:
+        # 138 kernels (first 40, watch 57, fan 40, boot 1), 80 case
+        # kernels (second and coin, 40 each) and echo's 39 Python effects.
         sim, result = self._run("auto")
         assert result.n_events == 257
         assert (
             sim.last_kernel_effects,
             sim.last_case_kernels,
             sim.last_python_effects,
-        ) == (67, 23, 167)
+        ) == (138, 80, 39)
 
     @pytest.mark.parametrize("max_events", [7, 58, 121])
     def test_event_budget_trips_at_the_same_event(self, max_events):
@@ -882,53 +869,32 @@ def _restart_tier_model():
 
 def _restart_kernel_model():
     """Gate-write, case and guard kernels and an instant (``spill``) that
-    a restart marking with ``b >= 2`` enables at t=0.  The declarations
-    of ``leak`` and of ``drain``'s second case omit a write that always
-    changes the marking, so a verification quarantines each of them."""
-
-    def spill(m, rng):
-        m["b"] = 0
-        m["c"] = m["c"] + 1
-        m["d"] = 0
-
-    def guarded(m, rng):
-        if m["b"] >= 1:
-            m["d"] = m["d"] + 1
-
-    def leak(m, rng):
-        m["c"] = m["c"] - 1
-        m["a"] = m["a"] + 1
-
-    def spend(m, rng):
-        m["a"] = m["a"] - 1
-        m["d"] = m["d"] + 1
-
+    a restart marking with ``b >= 2`` enables at t=0."""
     san = SAN("k")
     for name in ("a", "b", "c", "d"):
         san.place(name, 0)
     san.timed(
         "fill", Exponential(1.0), enabled=lambda m: m["a"] < 4, reads=["a"],
-        effect=_add("a", 1), writes=[("a", "add", 1)],
+        writes=[("a", "add", 1)],
     )
     san.timed(
         "drain", Exponential(0.8), enabled=lambda m: m["a"] > 0, reads=["a"],
         cases=[
-            Case(0.4, lambda m, rng: (_add("a", -1)(m, rng), _add("b", 1)(m, rng)),
-                 writes=[("a", "add", -1), ("b", "add", 1)]),
-            Case(0.6, spend, writes=[("a", "add", -1)]),
+            Case(0.4, writes=[("a", "add", -1), ("b", "add", 1)]),
+            Case(0.6, writes=[("a", "add", -1), ("d", "add", 1)]),
         ],
     )
     san.timed(
         "guard", Exponential(0.5), enabled=lambda m: m["d"] < 3, reads=["d"],
-        effect=guarded, writes=[("d", "add", 1)], when=("b", ">=", 1),
+        writes=[("d", "add", 1)], when=("b", ">=", 1),
     )
     san.instant(
         "spill", enabled=lambda m: m["b"] >= 2, reads=["b"],
-        effect=spill, writes=[("b", "set", 0), ("c", "add", 1), ("d", "set", 0)],
+        writes=[("b", "set", 0), ("c", "add", 1), ("d", "set", 0)],
     )
     san.timed(
         "leak", Exponential(0.3), enabled=lambda m: m["c"] > 0, reads=["c"],
-        effect=leak, writes=[("c", "add", -1)],
+        writes=[("c", "add", -1), ("a", "add", 1)],
     )
     return flatten(san)
 
@@ -998,7 +964,7 @@ _RESTART_MODELS = {
             BinaryTrace("full", lambda m: m["k/a"] >= 3),
             EventTrace("events", "k/*"),
         ),
-        {"verify_every": 2},
+        {},
     ),
     "discovery": (
         _restart_discovery_model,
@@ -1039,8 +1005,8 @@ class TestRestartDifferential:
         }
         gen = np.random.default_rng(26)
         kinds = {"none": 0, "rewards": 0, "traces": 0}
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             for k in range(60):
                 kind = ("none", "rewards", "traces")[int(gen.integers(3))]
                 kinds[kind] += 1
@@ -1085,8 +1051,6 @@ class TestRestartDifferential:
                             assert tr.events == other.trace(tname).events
                     assert state == auto_state, (k, label)
         assert min(kinds.values()) > 0
-        quarantined = [w for w in caught if "quarantined" in str(w.message)]
-        assert bool(quarantined) == (name == "kernels")
 
     @pytest.mark.parametrize("engine", ["auto", "reference"])
     @pytest.mark.parametrize("batch_dynamic", [False, True])
